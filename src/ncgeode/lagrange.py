@@ -23,50 +23,24 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import (EPOLY_RING, INT_RING, POLYT_ONE, POLYT_RING, PolyT,
-                        binomial_polynomial, epoly_evaluate)
+from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, PolyT,
+                        binomial_polynomial)
 from .combinat import compositions, plane_tree_codes_with_nodes
-from .ncsf import (NcsfSeries, annihilate, generator, lagrange_transform,
-                   negate_alphabet, phi_k, right_divide, series_inverse,
-                   series_mul, series_power, series_power_binomial, sigma1,
-                   unit_series, zero_series)
+from .ncsf import (NcsfSeries, annihilate, generator, graded_power,
+                   lagrange_transform, negate_alphabet, phi_k, right_divide,
+                   series_inverse, series_mul, series_power,
+                   series_power_binomial, sigma1, unit_series, zero_series)
 
 
 @lru_cache(maxsize=None)
 def solve_g(order: int) -> NcsfSeries:
     """Solve the defining equation of the Lagrange series over the integers."""
     comps: list[dict] = [{(): 1}]
-    powers: dict[tuple[int, int], dict] = {}
-
-    def power_component(m, d):
-        # degree-d part of g^m, using components of degree <= d only
-        if m == 0:
-            return {(): 1} if d == 0 else {}
-        key = (m, d)
-        cached = powers.get(key)
-        if cached is not None:
-            return cached
-        acc: dict = {}
-        for j in range(d + 1):
-            right = comps[j]
-            if not right:
-                continue
-            left = power_component(m - 1, d - j)
-            for wl, cl in left.items():
-                for wr, cr in right.items():
-                    w = wl + wr
-                    acc[w] = acc.get(w, 0) + cl * cr
-        powers[key] = acc
-        return acc
-
+    memo: dict = {}
     for n in range(1, order + 1):
-        comp: dict = {}
-        for m in range(1, n + 1):
-            tail = power_component(m, n - m)
-            for w, c in tail.items():
-                key = (m,) + w
-                comp[key] = comp.get(key, 0) + c
-        comps.append(comp)
+        # the words of S_m g^m begin with m, so the terms never collide
+        comps.append({(m,) + w: c for m in range(1, n + 1)
+                      for w, c in graded_power(comps, m, n - m, memo, 1, 0).items()})
     return NcsfSeries(INT_RING, comps)
 
 
@@ -302,14 +276,3 @@ def divisibility_check(k_max: int, order: int) -> list[dict]:
                         "quotient": quotient})
     return reports
 
-
-# ---------------------------------------------------------------------------
-# cross-ring comparisons
-
-def equals_under_e_sign(u_epoly: NcsfSeries, v_int: NcsfSeries) -> bool:
-    """Compare an EPoly series specialized at e_n -> (-1)^n with an integer one."""
-    if u_epoly.ring is not EPOLY_RING:
-        raise ValueError("expected an EPoly series")
-    order = min(u_epoly.order, v_int.order)
-    spec = u_epoly.map_coefficients(lambda c: epoly_evaluate(c, "sign"), INT_RING)
-    return spec.truncate(order) == v_int.truncate(order)

@@ -21,6 +21,7 @@ the output truncation from the inputs and raise rather than silently truncate.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 
 from .coeffring import PolyT, POLYT_ONE, Ring
 from .combinat import coarsenings, compositions
@@ -50,7 +51,8 @@ class NcsfSeries:
         for degree, comp in enumerate(components):
             clean = {}
             for word, coeff in comp.items():
-                assert sum(word) == degree, (word, degree)
+                if sum(word) != degree:
+                    raise ValueError(f"word {word} in the component of degree {degree}")
                 if coeff:
                     clean[word] = coeff
             comps.append(clean)
@@ -92,11 +94,7 @@ class NcsfSeries:
         for n in range(order + 1):
             comp = dict(self.components[n])
             for w, c in other.components[n].items():
-                new = comp.get(w, self.ring.zero) + c
-                if new:
-                    comp[w] = new
-                else:
-                    comp.pop(w, None)
+                comp[w] = comp.get(w, self.ring.zero) + c
             out.append(comp)
         return NcsfSeries(self.ring, out, self.basis)
 
@@ -165,14 +163,11 @@ def sigma1(ring: Ring, order: int) -> NcsfSeries:
 
 
 def _conv_into(target: dict, a: dict, b: dict, zero):
+    """Add the word convolution of two components into ``target``."""
     for wa, ca in a.items():
         for wb, cb in b.items():
             w = wa + wb
-            new = target.get(w, zero) + ca * cb
-            if new:
-                target[w] = new
-            else:
-                target.pop(w, None)
+            target[w] = target.get(w, zero) + ca * cb
 
 
 def series_mul(u: NcsfSeries, v: NcsfSeries) -> NcsfSeries:
@@ -210,7 +205,8 @@ def series_inverse(u: NcsfSeries) -> NcsfSeries:
             if not u.components[i]:
                 continue
             _conv_into(comp, u.components[i], inv[n - i], zero)
-        inv.append({w: -c for w, c in comp.items()})
+        # cancelled words are dropped here, since inv feeds later degrees
+        inv.append({w: -c for w, c in comp.items() if c})
     return NcsfSeries(u.ring, inv)
 
 
@@ -222,6 +218,27 @@ def series_power(u: NcsfSeries, k: int) -> NcsfSeries:
     for _ in range(abs(k) - 1):
         out = series_mul(out, base)
     return out
+
+
+def graded_power(comps, m: int, d: int, memo: dict, one, zero) -> dict:
+    """Degree-``d`` component of the m-th power of the graded series ``comps``.
+
+    Reads only the components of degree <= d, so ``comps`` may still be
+    growing.  ``memo`` keeps the (m, d) components already computed; the
+    caller decides how long it lives.
+    """
+    if m == 0:
+        return {(): one} if d == 0 else {}
+    key = (m, d)
+    acc = memo.get(key)
+    if acc is None:
+        acc = {}
+        for j in range(d + 1):
+            if comps[j]:
+                _conv_into(acc, graded_power(comps, m - 1, d - j, memo, one, zero),
+                           comps[j], zero)
+        memo[key] = acc
+    return acc
 
 
 def series_power_binomial(u: NcsfSeries, p: PolyT) -> NcsfSeries:
@@ -245,6 +262,49 @@ def series_power_binomial(u: NcsfSeries, p: PolyT) -> NcsfSeries:
 
 
 # ---------------------------------------------------------------------------
+# linear word maps
+
+def map_words(u: NcsfSeries, image, order: int | None = None,
+              basis: str = "S") -> NcsfSeries:
+    """The linear map sending each word of ``u`` to ``image(word)``.
+
+    ``image`` returns (word, coefficient) pairs.  Each output word goes into
+    the component of its own degree; the result is exact through ``order``
+    (by default the order of ``u``) and tagged with ``basis``.
+    """
+    zero = u.ring.zero
+    acc: dict = {}
+    for comp in u.components:
+        for word, coeff in comp.items():
+            for w, c in image(word):
+                acc[w] = acc.get(w, zero) + (coeff if c == 1 else coeff * c)
+    out = [dict() for _ in range((u.order if order is None else order) + 1)]
+    for w, c in acc.items():
+        out[sum(w)][w] = c
+    return NcsfSeries(u.ring, out, basis)
+
+
+def _morphism(letter_image, one, zero):
+    """Word function of the algebra morphism sending the letter n to the
+    component ``letter_image(n)``: the product of the letter images."""
+    def image(word):
+        product = {(): one}
+        for letter in word:
+            nxt: dict = {}
+            _conv_into(nxt, product, letter_image(letter), zero)
+            product = nxt
+        return product.items()
+    return image
+
+
+@lru_cache(maxsize=None)
+def _elementary(n: int, sign: int = 1) -> dict:
+    # S_n in the L basis and L_n in the S basis share the coefficients
+    # (-1)^(n - len J) over compositions J of n
+    return {J: sign * (-1) ** (n - len(J)) for J in compositions(n)}
+
+
+# ---------------------------------------------------------------------------
 # annihilation operators
 
 def annihilate(u: NcsfSeries, n: int) -> NcsfSeries:
@@ -258,117 +318,47 @@ def annihilate(u: NcsfSeries, n: int) -> NcsfSeries:
         raise ValueError("annihilation index must be positive")
     if u.basis == "L" and n != 1:
         raise ValueError("L-basis annihilation is only defined for n = 1")
-    order = u.order - n
-    if order < 0:
+    if u.order < n:
         raise TruncationError("series too short for this annihilation")
-    out = [dict() for _ in range(order + 1)]
-    zero = u.ring.zero
-    for d in range(n, u.order + 1):
-        target = out[d - n]
-        for word, c in u.components[d].items():
+    if u.basis == "L":
+        def image(word):
             if not word:
-                continue
-            if u.basis in ("S", "R"):
-                if word[-1] != n:
-                    continue
-                new = word[:-1]
-            else:
-                last = word[-1] - 1
-                new = word[:-1] if last == 0 else word[:-1] + (last,)
-            acc = target.get(new, zero) + c
-            if acc:
-                target[new] = acc
-            else:
-                target.pop(new, None)
-    return NcsfSeries(u.ring, out, u.basis)
+                return ()
+            return ((word[:-1] + (word[-1] - 1,) if word[-1] > 1 else word[:-1], 1),)
+    else:
+        def image(word):
+            return ((word[:-1], 1),) if word and word[-1] == n else ()
+    return map_words(u, image, u.order - n, u.basis)
 
 
 # ---------------------------------------------------------------------------
 # basis conversions
-
-@lru_cache(maxsize=None)
-def _elementary_expansion(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # S_n in the L basis and L_n in the S basis share the coefficients
-    # (-1)^(n - len J) over compositions J of n
-    return tuple((J, (-1) ** (n - len(J))) for J in compositions(n))
-
-
-def _expand_multiplicative(comp: dict, expansion, zero) -> dict:
-    """Replace every letter of every word by its expansion and multiply out."""
-    out = {}
-    for word, coeff in comp.items():
-        partial = {(): coeff}
-        for part in word:
-            nxt: dict = {}
-            for w, c in partial.items():
-                for suffix, sign in expansion(part):
-                    key = w + suffix
-                    new = nxt.get(key, zero) + (c * sign if sign != 1 else c)
-                    if new:
-                        nxt[key] = new
-                    else:
-                        nxt.pop(key, None)
-            partial = nxt
-        for w, c in partial.items():
-            new = out.get(w, zero) + c
-            if new:
-                out[w] = new
-            else:
-                out.pop(w, None)
-    return out
-
 
 def convert_basis(u: NcsfSeries, target: str) -> NcsfSeries:
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == u.basis:
         return u
-    zero = u.ring.zero
-
-    def termwise(convert_word):
-        out = []
-        for comp in u.components:
-            acc: dict = {}
-            for word, coeff in comp.items():
-                for w, sign in convert_word(word):
-                    new = acc.get(w, zero) + (coeff * sign if sign != 1 else coeff)
-                    if new:
-                        acc[w] = new
-                    else:
-                        acc.pop(w, None)
-            out.append(acc)
-        return out
-
     if u.basis == "S" and target == "R":
-        comps = termwise(lambda I: [(J, 1) for J in coarsenings(I)])
+        image = lambda I: zip(coarsenings(I), repeat(1))
     elif u.basis == "R" and target == "S":
-        comps = termwise(lambda I: [(J, (-1) ** (len(I) - len(J)))
-                                    for J in coarsenings(I)])
+        image = lambda I: [(J, (-1) ** (len(I) - len(J))) for J in coarsenings(I)]
     elif u.basis == "S" and target == "L" or u.basis == "L" and target == "S":
-        comps = [_expand_multiplicative(c, _elementary_expansion, zero)
-                 for c in u.components]
+        image = _morphism(_elementary, 1, 0)
     else:
         # route through S
         return convert_basis(convert_basis(u, "S"), target)
-    return NcsfSeries(u.ring, comps, target)
+    return map_words(u, image, basis=target)
 
 
 # ---------------------------------------------------------------------------
 # algebra morphisms
 
-@lru_cache(maxsize=None)
-def _negation_expansion(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # S_n -> (-1)^n L_n re-expressed in the S basis
-    return tuple((J, (-1) ** len(J)) for J in compositions(n))
-
-
 def negate_alphabet(u: NcsfSeries) -> NcsfSeries:
     """The morphism sending S_n to (-1)^n times the elementary generator."""
     if u.basis != "S":
         raise ValueError("alphabet negation acts on the S basis")
-    comps = [_expand_multiplicative(c, _negation_expansion, u.ring.zero)
-             for c in u.components]
-    return NcsfSeries(u.ring, comps)
+    return map_words(u, _morphism(lambda n: _elementary(n, (-1) ** n), 1, 0))
 
 
 def phi_k(u: NcsfSeries, k: int) -> NcsfSeries:
@@ -377,21 +367,12 @@ def phi_k(u: NcsfSeries, k: int) -> NcsfSeries:
         raise ValueError("phi_k acts on the S basis")
     if k < 1:
         raise ValueError("k must be positive")
-    order = u.order // k
-    out = [dict() for _ in range(order + 1)]
-    zero = u.ring.zero
-    for d in range(0, order * k + 1, k):
-        target = out[d // k]
-        for word, c in u.components[d].items():
-            if any(p % k for p in word):
-                continue
-            new = tuple(p // k for p in word)
-            acc = target.get(new, zero) + c
-            if acc:
-                target[new] = acc
-            else:
-                target.pop(new, None)
-    return NcsfSeries(u.ring, out)
+
+    def image(word):
+        if sum(word) % k or any(p % k for p in word):
+            return ()
+        return ((tuple(p // k for p in word), 1),)
+    return map_words(u, image, u.order // k)
 
 
 def lagrange_transform(g: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
@@ -403,31 +384,7 @@ def lagrange_transform(g: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
         raise ValueError("the transform acts on the S basis")
     if g.order < u.order:
         raise TruncationError("transform series shorter than the argument")
-    zero = u.ring.zero
-    out = [dict() for _ in range(u.order + 1)]
-    for d, comp in enumerate(u.components):
-        target = out[d]
-        for word, coeff in comp.items():
-            partial = {(): coeff}
-            for part in word:
-                nxt: dict = {}
-                img = g.components[part]
-                for w, c in partial.items():
-                    for suffix, gc in img.items():
-                        key = w + suffix
-                        new = nxt.get(key, zero) + c * gc
-                        if new:
-                            nxt[key] = new
-                        else:
-                            nxt.pop(key, None)
-                partial = nxt
-            for w, c in partial.items():
-                new = target.get(w, zero) + c
-                if new:
-                    target[w] = new
-                else:
-                    target.pop(w, None)
-    return NcsfSeries(u.ring, out)
+    return map_words(u, _morphism(g.components.__getitem__, u.ring.one, u.ring.zero))
 
 
 # ---------------------------------------------------------------------------
@@ -454,29 +411,19 @@ def right_divide(v: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
         raise ValueError("divisor must start with a multiple of S_1")
     c1 = u.components[1][(1,)]
     order = min(v.order, u.order)
-    zero = ring.zero
-    theta = [dict() for _ in range(order)]
+    minus_u = [{w: -c for w, c in comp.items()} for comp in u.components[: order + 1]]
+    theta: list[dict] = []
     for n in range(1, order + 1):
         residual = dict(v.components[n])
         for m in range(2, n + 1):
-            um = u.components[m]
-            if not um:
-                continue
-            for wt, ct in theta[n - m].items():
-                for wu, cu in um.items():
-                    w = wt + wu
-                    new = residual.get(w, zero) - ct * cu
-                    if new:
-                        residual[w] = new
-                    else:
-                        residual.pop(w, None)
+            _conv_into(residual, theta[n - m], minus_u[m], ring.zero)
         comp = {}
         for word, coeff in residual.items():
+            if not coeff:
+                continue
             if not word or word[-1] != 1:
                 raise NotDivisibleError(
                     f"residual term {word} at degree {n} does not end in 1")
-            if c1 != ring.one:
-                coeff = ring.exact_div(coeff, c1)
-            comp[word[:-1]] = coeff
-        theta[n - 1] = comp
+            comp[word[:-1]] = coeff if c1 == ring.one else ring.exact_div(coeff, c1)
+        theta.append(comp)
     return NcsfSeries(ring, theta)

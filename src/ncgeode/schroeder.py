@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 
 from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
-from .ncsf import NcsfSeries, annihilate
+from .ncsf import NcsfSeries, annihilate, graded_power, map_words
 from .combinat import compositions, plane_tree_codes_with_nodes
 
 
@@ -166,36 +166,6 @@ class SystemState:
     g: tuple[dict, ...]
 
 
-def _word_conv_into(target: dict, a: dict, b: dict):
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            new = target.get(w, EPoly()) + ca * cb
-            if new:
-                target[w] = new
-            else:
-                target.pop(w, None)
-
-
-def _graded_power_component(comps, m, d, memo):
-    if m == 0:
-        return {(): EPoly.one()} if d == 0 else {}
-    key = (m, d)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    acc: dict = {}
-    for j in range(d + 1):
-        right = comps[j] if j < len(comps) else {}
-        if not right:
-            continue
-        left = _graded_power_component(comps, m - 1, d - j, memo)
-        if left:
-            _word_conv_into(acc, left, right)
-    memo[key] = acc
-    return acc
-
-
 @lru_cache(maxsize=None)
 def solve_xy_system(order: int) -> SystemState:
     """Solve the lifted system degree by degree.
@@ -204,32 +174,21 @@ def solve_xy_system(order: int) -> SystemState:
     interleave; the degree of a word is the sum of its letters, placeholder
     letters counting 0.
     """
-    one = EPoly.one()
+    one, zero = EPoly.one(), EPoly()
     x: list[dict] = [{}]
     y: list[dict] = [{(0,): one}]
     for n in range(1, order + 1):
+        # fresh memos each degree keep the peak memory down
         y_memo: dict = {}
-        xn: dict = {}
-        for m in range(1, n + 1):
-            tail = _graded_power_component(y, m, n - m, y_memo)
-            for w, c in tail.items():
-                key = (m,) + w
-                new = xn.get(key, EPoly()) + c
-                if new:
-                    xn[key] = new
-        x.append(xn)
+        x.append({(m,) + w: c for m in range(1, n + 1)
+                  for w, c in graded_power(y, m, n - m, y_memo, one, zero).items()})
         x_memo: dict = {}
         yn: dict = {}
         for m in range(1, n + 1):
-            part = _graded_power_component(x, m, n, x_memo)
-            if not part:
-                continue
             em = EPoly.e(m)
-            for w, c in part.items():
+            for w, c in graded_power(x, m, n, x_memo, one, zero).items():
                 key = w + (0,)
-                new = yn.get(key, EPoly()) + em * c
-                if new:
-                    yn[key] = new
+                yn[key] = yn.get(key, zero) + em * c
         y.append(yn)
     g = [{(0,): one}]
     for n in range(1, order + 1):
@@ -239,18 +198,8 @@ def solve_xy_system(order: int) -> SystemState:
 
 def project_placeholder(graded) -> NcsfSeries:
     """Set the placeholder letter to 1: delete zeros and merge words."""
-    comps = []
-    for comp in graded:
-        acc: dict = {}
-        for word, coeff in comp.items():
-            key = tuple(l for l in word if l)
-            new = acc.get(key, EPoly()) + coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
-        comps.append(acc)
-    return NcsfSeries(EPOLY_RING, comps)
+    return map_words(NcsfSeries(EPOLY_RING, graded),
+                     lambda word: ((tuple(l for l in word if l), 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +248,7 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
             comp: dict = {}
             for code in enumerate_prime_schroeder(n):
                 word = tuple(l for l in code if l)
-                new = comp.get(word, EPoly()) + prime_tree_weight(code)
-                if new:
-                    comp[word] = new
+                comp[word] = comp.get(word, EPoly()) + prime_tree_weight(code)
             comps.append(comp)
         return NcsfSeries(EPOLY_RING, comps)
     raise ValueError(f"unknown route {route!r}")
