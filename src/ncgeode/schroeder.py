@@ -233,12 +233,7 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
     if route == "delta":
         comps: list[dict] = [{(): EPoly.one()}]
         for n in range(1, order + 1):
-            comp = {}
-            for I in compositions(n):
-                c = delta_e_coefficient(I)
-                if c:
-                    comp[I] = c
-            comps.append(comp)
+            comps.append({I: delta_e_coefficient(I) for I in compositions(n)})
         return NcsfSeries(EPOLY_RING, comps)
     if route == "system":
         return project_placeholder(solve_xy_system(order).g)
