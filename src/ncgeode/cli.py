@@ -33,6 +33,16 @@ def _parse_shape(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncgeode",
@@ -42,26 +52,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand a named series")
     p.add_argument("--series", required=True,
                    choices=("g", "gamma", "h", "eta", "gessel"))
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_nonnegative, required=True)
     p.add_argument("--ring", choices=("int", "polyt"), default="int")
     p.add_argument("--basis", choices=("S", "R", "L"), default="S")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("klagrange", help="expand the k-Lagrange series")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_nonnegative, required=True)
     p.add_argument("--route", choices=("direct", "phi", "delta"), default="delta")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("eseries", help="expand the e-Lagrange series or e-geode")
     p.add_argument("--series", choices=("g", "gamma"), required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_nonnegative, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("trees", help="enumerate tree codes or ribbon fillings")
     p.add_argument("--kind", required=True,
                    choices=("lukasiewicz", "schroeder", "prime-schroeder", "pqr"))
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_nonnegative)
     p.add_argument("--shape", type=_parse_shape)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -69,12 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, dest="map_name",
                    choices=("catalan", "coeff-sum", "ribbon-u", "lambda-abs", "zq"))
     p.add_argument("--series", choices=("g", "gamma", "ge"), required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_nonnegative, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--degree", type=int, default=6)
+    p.add_argument("--degree", type=_nonnegative, default=6)
     return parser
 
 
@@ -88,9 +98,6 @@ def _emit_series(series, name, fmt, out):
 
 def cmd_expand(args, out) -> int:
     n = args.degree
-    if n < 0:
-        print("degree must be nonnegative", file=sys.stderr)
-        return 2
     if args.ring == "int":
         makers = {"g": solve_g, "gamma": geode, "gessel": gessel_gamma,
                   "h": lambda d: prime_series(d)[0],
@@ -110,9 +117,6 @@ def cmd_expand(args, out) -> int:
 
 def cmd_klagrange(args, out) -> int:
     n = args.degree
-    if n < 0:
-        print("degree must be nonnegative", file=sys.stderr)
-        return 2
     if args.route == "direct":
         series = k_lagrange_direct(args.k, n)
     elif args.route == "phi":
@@ -160,6 +164,9 @@ def cmd_trees(args, out) -> int:
         return 0
     if args.n is None:
         print("--n is required for tree enumerations", file=sys.stderr)
+        return 2
+    if args.kind == "prime-schroeder" and args.n < 1:
+        print("prime Schroeder trees need --n of at least 1", file=sys.stderr)
         return 2
     codes = _codes_for(args.kind, args.n)
     if args.format == "json":

@@ -165,3 +165,22 @@ def test_usage_errors_exit_2(capsys):
     code = main(["trees", "--kind", "lukasiewicz"])
     capsys.readouterr()
     assert code == 2
+    for argv in (["expand", "--series", "g", "--degree", "-1"],
+                 ["klagrange", "--k", "2", "--degree", "-1"],
+                 ["eseries", "--series", "gamma", "--degree", "-1"],
+                 ["eseries", "--series", "g", "--degree", "-2"],
+                 ["verify", "--degree", "-1"],
+                 ["trees", "--kind", "schroeder", "--n", "-1"],
+                 ["trees", "--kind", "lukasiewicz", "--n", "-1"],
+                 ["specialize", "--map", "ribbon-u", "--series", "gamma",
+                  "--order", "-1"],
+                 ["specialize", "--map", "catalan", "--series", "g",
+                  "--order", "-1"],
+                 ["specialize", "--map", "zq", "--series", "ge", "--order", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "must be nonnegative" in capsys.readouterr().err, argv
+    code = main(["trees", "--kind", "prime-schroeder", "--n", "0"])
+    assert "at least 1" in capsys.readouterr().err
+    assert code == 2
