@@ -135,7 +135,6 @@ class PolyT:
 
 POLYT_ZERO = PolyT()
 POLYT_ONE = PolyT((1,))
-POLYT_T = PolyT.t()
 
 
 def binomial_polynomial(m: int, a: int) -> PolyT:
@@ -358,10 +357,6 @@ def epoly_evaluate(p: EPoly, rule: str):
 def fraction_to_str(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _int_exact_div(a: int, b: int) -> int:

@@ -189,3 +189,9 @@ def test_biseries_arithmetic_and_truncation():
     assert a.truncate(1).terms == {(0, 0): Fraction(1)}
     with pytest.raises(ValueError):
         a.truncate(9)
+
+
+def test_zq_closed_form_at_q_one_gives_large_schroeder_numbers():
+    zq = closed_form("zq", 13)
+    sums = [sum(c for (i, _), c in zq.terms.items() if i == n) for n in range(1, 8)]
+    assert sums == fx.A006318_LARGE_SCHROEDER
