@@ -264,6 +264,12 @@ def test_right_divide_signals_failure():
         right_divide(v, u)
 
 
+def test_word_of_wrong_degree_is_rejected():
+    # a ValueError rather than an assert, so the check survives python -O
+    with pytest.raises(ValueError):
+        NcsfSeries(INT_RING, [{}, {(2,): 1}])
+
+
 def test_truncation_errors_are_loud():
     u = s_series({(1,): 1}, 2)
     with pytest.raises(TruncationError):
