@@ -202,8 +202,6 @@ def series_inverse(u: NcsfSeries) -> NcsfSeries:
         comp: dict = {}
         # v_n = -sum_{i=1..n} u_i v_{n-i}
         for i in range(1, n + 1):
-            if not u.components[i]:
-                continue
             _conv_into(comp, u.components[i], inv[n - i], zero)
         # cancelled words are dropped here, since inv feeds later degrees
         inv.append({w: -c for w, c in comp.items() if c})
