@@ -137,6 +137,7 @@ POLYT_ZERO = PolyT()
 POLYT_ONE = PolyT((1,))
 
 
+@lru_cache(maxsize=None)
 def binomial_polynomial(m: int, a: int) -> PolyT:
     """The binomial coefficient C(m*t, a) as a polynomial in t.
 

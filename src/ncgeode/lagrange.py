@@ -9,13 +9,19 @@ order spell I.  The geode gamma satisfies g = 1 + gamma (sigma_1 - 1) and is
 also obtained by annihilating g with any S_k^{-1}.
 
 Replacing the exponent m by k*m gives the k-Lagrange series; its coefficients
-are polynomials in k, which turns k into a formal indeterminate t.  The
-coefficient of S^I in the t-series is
+are polynomials in k, which turns k into a formal indeterminate t.  For a
+composition I of length p, the coefficient of S^I in the t-series is the sum
+over the codes a of plane trees with p nodes (letter sum p-1, every proper
+prefix of length j summing to at least j) of
 
-    sum over codes a of plane trees with len(I) nodes of
-    prod_j C(t*i_j, a_j),
+    C(t*i_1, a_1) C(t*i_2, a_2) ... C(t*i_{p-1}, a_{p-1}),
 
-computed by delta_coefficient.  Specializing t to -1 gives free cumulants.
+the last code letter being always zero.  delta_coefficient does not list the
+Catalan(p-1) codes: since the condition on a code only involves its running
+letter sum, combinat.tree_code_sum carries, letter by letter, the summed
+products of all admissible prefixes with each prefix sum s, and reads the
+answer off at s = p-1 after p-1 letters.  Specializing t to -1 gives free
+cumulants.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, PolyT,
+from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
                         binomial_polynomial)
-from .combinat import compositions, plane_tree_codes_with_nodes
+from .combinat import compositions, tree_code_sum
 from .ncsf import (NcsfSeries, annihilate, generator, graded_power,
                    lagrange_transform, negate_alphabet, phi_k, right_divide,
                    series_inverse, series_mul, series_power,
@@ -122,22 +128,12 @@ def eta_identities(order: int) -> dict[str, bool]:
 def delta_coefficient(comp: tuple[int, ...]) -> PolyT:
     """Coefficient of S^I in the t-Lagrange series as a polynomial in t.
 
-    Sums, over the codes a of plane trees with len(I) nodes, the products
-    C(t*i_1, a_1) ... C(t*i_{p-1}, a_{p-1}); the final code letter is always
-    zero and is skipped.
+    The sum, over the codes a of plane trees with len(I) nodes, of the
+    products C(t*i_1, a_1) ... C(t*i_{p-1}, a_{p-1}), computed by the DP
+    over the running letter sum of ``tree_code_sum``.
     """
-    if not comp:
-        return POLYT_ONE
-    p = len(comp)
-    total = PolyT()
-    for code in plane_tree_codes_with_nodes(p):
-        prod = POLYT_ONE
-        for j in range(p - 1):
-            prod = prod * binomial_polynomial(comp[j], code[j])
-            if not prod:
-                break
-        total = total + prod
-    return total
+    return tree_code_sum(comp, lambda a, i: binomial_polynomial(i, a),
+                         POLYT_ONE, POLYT_ZERO)
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +206,7 @@ def free_cumulant_equation_holds(order: int) -> bool:
     sig_pow = unit_series(INT_RING, order)
     for n in range(order + 1):
         kn = [dict() for _ in range(order + 1)]
-        kn[n] = dict(K.components[n])
+        kn[n] = K.components[n].copy()
         acc = acc + series_mul(NcsfSeries(INT_RING, kn), sig_pow)
         if n < order:
             sig_pow = series_mul(sig_pow, sig)

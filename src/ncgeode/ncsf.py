@@ -20,8 +20,10 @@ the output truncation from the inputs and raise rather than silently truncate.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import repeat
+from types import MappingProxyType
 
 from .coeffring import PolyT, POLYT_ONE, Ring
 from .combinat import coarsenings, compositions
@@ -38,15 +40,17 @@ class NotDivisibleError(ValueError):
 
 
 class NcsfSeries:
-    """Graded truncated element of the free algebra, tagged with a basis."""
+    """Graded truncated element of the free algebra, tagged with a basis.
+
+    A series is immutable: ``components`` is a tuple of read-only mappings,
+    so the series that the caches hand out cannot be changed by a caller.
+    """
 
     __slots__ = ("ring", "basis", "components")
 
     def __init__(self, ring: Ring, components, basis: str = "S"):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        self.ring = ring
-        self.basis = basis
         comps = []
         for degree, comp in enumerate(components):
             clean = {}
@@ -55,14 +59,23 @@ class NcsfSeries:
                     raise ValueError(f"word {word} in the component of degree {degree}")
                 if coeff:
                     clean[word] = coeff
-            comps.append(clean)
-        self.components = comps
+            comps.append(MappingProxyType(clean))
+        _set = object.__setattr__
+        _set(self, "ring", ring)
+        _set(self, "basis", basis)
+        _set(self, "components", tuple(comps))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NcsfSeries is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"NcsfSeries is immutable; cannot delete {name!r}")
 
     @property
     def order(self) -> int:
         return len(self.components) - 1
 
-    def component(self, n: int) -> dict:
+    def component(self, n: int) -> Mapping:
         if n > self.order:
             raise TruncationError(f"series exact through degree {self.order}, "
                                   f"component {n} requested")
@@ -92,7 +105,7 @@ class NcsfSeries:
         order = min(self.order, other.order)
         out = []
         for n in range(order + 1):
-            comp = dict(self.components[n])
+            comp = self.components[n].copy()
             for w, c in other.components[n].items():
                 comp[w] = comp.get(w, self.ring.zero) + c
             out.append(comp)
@@ -412,7 +425,7 @@ def right_divide(v: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
     minus_u = [{w: -c for w, c in comp.items()} for comp in u.components[: order + 1]]
     theta: list[dict] = []
     for n in range(1, order + 1):
-        residual = dict(v.components[n])
+        residual = v.components[n].copy()
         for m in range(2, n + 1):
             _conv_into(residual, theta[n - m], minus_u[m], ring.zero)
         comp = {}

@@ -158,13 +158,30 @@ def series_to_json_dict(series: NcsfSeries, name: str) -> dict:
 
 
 def series_from_json(data: dict) -> NcsfSeries:
-    ring = RINGS[data["ring"]]
-    comps = [dict() for _ in range(data["truncation"] + 1)]
-    for entry in data["components"]:
-        comp = comps[entry["degree"]]
-        for term in entry["terms"]:
-            comp[tuple(term["composition"])] = ring.from_json(term["coeff"])
-    return NcsfSeries(ring, comps, data["basis"])
+    """Rebuild a series from the output of ``series_to_json_dict``.
+
+    Raises ValueError for a missing key, an unknown ring, a negative
+    truncation or a component degree outside 0..truncation.
+    """
+    try:
+        ring_name, order, basis = data["ring"], data["truncation"], data["basis"]
+        entries = [(entry["degree"],
+                    [(term["composition"], term["coeff"]) for term in entry["terms"]])
+                   for entry in data["components"]]
+    except KeyError as exc:
+        raise ValueError(f"series JSON lacks the key {exc}") from None
+    if ring_name not in RINGS:
+        raise ValueError(f"unknown ring {ring_name!r}; expected one of {sorted(RINGS)}")
+    if type(order) is not int or order < 0:
+        raise ValueError(f"truncation must be a nonnegative integer, not {order!r}")
+    ring = RINGS[ring_name]
+    comps = [dict() for _ in range(order + 1)]
+    for degree, terms in entries:
+        if type(degree) is not int or not 0 <= degree <= order:
+            raise ValueError(f"component degree {degree!r} outside 0..{order}")
+        for word, coeff in terms:
+            comps[degree][tuple(word)] = ring.from_json(coeff)
+    return NcsfSeries(ring, comps, basis)
 
 
 def uniseries_to_json_dict(series, name: str) -> dict:

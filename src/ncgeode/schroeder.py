@@ -14,13 +14,15 @@ a closed coefficient formula.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
 from .ncsf import NcsfSeries, annihilate, graded_power, map_words
-from .combinat import compositions, plane_tree_codes_with_nodes
+from .combinat import compositions, tree_code_sum
 
 
 def _arity(letter: int) -> int:
@@ -161,9 +163,9 @@ def prime_tree_weight(code: tuple[int, ...]) -> EPoly:
 @dataclass(frozen=True)
 class SystemState:
     order: int
-    x: tuple[dict, ...]
-    y: tuple[dict, ...]
-    g: tuple[dict, ...]
+    x: tuple[Mapping, ...]
+    y: tuple[Mapping, ...]
+    g: tuple[Mapping, ...]
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +195,8 @@ def solve_xy_system(order: int) -> SystemState:
     g = [{(0,): one}]
     for n in range(1, order + 1):
         g.append({w + (0,): c for w, c in x[n].items()})
-    return SystemState(order, tuple(x), tuple(y), tuple(g))
+    # the state is cached, so callers get read-only components
+    return SystemState(order, *(tuple(map(MappingProxyType, comps)) for comps in (x, y, g)))
 
 
 def project_placeholder(graded) -> NcsfSeries:
@@ -209,22 +212,12 @@ def project_placeholder(graded) -> NcsfSeries:
 def delta_e_coefficient(comp: tuple[int, ...]) -> EPoly:
     """Coefficient of S^I in the e-Lagrange series.
 
-    Sums, over codes a of plane trees with len(I) nodes, the products
-    e_{a_1}(i_1 A) ... e_{a_{p-1}}(i_{p-1} A) of elementary functions of
-    multiplied alphabets.
+    The sum, over the codes a of plane trees with len(I) nodes, of the
+    products e_{a_1}(i_1 A) ... e_{a_{p-1}}(i_{p-1} A) of elementary
+    functions of multiplied alphabets, computed by the DP over the running
+    letter sum of ``tree_code_sum``.
     """
-    if not comp:
-        return EPoly.one()
-    p = len(comp)
-    total = EPoly()
-    for code in plane_tree_codes_with_nodes(p):
-        prod = EPoly.one()
-        for j in range(p - 1):
-            prod = prod * elementary_of_multiple(code[j], comp[j])
-            if not prod:
-                break
-        total = total + prod
-    return total
+    return tree_code_sum(comp, elementary_of_multiple, EPoly.one(), EPoly())
 
 
 @lru_cache(maxsize=None)

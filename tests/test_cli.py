@@ -71,6 +71,26 @@ def test_json_round_trip_epoly():
     assert series_from_json(json.loads(json.dumps(data))) == g_e(3)
 
 
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: {**d, "ring": "quaternion"}, "unknown ring", id="unknown-ring"),
+    pytest.param(lambda d: {**d, "truncation": -1}, "truncation", id="negative-truncation"),
+    pytest.param(lambda d: {**d, "truncation": 2}, "outside 0..2", id="degree-above-truncation"),
+    pytest.param(lambda d: {**d, "components": [{"degree": -1, "terms": []}]},
+                 "outside 0..3", id="negative-degree"),
+    pytest.param(lambda d: _without(d, "basis"), "lacks the key 'basis'", id="missing-basis"),
+    pytest.param(lambda d: {**d, "components": [{"degree": 0}]},
+                 "lacks the key 'terms'", id="missing-terms"),
+])
+def test_series_from_json_rejects_bad_input(edit, message):
+    data = series_to_json_dict(solve_g(3), "g")
+    with pytest.raises(ValueError, match=message):
+        series_from_json(edit(data))
+
+
 def test_klagrange_routes(capsys):
     for route in ("direct", "phi", "delta"):
         code, out = run_cli(capsys, "klagrange", "--k", "2", "--degree", "3",

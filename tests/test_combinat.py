@@ -2,6 +2,8 @@ from collections import Counter
 
 import pytest
 
+from ncgeode.coeffring import (EPoly, POLYT_ONE, PolyT, binomial_polynomial,
+                               elementary_of_multiple)
 from ncgeode.combinat import (catalan, coarsenings, code_to_dyck, code_to_ndpf,
                               compositions, conjugate, descent_mask,
                               enumerate_lukasiewicz, is_lukasiewicz, is_ndpf,
@@ -9,7 +11,10 @@ from ncgeode.combinat import (catalan, coarsenings, code_to_dyck, code_to_ndpf,
                               ndpf_to_code, ndpf_to_noncrossing,
                               noncrossing_to_ndpf, nonzero_letters,
                               parking_quasi_ribbons, plane_tree_codes_with_nodes,
-                              remove_last_corolla, shift_words, trailing_zeros)
+                              remove_last_corolla, shift_words, trailing_zeros,
+                              tree_code_sum)
+from ncgeode.lagrange import delta_coefficient
+from ncgeode.schroeder import delta_e_coefficient
 
 
 def test_compositions_order_matches_display_convention():
@@ -62,6 +67,34 @@ def test_lukasiewicz_validity_and_order():
         codes = enumerate_lukasiewicz(n)
         assert all(is_lukasiewicz(c) for c in codes)
         assert codes == sorted(codes, reverse=True)
+
+
+def tree_code_sum_by_enumeration(comp, factor, one, zero):
+    """Reference for tree_code_sum: the sum over every plane tree code."""
+    if not comp:
+        return one
+    total = zero
+    for code in plane_tree_codes_with_nodes(len(comp)):
+        prod = one
+        for a, i in zip(code[:-1], comp):
+            prod = prod * factor(a, i)
+        total = total + prod
+    return total
+
+
+def test_tree_code_sum_counts_plane_trees():
+    for p in range(1, 9):
+        assert tree_code_sum((1,) * p, lambda a, i: 1, 1, 0) == catalan(p - 1)
+    assert tree_code_sum((), lambda a, i: 1, 1, 0) == 1
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_delta_coefficients_match_code_enumeration(n):
+    for comp in compositions(n):
+        assert delta_coefficient(comp) == tree_code_sum_by_enumeration(
+            comp, lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT()), comp
+        assert delta_e_coefficient(comp) == tree_code_sum_by_enumeration(
+            comp, elementary_of_multiple, EPoly.one(), EPoly()), comp
 
 
 def test_plane_tree_codes_with_nodes():

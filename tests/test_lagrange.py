@@ -113,6 +113,22 @@ def test_delta_coefficient_examples():
     assert delta_coefficient((1, 1, 1, 1)) == fx.DELTA_1111
 
 
+def test_g_t_at_one_is_g_through_degree_10():
+    assert specialize_t(g_t(10), 1) == solve_g(10)
+
+
+def test_cached_series_are_read_only():
+    g = solve_g(4)
+    with pytest.raises(TypeError):
+        g.components[1][(1,)] = 7
+    with pytest.raises(TypeError):
+        g.component(2)[(2,)] = 7
+    with pytest.raises(AttributeError):
+        g.components = ()
+    assert solve_g(4).components[1] == {(1,): 1}
+    assert geode(3).coefficient(()) == 1
+
+
 def test_g_t_tables():
     gt = g_t(4)
     for n, expected in fx.G_T_TABLE.items():

@@ -71,6 +71,13 @@ def test_system_matches_displayed_solution():
     assert state.g[3] == fx.SYSTEM_G3_TABLE
 
 
+def test_cached_system_state_is_read_only():
+    state = solve_xy_system(3)
+    with pytest.raises(TypeError):
+        state.g[1][(1, 0)] = EPoly()
+    assert g_e(3, "system") == g_e(3, "trees")
+
+
 def test_system_y_equals_tree_enumeration():
     state = solve_xy_system(5)
     for n in range(6):
