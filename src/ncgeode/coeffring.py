@@ -8,15 +8,20 @@ Four rings appear as series coefficients:
   * ``EPoly`` -- integer combinations of commuting generators e_1, e_2, ...
     whose monomials e_{l1} e_{l2} ... are indexed by integer partitions.
 
-All values are immutable after construction and all operations are pure.
+All values are immutable after construction and all operations are pure:
+``PolyT`` and ``EPoly`` refuse attribute assignment and ``EPoly.terms`` is a
+read-only mapping, so the caches of the series code may hand out and share
+the same coefficient objects.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator
 
 
@@ -24,7 +29,7 @@ class PolyT:
     """Polynomial in t over Q, dense coefficients stored by ascending power.
 
     The zero polynomial is the empty coefficient tuple; trailing zero
-    coefficients are never stored.
+    coefficients are never stored.  ``coeffs`` is set once, in ``__init__``.
     """
 
     __slots__ = ("coeffs",)
@@ -33,7 +38,13 @@ class PolyT:
         cs = [Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PolyT is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PolyT is immutable; cannot delete {name!r}")
 
     @classmethod
     def constant(cls, c) -> "PolyT":
@@ -183,7 +194,10 @@ class EPoly:
 
     A monomial e_{l1}...e_{lr} is stored under the partition key
     (l1 >= l2 >= ... >= lr); the empty partition is the unit monomial.
-    Zero coefficients are never stored.
+    Zero coefficients are never stored.  ``terms`` is a read-only mapping
+    and attributes cannot be set, so results may be shared: the product of
+    two unit monomials is one object per pair of partitions, and adding
+    zero returns the other operand itself.
     """
 
     __slots__ = ("terms",)
@@ -191,7 +205,7 @@ class EPoly:
     def __init__(self, terms=None):
         d: dict[tuple[int, ...], int] = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
+            items = terms.items() if isinstance(terms, Mapping) else terms
             for part, c in items:
                 key = tuple(sorted(part, reverse=True))
                 if any(p < 1 for p in key):
@@ -204,7 +218,20 @@ class EPoly:
                     d[key] = new
                 else:
                     d.pop(key, None)
-        self.terms = d
+        object.__setattr__(self, "terms", MappingProxyType(d))
+
+    @classmethod
+    def _of(cls, d: dict) -> "EPoly":
+        """Wrap a dict of sorted partition keys and nonzero coefficients."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", MappingProxyType(d))
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EPoly is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EPoly is immutable; cannot delete {name!r}")
 
     @classmethod
     def one(cls) -> "EPoly":
@@ -230,27 +257,27 @@ class EPoly:
         return self.terms == other.terms
 
     def __add__(self, other) -> "EPoly":
-        if isinstance(other, int):
-            other = EPoly({(): other})
         if not isinstance(other, EPoly):
-            return NotImplemented
-        d = dict(self.terms)
+            if not isinstance(other, int):
+                return NotImplemented
+            other = EPoly({(): other})
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        d = self.terms.copy()
         for k, c in other.terms.items():
             new = d.get(k, 0) + c
             if new:
                 d[k] = new
             else:
-                d.pop(k, None)
-        out = EPoly()
-        out.terms = d
-        return out
+                del d[k]
+        return EPoly._of(d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "EPoly":
-        out = EPoly()
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return EPoly._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "EPoly":
         if isinstance(other, int):
@@ -261,31 +288,43 @@ class EPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "EPoly":
-        if isinstance(other, int):
+        if not isinstance(other, EPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             if not other:
                 return EPoly()
-            out = EPoly()
-            out.terms = {k: c * other for k, c in self.terms.items()}
-            return out
-        if not isinstance(other, EPoly):
-            return NotImplemented
+            return EPoly._of({k: c * other for k, c in self.terms.items()})
+        a, b = self.terms, other.terms
+        if len(a) == 1 == len(b):
+            (ka,) = a
+            (kb,) = b
+            unit = _monomial_product(ka, kb)
+            c = a[ka] * b[kb]
+            if c == 1:
+                return unit
+            (key,) = unit.terms
+            return EPoly._of({key: c})
         d: dict[tuple[int, ...], int] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(sorted(ka + kb, reverse=True))
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                (key,) = _monomial_product(ka, kb).terms
                 new = d.get(key, 0) + ca * cb
                 if new:
                     d[key] = new
                 else:
-                    d.pop(key, None)
-        out = EPoly()
-        out.terms = d
-        return out
+                    del d[key]
+        return EPoly._of(d)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"EPoly({dict(self.sorted_terms())})"
+
+
+@lru_cache(maxsize=None)
+def _monomial_product(ka: tuple[int, ...], kb: tuple[int, ...]) -> EPoly:
+    """The unit monomial e_ka e_kb, one shared object per pair of partitions."""
+    return EPoly._of({tuple(sorted(ka + kb, reverse=True)): 1})
 
 
 @lru_cache(maxsize=None)

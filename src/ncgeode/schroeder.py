@@ -10,6 +10,15 @@ internal nodes linked by rightmost-child edges (the right branches).  It is
 computed by three independent routes: a lifted two-series system with an
 explicit degree-0 placeholder letter, direct enumeration of prime trees, and
 a closed coefficient formula.
+
+The trees route never re-parses a code.  ``trees_with_chains`` builds every
+tree bottom-up together with its chain lengths: a tree with root label r
+over the subtrees t_0, ..., t_r keeps all chains of t_0, ..., t_{r-1} and
+the chains of t_r except its root chain, which grows by one (a leaf t_r
+starts a new chain of length 1 at the root).  A prime tree is root r, then
+r subtrees, then the final leaf; its weight is e_mu for the chains of its r
+subtrees, and the route adds up one ``EPoly`` per word from the counts of
+the partitions mu.
 """
 
 from __future__ import annotations
@@ -67,14 +76,59 @@ def _weak_compositions(total: int, parts: int):
 
 
 def enumerate_prime_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
-    """Schroeder trees whose root's rightmost subtree is a leaf."""
+    """Schroeder trees whose root's rightmost subtree is a leaf, in
+    decreasing lexicographic order."""
     if n < 1:
         raise ValueError("size must be at least 1")
-    out = []
-    for code in enumerate_schroeder(n):
-        if root_children(code)[-1] == (0,):
-            out.append(code)
-    return tuple(out)
+    return tuple(sorted((code for code, _ in prime_trees_with_chains(n)), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def trees_with_chains(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every Schroeder tree of size n as (code, chain lengths).
+
+    The chain lengths are the parts of ``right_branch_partition``, unsorted,
+    with the chain through the root last; a leaf has none.  Trees are built
+    bottom-up from their children (see ``_grown_trees``).
+    """
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    if n == 0:
+        return (((0,), ()),)
+    return tuple(_grown_trees(n, prime=False))
+
+
+def prime_trees_with_chains(n: int):
+    """Yield (code, chain lengths) for every prime Schroeder tree of size
+    n >= 1: root r, then r subtrees, then the final leaf, whose chain of
+    length 1 through the root comes last."""
+    return _grown_trees(n, prime=True)
+
+
+def _grown_trees(n: int, prime: bool):
+    """Yield (code, chains) for the trees of size n >= 1 with root label r
+    over r + 1 subtrees; a prime tree's last subtree is the leaf.
+
+    The last subtree's root chain grows by one (a leaf starts a chain of
+    length 1) and the other chains of the subtrees carry over unchanged.
+    """
+    leaf = trees_with_chains(0)
+    for root in range(1, n + 1):
+        for split in _weak_compositions(n - root, root if prime else root + 1):
+            subtrees = [trees_with_chains(s) for s in split]
+            if prime:
+                subtrees.append(leaf)
+            for kids in product(*subtrees):
+                code, chains = (root,), ()
+                for kid_code, kid_chains in kids:
+                    code += kid_code
+                    chains += kid_chains
+                # kid_chains is the last subtree's, its root chain at the end
+                if kid_chains:
+                    chains = chains[:-1] + (chains[-1] + 1,)
+                else:
+                    chains += (1,)
+                yield code, chains
 
 
 def root_children(code: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -233,11 +287,14 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
     if route == "trees":
         comps = [{(): EPoly.one()}]
         for n in range(1, order + 1):
-            comp: dict = {}
-            for code in enumerate_prime_schroeder(n):
-                word = tuple(l for l in code if l)
-                comp[word] = comp.get(word, EPoly()) + prime_tree_weight(code)
-            comps.append(comp)
+            # per word, the counts of the partitions mu; a prime tree
+            # weighs the chains of all but its root
+            weights: dict = {}
+            for code, chains in prime_trees_with_chains(n):
+                counts = weights.setdefault(tuple(filter(None, code)), {})
+                mu = tuple(sorted(chains[:-1], reverse=True))
+                counts[mu] = counts.get(mu, 0) + 1
+            comps.append({word: EPoly(counts) for word, counts in weights.items()})
         return NcsfSeries(EPOLY_RING, comps)
     raise ValueError(f"unknown route {route!r}")
 

@@ -129,6 +129,15 @@ def test_cached_series_are_read_only():
     assert geode(3).coefficient(()) == 1
 
 
+def test_cached_polyt_coefficients_are_read_only():
+    coeff = g_t(3).components[2][(1, 1)]
+    with pytest.raises(AttributeError):
+        coeff.coeffs = (9,)
+    with pytest.raises(AttributeError):
+        del coeff.coeffs
+    assert delta_coefficient((1, 1)) == PolyT([0, 1])
+
+
 def test_g_t_tables():
     gt = g_t(4)
     for n, expected in fx.G_T_TABLE.items():

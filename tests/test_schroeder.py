@@ -5,8 +5,9 @@ from ncgeode.lagrange import free_cumulant_routes, solve_g
 from ncgeode.schroeder import (delta_e_coefficient, enumerate_prime_schroeder,
                                enumerate_schroeder, g_e, gamma_e,
                                is_schroeder_code, prime_tree_weight,
-                               project_placeholder, right_branch_partition,
-                               root_children, solve_xy_system, tree_weight)
+                               prime_trees_with_chains, project_placeholder,
+                               right_branch_partition, root_children,
+                               solve_xy_system, tree_weight, trees_with_chains)
 from ncgeode import fixtures as fx
 
 LITTLE_SCHROEDER = [1, 3, 11, 45, 197, 903]
@@ -39,6 +40,28 @@ def test_prime_schroeder_counts_and_codes():
     assert [len(enumerate_prime_schroeder(n)) for n in range(1, 6)] == \
         [fx.PRIME_SCHROEDER_COUNTS[n] for n in range(1, 6)]
     assert set(enumerate_prime_schroeder(3)) == set(fx.PRIME_SCHROEDER_3_CODES)
+
+
+def test_prime_schroeder_matches_filter_definition():
+    for n in range(1, 9):
+        assert enumerate_prime_schroeder(n) == tuple(
+            code for code in enumerate_schroeder(n) if root_children(code)[-1] == (0,)), n
+
+
+def test_tree_chains_match_right_branch_partition():
+    for n in range(0, 9):
+        trees = trees_with_chains(n)
+        assert sorted(code for code, _ in trees) == sorted(enumerate_schroeder(n)), n
+        for code, chains in trees:
+            assert tuple(sorted(chains, reverse=True)) == right_branch_partition(code)
+
+
+def test_prime_tree_chains_give_prime_tree_weights():
+    for n in range(1, 9):
+        for code, chains in prime_trees_with_chains(n):
+            # the last chain is the root's, of length 1, and is not weighed
+            assert chains[-1] == 1
+            assert EPoly({chains[:-1]: 1}) == prime_tree_weight(code)
 
 
 def test_root_children():
@@ -101,6 +124,19 @@ def test_g_e_tables():
 
 def test_g_e_routes_agree():
     assert g_e(6, "delta") == g_e(6, "system") == g_e(6, "trees")
+
+
+def test_g_e_routes_agree_through_degree_8():
+    assert g_e(8, "delta") == g_e(8, "system") == g_e(8, "trees")
+
+
+def test_cached_epoly_coefficients_are_read_only():
+    coeff = g_e(3).components[3][(1, 1, 1)]
+    with pytest.raises(TypeError):
+        coeff.terms[(1,)] = 5
+    with pytest.raises(AttributeError):
+        coeff.terms = {}
+    assert delta_e_coefficient((1, 1, 1)) == EPoly({(2,): 1, (1, 1): 1})
 
 
 def test_delta_e_examples():
