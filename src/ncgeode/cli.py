@@ -11,7 +11,8 @@ import argparse
 import json
 import sys
 
-from .combinat import enumerate_lukasiewicz, parking_quasi_ribbons
+from .combinat import (count_parking_quasi_ribbons, enumerate_lukasiewicz,
+                       parking_quasi_ribbons)
 from .gfseries import BiSeries, UniSeries, specialize_ncsf
 from .lagrange import (eta_t, g_t, gamma_t, geode, gessel_gamma, h_t,
                        k_lagrange_by_phi, k_lagrange_direct, prime_series,
@@ -21,6 +22,10 @@ from .render import (biseries_to_json_dict, series_to_json_dict,
                      series_to_text, uniseries_to_json_dict)
 from .schroeder import enumerate_prime_schroeder, enumerate_schroeder, g_e
 from .verify import SUITES, run_suite
+
+
+# ``trees --kind pqr`` refuses shapes with more fillings than this
+PQR_MAX_FILLINGS = 10**6
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -150,6 +155,11 @@ def cmd_trees(args, out) -> int:
     if args.kind == "pqr":
         if args.shape is None:
             print("--shape is required for pqr", file=sys.stderr)
+            return 2
+        count = count_parking_quasi_ribbons(args.shape)
+        if count > PQR_MAX_FILLINGS:
+            print(f"shape {','.join(map(str, args.shape))} has {count} fillings, "
+                  f"more than the limit of {PQR_MAX_FILLINGS}", file=sys.stderr)
             return 2
         fillings = parking_quasi_ribbons(args.shape)
         if args.format == "json":

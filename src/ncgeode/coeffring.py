@@ -5,6 +5,10 @@ Four rings appear as series coefficients:
   * arbitrary-precision integers (plain ``int``),
   * rationals (``fractions.Fraction``),
   * ``PolyT`` -- polynomials in one indeterminate t over the rationals,
+    stored as a tuple ``num`` of integer numerators over one positive common
+    denominator ``den`` with ``gcd(den, *num) == 1`` and no trailing zero
+    numerator, so each polynomial has one form; its ``coeffs``, a tuple of
+    ``Fraction``s, is a view derived from ``num`` and ``den`` on access,
   * ``EPoly`` -- integer combinations of commuting generators e_1, e_2, ...
     whose monomials e_{l1} e_{l2} ... are indexed by integer partitions.
 
@@ -21,30 +25,58 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator
 
 
 class PolyT:
-    """Polynomial in t over Q, dense coefficients stored by ascending power.
+    """Polynomial in t over Q: integer numerators over one common denominator.
 
-    The zero polynomial is the empty coefficient tuple; trailing zero
-    coefficients are never stored.  ``coeffs`` is set once, in ``__init__``.
+    ``num`` holds the integer numerators by ascending power, with no
+    trailing zero, and ``den`` is a positive int with
+    ``gcd(den, *num) == 1``, so every polynomial has exactly one form (the
+    zero polynomial is ``num == ()``, ``den == 1``).  All arithmetic works on
+    these ints and normalises each result with one gcd, as in FLINT's
+    ``fmpq_poly``.  ``coeffs``, the tuple of ``Fraction`` coefficients, is a
+    derived view built on each access.  ``PolyT(coeffs)`` accepts ints,
+    ``Fraction``s and strings; instances are read-only.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable = ()):
+        fs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fs))
+        return cls._of([f.numerator * (den // f.denominator) for f in fs], den)
+
+    @classmethod
+    def _of(cls, num: list, den: int) -> "PolyT":
+        """The polynomial num / den for a list of ints and an int den > 0."""
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        else:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", tuple(num))
+        object.__setattr__(out, "den", den)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PolyT is immutable; cannot set {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"PolyT is immutable; cannot delete {name!r}")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     @classmethod
     def constant(cls, c) -> "PolyT":
@@ -55,38 +87,48 @@ class PolyT:
         return cls((0, 1))
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = PolyT((other,))
         if not isinstance(other, PolyT):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __add__(self, other) -> "PolyT":
-        if isinstance(other, (int, Fraction)):
-            other = PolyT((other,))
         if not isinstance(other, PolyT):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = PolyT((other,))
+        a, b = self.num, other.num
+        if not b:
+            return self
+        if not a:
+            return other
+        den, db = self.den, other.den
+        if den != db:
+            g = math.gcd(den, db)
+            fa, fb = db // g, den // g
+            a = [c * fa for c in a]
+            b = [c * fb for c in b]
+            den *= fa
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyT(out)
+        out = list(map(add, a, b))
+        out += a[len(b):]
+        return PolyT._of(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyT":
-        return PolyT(-c for c in self.coeffs)
+        return PolyT._of([-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "PolyT":
         return self + (-other if isinstance(other, PolyT) else PolyT((-Fraction(other),)))
@@ -95,50 +137,61 @@ class PolyT:
         return (-self) + other
 
     def __mul__(self, other) -> "PolyT":
-        if isinstance(other, (int, Fraction)):
-            return PolyT(c * other for c in self.coeffs)
         if not isinstance(other, PolyT):
+            if isinstance(other, int):
+                return PolyT._of([c * other for c in self.num], self.den)
+            if isinstance(other, Fraction):
+                n = other.numerator
+                return PolyT._of([c * n for c in self.num], self.den * other.denominator)
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return PolyT()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        a, b = self.num, other.num
+        if not a or not b:
+            return POLYT_ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyT(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        return PolyT._of(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale_div(self, c) -> "PolyT":
         """Exact division by a nonzero scalar."""
         c = Fraction(c)
-        if not c:
+        n, d = c.numerator, c.denominator
+        if not n:
             raise ZeroDivisionError("division of PolyT by zero scalar")
-        return PolyT(x / c for x in self.coeffs)
+        if n < 0:
+            n, d = -n, -d
+        return PolyT._of([x * d for x in self.num], self.den * n)
 
     def evaluate(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        # Horner's rule at p/q over the integers: after m steps, acc is the
+        # partial value times q^(m - 1) and qpow is q^m
+        acc, qpow = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc * q, self.den * qpow)
 
     def compose(self, inner: "PolyT") -> "PolyT":
         """Substitute ``inner`` for t."""
-        acc = PolyT()
-        for c in reversed(self.coeffs):
+        acc = POLYT_ZERO
+        for c in reversed(self.num):
             acc = acc * inner + c
-        return acc
+        return PolyT._of(list(acc.num), acc.den * self.den)
 
     def as_int(self) -> int:
         """The value of a constant, integer-valued polynomial."""
-        if len(self.coeffs) > 1:
+        if len(self.num) > 1:
             raise ValueError(f"not a constant polynomial: {self!r}")
-        val = self.coeffs[0] if self.coeffs else Fraction(0)
-        if val.denominator != 1:
-            raise ValueError(f"not an integer: {val}")
-        return int(val)
+        if self.den != 1:
+            raise ValueError(f"not an integer: {Fraction(self.num[0], self.den)}")
+        return self.num[0] if self.num else 0
 
     def __repr__(self) -> str:
         return f"PolyT({[str(c) for c in self.coeffs]})"
@@ -386,7 +439,7 @@ def epoly_evaluate(p: EPoly, rule: str):
         coeffs = [0] * (max(out) + 1)
         for w, c in out.items():
             coeffs[w] = c
-        return PolyT(coeffs)
+        return PolyT._of(coeffs, 1)
     raise ValueError(f"unknown evaluation rule {rule!r}; expected one of {_EVAL_RULES}")
 
 
@@ -413,7 +466,7 @@ def _polyt_exact_div(a: PolyT, b: PolyT) -> PolyT:
         raise ZeroDivisionError("PolyT division by zero")
     if b.degree() != 0:
         raise ValueError("PolyT division only supported by nonzero constants")
-    return a.scale_div(b.coeffs[0])
+    return a.scale_div(Fraction(b.num[0], b.den))
 
 
 def _epoly_exact_div(a: EPoly, b: EPoly) -> EPoly:
@@ -437,11 +490,15 @@ def _int_from_json(s) -> int:
 
 
 def _polyt_to_json(p: PolyT) -> list[str]:
-    return [fraction_to_str(c) for c in p.coeffs]
+    out = []
+    for c in p.num:
+        g = math.gcd(c, p.den)
+        out.append(str(c // g) if g == p.den else f"{c // g}/{p.den // g}")
+    return out
 
 
 def _polyt_from_json(v) -> PolyT:
-    return PolyT(Fraction(s) for s in v)
+    return PolyT(v)
 
 
 def _epoly_to_json(p: EPoly) -> list[dict]:

@@ -8,6 +8,7 @@ Lukasiewicz condition).  All tree operations here are word rewrites.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Optional
 
@@ -299,43 +300,62 @@ def shift_words(code: tuple[int, ...]) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # parking quasi-ribbons
 
+def _segment_starts(shape: tuple[int, ...]) -> set[int]:
+    """The word positions (from 0) at which a segment of ``shape`` begins."""
+    if not shape or any(s < 1 for s in shape):
+        raise ValueError("shape must be a nonempty composition")
+    starts, pos = set(), 0
+    for size in shape:
+        starts.add(pos)
+        pos += size
+    return starts
+
+
 def parking_quasi_ribbons(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     """All parking quasi-ribbon fillings of the given segment shape.
 
     A filling is a sequence of segments of the prescribed sizes, weakly
     increasing within each segment, with a strict increase from the last
     letter of a segment to the first letter of the next, and whose sorted
-    content w satisfies the parking condition w_i <= i.  Fillings are
-    produced in lexicographic order of their concatenated word.
+    content w satisfies the parking condition w_i <= i.  The concatenated
+    word is weakly increasing, so it is its own sorted content and the
+    search prunes every letter above its position.  Fillings are produced
+    in lexicographic order of their concatenated word.
     """
-    if not shape or any(s < 1 for s in shape):
-        raise ValueError("shape must be a nonempty composition")
+    starts = _segment_starts(shape)
     n = sum(shape)
     results = []
+    word: list[int] = []
 
-    def flatten(segs):
-        return tuple(x for seg in segs for x in seg)
-
-    def fill(seg_idx, prev_last, segs):
-        if seg_idx == len(shape):
-            w = sorted(flatten(segs))
-            if all(w[i] <= i + 1 for i in range(n)):
-                results.append(segs)
+    def build(pos, prev):
+        if pos == n:
+            it = iter(word)
+            results.append(tuple(tuple(next(it) for _ in range(size))
+                                 for size in shape))
             return
-        size = shape[seg_idx]
+        for v in range(prev + 1 if pos in starts else prev, pos + 2):
+            word.append(v)
+            build(pos + 1, v)
+            word.pop()
 
-        def build(pos, prev, seg):
-            if pos == size:
-                fill(seg_idx + 1, seg[-1], segs + (seg,))
-                return
-            lo = prev if pos else prev_last + 1
-            for v in range(lo, n + 1):
-                build(pos + 1, v, seg + (v,))
-
-        build(0, 0, ())
-
-    fill(0, 0, ())
+    build(0, 0)
     return results
+
+
+def count_parking_quasi_ribbons(shape: tuple[int, ...]) -> int:
+    """``len(parking_quasi_ribbons(shape))`` without building the fillings.
+
+    A DP over (position, last letter): ``cnt[v]`` counts the prefixes whose
+    last letter is v, and the next letter w needs w <= position + 1 and
+    w >= v, or w > v at a segment start.
+    """
+    starts = _segment_starts(shape)
+    cnt = [1]                # the empty prefix, as if it ended in letter 0
+    for pos in range(sum(shape)):
+        below = list(itertools.accumulate(cnt))   # last letter <= u
+        shift = 1 if pos in starts else 0
+        cnt = [0] + [below[min(w - shift, pos)] for w in range(1, pos + 2)]
+    return sum(cnt)
 
 
 # ---------------------------------------------------------------------------

@@ -340,8 +340,8 @@ def specialize_ncsf(u: NcsfSeries, name: str):
         terms = {}
         for n, comp in enumerate(u.components):
             for word, c in comp.items():
-                qpoly = epoly_evaluate(c, "q")
-                for j, a in enumerate(qpoly.coeffs):
+                # integer coefficients: den is 1
+                for j, a in enumerate(epoly_evaluate(c, "q").num):
                     if a and n + j <= u.order:
                         terms[(n, j)] = terms.get((n, j), Fraction(0)) + a
         return BiSeries(terms, u.order)

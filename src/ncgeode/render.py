@@ -7,10 +7,7 @@ coefficients prefixed, e.g. "gamma_3 = 3S_3 + 3S^{21} + 2S^{12} + S^{111}".
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
-from .coeffring import EPoly, PolyT, RINGS, fraction_to_str
+from .coeffring import POLYT_ONE, EPoly, PolyT, RINGS, fraction_to_str
 from .combinat import composition_sort_key
 from .ncsf import NcsfSeries
 
@@ -32,23 +29,21 @@ def composition_str(word: tuple[int, ...], basis: str) -> str:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _monomial_t(coeff: Fraction, power: int, var: str) -> str:
+def _monomial_t(coeff: int, power: int, var: str) -> str:
     if power == 0:
-        return fraction_to_str(coeff)
-    head = "" if coeff == 1 else ("-" if coeff == -1 else fraction_to_str(coeff))
+        return str(coeff)
+    head = "" if coeff == 1 else ("-" if coeff == -1 else str(coeff))
     tail = var if power == 1 else f"{var}^{power}"
     return head + tail
 
 
 def polyt_str(p: PolyT, var: str = "t") -> str:
-    """Render with a common denominator, e.g. (3t^2-t)/2 or 2t or 1."""
+    """Render over the common denominator, e.g. (3t^2-t)/2 or 2t or 1."""
     if not p:
         return "0"
-    den = lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    scaled = [c * den for c in p.coeffs]
     parts = []
-    for power in range(len(scaled) - 1, -1, -1):
-        c = scaled[power]
+    for power in range(len(p.num) - 1, -1, -1):
+        c = p.num[power]
         if not c:
             continue
         mono = _monomial_t(c, power, var)
@@ -57,8 +52,8 @@ def polyt_str(p: PolyT, var: str = "t") -> str:
         else:
             parts.append(mono)
     core = "".join(parts)
-    if den != 1:
-        return f"({core})/{den}"
+    if p.den != 1:
+        return f"({core})/{p.den}"
     return core
 
 
@@ -102,7 +97,7 @@ def coeff_prefix(coeff, ring_name: str) -> str:
             return "-"
         return str(coeff)
     if ring_name == "polyt":
-        if coeff == PolyT((1,)):
+        if coeff == POLYT_ONE:
             return ""
         s = polyt_str(coeff)
         if s.startswith("(") or ("+" not in s[1:] and "-" not in s[1:]):

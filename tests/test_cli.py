@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,16 @@ def test_trees_pqr(capsys):
     assert lines[0] == "111|2"
     assert lines[-1] == "count: 9"
     assert "113|4" in lines
+
+
+def test_trees_pqr_refuses_huge_shape(capsys):
+    start = time.perf_counter()
+    code = main(["trees", "--kind", "pqr", "--shape", "9,9,9"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "17055399281284 fillings" in captured.err
 
 
 def test_trees_json(capsys):

@@ -1,11 +1,13 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from ncgeode.coeffring import (EPoly, POLYT_ONE, PolyT, binomial_polynomial,
                                elementary_of_multiple)
 from ncgeode.combinat import (catalan, coarsenings, code_to_dyck, code_to_ndpf,
-                              compositions, conjugate, descent_mask,
+                              compositions, conjugate,
+                              count_parking_quasi_ribbons, descent_mask,
                               enumerate_lukasiewicz, is_lukasiewicz, is_ndpf,
                               iter_lukasiewicz, lukasiewicz_root_children,
                               ndpf_to_code, ndpf_to_noncrossing,
@@ -207,6 +209,41 @@ def test_parking_quasi_ribbons_examples():
         ("122", "3"), ("122", "4"), ("123", "4")]
     assert parking_quasi_ribbons((1, 1, 1, 1)) == [((1,), (2,), (3,), (4,))]
     assert len(parking_quasi_ribbons((1, 2, 1))) == 3
+
+
+def _pqr_by_filter(shape):
+    # every word over 1..n in lexicographic order, kept when its segments
+    # satisfy the ribbon conditions and its sorted content parks
+    n = sum(shape)
+    out = []
+    for word in product(range(1, n + 1), repeat=n):
+        segs, pos = [], 0
+        for size in shape:
+            segs.append(word[pos:pos + size])
+            pos += size
+        if any(list(s) != sorted(s) for s in segs):
+            continue
+        if any(a[-1] >= b[0] for a, b in zip(segs, segs[1:])):
+            continue
+        if all(w <= i + 1 for i, w in enumerate(sorted(word))):
+            out.append(tuple(segs))
+    return out
+
+
+def test_parking_quasi_ribbons_match_filter_definition():
+    for n in range(1, 6):
+        for shape in compositions(n):
+            assert parking_quasi_ribbons(shape) == _pqr_by_filter(shape), shape
+
+
+def test_pqr_count_matches_enumeration():
+    for n in range(1, 9):
+        for shape in compositions(n):
+            assert count_parking_quasi_ribbons(shape) == \
+                len(parking_quasi_ribbons(shape)), shape
+    assert count_parking_quasi_ribbons((9, 9, 9)) == 17_055_399_281_284
+    with pytest.raises(ValueError):
+        count_parking_quasi_ribbons((2, 0))
 
 
 def test_lukasiewicz_root_children():

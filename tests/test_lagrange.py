@@ -176,7 +176,7 @@ def test_gamma_t_tables():
 
 
 def test_gamma_t_specializes_to_geode():
-    assert specialize_t(gamma_t(5), 1) == geode(5)
+    assert specialize_t(gamma_t(8), 1) == geode(8)
 
 
 def test_gamma_t_at_integers_is_phi_of_geode():
@@ -226,9 +226,9 @@ def test_h_t_and_eta_t_tables():
 
 
 def test_h_t_reduces_to_prime_series():
-    h, eta = prime_series(5)
-    assert specialize_t(h_t(5), 1) == h
-    assert specialize_t(eta_t(5), 1) == eta
+    h, eta = prime_series(8)
+    assert specialize_t(h_t(8), 1) == h
+    assert specialize_t(eta_t(8), 1) == eta
 
 
 def test_h_t_at_two_matches_integer_power_formula():

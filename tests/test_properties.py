@@ -1,10 +1,17 @@
 """Property tests of the free-algebra kernels on random small integer series,
-and of the ring of ``EPoly`` values on random small polynomials."""
+and of the rings of ``EPoly`` and ``PolyT`` values on random small
+polynomials."""
+
+import json
+import math
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ncgeode.coeffring import INT_RING, EPoly
+from ncgeode.coeffring import (INT_RING, EPoly, PolyT, _polyt_from_json,
+                               _polyt_to_json, fraction_to_str)
 from ncgeode.combinat import compositions
+from ncgeode.render import polyt_str
 from ncgeode.ncsf import (NcsfSeries, convert_basis, graded_power,
                           lagrange_transform, negate_alphabet, series_mul,
                           series_power)
@@ -112,3 +119,155 @@ def test_shared_epoly_results_stay_unchanged(ka, kb, p):
     assert dict(shared.terms) == before == {tuple(sorted(ka + kb, reverse=True)): 1}
     assert dict(p.terms) == before_p
     assert EPoly({ka: 1}) * EPoly({kb: 1}) == shared
+
+
+# ---------------------------------------------------------------------------
+# PolyT against a reference on tuples of Fraction coefficients, the
+# representation PolyT had before it kept integer numerators over one
+# common denominator
+
+
+def ref_trim(cs) -> tuple:
+    cs = [Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return ref_trim(out)
+
+
+def ref_neg(a) -> tuple:
+    return tuple(-c for c in a)
+
+
+def ref_mul(a, b) -> tuple:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_scale_div(a, c) -> tuple:
+    return ref_trim(x / Fraction(c) for x in a)
+
+
+def ref_evaluate(a, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_compose(a, inner) -> tuple:
+    acc: tuple = ()
+    for c in reversed(a):
+        acc = ref_add(ref_mul(acc, inner), (c,))
+    return acc
+
+
+def ref_polyt_str(a) -> str:
+    """The rendering of ``render.polyt_str`` by rescaling to the lcm."""
+    if not a:
+        return "0"
+    den = math.lcm(*(c.denominator for c in a))
+    parts = []
+    for power in range(len(a) - 1, -1, -1):
+        c = int(a[power] * den)
+        if not c:
+            continue
+        head = "" if c == 1 and power else ("-" if c == -1 and power else str(c))
+        mono = head + ("" if power == 0 else "t" if power == 1 else f"t^{power}")
+        if parts:
+            parts.append(mono if mono.startswith("-") else "+" + mono)
+        else:
+            parts.append(mono)
+    core = "".join(parts)
+    return f"({core})/{den}" if den != 1 else core
+
+
+def assert_canonical(p: PolyT):
+    assert type(p.num) is tuple and all(type(c) is int for c in p.num)
+    assert type(p.den) is int and p.den > 0
+    assert not p.num or p.num[-1]
+    assert math.gcd(p.den, *p.num) == 1
+
+
+RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+NONZERO = RATIONAL.filter(bool)
+COEFFS = st.lists(RATIONAL, max_size=5)
+POLYT = COEFFS.map(PolyT)
+
+
+@SETTINGS
+@given(COEFFS, COEFFS, NONZERO, RATIONAL, st.integers(-4, 4))
+def test_polyt_matches_fraction_reference(ca, cb, c, x, k):
+    p, q = PolyT(ca), PolyT(cb)
+    a, b = ref_trim(ca), ref_trim(cb)
+    cases = [
+        (p, a), (q, b),
+        (p + q, ref_add(a, b)),
+        (p + k, ref_add(a, (k,))),
+        (c + p, ref_add(a, (c,))),
+        (-p, ref_neg(a)),
+        (p - q, ref_add(a, ref_neg(b))),
+        (k - p, ref_add(ref_neg(a), (k,))),
+        (p * q, ref_mul(a, b)),
+        (p * k, ref_mul(a, (k,))),
+        (c * p, ref_mul(a, (c,))),
+        (p.scale_div(c), ref_scale_div(a, c)),
+        (p.scale_div(k or 1), ref_scale_div(a, k or 1)),
+        (p.compose(q), ref_compose(a, b)),
+    ]
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.coeffs == want
+        assert got == PolyT(want)
+        assert hash(got) == hash(PolyT(want))
+    assert p.evaluate(x) == ref_evaluate(a, x)
+    assert p.evaluate(k) == ref_evaluate(a, k)
+    assert type(p.evaluate(k)) is Fraction
+    assert p.degree() == len(a) - 1
+    assert bool(p) == bool(a)
+
+
+@SETTINGS
+@given(POLYT, POLYT, POLYT, st.integers(-3, 3))
+def test_polyt_ring_axioms(p, q, r, k):
+    zero, one = PolyT(), PolyT((1,))
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == zero + p == p
+    assert p * one == one * p == p
+    assert p * zero == zero
+    assert p - p == zero
+    assert p * k == PolyT((k,)) * p
+    assert (p * q).compose(r) == p.compose(r) * q.compose(r)
+    assert (p + q).compose(r) == p.compose(r) + q.compose(r)
+
+
+@SETTINGS
+@given(POLYT)
+def test_polyt_json_round_trip(p):
+    data = _polyt_to_json(p)
+    assert data == [fraction_to_str(c) for c in p.coeffs]
+    back = _polyt_from_json(json.loads(json.dumps(data)))
+    assert back == p
+    assert_canonical(back)
+
+
+@SETTINGS
+@given(COEFFS)
+def test_polyt_str_matches_lcm_rendering(cs):
+    p = PolyT(cs)
+    assert polyt_str(p) == ref_polyt_str(ref_trim(cs))
