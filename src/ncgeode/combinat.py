@@ -319,27 +319,28 @@ def parking_quasi_ribbons(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...],
     letter of a segment to the first letter of the next, and whose sorted
     content w satisfies the parking condition w_i <= i.  The concatenated
     word is weakly increasing, so it is its own sorted content and the
-    search prunes every letter above its position.  Fillings are produced
-    in lexicographic order of their concatenated word.
+    parking condition bounds the letter at position i (from 0) by i + 1.
+    Fillings are produced in lexicographic order of their concatenated
+    word, by an odometer over the words within these bounds.
     """
     starts = _segment_starts(shape)
     n = sum(shape)
     results = []
     word: list[int] = []
-
-    def build(pos, prev):
-        if pos == n:
-            it = iter(word)
-            results.append(tuple(tuple(next(it) for _ in range(size))
-                                 for size in shape))
-            return
-        for v in range(prev + 1 if pos in starts else prev, pos + 2):
-            word.append(v)
-            build(pos + 1, v)
+    while True:
+        # the smallest completion; the lower bound of each letter is at most
+        # its position + 1, so every prefix completes
+        while len(word) < n:
+            pos = len(word)
+            word.append((word[-1] if word else 0) + (1 if pos in starts else 0))
+        it = iter(word)
+        results.append(tuple(tuple(next(it) for _ in range(size)) for size in shape))
+        # raise the last letter still below its bound
+        while word and word[-1] == len(word):
             word.pop()
-
-    build(0, 0)
-    return results
+        if not word:
+            return results
+        word[-1] += 1
 
 
 def count_parking_quasi_ribbons(shape: tuple[int, ...]) -> int:

@@ -242,6 +242,10 @@ def test_pqr_count_matches_enumeration():
             assert count_parking_quasi_ribbons(shape) == \
                 len(parking_quasi_ribbons(shape)), shape
     assert count_parking_quasi_ribbons((9, 9, 9)) == 17_055_399_281_284
+    # a long shape with one filling, longer than the recursion limit
+    ones = (1,) * 1100
+    assert parking_quasi_ribbons(ones) == [tuple((i,) for i in range(1, 1101))]
+    assert count_parking_quasi_ribbons(ones) == 1
     with pytest.raises(ValueError):
         count_parking_quasi_ribbons((2, 0))
 
