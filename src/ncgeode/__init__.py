@@ -15,7 +15,7 @@ from .lagrange import (delta_coefficient, divisibility_check, eta_identities,
                        k_lagrange_direct, prime_series, solve_g, theta_t)
 from .schroeder import (enumerate_prime_schroeder, enumerate_schroeder, g_e,
                         gamma_e, right_branch_partition, solve_xy_system)
-from .gfseries import BiSeries, UniSeries, closed_form, prefix_check, specialize_ncsf
+from .gfseries import PowerSeries, closed_form, prefix_check, specialize_ncsf
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,6 @@ __all__ = [
     "theta_t",
     "enumerate_prime_schroeder", "enumerate_schroeder", "g_e", "gamma_e",
     "right_branch_partition", "solve_xy_system",
-    "BiSeries", "UniSeries", "closed_form", "prefix_check", "specialize_ncsf",
+    "PowerSeries", "closed_form", "prefix_check", "specialize_ncsf",
     "__version__",
 ]

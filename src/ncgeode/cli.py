@@ -11,9 +11,10 @@ import argparse
 import json
 import sys
 
-from .combinat import (count_parking_quasi_ribbons, enumerate_lukasiewicz,
+from .combinat import (catalan, count_parking_quasi_ribbons,
+                       enumerate_lukasiewicz, large_schroeder,
                        parking_quasi_ribbons)
-from .gfseries import BiSeries, UniSeries, specialize_ncsf
+from .gfseries import specialize_ncsf
 from .lagrange import (eta_t, g_t, gamma_t, geode, gessel_gamma, h_t,
                        k_lagrange_by_phi, k_lagrange_direct, prime_series,
                        solve_g, specialize_t)
@@ -24,8 +25,8 @@ from .schroeder import enumerate_prime_schroeder, enumerate_schroeder, g_e
 from .verify import SUITES, run_suite
 
 
-# ``trees --kind pqr`` refuses shapes with more fillings than this
-PQR_MAX_FILLINGS = 10**6
+# ``trees`` refuses a request for more trees or fillings than this
+TREES_MAX_COUNT = 10**6
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -143,6 +144,18 @@ def cmd_eseries(args, out) -> int:
     return 0
 
 
+def count_trees(kind: str, n: int) -> int:
+    """How many codes ``trees --kind kind --n n`` lists, without listing them:
+    Catalan(n) plane trees, the little Schroeder number s_n of Schroeder
+    trees, and the large Schroeder number r_(n-1) of prime Schroeder trees."""
+    if kind == "lukasiewicz":
+        return catalan(n)
+    if kind == "schroeder":
+        # s_n = r_n / 2 for n >= 1, and s_0 = r_0 = 1
+        return (large_schroeder(n) + 1) // 2
+    return large_schroeder(n - 1)
+
+
 def _codes_for(kind, n):
     if kind == "lukasiewicz":
         return enumerate_lukasiewicz(n)
@@ -157,9 +170,9 @@ def cmd_trees(args, out) -> int:
             print("--shape is required for pqr", file=sys.stderr)
             return 2
         count = count_parking_quasi_ribbons(args.shape)
-        if count > PQR_MAX_FILLINGS:
+        if count > TREES_MAX_COUNT:
             print(f"shape {','.join(map(str, args.shape))} has {count} fillings, "
-                  f"more than the limit of {PQR_MAX_FILLINGS}", file=sys.stderr)
+                  f"more than the limit of {TREES_MAX_COUNT}", file=sys.stderr)
             return 2
         fillings = parking_quasi_ribbons(args.shape)
         if args.format == "json":
@@ -178,6 +191,11 @@ def cmd_trees(args, out) -> int:
     if args.kind == "prime-schroeder" and args.n < 1:
         print("prime Schroeder trees need --n of at least 1", file=sys.stderr)
         return 2
+    count = count_trees(args.kind, args.n)
+    if count > TREES_MAX_COUNT:
+        print(f"--kind {args.kind} --n {args.n} has {count} trees, "
+              f"more than the limit of {TREES_MAX_COUNT}", file=sys.stderr)
+        return 2
     codes = _codes_for(args.kind, args.n)
     if args.format == "json":
         payload = {"kind": args.kind, "n": args.n, "count": len(codes),
@@ -192,32 +210,29 @@ def cmd_trees(args, out) -> int:
 
 
 def cmd_specialize(args, out) -> int:
+    name = f"{args.series}:{args.map_name}"
     if args.map_name == "zq":
         if args.series != "ge":
             print("zq applies to the e-Lagrange series (--series ge)",
                   file=sys.stderr)
             return 2
         series = specialize_ncsf(g_e(args.order), "zq")
-    else:
-        if args.series == "ge":
-            print(f"{args.map_name} applies to integer series (g or gamma)",
-                  file=sys.stderr)
-            return 2
-        base = solve_g(args.order) if args.series == "g" else geode(args.order)
-        series = specialize_ncsf(base, args.map_name)
-    name = f"{args.series}:{args.map_name}"
-    if isinstance(series, UniSeries):
-        if args.format == "json":
-            print(json.dumps(uniseries_to_json_dict(series, name)), file=out)
-        else:
-            print(", ".join(str(c) for c in series.coeffs), file=out)
-    else:
-        assert isinstance(series, BiSeries)
         if args.format == "json":
             print(json.dumps(biseries_to_json_dict(series, name)), file=out)
         else:
             for (i, j), c in sorted(series.terms.items()):
                 print(f"z^{i} q^{j}: {c}", file=out)
+        return 0
+    if args.series == "ge":
+        print(f"{args.map_name} applies to integer series (g or gamma)",
+              file=sys.stderr)
+        return 2
+    base = solve_g(args.order) if args.series == "g" else geode(args.order)
+    series = specialize_ncsf(base, args.map_name)
+    if args.format == "json":
+        print(json.dumps(uniseries_to_json_dict(series, name)), file=out)
+    else:
+        print(", ".join(str(c) for c in series.coeffs), file=out)
     return 0
 
 

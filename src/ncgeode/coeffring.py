@@ -15,7 +15,8 @@ Four rings appear as series coefficients:
 All values are immutable after construction and all operations are pure:
 ``PolyT`` and ``EPoly`` refuse attribute assignment and ``EPoly.terms`` is a
 read-only mapping, so the caches of the series code may hand out and share
-the same coefficient objects.
+the same coefficient objects.  Copies and pickles rebuild a value through
+its constructor (``__reduce__``).
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ class PolyT:
 
     def __delattr__(self, name):
         raise AttributeError(f"PolyT is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return PolyT._of, (list(self.num), self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -185,14 +189,6 @@ class PolyT:
             acc = acc * inner + c
         return PolyT._of(list(acc.num), acc.den * self.den)
 
-    def as_int(self) -> int:
-        """The value of a constant, integer-valued polynomial."""
-        if len(self.num) > 1:
-            raise ValueError(f"not a constant polynomial: {self!r}")
-        if self.den != 1:
-            raise ValueError(f"not an integer: {Fraction(self.num[0], self.den)}")
-        return self.num[0] if self.num else 0
-
     def __repr__(self) -> str:
         return f"PolyT({[str(c) for c in self.coeffs]})"
 
@@ -285,6 +281,9 @@ class EPoly:
 
     def __delattr__(self, name):
         raise AttributeError(f"EPoly is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return EPoly._of, (self.terms.copy(),)
 
     @classmethod
     def one(cls) -> "EPoly":

@@ -17,6 +17,11 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def large_schroeder(n: int) -> int:
+    """The large Schroeder number r_n = sum_k C(n+k, 2k) Catalan(k)."""
+    return sum(math.comb(n + k, 2 * k) * catalan(k) for k in range(n + 1))
+
+
 # ---------------------------------------------------------------------------
 # compositions
 

@@ -1,248 +1,129 @@
 """Truncated ordinary generating functions over exact rationals.
 
-Univariate and total-degree-truncated bivariate series support the ring
-operations plus square roots (by the quadratic recurrence on graded slices)
-and exact division by powers of a variable.  These back the closed forms for
-the coefficient-sum sequences and the specialization homomorphisms applied
-to series in the free algebra.
+``PowerSeries`` is a power series in (x, y) truncated by total degree.  A
+series with no power of y is univariate, and for it truncation by total
+degree is truncation by order.  Besides the ring operations the class has
+square roots (by the quadratic recurrence on total-degree slices) and exact
+division by powers of a variable.  These back the closed forms for the
+coefficient-sum sequences and the specialization homomorphisms applied to
+series in the free algebra.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .coeffring import EPOLY_RING, INT_RING, epoly_evaluate
 from .ncsf import NcsfSeries
 
 
-class UniSeries:
-    """Exact univariate power series truncated at a fixed order."""
+class PowerSeries:
+    """Exact power series in (x, y) truncated by total degree.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            if len(cs) > order + 1:
-                cs = cs[: order + 1]
-            cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.coeffs = tuple(cs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, i: int) -> Fraction:
-        if i > self.order:
-            raise ValueError(f"series truncated at order {self.order}")
-        return self.coeffs[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other) -> "UniSeries":
-        order = min(self.order, other.order)
-        return UniSeries([self.coeffs[i] + other.coeffs[i] for i in range(order + 1)])
-
-    def __sub__(self, other) -> "UniSeries":
-        order = min(self.order, other.order)
-        return UniSeries([self.coeffs[i] - other.coeffs[i] for i in range(order + 1)])
-
-    def __neg__(self) -> "UniSeries":
-        return UniSeries([-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "UniSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if not a:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return UniSeries(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "UniSeries":
-        c = Fraction(c)
-        return UniSeries([x * c for x in self.coeffs])
-
-    def inverse(self) -> "UniSeries":
-        if not self.coeffs[0]:
-            raise ZeroDivisionError("inverse requires a nonzero constant term")
-        c0 = self.coeffs[0]
-        out = [1 / c0]
-        for n in range(1, self.order + 1):
-            s = Fraction(0)
-            for j in range(1, n + 1):
-                s += self.coeffs[j] * out[n - j]
-            out.append(-s / c0)
-        return UniSeries(out)
-
-    def __truediv__(self, other) -> "UniSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(1, 1) / Fraction(other))
-        return self * other.inverse()
-
-    def sqrt(self) -> "UniSeries":
-        """Square root of a series with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("sqrt requires constant term 1")
-        out = [Fraction(1)]
-        for n in range(1, self.order + 1):
-            s = Fraction(0)
-            for i in range(1, n):
-                s += out[i] * out[n - i]
-            out.append((self.coeffs[n] - s) / 2)
-        return UniSeries(out)
-
-    def divide_by_power(self, k: int) -> "UniSeries":
-        """Exact division by x^k; fails unless the valuation is at least k."""
-        if any(self.coeffs[i] for i in range(min(k, self.order + 1))):
-            raise ValueError(f"series is not divisible by x^{k}")
-        return UniSeries(self.coeffs[k:])
-
-    def __repr__(self) -> str:
-        return f"UniSeries({[str(c) for c in self.coeffs]})"
-
-
-def uni_x(order: int) -> UniSeries:
-    return UniSeries([0, 1], order)
-
-
-def uni_const(c, order: int) -> UniSeries:
-    return UniSeries([c], order)
-
-
-class BiSeries:
-    """Exact bivariate power series truncated by total degree."""
+    ``terms`` maps exponent pairs (i, j) with i + j <= ``order`` to nonzero
+    ``Fraction``s; terms of higher total degree are dropped on construction.
+    """
 
     __slots__ = ("order", "terms")
 
     def __init__(self, terms, order: int):
+        clean: dict = {}
+        for (i, j), c in (terms.items() if isinstance(terms, Mapping) else terms):
+            if i + j <= order and c:
+                clean[(i, j)] = clean.get((i, j), 0) + Fraction(c)
         self.order = order
-        clean = {}
-        for (i, j), c in (terms.items() if isinstance(terms, dict) else terms):
-            if i + j > order:
-                continue
-            c = Fraction(c)
-            if c:
-                clean[(i, j)] = clean.get((i, j), Fraction(0)) + c
         self.terms = {k: v for k, v in clean.items() if v}
 
-    def coefficient(self, i: int, j: int) -> Fraction:
+    @classmethod
+    def univariate(cls, coeffs, order: int | None = None) -> "PowerSeries":
+        """The series sum c_i x^i, truncated at ``order`` (default: the last c_i)."""
+        coeffs = list(coeffs)
+        return cls((((i, 0), c) for i, c in enumerate(coeffs)),
+                   len(coeffs) - 1 if order is None else order)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The x-coefficients 0..order of a univariate series."""
+        if any(j for _, j in self.terms):
+            raise ValueError("coeffs needs a series without powers of y")
+        return tuple(self.terms.get((i, 0), Fraction(0)) for i in range(self.order + 1))
+
+    def coefficient(self, i: int, j: int = 0) -> Fraction:
         if i + j > self.order:
             raise ValueError(f"series truncated at total order {self.order}")
         return self.terms.get((i, j), Fraction(0))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, BiSeries):
+        if not isinstance(other, PowerSeries):
             return NotImplemented
         return self.order == other.order and self.terms == other.terms
 
-    def truncate(self, order: int) -> "BiSeries":
+    def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return BiSeries(self.terms, order)
+        return PowerSeries(self.terms, order)
 
-    def __add__(self, other) -> "BiSeries":
-        order = min(self.order, other.order)
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            d[k] = d.get(k, Fraction(0)) + c
-        return BiSeries(d, order)
+    def __add__(self, other) -> "PowerSeries":
+        return PowerSeries([*self.terms.items(), *other.terms.items()],
+                           min(self.order, other.order))
 
-    def __sub__(self, other) -> "BiSeries":
+    def __sub__(self, other) -> "PowerSeries":
         return self + other.scale(-1)
 
-    def __mul__(self, other) -> "BiSeries":
+    def __mul__(self, other) -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         order = min(self.order, other.order)
-        d: dict = {}
+        out: dict = {}
         for (i1, j1), a in self.terms.items():
+            room = order - i1 - j1
             for (i2, j2), b in other.terms.items():
-                if i1 + i2 + j1 + j2 > order:
-                    continue
-                key = (i1 + i2, j1 + j2)
-                d[key] = d.get(key, Fraction(0)) + a * b
-        return BiSeries(d, order)
+                if i2 + j2 <= room:
+                    key = (i1 + i2, j1 + j2)
+                    out[key] = out.get(key, 0) + a * b
+        return PowerSeries(out, order)
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "BiSeries":
+    def scale(self, c) -> "PowerSeries":
         c = Fraction(c)
-        return BiSeries({k: v * c for k, v in self.terms.items()}, self.order)
+        return PowerSeries({k: v * c for k, v in self.terms.items()}, self.order)
 
-    def _slices(self):
-        out = [dict() for _ in range(self.order + 1)]
-        for (i, j), c in self.terms.items():
-            out[i + j][(i, j)] = c
-        return out
+    def sqrt(self) -> "PowerSeries":
+        """Square root of a series with constant term 1.
 
-    def sqrt(self) -> "BiSeries":
+        Split s and its root r into slices of total degree d; then
+        2 r_d = s_d - sum_{0<a<d} r_a r_{d-a}.
+        """
         if self.terms.get((0, 0)) != 1:
             raise ValueError("sqrt requires constant term 1")
-        slices = self._slices()
-        root = [dict() for _ in range(self.order + 1)]
-        root[0][(0, 0)] = Fraction(1)
+        slices = [{} for _ in range(self.order + 1)]
+        for (i, j), c in self.terms.items():
+            slices[i + j][(i, j)] = c
+        root = [{(0, 0): Fraction(1)}]
         for d in range(1, self.order + 1):
-            acc = dict(slices[d])
+            acc = slices[d]
             for a in range(1, d):
-                for ka, ca in root[a].items():
-                    for kb, cb in root[d - a].items():
-                        key = (ka[0] + kb[0], ka[1] + kb[1])
-                        acc[key] = acc.get(key, Fraction(0)) - ca * cb
-            root[d] = {k: v / 2 for k, v in acc.items() if v}
-        terms = {}
-        for sl in root:
-            terms.update(sl)
-        return BiSeries(terms, self.order)
+                for (i1, j1), ca in root[a].items():
+                    for (i2, j2), cb in root[d - a].items():
+                        key = (i1 + i2, j1 + j2)
+                        acc[key] = acc.get(key, 0) - ca * cb
+            root.append({k: v / 2 for k, v in acc.items() if v})
+        return PowerSeries([kv for sl in root for kv in sl.items()], self.order)
 
-    def inverse(self) -> "BiSeries":
-        if self.terms.get((0, 0), Fraction(0)) == 0:
-            raise ZeroDivisionError("inverse requires a nonzero constant term")
-        c0 = self.terms[(0, 0)]
-        slices = self._slices()
-        inv = [dict() for _ in range(self.order + 1)]
-        inv[0][(0, 0)] = 1 / c0
-        for d in range(1, self.order + 1):
-            acc: dict = {}
-            for j in range(1, d + 1):
-                for ka, ca in slices[j].items():
-                    for kb, cb in inv[d - j].items():
-                        key = (ka[0] + kb[0], ka[1] + kb[1])
-                        acc[key] = acc.get(key, Fraction(0)) + ca * cb
-            inv[d] = {k: -v / c0 for k, v in acc.items() if v}
-        terms = {}
-        for sl in inv:
-            terms.update(sl)
-        return BiSeries(terms, self.order)
-
-    def divide_by_var(self, var: int, k: int = 1) -> "BiSeries":
-        """Exact division by the var-th variable to the k-th power."""
+    def divide_by_var(self, var: int, k: int = 1) -> "PowerSeries":
+        """Exact division by the var-th variable (0 for x, 1 for y) to the k-th power."""
         d = {}
         for (i, j), c in self.terms.items():
-            e = (i, j)[var]
-            if e < k:
-                raise ValueError("series is not divisible; low-order term present")
-            key = (i - k, j) if var == 0 else (i, j - k)
-            d[key] = c
-        return BiSeries(d, self.order - k)
+            if (i, j)[var] < k:
+                raise ValueError(f"series is not divisible; low-order term at {(i, j)}")
+            d[(i - k, j) if var == 0 else (i, j - k)] = c
+        return PowerSeries(d, self.order - k)
 
     def __repr__(self) -> str:
         items = sorted(self.terms.items())
-        return f"BiSeries(order={self.order}, terms={[(k, str(v)) for k, v in items]})"
-
-
-def bi_monomial(i: int, j: int, c, order: int) -> BiSeries:
-    return BiSeries({(i, j): Fraction(c)}, order)
+        return f"PowerSeries(order={self.order}, terms={[(k, str(v)) for k, v in items]})"
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +132,7 @@ def bi_monomial(i: int, j: int, c, order: int) -> BiSeries:
 CLOSED_FORMS = ("catalan", "geode", "ribbon-sum", "lambda-sum", "zq")
 
 
-def closed_form(name: str, order: int):
+def closed_form(name: str, order: int) -> PowerSeries:
     """Evaluate one of the five generating-function closed forms.
 
     catalan     C(x) = (1 - sqrt(1-4x)) / (2x)
@@ -263,28 +144,26 @@ def closed_form(name: str, order: int):
     The divisions by powers of x, z or q must cancel exactly; a failure
     signals a transcription bug rather than truncation noise.
     """
+    uni = PowerSeries.univariate
     if name == "catalan":
-        inner = UniSeries([1, -4], order + 1)
-        num = uni_const(1, order + 1) - inner.sqrt()
-        return num.divide_by_power(1).scale(Fraction(1, 2))
+        num = uni([1], order + 1) - uni([1, -4], order + 1).sqrt()
+        return num.divide_by_var(0).scale(Fraction(1, 2))
     if name == "geode":
         c = closed_form("catalan", order + 1)
-        num = (c - uni_const(1, order + 1)) * UniSeries([1, -1], order + 1)
-        return num.divide_by_power(1)
+        return ((c - uni([1], order + 1)) * uni([1, -1], order + 1)).divide_by_var(0)
     if name == "ribbon-sum":
-        rad = UniSeries([1, -6, 1], order + 2).sqrt()
-        num = UniSeries([-1, 1], order + 2) * rad + UniSeries([1, -4, -1], order + 2)
-        return num.divide_by_power(2).scale(Fraction(1, 8)) + uni_const(1, order)
+        rad = uni([1, -6, 1], order + 2).sqrt()
+        num = uni([-1, 1], order + 2) * rad + uni([1, -4, -1], order + 2)
+        return num.divide_by_var(0, 2).scale(Fraction(1, 8)) + uni([1], order)
     if name == "lambda-sum":
-        rad = UniSeries([1, -6, 1], order + 2).sqrt()
-        num = UniSeries([-1, 2], order + 2) * rad + UniSeries([1, -5, 2], order + 2)
-        return num.divide_by_power(2).scale(Fraction(1, 4)) + uni_const(1, order)
+        rad = uni([1, -6, 1], order + 2).sqrt()
+        num = uni([-1, 2], order + 2) * rad + uni([1, -5, 2], order + 2)
+        return num.divide_by_var(0, 2).scale(Fraction(1, 4)) + uni([1], order)
     if name == "zq":
         # variables (z, q); the radicand is 1 - 2z - 4qz + z^2
-        inner = BiSeries({(0, 0): 1, (1, 0): -2, (1, 1): -4, (2, 0): 1}, order + 1)
-        num = BiSeries({(0, 0): 1, (1, 0): -1}, order + 1) - inner.sqrt()
-        return num.divide_by_var(1, 1).scale(Fraction(1, 2)) \
-            + bi_monomial(0, 0, 1, order)
+        inner = PowerSeries({(0, 0): 1, (1, 0): -2, (1, 1): -4, (2, 0): 1}, order + 1)
+        num = uni([1, -1], order + 1) - inner.sqrt()
+        return num.divide_by_var(1).scale(Fraction(1, 2)) + uni([1], order)
     raise ValueError(f"unknown closed form {name!r}; expected one of {CLOSED_FORMS}")
 
 
@@ -294,7 +173,7 @@ def closed_form(name: str, order: int):
 SPECIALIZATIONS = ("catalan", "coeff-sum", "ribbon-u", "ribbon-ux", "lambda-abs", "zq")
 
 
-def specialize_ncsf(u: NcsfSeries, name: str):
+def specialize_ncsf(u: NcsfSeries, name: str) -> PowerSeries:
     """Apply a named specialization homomorphism termwise.
 
     catalan / coeff-sum   S^I -> x^|I|                (integer coefficients)
@@ -308,17 +187,13 @@ def specialize_ncsf(u: NcsfSeries, name: str):
         raise ValueError("specializations act on the S basis")
     if name in ("catalan", "coeff-sum"):
         _require_ring(u, INT_RING, name)
-        return UniSeries([sum(comp.values()) for comp in u.components])
+        return PowerSeries.univariate([sum(comp.values()) for comp in u.components])
     if name == "ribbon-ux":
         _require_ring(u, INT_RING, name)
         # a term of x-degree n carries u-degree >= 1, so the first monomial
         # this truncation could miss has total degree u.order + 2
-        terms: dict = {}
-        for n, comp in enumerate(u.components):
-            for word, c in comp.items():
-                key = (n, len(word))
-                terms[key] = terms.get(key, Fraction(0)) + c
-        return BiSeries(terms, u.order + 1)
+        return PowerSeries((((n, len(w)), c) for n, comp in enumerate(u.components)
+                            for w, c in comp.items()), u.order + 1)
     if name == "ribbon-u":
         _require_ring(u, INT_RING, name)
         if u.components[0] != {(): 1}:
@@ -329,22 +204,18 @@ def specialize_ncsf(u: NcsfSeries, name: str):
             # exactly divisible by u
             coeffs.append(sum(Fraction(c) * 2 ** (len(w) - 1)
                               for w, c in comp.items()))
-        return UniSeries(coeffs)
+        return PowerSeries.univariate(coeffs)
     if name == "lambda-abs":
         _require_ring(u, INT_RING, name)
-        return UniSeries([
+        return PowerSeries.univariate([
             sum(Fraction(c) * 2 ** (sum(w) - len(w)) for w, c in comp.items())
             for comp in u.components])
     if name == "zq":
         _require_ring(u, EPOLY_RING, name)
-        terms = {}
-        for n, comp in enumerate(u.components):
-            for word, c in comp.items():
-                # integer coefficients: den is 1
-                for j, a in enumerate(epoly_evaluate(c, "q").num):
-                    if a and n + j <= u.order:
-                        terms[(n, j)] = terms.get((n, j), Fraction(0)) + a
-        return BiSeries(terms, u.order)
+        # integer coefficients: den is 1
+        return PowerSeries((((n, j), a) for n, comp in enumerate(u.components)
+                            for c in comp.values()
+                            for j, a in enumerate(epoly_evaluate(c, "q").num)), u.order)
     raise ValueError(f"unknown specialization {name!r}; expected one of {SPECIALIZATIONS}")
 
 
@@ -354,11 +225,12 @@ def _require_ring(u: NcsfSeries, ring, name):
                          f"got {u.ring.name}")
 
 
-def prefix_check(series: UniSeries, expected) -> tuple[bool, int | None]:
+def prefix_check(series: PowerSeries, expected) -> tuple[bool, int | None]:
     """Compare leading coefficients exactly; report the first mismatch index."""
     if len(expected) > series.order + 1:
         raise ValueError("expected prefix longer than the series")
+    coeffs = series.coeffs
     for i, val in enumerate(expected):
-        if series.coeffs[i] != Fraction(val):
+        if coeffs[i] != Fraction(val):
             return False, i
     return True, None

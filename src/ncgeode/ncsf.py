@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import repeat
 from types import MappingProxyType
 
-from .coeffring import PolyT, POLYT_ONE, Ring
+from .coeffring import PolyT, POLYT_ONE, RINGS, Ring
 from .combinat import coarsenings, compositions
 
 BASES = ("S", "R", "L")
@@ -71,6 +71,11 @@ class NcsfSeries:
     def __delattr__(self, name):
         raise AttributeError(f"NcsfSeries is immutable; cannot delete {name!r}")
 
+    def __reduce__(self):
+        # the ring goes by name: the EPoly ring descriptor holds lambdas
+        return _series_of, (self.ring.name, [c.copy() for c in self.components],
+                            self.basis)
+
     @property
     def order(self) -> int:
         return len(self.components) - 1
@@ -89,9 +94,6 @@ class NcsfSeries:
             raise TruncationError(f"series exact through degree {self.order}, "
                                   f"truncation {order} requested")
         return NcsfSeries(self.ring, self.components[: order + 1], self.basis)
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.components)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NcsfSeries):
@@ -146,6 +148,10 @@ class NcsfSeries:
         nterms = sum(len(c) for c in self.components)
         return (f"NcsfSeries(ring={self.ring.name}, basis={self.basis}, "
                 f"order={self.order}, terms={nterms})")
+
+
+def _series_of(ring_name: str, components, basis: str) -> NcsfSeries:
+    return NcsfSeries(RINGS[ring_name], components, basis)
 
 
 def unit_series(ring: Ring, order: int) -> NcsfSeries:

@@ -3,10 +3,11 @@ import time
 
 import pytest
 
-from ncgeode.cli import main
+from ncgeode.cli import count_trees, main
+from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import g_t, geode, solve_g
 from ncgeode.render import series_from_json, series_to_json_dict
-from ncgeode.schroeder import g_e
+from ncgeode.schroeder import enumerate_prime_schroeder, enumerate_schroeder, g_e
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +144,25 @@ def test_trees_pqr_refuses_huge_shape(capsys):
     assert "17055399281284 fillings" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["lukasiewicz", "schroeder", "prime-schroeder"])
+def test_trees_refuses_huge_n(capsys, kind):
+    start = time.perf_counter()
+    code = main(["trees", "--kind", kind, "--n", "40"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"has {count_trees(kind, 40)} trees" in captured.err
+
+
+def test_tree_counts_match_enumerations():
+    for kind, enumerate_codes in (("lukasiewicz", enumerate_lukasiewicz),
+                                  ("schroeder", enumerate_schroeder),
+                                  ("prime-schroeder", enumerate_prime_schroeder)):
+        for n in range(kind == "prime-schroeder", 9):
+            assert count_trees(kind, n) == len(enumerate_codes(n)), (kind, n)
+
+
 def test_trees_json(capsys):
     code, out = run_cli(capsys, "trees", "--kind", "lukasiewicz", "--n", "2",
                         "--format", "json")
@@ -156,6 +176,14 @@ def test_specialize_coeff_sum(capsys):
                         "--series", "gamma", "--order", "7")
     assert code == 0
     assert out.strip() == "1, 1, 3, 9, 28, 90, 297, 1001"
+
+
+def test_specialize_zq_at_order_zero(capsys):
+    # the series has no q term, yet the map name selects the bivariate layout
+    code, out = run_cli(capsys, "specialize", "--map", "zq", "--series", "ge",
+                        "--order", "0")
+    assert code == 0
+    assert out == "z^0 q^0: 1\n"
 
 
 def test_specialize_zq_requires_eseries(capsys):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -159,3 +161,19 @@ def test_json_round_trips():
     assert POLYT_RING.from_json(POLYT_RING.to_json(p)) == p
     q = EPoly({(2, 1): 3, (): -1})
     assert EPOLY_RING.from_json(EPOLY_RING.to_json(q)) == q
+
+
+ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+               "pickle": lambda v: pickle.loads(pickle.dumps(v))}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("value", [PolyT(["1/2", 0, -3]), PolyT(),
+                                   EPoly({(2, 1): 3, (): -1}), EPoly()],
+                         ids=["polyt", "polyt-zero", "epoly", "epoly-zero"])
+def test_copy_and_pickle_round_trip(value, how):
+    back = ROUND_TRIPS[how](value)
+    assert type(back) is type(value)
+    assert back == value
+    with pytest.raises(AttributeError):
+        setattr(back, type(back).__slots__[0], None)

@@ -1,16 +1,19 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from ncgeode.coeffring import INT_RING, POLYT_RING, PolyT
 from ncgeode.combinat import compositions
-from ncgeode.lagrange import solve_g
+from ncgeode.lagrange import g_t, solve_g
 from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, TruncationError,
                           annihilate, convert_basis,
                           lagrange_transform, negate_alphabet, phi_k,
                           right_divide, series_inverse, series_mul,
                           series_power, series_power_binomial, sigma1,
                           unit_series, zero_series)
+from ncgeode.schroeder import g_e
 
 
 def s_series(terms, order, ring=INT_RING):
@@ -277,3 +280,17 @@ def test_truncation_errors_are_loud():
         u.truncate(4)
     with pytest.raises(TruncationError):
         annihilate(unit_series(INT_RING, 0), 1)
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("make", [lambda: solve_g(4), lambda: g_t(3),
+                                  lambda: g_e(3), lambda: convert_basis(solve_g(3), "R")],
+                         ids=["int", "polyt", "epoly", "int-ribbon"])
+def test_series_copy_and_pickle_round_trip(make, how):
+    u = make()
+    back = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+            "pickle": lambda v: pickle.loads(pickle.dumps(v))}[how](u)
+    assert back == u
+    assert back.ring is u.ring and back.basis == u.basis
+    with pytest.raises(TypeError):
+        back.components[1][(1,)] = 7

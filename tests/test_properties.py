@@ -1,6 +1,6 @@
 """Property tests of the free-algebra kernels on random small integer series,
-and of the rings of ``EPoly`` and ``PolyT`` values on random small
-polynomials."""
+of the rings of ``EPoly`` and ``PolyT`` values on random small polynomials,
+and of ``PowerSeries`` products and square roots."""
 
 import json
 import math
@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ncgeode.coeffring import (INT_RING, EPoly, PolyT, _polyt_from_json,
                                _polyt_to_json, fraction_to_str)
 from ncgeode.combinat import compositions
+from ncgeode.gfseries import PowerSeries
 from ncgeode.render import polyt_str
 from ncgeode.ncsf import (NcsfSeries, convert_basis, graded_power,
                           lagrange_transform, negate_alphabet, series_mul,
@@ -271,3 +272,47 @@ def test_polyt_json_round_trip(p):
 def test_polyt_str_matches_lcm_rendering(cs):
     p = PolyT(cs)
     assert polyt_str(p) == ref_polyt_str(ref_trim(cs))
+
+
+# ---------------------------------------------------------------------------
+# PowerSeries: the square root over total-degree slices, and the univariate
+# product and square root against plain lists of coefficients
+
+
+def ref_convolve(a, b, order) -> list:
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0))
+            for n in range(order + 1)]
+
+
+def ref_sqrt(a) -> list:
+    """The coefficients r with r * r = a through len(a) - 1, for a[0] = 1."""
+    r = [Fraction(1)]
+    for n in range(1, len(a)):
+        r.append((a[n] - sum(r[i] * r[n - i] for i in range(1, n))) / 2)
+    return r
+
+
+EXPONENTS = st.tuples(st.integers(0, 5), st.integers(0, 5))
+UNIT_BIVARIATE = st.builds(lambda terms, order: PowerSeries({**terms, (0, 0): 1}, order),
+                           st.dictionaries(EXPONENTS, RATIONAL, max_size=8),
+                           st.integers(0, 6))
+UNI_COEFFS = st.lists(RATIONAL, min_size=1, max_size=7)
+
+
+@SETTINGS
+@given(UNIT_BIVARIATE)
+def test_power_series_sqrt_squares_back(s):
+    root = s.sqrt()
+    assert root * root == s
+
+
+@SETTINGS
+@given(UNI_COEFFS, UNI_COEFFS)
+def test_univariate_product_and_sqrt_match_lists(a, b):
+    uni = PowerSeries.univariate
+    order = min(len(a), len(b)) - 1
+    assert (uni(a) * uni(b)).coeffs == tuple(ref_convolve(a, b, order))
+    unit = [Fraction(1)] + a[1:]
+    root = list(uni(unit).sqrt().coeffs)
+    assert root == ref_sqrt(unit)
+    assert ref_convolve(root, root, len(unit) - 1) == unit
