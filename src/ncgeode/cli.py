@@ -25,8 +25,10 @@ from .schroeder import enumerate_prime_schroeder, enumerate_schroeder, g_e
 from .verify import SUITES, run_suite
 
 
-# ``trees`` refuses a request for more trees or fillings than this
-TREES_MAX_COUNT = 10**6
+# ``expand`` and ``trees`` refuse a request for more words, trees or fillings
+MAX_ITEMS = 10**6
+# counting the fillings costs time quadratic in the letter count of the shape
+PQR_MAX_LETTERS = 2000
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -104,6 +106,11 @@ def _emit_series(series, name, fmt, out):
 
 def cmd_expand(args, out) -> int:
     n = args.degree
+    # the series solved reach order n + 1 at most, which holds 2^(n+1) words
+    if 2 ** (n + 1) > MAX_ITEMS:
+        print(f"--degree {n} needs up to 2^{n + 1} words, "
+              f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
+        return 2
     if args.ring == "int":
         makers = {"g": solve_g, "gamma": geode, "gessel": gessel_gamma,
                   "h": lambda d: prime_series(d)[0],
@@ -169,10 +176,15 @@ def cmd_trees(args, out) -> int:
         if args.shape is None:
             print("--shape is required for pqr", file=sys.stderr)
             return 2
+        letters = sum(args.shape)
+        if letters > PQR_MAX_LETTERS:
+            print(f"shape has {letters} letters, more than the limit of "
+                  f"{PQR_MAX_LETTERS}", file=sys.stderr)
+            return 2
         count = count_parking_quasi_ribbons(args.shape)
-        if count > TREES_MAX_COUNT:
+        if count > MAX_ITEMS:
             print(f"shape {','.join(map(str, args.shape))} has {count} fillings, "
-                  f"more than the limit of {TREES_MAX_COUNT}", file=sys.stderr)
+                  f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
             return 2
         fillings = parking_quasi_ribbons(args.shape)
         if args.format == "json":
@@ -192,9 +204,9 @@ def cmd_trees(args, out) -> int:
         print("prime Schroeder trees need --n of at least 1", file=sys.stderr)
         return 2
     count = count_trees(args.kind, args.n)
-    if count > TREES_MAX_COUNT:
+    if count > MAX_ITEMS:
         print(f"--kind {args.kind} --n {args.n} has {count} trees, "
-              f"more than the limit of {TREES_MAX_COUNT}", file=sys.stderr)
+              f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
         return 2
     codes = _codes_for(args.kind, args.n)
     if args.format == "json":

@@ -9,7 +9,9 @@ order spell I.  The geode gamma satisfies g = 1 + gamma (sigma_1 - 1) and is
 also obtained by annihilating g with any S_k^{-1}.
 
 Replacing the exponent m by k*m gives the k-Lagrange series; its coefficients
-are polynomials in k, which turns k into a formal indeterminate t.  For a
+are polynomials in k, which turns k into a formal indeterminate t.  One
+solver, ``k_lagrange_direct``, builds both over the integers degree by degree
+from ``ncsf.graded_power``; ``solve_g`` is its k = 1 case.  For a
 composition I of length p, the coefficient of S^I in the t-series is the sum
 over the codes a of plane trees with p nodes (letter sum p-1, every proper
 prefix of length j summing to at least j) of
@@ -32,22 +34,16 @@ from functools import lru_cache
 from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
                         binomial_polynomial)
 from .combinat import compositions, tree_code_sum
-from .ncsf import (NcsfSeries, annihilate, generator, graded_power,
+from .ncsf import (NcsfSeries, annihilate, graded_power, inverse_component,
                    lagrange_transform, negate_alphabet, phi_k, right_divide,
-                   series_inverse, series_mul, series_power,
-                   series_power_binomial, sigma1, unit_series, zero_series)
+                   series_inverse, series_mul, series_power_binomial, sigma1,
+                   unit_series, zero_series)
 
 
 @lru_cache(maxsize=None)
 def solve_g(order: int) -> NcsfSeries:
     """Solve the defining equation of the Lagrange series over the integers."""
-    comps: list[dict] = [{(): 1}]
-    memo: dict = {}
-    for n in range(1, order + 1):
-        # the words of S_m g^m begin with m, so the terms never collide
-        comps.append({(m,) + w: c for m in range(1, n + 1)
-                      for w, c in graded_power(comps, m, n - m, memo, 1, 0).items()})
-    return NcsfSeries(INT_RING, comps)
+    return k_lagrange_direct(1, order)
 
 
 def g_from_trees(order: int) -> NcsfSeries:
@@ -78,22 +74,20 @@ def geode_by_division(order: int) -> NcsfSeries:
 
 
 def gessel_gamma(order: int) -> NcsfSeries:
-    """Geode via the inversion formula
-    (1 - sum_{n>=1} S_n (1 + g + ... + g^{n-1}))^{-1}."""
-    g = solve_g(order)
-    one = unit_series(INT_RING, order)
-    inner = None
-    partial_sum = one          # 1 + g + ... + g^{m-1}, starts at m = 1
-    gpow = one                 # g^{m-1}
-    for m in range(1, order + 1):
-        term = series_mul(generator(INT_RING, m, order), partial_sum)
-        inner = term if inner is None else inner + term
-        if m < order:
-            gpow = series_mul(gpow, g)
-            partial_sum = partial_sum + gpow
-    if inner is None:
-        return one
-    return series_inverse(one - inner)
+    """Geode via the inversion formula (1 - sum_{m>=1} S_m (1 + g + ...
+    + g^{m-1}))^{-1}; the inverted series has degree-n component
+    -sum_m sum_{j<m} S_m (g^j)_{n-m}, read off ``graded_power``."""
+    g = solve_g(order).components
+    memo: dict = {}
+    comps: list[dict] = [{(): 1}]
+    for n in range(1, order + 1):
+        comp: dict = {}
+        for m in range(1, n + 1):
+            for j in range(m):
+                for w, c in graded_power(g, j, n - m, memo, 1, 0).items():
+                    comp[(m,) + w] = comp.get((m,) + w, 0) - c
+        comps.append(comp)
+    return series_inverse(NcsfSeries(INT_RING, comps))
 
 
 def prime_series(order: int) -> tuple[NcsfSeries, NcsfSeries]:
@@ -163,18 +157,18 @@ def substitute_t(u: NcsfSeries, inner: PolyT) -> NcsfSeries:
 
 
 def k_lagrange_direct(k: int, order: int) -> NcsfSeries:
-    """Solve w = sum_m S_m w^{k m} degree by degree (k may be negative)."""
+    """Solve w = 1 + sum_m S_m w^{k m} degree by degree (k may be negative):
+    w_n = sum_m S_m (b^{|k| m})_{n-m} from ``graded_power``, where b is w for
+    k >= 0 and w^{-1}, grown one degree behind w, for k < 0."""
     comps: list[dict] = [{(): 1}]
+    base = comps if k >= 0 else [{(): 1}]
+    memo: dict = {}
     for n in range(1, order + 1):
-        partial = NcsfSeries(INT_RING, comps)
-        comp: dict = {}
-        for m in range(1, n + 1):
-            tgt = n - m
-            power = series_power(partial.truncate(tgt), k * m)
-            for w, c in power.components[tgt].items():
-                key = (m,) + w
-                comp[key] = comp.get(key, 0) + c
-        comps.append(comp)
+        if k < 0 and n > 1:
+            base.append(inverse_component(comps, base, n - 1, 0))
+        # the words of S_m w^{km} begin with m, so the terms never collide
+        comps.append({(m,) + w: c for m in range(1, n + 1)
+                      for w, c in graded_power(base, abs(k) * m, n - m, memo, 1, 0).items()})
     return NcsfSeries(INT_RING, comps)
 
 

@@ -16,6 +16,16 @@ the last rule being its own inverse and extended multiplicatively.
 
 Every series records the degree through which it is exact; operations derive
 the output truncation from the inputs and raise rather than silently truncate.
+
+Powers have two kernels.  ``graded_power`` reads the degree-d component of
+u^m off the components of u through degree d, so a fixed-point solver can
+call it while u grows: ``lagrange.k_lagrange_direct`` (and so ``solve_g``),
+``lagrange.gessel_gamma`` and ``schroeder.solve_xy_system`` do.  Chained
+``series_mul`` products stay where they serve as a check or cost less memory:
+``series_power`` is the repeated-product reference of the tests, the
+defining-equation checks of ``verify`` exercise the product kernel, and
+``series_power_binomial`` would gain little on ``graded_power`` while its
+memo held every (u-1)^j.
 """
 
 from __future__ import annotations
@@ -215,16 +225,21 @@ def series_inverse(u: NcsfSeries) -> NcsfSeries:
         raise ValueError("inversion is computed in the S basis")
     if u.components[0] != {(): u.ring.one}:
         raise ValueError("series inverse requires constant term 1")
-    zero = u.ring.zero
     inv = [{(): u.ring.one}]
     for n in range(1, u.order + 1):
-        comp: dict = {}
-        # v_n = -sum_{i=1..n} u_i v_{n-i}
-        for i in range(1, n + 1):
-            _conv_into(comp, u.components[i], inv[n - i], zero)
-        # cancelled words are dropped here, since inv feeds later degrees
-        inv.append({w: -c for w, c in comp.items() if c})
+        inv.append(inverse_component(u.components, inv, n, u.ring.zero))
     return NcsfSeries(u.ring, inv)
+
+
+def inverse_component(comps, inv, n: int, zero) -> dict:
+    """Degree-``n`` component v_n = -sum_{i=1..n} u_i v_{n-i} of the inverse
+    of ``comps`` (constant term 1) from its components ``inv`` of degree < n;
+    reads ``comps`` only through degree n, so both may still be growing."""
+    comp: dict = {}
+    for i in range(1, n + 1):
+        _conv_into(comp, comps[i], inv[n - i], zero)
+    # cancelled words are dropped here, since the inverse feeds later degrees
+    return {w: -c for w, c in comp.items() if c}
 
 
 def series_power(u: NcsfSeries, k: int) -> NcsfSeries:
@@ -242,7 +257,9 @@ def graded_power(comps, m: int, d: int, memo: dict, one, zero) -> dict:
 
     Reads only the components of degree <= d, so ``comps`` may still be
     growing.  ``memo`` keeps the (m, d) components already computed; the
-    caller decides how long it lives.
+    caller decides how long it lives.  The Lagrange-type solvers and the
+    lifted e-series system use it; the module docstring lists the code that
+    keeps chained products, and why.
     """
     if m == 0:
         return {(): one} if d == 0 else {}

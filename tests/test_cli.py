@@ -144,6 +144,28 @@ def test_trees_pqr_refuses_huge_shape(capsys):
     assert "17055399281284 fillings" in captured.err
 
 
+def test_trees_pqr_refuses_long_shape(capsys):
+    # a single filling, but counting it is quadratic in the letter count
+    start = time.perf_counter()
+    code = main(["trees", "--kind", "pqr", "--shape", ",".join(["1"] * 2001)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2001 letters" in captured.err
+
+
+@pytest.mark.parametrize("ring", ["int", "polyt"])
+def test_expand_refuses_huge_degree(capsys, ring):
+    start = time.perf_counter()
+    code = main(["expand", "--series", "g", "--degree", "19", "--ring", ring])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2^20 words" in captured.err
+
+
 @pytest.mark.parametrize("kind", ["lukasiewicz", "schroeder", "prime-schroeder"])
 def test_trees_refuses_huge_n(capsys, kind):
     start = time.perf_counter()

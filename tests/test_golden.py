@@ -52,6 +52,10 @@ CASES = {
                                "--order", "5"],
     "expand_g_json_3.txt": ["expand", "--series", "g", "--degree", "3",
                             "--format", "json"],
+    "expand_gessel_int_6.txt": ["expand", "--series", "gessel", "--degree", "6"],
+    "klagrange_direct_m2_5.txt": ["klagrange", "--k", "-2", "--degree", "5",
+                                  "--route", "direct"],
+    "verify_all_6.txt": ["verify", "--suite", "all", "--degree", "6"],
 }
 
 

@@ -156,6 +156,13 @@ def test_k_lagrange_routes_agree():
         assert direct == specialize_t(gt, k)
 
 
+def test_k_lagrange_direct_matches_t_series_at_every_level():
+    # k < 0 takes its powers from the inverse grown alongside w
+    gt = g_t(6)
+    for k in range(-3, 4):
+        assert k_lagrange_direct(k, 6) == specialize_t(gt, k), k
+
+
 def test_zero_level_is_sigma1():
     assert k_lagrange_direct(0, 6) == sigma1(INT_RING, 6)
 
