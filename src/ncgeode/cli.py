@@ -25,7 +25,7 @@ from .schroeder import enumerate_prime_schroeder, enumerate_schroeder, g_e
 from .verify import SUITES, run_suite
 
 
-# ``expand`` and ``trees`` refuse a request for more words, trees or fillings
+# the commands refuse a request for more words, trees or fillings
 MAX_ITEMS = 10**6
 # counting the fillings costs time quadratic in the letter count of the shape
 PQR_MAX_LETTERS = 2000
@@ -96,6 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_order(order: int, request: str) -> bool:
+    """Refuse, with a message, a request that solves a series through
+    ``order`` when 2^(order+1) words exceed ``MAX_ITEMS``: a series through
+    order n holds up to 2^n words, one per composition of each degree."""
+    # compared by bit length, so a huge order costs no huge power of 2
+    if order + 1 < MAX_ITEMS.bit_length():
+        return False
+    print(f"{request} needs up to 2^{order + 1} words, "
+          f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
+    return True
+
+
 def _emit_series(series, name, fmt, out):
     if fmt == "json":
         print(json.dumps(series_to_json_dict(series, name)), file=out)
@@ -107,9 +119,7 @@ def _emit_series(series, name, fmt, out):
 def cmd_expand(args, out) -> int:
     n = args.degree
     # the series solved reach order n + 1 at most, which holds 2^(n+1) words
-    if 2 ** (n + 1) > MAX_ITEMS:
-        print(f"--degree {n} needs up to 2^{n + 1} words, "
-              f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
+    if _refuse_order(n, f"--degree {n}"):
         return 2
     if args.ring == "int":
         makers = {"g": solve_g, "gamma": geode, "gessel": gessel_gamma,
@@ -130,12 +140,16 @@ def cmd_expand(args, out) -> int:
 
 def cmd_klagrange(args, out) -> int:
     n = args.degree
+    if args.route == "phi" and args.k < 1:
+        print("the phi route needs k >= 1", file=sys.stderr)
+        return 2
+    # the phi route solves g through order k n, the others through order n
+    order = args.k * n if args.route == "phi" else n
+    if _refuse_order(order, f"--route {args.route} --k {args.k} --degree {n}"):
+        return 2
     if args.route == "direct":
         series = k_lagrange_direct(args.k, n)
     elif args.route == "phi":
-        if args.k < 1:
-            print("the phi route needs k >= 1", file=sys.stderr)
-            return 2
         series = k_lagrange_by_phi(args.k, n)
     else:
         series = specialize_t(g_t(n), args.k)
@@ -145,6 +159,10 @@ def cmd_klagrange(args, out) -> int:
 
 def cmd_eseries(args, out) -> int:
     from .schroeder import gamma_e
+    # gamma^[e] through degree n is read off g^[e] through n + 1
+    order = args.degree + (args.series == "gamma")
+    if _refuse_order(order, f"--series {args.series} --degree {args.degree}"):
+        return 2
     series = g_e(args.degree) if args.series == "g" else gamma_e(args.degree)
     name = "g^[e]" if args.series == "g" else "gamma^[e]"
     _emit_series(series, name, args.format, out)
@@ -223,6 +241,10 @@ def cmd_trees(args, out) -> int:
 
 def cmd_specialize(args, out) -> int:
     name = f"{args.series}:{args.map_name}"
+    # the geode through order n is read off g through n + 1
+    order = args.order + (args.series == "gamma")
+    if _refuse_order(order, f"--series {args.series} --order {args.order}"):
+        return 2
     if args.map_name == "zq":
         if args.series != "ge":
             print("zq applies to the e-Lagrange series (--series ge)",

@@ -11,6 +11,16 @@ computed by three independent routes: a lifted two-series system with an
 explicit degree-0 placeholder letter, direct enumeration of prime trees, and
 a closed coefficient formula.
 
+Every word of the lifted system is a full tree code and carries a single
+unit monomial, so ``solve_xy_system`` keeps, per word, only the tuple of
+its chain lengths: products concatenate the tuples, on the same
+``ncsf.graded_power`` kernel as the integer series, and no ``EPoly`` is
+built before the projection.  The projection deletes the placeholder
+letters, sorts each chain tuple into its partition and adds up the
+monomials per word; it raises if a word's chains do not sum to its
+internal nodes below the root, the trace that two codes collided and their
+chains were concatenated.
+
 The trees route never re-parses a code.  ``trees_with_chains`` builds every
 tree bottom-up together with its chain lengths: a tree with root label r
 over the subtrees t_0, ..., t_r keeps all chains of t_0, ..., t_{r-1} and
@@ -18,19 +28,21 @@ the chains of t_r except its root chain, which grows by one (a leaf t_r
 starts a new chain of length 1 at the root).  A prime tree is root r, then
 r subtrees, then the final leaf; its weight is e_mu for the chains of its r
 subtrees, and the route adds up one ``EPoly`` per word from the counts of
-the partitions mu.
+the partitions mu, through the helper that the projection uses too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import add
 from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
-from .ncsf import NcsfSeries, annihilate, graded_power, map_words
+from .ncsf import NcsfSeries, annihilate, graded_power
 from .combinat import compositions, tree_code_sum
 
 
@@ -216,6 +228,8 @@ def prime_tree_weight(code: tuple[int, ...]) -> EPoly:
 
 @dataclass(frozen=True)
 class SystemState:
+    """The lifted system through ``order``: per degree, each word of X, Y
+    and G (a full tree code) maps to the chain lengths of its monomial."""
     order: int
     x: tuple[Mapping, ...]
     y: tuple[Mapping, ...]
@@ -229,34 +243,82 @@ def solve_xy_system(order: int) -> SystemState:
     X_n needs Y below degree n and Y_n needs X up to degree n, so the two
     interleave; the degree of a word is the sum of its letters, placeholder
     letters counting 0.
+
+    Every word is a full tree code and its coefficient is one unit monomial
+    e_lambda, so a word maps to the tuple of its chain lengths, unsorted.  A
+    product of words concatenates their tuples: ``graded_power`` runs with
+    tuple concatenation as the product and () as both one and zero, and the
+    Y step appends (m,) for e_m.  Two terms landing on one word would be
+    summed by concatenation as well, merging two monomials into one, so
+    ``project_placeholder`` checks the chain sums and raises on such a
+    collision.
     """
-    one, zero = EPoly.one(), EPoly()
+    # one shared tuple per pair of factors keeps the memory down
+    concat = lru_cache(maxsize=None)(add)
     x: list[dict] = [{}]
-    y: list[dict] = [{(0,): one}]
+    y: list[dict] = [{(0,): ()}]
+    # a power's component of degree d reads only components through d, which
+    # are final by then, so the memos serve every later degree too
+    y_memo: dict = {}
+    x_memo: dict = {}
     for n in range(1, order + 1):
-        # fresh memos each degree keep the peak memory down
-        y_memo: dict = {}
         x.append({(m,) + w: c for m in range(1, n + 1)
-                  for w, c in graded_power(y, m, n - m, y_memo, one, zero).items()})
-        x_memo: dict = {}
+                  for w, c in graded_power(y, m, n - m, y_memo, (), (), concat).items()})
         yn: dict = {}
         for m in range(1, n + 1):
-            em = EPoly.e(m)
-            for w, c in graded_power(x, m, n, x_memo, one, zero).items():
+            em = (m,)
+            for w, c in graded_power(x, m, n, x_memo, (), (), concat).items():
                 key = w + (0,)
-                yn[key] = yn.get(key, zero) + em * c
+                yn[key] = yn.get(key, ()) + concat(c, em)
         y.append(yn)
-    g = [{(0,): one}]
+    g = [{(0,): ()}]
     for n in range(1, order + 1):
         g.append({w + (0,): c for w, c in x[n].items()})
     # the state is cached, so callers get read-only components
     return SystemState(order, *(tuple(map(MappingProxyType, comps)) for comps in (x, y, g)))
 
 
+def chain_monomials(comp: Mapping) -> dict:
+    """A component of ``SystemState`` with each chain tuple turned into its
+    monomial e_lambda."""
+    return {word: EPoly({chains: 1}) for word, chains in comp.items()}
+
+
+def _partition_counts(pairs: Counter) -> dict:
+    """Sum e_mu over counted (word, chain lengths) pairs: per word, an
+    ``EPoly`` of the counts of the partitions mu, each distinct chain tuple
+    sorted once."""
+    weights: dict = {}
+    for (word, chains), k in pairs.items():
+        counts = weights.setdefault(word, {})
+        mu = tuple(sorted(chains, reverse=True))
+        counts[mu] = counts.get(mu, 0) + k
+    return {word: EPoly(counts) for word, counts in weights.items()}
+
+
+def _letters(code: tuple[int, ...]) -> tuple[int, ...]:
+    """The word of a code with its placeholder letters deleted."""
+    return tuple(filter(None, code))
+
+
 def project_placeholder(graded) -> NcsfSeries:
-    """Set the placeholder letter to 1: delete zeros and merge words."""
-    return map_words(NcsfSeries(EPOLY_RING, graded),
-                     lambda word: ((tuple(l for l in word if l), 1),))
+    """Set the placeholder letter to 1 in the G components of the lifted
+    system: delete zeros, merge words and add up their monomials.
+
+    G_0 = S0 gives the unit.  A word of G_n is an X word, whose chains are
+    those of the trees below its root; they sum to its nonzero letters
+    minus 1.  Any other sum means two words collided and their chains were
+    concatenated, and raises ``ValueError``.
+    """
+    comps = [{(): EPoly.one()}]
+    for comp in graded[1:]:
+        pairs = Counter(zip(map(_letters, comp), comp.values()))
+        for word, chains in pairs:
+            if sum(chains) != len(word) - 1:
+                raise ValueError(f"the chains {chains} of a code of the word {word} "
+                                 f"do not sum to {len(word) - 1}: codes collided")
+        comps.append(_partition_counts(pairs))
+    return NcsfSeries(EPOLY_RING, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +349,10 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
     if route == "trees":
         comps = [{(): EPoly.one()}]
         for n in range(1, order + 1):
-            # per word, the counts of the partitions mu; a prime tree
-            # weighs the chains of all but its root
-            weights: dict = {}
-            for code, chains in prime_trees_with_chains(n):
-                counts = weights.setdefault(tuple(filter(None, code)), {})
-                mu = tuple(sorted(chains[:-1], reverse=True))
-                counts[mu] = counts.get(mu, 0) + 1
-            comps.append({word: EPoly(counts) for word, counts in weights.items()})
+            # a prime tree weighs the chains of all but its root
+            comps.append(_partition_counts(Counter(
+                (_letters(code), chains[:-1])
+                for code, chains in prime_trees_with_chains(n))))
         return NcsfSeries(EPOLY_RING, comps)
     raise ValueError(f"unknown route {route!r}")
 

@@ -20,8 +20,8 @@ from .lagrange import (delta_coefficient, divisibility_check, eta_identities,
                        h_t, eta_t, k_lagrange_by_phi, k_lagrange_direct,
                        solve_g, specialize_t, theta_t, theta_k_by_transform)
 from .ncsf import NcsfSeries, convert_basis, series_mul
-from .schroeder import (enumerate_prime_schroeder, g_e, gamma_e,
-                        solve_xy_system)
+from .schroeder import (chain_monomials, enumerate_prime_schroeder, g_e,
+                        gamma_e, solve_xy_system)
 
 SUITES = ("all", "paper", "identities", "oeis")
 
@@ -144,9 +144,11 @@ def paper_suite(degree: int) -> Report:
     rep.add("free-cumulants-low-degrees", ok, why)
 
     state = solve_xy_system(3)
-    sys_ok = all(state.y[n] == fx.SYSTEM_Y_TABLE[n] for n in fx.SYSTEM_Y_TABLE) and \
-        all(state.x[n] == fx.SYSTEM_X_TABLE[n] for n in fx.SYSTEM_X_TABLE) and \
-        state.g[3] == fx.SYSTEM_G3_TABLE
+    sys_ok = all(chain_monomials(state.y[n]) == fx.SYSTEM_Y_TABLE[n]
+                 for n in fx.SYSTEM_Y_TABLE) and \
+        all(chain_monomials(state.x[n]) == fx.SYSTEM_X_TABLE[n]
+            for n in fx.SYSTEM_X_TABLE) and \
+        chain_monomials(state.g[3]) == fx.SYSTEM_G3_TABLE
     rep.add("system-solution-low-degrees", sys_ok)
 
     rep.add("prime-schroeder-trees-size-3",

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from ncgeode.cli import count_trees, main
+from ncgeode.cli import _refuse_order, count_trees, main
 from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import g_t, geode, solve_g
 from ncgeode.render import series_from_json, series_to_json_dict
@@ -164,6 +164,36 @@ def test_expand_refuses_huge_degree(capsys, ring):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "2^20 words" in captured.err
+
+
+@pytest.mark.parametrize("argv, power", [
+    (["klagrange", "--k", "2", "--degree", "19", "--route", "direct"], 20),
+    (["klagrange", "--k", "-2", "--degree", "19", "--route", "direct"], 20),
+    (["klagrange", "--k", "2", "--degree", "19", "--route", "delta"], 20),
+    (["klagrange", "--k", "2", "--degree", "10", "--route", "phi"], 21),
+    (["klagrange", "--k", "10", "--degree", "2", "--route", "phi"], 21),
+    (["eseries", "--series", "g", "--degree", "19"], 20),
+    (["eseries", "--series", "gamma", "--degree", "18"], 20),
+    (["specialize", "--map", "catalan", "--series", "g", "--order", "19"], 20),
+    (["specialize", "--map", "ribbon-u", "--series", "gamma", "--order", "18"], 20),
+    (["specialize", "--map", "zq", "--series", "ge", "--order", "19"], 20),
+    (["expand", "--series", "g", "--degree", str(10**9)], 10**9 + 1),
+])
+def test_series_commands_refuse_huge_orders(capsys, argv, power):
+    # the largest order solved: k n on the phi route, n + 1 for a geode
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"2^{power} words" in captured.err
+
+
+def test_size_guard_bound():
+    # 2^19 < MAX_ITEMS = 10^6 < 2^20
+    assert not _refuse_order(18, "order 18")
+    assert _refuse_order(19, "order 19")
 
 
 @pytest.mark.parametrize("kind", ["lukasiewicz", "schroeder", "prime-schroeder"])

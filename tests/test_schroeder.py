@@ -2,9 +2,9 @@ import pytest
 
 from ncgeode.coeffring import EPoly, epoly_evaluate
 from ncgeode.lagrange import free_cumulant_routes, solve_g
-from ncgeode.schroeder import (delta_e_coefficient, enumerate_prime_schroeder,
-                               enumerate_schroeder, g_e, gamma_e,
-                               is_schroeder_code, prime_tree_weight,
+from ncgeode.schroeder import (chain_monomials, delta_e_coefficient,
+                               enumerate_prime_schroeder, enumerate_schroeder,
+                               g_e, gamma_e, is_schroeder_code, prime_tree_weight,
                                prime_trees_with_chains, project_placeholder,
                                right_branch_partition, root_children,
                                solve_xy_system, tree_weight, trees_with_chains)
@@ -88,10 +88,10 @@ def test_right_branch_parts_sum_to_internal_nodes():
 def test_system_matches_displayed_solution():
     state = solve_xy_system(3)
     for n, expected in fx.SYSTEM_Y_TABLE.items():
-        assert state.y[n] == expected, n
+        assert chain_monomials(state.y[n]) == expected, n
     for n, expected in fx.SYSTEM_X_TABLE.items():
-        assert state.x[n] == expected, n
-    assert state.g[3] == fx.SYSTEM_G3_TABLE
+        assert chain_monomials(state.x[n]) == expected, n
+    assert chain_monomials(state.g[3]) == fx.SYSTEM_G3_TABLE
 
 
 def test_cached_system_state_is_read_only():
@@ -105,7 +105,7 @@ def test_system_y_equals_tree_enumeration():
     state = solve_xy_system(5)
     for n in range(6):
         expected = {code: tree_weight(code) for code in enumerate_schroeder(n)}
-        assert state.y[n] == expected, n
+        assert chain_monomials(state.y[n]) == expected, n
 
 
 def test_system_g_equals_prime_tree_enumeration():
@@ -113,7 +113,7 @@ def test_system_g_equals_prime_tree_enumeration():
     for n in range(1, 6):
         expected = {code: prime_tree_weight(code)
                     for code in enumerate_prime_schroeder(n)}
-        assert state.g[n] == expected, n
+        assert chain_monomials(state.g[n]) == expected, n
 
 
 def test_g_e_tables():
@@ -128,6 +128,20 @@ def test_g_e_routes_agree():
 
 def test_g_e_routes_agree_through_degree_8():
     assert g_e(8, "delta") == g_e(8, "system") == g_e(8, "trees")
+
+
+def test_g_e_system_route_agrees_at_degree_9():
+    assert g_e(9, "system") == g_e(9, "delta")
+
+
+def test_projection_refuses_collided_words():
+    # two codes meeting on one word would concatenate their chain tuples
+    graded = [dict(comp) for comp in solve_xy_system(3).g]
+    code = (1, 1, 0, 0, 0)
+    assert graded[2][code] == (1,)
+    graded[2][code] += graded[2][code]
+    with pytest.raises(ValueError, match="collided"):
+        project_placeholder(graded)
 
 
 def test_cached_epoly_coefficients_are_read_only():
