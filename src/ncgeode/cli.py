@@ -29,6 +29,10 @@ from .verify import SUITES, run_suite
 MAX_ITEMS = 10**6
 # counting the fillings costs time quadratic in the letter count of the shape
 PQR_MAX_LETTERS = 2000
+# ``graded_power`` recurses once per factor, and the direct k-Lagrange route
+# takes powers up to |k| times the degree, so it stays under the default
+# recursion limit of 1000 frames
+DIRECT_MAX_POWER = 500
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -146,6 +150,11 @@ def cmd_klagrange(args, out) -> int:
     # the phi route solves g through order k n, the others through order n
     order = args.k * n if args.route == "phi" else n
     if _refuse_order(order, f"--route {args.route} --k {args.k} --degree {n}"):
+        return 2
+    if args.route == "direct" and abs(args.k) * n > DIRECT_MAX_POWER:
+        print(f"--route direct --k {args.k} --degree {n} needs powers up to "
+              f"{abs(args.k) * n}, more than the limit of {DIRECT_MAX_POWER}",
+              file=sys.stderr)
         return 2
     if args.route == "direct":
         series = k_lagrange_direct(args.k, n)

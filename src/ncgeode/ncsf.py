@@ -197,18 +197,10 @@ def sigma1(ring: Ring, order: int) -> NcsfSeries:
 def _conv_into(target: dict, a: dict, b: dict, zero, mul=_mul):
     """Add the word convolution of two components into ``target``; ``mul``
     is the coefficient product."""
-    if mul is not _mul:
-        for wa, ca in a.items():
-            for wb, cb in b.items():
-                w = wa + wb
-                target[w] = target.get(w, zero) + mul(ca, cb)
-        return
-    # the default product stays an inline ``*``: a call per pair costs the
-    # integer kernels about 3% of the verify session
     for wa, ca in a.items():
         for wb, cb in b.items():
             w = wa + wb
-            target[w] = target.get(w, zero) + ca * cb
+            target[w] = target.get(w, zero) + mul(ca, cb)
 
 
 def series_mul(u: NcsfSeries, v: NcsfSeries) -> NcsfSeries:

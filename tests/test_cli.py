@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from ncgeode.cli import _refuse_order, count_trees, main
+from ncgeode.cli import DIRECT_MAX_POWER, _refuse_order, count_trees, main
 from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import g_t, geode, solve_g
 from ncgeode.render import series_from_json, series_to_json_dict
@@ -188,6 +188,25 @@ def test_series_commands_refuse_huge_orders(capsys, argv, power):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"2^{power} words" in captured.err
+
+
+@pytest.mark.parametrize("k, degree", [(3000, 2), (-251, 2), (501, 1)])
+def test_klagrange_direct_refuses_huge_powers(capsys, k, degree):
+    # each factor of the power is one frame of the power kernel
+    code = main(["klagrange", "--k", str(k), "--degree", str(degree),
+                 "--route", "direct"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"powers up to {abs(k) * degree}, more than the limit" in captured.err
+
+
+def test_klagrange_direct_reaches_the_power_limit(capsys):
+    k = -(DIRECT_MAX_POWER // 2)
+    assert main(["klagrange", "--k", str(k), "--degree", "2",
+                 "--route", "direct"]) == 0
+    # g^(k)_2 = S_2 + k S^{11}
+    assert f"g^({k})_2 = S_2 - {-k}S^{{11}}" in capsys.readouterr().out
 
 
 def test_size_guard_bound():
