@@ -244,9 +244,8 @@ class EPoly:
     A monomial e_{l1}...e_{lr} is stored under the partition key
     (l1 >= l2 >= ... >= lr); the empty partition is the unit monomial.
     Zero coefficients are never stored.  ``terms`` is a read-only mapping
-    and attributes cannot be set, so results may be shared: the product of
-    two unit monomials is one object per pair of partitions, and adding
-    zero returns the other operand itself.
+    and attributes cannot be set, so results may be shared: adding zero
+    returns the other operand itself.
     """
 
     __slots__ = ("terms",)
@@ -346,20 +345,10 @@ class EPoly:
             if not other:
                 return EPoly()
             return EPoly._of({k: c * other for k, c in self.terms.items()})
-        a, b = self.terms, other.terms
-        if len(a) == 1 == len(b):
-            (ka,) = a
-            (kb,) = b
-            unit = _monomial_product(ka, kb)
-            c = a[ka] * b[kb]
-            if c == 1:
-                return unit
-            (key,) = unit.terms
-            return EPoly._of({key: c})
         d: dict[tuple[int, ...], int] = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                (key,) = _monomial_product(ka, kb).terms
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                key = _monomial_product(ka, kb)
                 new = d.get(key, 0) + ca * cb
                 if new:
                     d[key] = new
@@ -374,9 +363,9 @@ class EPoly:
 
 
 @lru_cache(maxsize=None)
-def _monomial_product(ka: tuple[int, ...], kb: tuple[int, ...]) -> EPoly:
-    """The unit monomial e_ka e_kb, one shared object per pair of partitions."""
-    return EPoly._of({tuple(sorted(ka + kb, reverse=True)): 1})
+def _monomial_product(ka: tuple[int, ...], kb: tuple[int, ...]) -> tuple[int, ...]:
+    """The partition key of the monomial e_ka e_kb: the merged parts."""
+    return tuple(sorted(ka + kb, reverse=True))
 
 
 @lru_cache(maxsize=None)

@@ -187,7 +187,7 @@ def tree_code_sum(comp: tuple[int, ...], factor, one, zero):
 
 
 def nonzero_letters(word: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x for x in word if x)
+    return tuple(filter(None, word))
 
 
 def trailing_zeros(word: tuple[int, ...]) -> int:

@@ -34,10 +34,10 @@ from functools import lru_cache
 from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
                         binomial_polynomial)
 from .combinat import compositions, tree_code_sum
-from .ncsf import (NcsfSeries, annihilate, graded_power, inverse_component,
-                   lagrange_transform, negate_alphabet, phi_k, right_divide,
-                   series_inverse, series_mul, series_power_binomial, sigma1,
-                   unit_series, zero_series)
+from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, graded_power,
+                   inverse_component, lagrange_transform, negate_alphabet,
+                   phi_k, right_divide, series_inverse, series_mul,
+                   series_power_binomial, sigma1, unit_series, zero_series)
 
 
 @lru_cache(maxsize=None)
@@ -208,10 +208,9 @@ def free_cumulant_equation_holds(order: int) -> bool:
 
 
 def gamma_t(order: int) -> NcsfSeries:
-    """The t-geode: exact right quotient (g^(t) - 1) / (sigma_1 - 1)."""
-    g = g_t(order + 1)
-    one = unit_series(POLYT_RING, order + 1)
-    return right_divide(g - one, sigma1(POLYT_RING, order + 1) - one)
+    """The t-geode (g^(t) - 1) / (sigma_1 - 1), computed as g^(t) S_1^{-1}:
+    the words of g^(t) - 1 that end in 1 are exactly gamma^(t) S_1."""
+    return annihilate(g_t(order + 1), 1)
 
 
 def theta_t(order: int) -> NcsfSeries:
@@ -252,17 +251,21 @@ def eta_t(order: int) -> NcsfSeries:
 
 def divisibility_check(k_max: int, order: int) -> list[dict]:
     """For k = 1..k_max, divide g^(k) - 1 by g^(k-1) - 1 and inspect the
-    quotient for nonnegative integer coefficients."""
+    quotient for nonnegative integer coefficients.  A level whose division
+    leaves a remainder reports ``divides`` False and no quotient."""
     reports = []
     gt = g_t(order + 1)
     for k in range(1, k_max + 1):
         gk = specialize_t(gt, k)
         gk_prev = specialize_t(gt, k - 1)
         one = unit_series(INT_RING, order + 1)
-        quotient = right_divide(gk - one, gk_prev - one)
-        nonneg = all(c >= 0 for comp in quotient.components for c in comp.values())
-        reports.append({"k": k, "order": quotient.order,
-                        "divides": True, "nonnegative": nonneg,
-                        "quotient": quotient})
+        try:
+            quotient = right_divide(gk - one, gk_prev - one)
+        except NotDivisibleError:
+            quotient = None
+        nonneg = quotient is not None and all(
+            c >= 0 for comp in quotient.components for c in comp.values())
+        reports.append({"k": k, "order": order, "divides": quotient is not None,
+                        "nonnegative": nonneg, "quotient": quotient})
     return reports
 

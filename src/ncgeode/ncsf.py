@@ -133,15 +133,6 @@ class NcsfSeries:
     def __sub__(self, other) -> "NcsfSeries":
         return self + (-other)
 
-    def __mul__(self, other) -> "NcsfSeries":
-        if isinstance(other, NcsfSeries):
-            return series_mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "NcsfSeries":
-        # scalar coefficients commute with basis words
-        return self.scale(other)
-
     def scale(self, c) -> "NcsfSeries":
         out = [{w: v * c for w, v in comp.items()} for comp in self.components]
         return NcsfSeries(self.ring, out, self.basis)

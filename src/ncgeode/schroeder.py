@@ -11,13 +11,15 @@ computed by three independent routes: a lifted two-series system with an
 explicit degree-0 placeholder letter, direct enumeration of prime trees, and
 a closed coefficient formula.
 
-Every word of the lifted system is a full tree code and carries a single
-unit monomial, so ``solve_xy_system`` keeps, per word, only the tuple of
-its chain lengths: products concatenate the tuples, on the same
-``ncsf.graded_power`` kernel as the integer series, and no ``EPoly`` is
-built before the projection.  The projection deletes the placeholder
-letters, sorts each chain tuple into its partition and adds up the
-monomials per word; it raises if a word's chains do not sum to its
+Every word of Y and G in the lifted system is a full tree code; a word of
+X lacks the final leaf (X_1 is the word (1, 0), a root of arity 2 with one
+child), and G = (1 + X) S0 is read off X by appending that leaf.  Each word
+carries a single unit monomial, so ``solve_xy_system`` keeps, per word,
+only the tuple of its chain lengths: products concatenate the tuples, on
+the same ``ncsf.graded_power`` kernel as the integer series, and no
+``EPoly`` is built before the projection.  The projection deletes the
+placeholder letters, sorts each chain tuple into its partition and adds up
+the monomials per word; it raises if a word's chains do not sum to its
 internal nodes below the root, the trace that two codes collided and their
 chains were concatenated.
 
@@ -43,7 +45,7 @@ from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
 from .ncsf import NcsfSeries, annihilate, graded_power
-from .combinat import compositions, tree_code_sum
+from .combinat import compositions, nonzero_letters, tree_code_sum
 
 
 def _arity(letter: int) -> int:
@@ -221,22 +223,29 @@ def prime_tree_weight(code: tuple[int, ...]) -> EPoly:
 # the lifted system
 #
 # The degree-0 placeholder letter (written 0 inside words) keeps track of the
-# final leaf of every subtree, so the words below are full tree codes:
+# final leaf of every subtree, so the words of Y and G are full tree codes
+# and an X word is one without its final leaf:
 #
 #   G = (1 + X) S0,   X = sum_{n>=1} S_n Y^n,   Y = S0 + sum_{n>=1} e_n X^n S0.
 
 
 @dataclass(frozen=True)
 class SystemState:
-    """The lifted system through ``order``: per degree, each word of X, Y
-    and G (a full tree code) maps to the chain lengths of its monomial."""
+    """The lifted system through ``order``: per degree, each word of X and
+    Y maps to the chain lengths of its monomial.  A Y word is a full tree
+    code, an X word a tree code without its final leaf; G is read off X."""
     order: int
     x: tuple[Mapping, ...]
     y: tuple[Mapping, ...]
-    g: tuple[Mapping, ...]
+
+    @property
+    def g(self) -> tuple[Mapping, ...]:
+        """G = (1 + X) S0: the X words with the placeholder appended, each
+        a full tree code with the chains of its X word."""
+        return (MappingProxyType({(0,): ()}),) + tuple(
+            MappingProxyType({w + (0,): c for w, c in comp.items()}) for comp in self.x[1:])
 
 
-@lru_cache(maxsize=None)
 def solve_xy_system(order: int) -> SystemState:
     """Solve the lifted system degree by degree.
 
@@ -244,11 +253,12 @@ def solve_xy_system(order: int) -> SystemState:
     interleave; the degree of a word is the sum of its letters, placeholder
     letters counting 0.
 
-    Every word is a full tree code and its coefficient is one unit monomial
-    e_lambda, so a word maps to the tuple of its chain lengths, unsorted.  A
-    product of words concatenates their tuples: ``graded_power`` runs with
-    tuple concatenation as the product and () as both one and zero, and the
-    Y step appends (m,) for e_m.  Two terms landing on one word would be
+    A Y word is a full tree code and an X word one without its final leaf;
+    either way its coefficient is one unit monomial e_lambda, so a word maps
+    to the tuple of its chain lengths, unsorted.  A product of words
+    concatenates their tuples: ``graded_power`` runs with tuple
+    concatenation as the product and () as both one and zero, and the Y
+    step appends (m,) for e_m.  Two terms landing on one word would be
     summed by concatenation as well, merging two monomials into one, so
     ``project_placeholder`` checks the chain sums and raises on such a
     collision.
@@ -271,11 +281,7 @@ def solve_xy_system(order: int) -> SystemState:
                 key = w + (0,)
                 yn[key] = yn.get(key, ()) + concat(c, em)
         y.append(yn)
-    g = [{(0,): ()}]
-    for n in range(1, order + 1):
-        g.append({w + (0,): c for w, c in x[n].items()})
-    # the state is cached, so callers get read-only components
-    return SystemState(order, *(tuple(map(MappingProxyType, comps)) for comps in (x, y, g)))
+    return SystemState(order, *(tuple(map(MappingProxyType, comps)) for comps in (x, y)))
 
 
 def chain_monomials(comp: Mapping) -> dict:
@@ -296,23 +302,19 @@ def _partition_counts(pairs: Counter) -> dict:
     return {word: EPoly(counts) for word, counts in weights.items()}
 
 
-def _letters(code: tuple[int, ...]) -> tuple[int, ...]:
-    """The word of a code with its placeholder letters deleted."""
-    return tuple(filter(None, code))
-
-
 def project_placeholder(graded) -> NcsfSeries:
-    """Set the placeholder letter to 1 in the G components of the lifted
-    system: delete zeros, merge words and add up their monomials.
+    """Set the placeholder letter to 1 in the X or G components of the
+    lifted system: delete zeros, merge words and add up their monomials.
 
-    G_0 = S0 gives the unit.  A word of G_n is an X word, whose chains are
-    those of the trees below its root; they sum to its nonzero letters
-    minus 1.  Any other sum means two words collided and their chains were
+    The degree-0 component is skipped and gives the unit.  A word of X_n
+    carries the chains of the trees below its root, and so does the word of
+    G_n that appends the placeholder to it; they sum to the word's nonzero
+    letters minus 1.  Any other sum means two words collided and their chains were
     concatenated, and raises ``ValueError``.
     """
     comps = [{(): EPoly.one()}]
     for comp in graded[1:]:
-        pairs = Counter(zip(map(_letters, comp), comp.values()))
+        pairs = Counter(zip(map(nonzero_letters, comp), comp.values()))
         for word, chains in pairs:
             if sum(chains) != len(word) - 1:
                 raise ValueError(f"the chains {chains} of a code of the word {word} "
@@ -336,7 +338,6 @@ def delta_e_coefficient(comp: tuple[int, ...]) -> EPoly:
     return tree_code_sum(comp, elementary_of_multiple, EPoly.one(), EPoly())
 
 
-@lru_cache(maxsize=None)
 def g_e(order: int, route: str = "delta") -> NcsfSeries:
     """The e-Lagrange series by any of its three constructions."""
     if route == "delta":
@@ -345,13 +346,13 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
             comps.append({I: delta_e_coefficient(I) for I in compositions(n)})
         return NcsfSeries(EPOLY_RING, comps)
     if route == "system":
-        return project_placeholder(solve_xy_system(order).g)
+        return project_placeholder(solve_xy_system(order).x)
     if route == "trees":
         comps = [{(): EPoly.one()}]
         for n in range(1, order + 1):
             # a prime tree weighs the chains of all but its root
             comps.append(_partition_counts(Counter(
-                (_letters(code), chains[:-1])
+                (nonzero_letters(code), chains[:-1])
                 for code, chains in prime_trees_with_chains(n))))
         return NcsfSeries(EPOLY_RING, comps)
     raise ValueError(f"unknown route {route!r}")

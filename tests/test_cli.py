@@ -3,9 +3,12 @@ import time
 
 import pytest
 
+from ncgeode import lagrange
 from ncgeode.cli import DIRECT_MAX_POWER, _refuse_order, count_trees, main
+from ncgeode.coeffring import INT_RING
 from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import g_t, geode, solve_g
+from ncgeode.ncsf import NotDivisibleError, sigma1, unit_series
 from ncgeode.render import series_from_json, series_to_json_dict
 from ncgeode.schroeder import enumerate_prime_schroeder, enumerate_schroeder, g_e
 
@@ -314,3 +317,22 @@ def test_usage_errors_exit_2(capsys):
     code = main(["trees", "--kind", "prime-schroeder", "--n", "0"])
     assert "at least 1" in capsys.readouterr().err
     assert code == 2
+
+
+def test_verify_reports_a_failed_division(capsys, monkeypatch):
+    # an integer divisor other than sigma_1 - 1 is one of the levels k >= 2
+    # of divisibility_check; the geode's division by sigma_1 - 1 and the
+    # step quotients over polynomials in t still divide
+    real = lagrange.right_divide
+
+    def refuse_levels_above_1(v, u):
+        if u.ring is INT_RING and u != sigma1(INT_RING, u.order) - unit_series(INT_RING, u.order):
+            raise NotDivisibleError("residual term at degree 2 does not end in 1")
+        return real(v, u)
+
+    monkeypatch.setattr(lagrange, "right_divide", refuse_levels_above_1)
+    code, out = run_cli(capsys, "verify", "--suite", "identities", "--degree", "5")
+    assert code == 1
+    assert "[FAIL] divisibility-nonnegative-quotients" in out
+    assert out.count("[FAIL]") == 1
+    assert out.rstrip().splitlines()[-1].startswith("overall: FAIL")

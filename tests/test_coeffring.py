@@ -59,6 +59,8 @@ def test_epoly_monomial_product():
     assert e1 * e1 == EPoly({(1, 1): 1})
     assert EPoly.e(2) * e1 == EPoly({(2, 1): 1})
     assert (e1 + 2) * (e1 - 2) == EPoly({(1, 1): 1, (): -4})
+    assert (EPoly.e(2) * 3) * (e1 * -2) == EPoly({(2, 1): -6})
+    assert EPoly() * e1 == e1 * EPoly() == EPoly()
 
 
 def test_epoly_normalization():

@@ -13,9 +13,11 @@ from ncgeode.lagrange import (delta_coefficient, divisibility_check,
                               k_lagrange_by_phi, k_lagrange_direct,
                               prime_series, solve_g, specialize_t,
                               substitute_t, theta_k_by_transform, theta_t)
-from ncgeode.ncsf import (annihilate, generator, series_mul, series_power,
-                          sigma1, unit_series, zero_series)
+from ncgeode.ncsf import (NotDivisibleError, annihilate, generator,
+                          right_divide, series_mul, series_power, sigma1,
+                          unit_series, zero_series)
 from ncgeode import fixtures as fx
+from ncgeode import lagrange
 
 
 def test_g_low_degrees():
@@ -182,6 +184,16 @@ def test_gamma_t_tables():
         assert gmt.component(n) == expected
 
 
+def test_gamma_t_equals_right_division_through_degree_8():
+    # the exact right quotient (g^(t) - 1) / (sigma_1 - 1) as the oracle
+    g = g_t(9)
+    one = unit_series(POLYT_RING, 9)
+    quotient = right_divide(g - one, sigma1(POLYT_RING, 9) - one)
+    assert quotient.order == 8
+    for n in range(9):
+        assert gamma_t(n) == quotient.truncate(n), n
+
+
 def test_gamma_t_specializes_to_geode():
     assert specialize_t(gamma_t(8), 1) == geode(8)
 
@@ -264,6 +276,17 @@ def test_divisibility_check():
     assert reports[0]["quotient"] == geode(5)
     # level 2 evaluates the step quotient at t=2
     assert reports[1]["quotient"].component(2) == {(2,): 2, (1, 1): 3}
+
+
+def test_divisibility_check_reports_a_remainder(monkeypatch):
+    def refuse(v, u):
+        raise NotDivisibleError("residual term at degree 2 does not end in 1")
+    monkeypatch.setattr(lagrange, "right_divide", refuse)
+    reports = divisibility_check(3, 5)
+    assert [r["k"] for r in reports] == [1, 2, 3]
+    for r in reports:
+        assert r["divides"] is False and r["quotient"] is None
+        assert not r["nonnegative"] and r["order"] == 5
 
 
 def test_positivity_of_hierarchy_series():

@@ -1,8 +1,10 @@
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
 from ncgeode.coeffring import EPoly, epoly_evaluate
 from ncgeode.lagrange import free_cumulant_routes, solve_g
-from ncgeode.schroeder import (chain_monomials, delta_e_coefficient,
+from ncgeode.schroeder import (SystemState, chain_monomials, delta_e_coefficient,
                                enumerate_prime_schroeder, enumerate_schroeder,
                                g_e, gamma_e, is_schroeder_code, prime_tree_weight,
                                prime_trees_with_chains, project_placeholder,
@@ -99,6 +101,28 @@ def test_cached_system_state_is_read_only():
     with pytest.raises(TypeError):
         state.g[1][(1, 0)] = EPoly()
     assert g_e(3, "system") == g_e(3, "trees")
+
+
+def test_system_g_is_read_off_x():
+    # G = (1 + X) S0: each X word, which lacks its final leaf, gets the
+    # placeholder appended; only X and Y are stored
+    assert [f.name for f in fields(SystemState)] == ["order", "x", "y"]
+    state = solve_xy_system(6)
+    assert state.x[1] == {(1, 0): ()}
+    assert len(state.g) == len(state.x) == 7
+    assert state.g[0] == {(0,): ()}
+    for n in range(1, 7):
+        assert state.g[n] == {w + (0,): c for w, c in state.x[n].items()}, n
+    with pytest.raises(TypeError):
+        state.g[6][(6, 0, 0, 0, 0, 0, 0, 0)] = ()
+    with pytest.raises(FrozenInstanceError):
+        state.g = ()
+
+
+def test_projection_of_x_equals_projection_of_g():
+    for order in range(1, 7):
+        state = solve_xy_system(order)
+        assert project_placeholder(state.x) == project_placeholder(state.g), order
 
 
 def test_system_y_equals_tree_enumeration():
