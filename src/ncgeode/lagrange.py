@@ -10,8 +10,12 @@ also obtained by annihilating g with any S_k^{-1}.
 
 Replacing the exponent m by k*m gives the k-Lagrange series; its coefficients
 are polynomials in k, which turns k into a formal indeterminate t.  One
-solver, ``k_lagrange_direct``, builds both over the integers degree by degree
-from ``ncsf.graded_power``; ``solve_g`` is its k = 1 case.  For a
+per-degree step reads each component off ``ncsf.graded_power``: the solver
+``k_lagrange_direct`` runs it from scratch for any k, and ``solve_g`` runs it
+at k = 1 on one grown g.  That g keeps its components and the memo of its
+powers for the life of the process, so each order costs only its new
+degrees; ``solve_g.cache_clear()`` empties the per-order cache but does not
+reset the grown g.  For a
 composition I of length p, the coefficient of S^I in the t-series is the sum
 over the codes a of plane trees with p nodes (letter sum p-1, every proper
 prefix of length j summing to at least j) of
@@ -34,16 +38,32 @@ from functools import lru_cache
 from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
                         binomial_polynomial)
 from .combinat import compositions, tree_code_sum
-from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, graded_power,
-                   inverse_component, lagrange_transform, negate_alphabet,
-                   phi_k, right_divide, series_inverse, series_mul,
-                   series_power_binomial, sigma1, unit_series, zero_series)
+from .ncsf import (NcsfSeries, NotDivisibleError, _conv_into, annihilate,
+                   graded_power, inverse_component, lagrange_transform,
+                   negate_alphabet, phi_k, right_divide, series_inverse,
+                   series_mul, series_power_binomial, sigma1, unit_series)
+
+
+# The Lagrange series as grown so far: its components and the graded_power
+# memo of its powers.  A memo entry of degree d reads only the components of
+# degree <= d, so it stays valid as g grows; both live as long as the process.
+_g: list[dict] = [{(): 1}]
+_g_powers: dict = {}
 
 
 @lru_cache(maxsize=None)
 def solve_g(order: int) -> NcsfSeries:
-    """Solve the defining equation of the Lagrange series over the integers."""
-    return k_lagrange_direct(1, order)
+    """Solve the defining equation of the Lagrange series over the integers.
+
+    g grows: its components and the memo of its powers are kept for the life
+    of the process, so ``solve_g(16)`` after ``solve_g(15)`` computes only
+    degree 16.  The returned series is a copy, so no caller reaches the grown
+    state, and ``cache_clear`` empties only the per-order cache, not the
+    grown state.
+    """
+    while len(_g) <= order:
+        _g.append(_lagrange_component(_g, 1, len(_g), _g_powers))
+    return NcsfSeries(INT_RING, _g[: order + 1])
 
 
 def g_from_trees(order: int) -> NcsfSeries:
@@ -157,19 +177,25 @@ def substitute_t(u: NcsfSeries, inner: PolyT) -> NcsfSeries:
 
 
 def k_lagrange_direct(k: int, order: int) -> NcsfSeries:
-    """Solve w = 1 + sum_m S_m w^{k m} degree by degree (k may be negative):
-    w_n = sum_m S_m (b^{|k| m})_{n-m} from ``graded_power``, where b is w for
-    k >= 0 and w^{-1}, grown one degree behind w, for k < 0."""
+    """Solve w = 1 + sum_m S_m w^{k m} degree by degree (k may be negative),
+    where b is w for k >= 0 and w^{-1}, grown one degree behind w, for k < 0
+    (see ``_lagrange_component``)."""
     comps: list[dict] = [{(): 1}]
     base = comps if k >= 0 else [{(): 1}]
     memo: dict = {}
     for n in range(1, order + 1):
         if k < 0 and n > 1:
             base.append(inverse_component(comps, base, n - 1, 0))
-        # the words of S_m w^{km} begin with m, so the terms never collide
-        comps.append({(m,) + w: c for m in range(1, n + 1)
-                      for w, c in graded_power(base, abs(k) * m, n - m, memo, 1, 0).items()})
+        comps.append(_lagrange_component(base, k, n, memo))
     return NcsfSeries(INT_RING, comps)
+
+
+def _lagrange_component(base: list, k: int, n: int, memo: dict) -> dict:
+    """w_n = sum_m S_m (b^{|k| m})_{n-m} from ``graded_power``; reads b only
+    through degree n - 1."""
+    # the words of S_m w^{km} begin with m, so the terms never collide
+    return {(m,) + w: c for m in range(1, n + 1)
+            for w, c in graded_power(base, abs(k) * m, n - m, memo, 1, 0).items()}
 
 
 def k_lagrange_by_phi(k: int, order: int) -> NcsfSeries:
@@ -193,18 +219,21 @@ def free_cumulants(order: int) -> NcsfSeries:
 
 
 def free_cumulant_equation_holds(order: int) -> bool:
-    """Check sigma_1 = sum_n K_n sigma_1^n through the given degree."""
+    """Check sigma_1 = sum_n K_n sigma_1^n through the given degree.
+
+    K_n sigma_1^n through degree ``order`` reads sigma_1^n only through
+    degree order - n, so each power is a product of truncations.
+    """
     K = free_cumulants(order)
     sig = sigma1(INT_RING, order)
-    acc = zero_series(INT_RING, order)
+    acc = [dict() for _ in range(order + 1)]
     sig_pow = unit_series(INT_RING, order)
     for n in range(order + 1):
-        kn = [dict() for _ in range(order + 1)]
-        kn[n] = K.components[n].copy()
-        acc = acc + series_mul(NcsfSeries(INT_RING, kn), sig_pow)
-        if n < order:
-            sig_pow = series_mul(sig_pow, sig)
-    return acc == sig
+        if n:
+            sig_pow = series_mul(sig_pow, sig.truncate(order - n))
+        for j, comp in enumerate(sig_pow.components):
+            _conv_into(acc[n + j], K.components[n], comp, 0)
+    return NcsfSeries(INT_RING, acc) == sig
 
 
 def gamma_t(order: int) -> NcsfSeries:

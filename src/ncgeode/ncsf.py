@@ -26,8 +26,13 @@ e-system runs it on plain tuples of chain lengths, whose product is
 concatenation.  Chained ``series_mul`` products stay where they serve as a
 check or cost less memory: ``series_power`` is the repeated-product
 reference of the tests, the defining-equation checks of ``verify`` exercise
-the product kernel, and ``series_power_binomial`` would gain little on
+the product kernel on truncations (each power only through the degrees its
+term reads), and ``series_power_binomial`` would gain little on
 ``graded_power`` while its memo held every (u-1)^j.
+
+``map_words`` is the one linear word map, for basis changes and algebra
+morphisms.  Annihilation in the S and R bases and ``phi_k`` send each output
+word back to exactly one input word, so they filter the components directly.
 """
 
 from __future__ import annotations
@@ -341,8 +346,10 @@ def annihilate(u: NcsfSeries, n: int) -> NcsfSeries:
     """Right annihilation by S_n^{-1}; the grading drops by n.
 
     In the S and R bases a word ending in the part n loses that part and any
-    other word dies.  In the L basis, defined for n = 1 only, the last part
-    decrements and is dropped when it reaches zero.
+    other word dies.  Each output word then has exactly one preimage, so the
+    degree-d component is read off the degree-(d + n) component directly.
+    In the L basis, defined for n = 1 only, the last part decrements and is
+    dropped when it reaches zero, a linear map through ``map_words``.
     """
     if n < 1:
         raise ValueError("annihilation index must be positive")
@@ -355,10 +362,10 @@ def annihilate(u: NcsfSeries, n: int) -> NcsfSeries:
             if not word:
                 return ()
             return ((word[:-1] + (word[-1] - 1,) if word[-1] > 1 else word[:-1], 1),)
-    else:
-        def image(word):
-            return ((word[:-1], 1),) if word and word[-1] == n else ()
-    return map_words(u, image, u.order - n, u.basis)
+        return map_words(u, image, u.order - n, u.basis)
+    # a word of degree d + n >= 1 is never empty
+    return NcsfSeries(u.ring, [{w[:-1]: c for w, c in comp.items() if w[-1] == n}
+                               for comp in u.components[n:]], u.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +404,10 @@ def phi_k(u: NcsfSeries, k: int) -> NcsfSeries:
         raise ValueError("phi_k acts on the S basis")
     if k < 1:
         raise ValueError("k must be positive")
-
-    def image(word):
-        if sum(word) % k or any(p % k for p in word):
-            return ()
-        return ((tuple(p // k for p in word), 1),)
-    return map_words(u, image, u.order // k)
+    # each output word has one preimage, in the component of k times its degree
+    return NcsfSeries(u.ring, [{tuple(p // k for p in w): c for w, c in comp.items()
+                                if not any(p % k for p in w)}
+                               for comp in u.components[::k]])
 
 
 def lagrange_transform(g: NcsfSeries, u: NcsfSeries) -> NcsfSeries:

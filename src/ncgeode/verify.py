@@ -189,13 +189,16 @@ def identities_suite(degree: int) -> Report:
     d = degree
 
     g = solve_g(d)
-    from .ncsf import generator, sigma1, unit_series, zero_series
-    acc = zero_series(INT_RING, d)
+    from .ncsf import sigma1, unit_series
+    # S_m g^m through degree d reads g^m only through degree d - m; its words
+    # are those of g^m with the prefix m, so no two terms collide
+    acc = [dict() for _ in range(d + 1)]
     gm = unit_series(INT_RING, d)
     for m in range(1, d + 1):
-        gm = series_mul(gm, g)
-        acc = acc + series_mul(generator(INT_RING, m, d), gm)
-    rep.add("defining-equation", acc == g - unit_series(INT_RING, d),
+        gm = series_mul(gm, g.truncate(d - m))
+        for n, comp in enumerate(gm.components):
+            acc[m + n].update(((m,) + w, c) for w, c in comp.items())
+    rep.add("defining-equation", NcsfSeries(INT_RING, acc) == g - unit_series(INT_RING, d),
             "g - 1 must equal sum_m S_m g^m")
 
     kmax = min(4, d)

@@ -3,12 +3,12 @@ import time
 
 import pytest
 
-from ncgeode import lagrange
+from ncgeode import lagrange, verify
 from ncgeode.cli import DIRECT_MAX_POWER, _refuse_order, count_trees, main
 from ncgeode.coeffring import INT_RING
 from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import g_t, geode, solve_g
-from ncgeode.ncsf import NotDivisibleError, sigma1, unit_series
+from ncgeode.ncsf import NcsfSeries, NotDivisibleError, sigma1, unit_series
 from ncgeode.render import series_from_json, series_to_json_dict
 from ncgeode.schroeder import enumerate_prime_schroeder, enumerate_schroeder, g_e
 
@@ -317,6 +317,33 @@ def test_usage_errors_exit_2(capsys):
     code = main(["trees", "--kind", "prime-schroeder", "--n", "0"])
     assert "at least 1" in capsys.readouterr().err
     assert code == 2
+
+
+def perturbed(series, degree):
+    """``series`` with the coefficient of S_degree raised by one."""
+    comps = [c.copy() for c in series.components]
+    comps[degree][(degree,)] = comps[degree].get((degree,), 0) + 1
+    return NcsfSeries(series.ring, comps)
+
+
+@pytest.mark.parametrize("degree", [6, 1])
+def test_verify_catches_a_wrong_g_coefficient(capsys, monkeypatch, degree):
+    real = verify.solve_g
+    monkeypatch.setattr(verify, "solve_g", lambda order: perturbed(real(order), degree))
+    code, out = run_cli(capsys, "verify", "--suite", "identities", "--degree", "6")
+    assert code == 1
+    assert "[FAIL] defining-equation" in out
+
+
+@pytest.mark.parametrize("degree", [6, 1])
+def test_verify_catches_a_wrong_free_cumulant(capsys, monkeypatch, degree):
+    real = lagrange.free_cumulants
+    monkeypatch.setattr(lagrange, "free_cumulants",
+                        lambda order: perturbed(real(order), degree))
+    code, out = run_cli(capsys, "verify", "--suite", "identities", "--degree", "6")
+    assert code == 1
+    assert "[FAIL] free-cumulant-defining-equation" in out
+    assert out.count("[FAIL]") == 1
 
 
 def test_verify_reports_a_failed_division(capsys, monkeypatch):

@@ -131,6 +131,29 @@ def test_cached_series_are_read_only():
     assert geode(3).coefficient(()) == 1
 
 
+def test_grown_g_is_the_same_in_any_request_order(monkeypatch):
+    # start from an ungrown g, whatever earlier tests asked for
+    monkeypatch.setattr(lagrange, "_g", [{(): 1}])
+    monkeypatch.setattr(lagrange, "_g_powers", {})
+    solve_g.cache_clear()
+    trees = g_from_trees(8)
+    orders = (9, 4, 14, 6, 12)
+    try:
+        for n in orders:
+            g = solve_g(n)
+            assert g == k_lagrange_direct(1, n)
+            assert g.truncate(min(n, 8)) == trees.truncate(min(n, 8))
+            with pytest.raises(TypeError):
+                g.components[n][(n,)] = 7
+            # g grew to the highest order asked for, and was never rebuilt
+            assert len(lagrange._g) == max(orders[: orders.index(n) + 1]) + 1
+        solve_g.cache_clear()
+        for n in orders:
+            assert solve_g(n) == k_lagrange_direct(1, n)
+    finally:
+        solve_g.cache_clear()
+
+
 def test_cached_polyt_coefficients_are_read_only():
     coeff = g_t(3).components[2][(1, 1)]
     with pytest.raises(AttributeError):

@@ -13,9 +13,9 @@ from ncgeode.coeffring import (INT_RING, EPoly, PolyT, _polyt_from_json,
 from ncgeode.combinat import compositions
 from ncgeode.gfseries import PowerSeries
 from ncgeode.render import polyt_str
-from ncgeode.ncsf import (NcsfSeries, convert_basis, graded_power,
-                          lagrange_transform, negate_alphabet, series_mul,
-                          series_power)
+from ncgeode.ncsf import (NcsfSeries, annihilate, convert_basis, graded_power,
+                          lagrange_transform, map_words, negate_alphabet,
+                          phi_k, series_mul, series_power)
 
 COEFF = st.integers(-3, 3)
 
@@ -72,6 +72,40 @@ def test_graded_power_matches_series_power(u):
         for d in range(u.order + 1):
             comp = graded_power(u.components, m, d, memo, 1, 0)
             assert {w: c for w, c in comp.items() if c} == power.components[d]
+
+
+@st.composite
+def sparse_series(draw, order, basis):
+    """A random subset of the words of each degree, so some components are
+    empty and some words end in any given part."""
+    comps = [{w: draw(COEFF) for w in draw(st.lists(st.sampled_from(compositions(n)),
+                                                    unique=True))}
+             for n in range(order + 1)]
+    return NcsfSeries(INT_RING, comps, basis)
+
+
+def annihilate_by_word_map(u, n):
+    """S_n^{-1} annihilation in the S or R basis as a word map."""
+    return map_words(u, lambda w: ((w[:-1], 1),) if w and w[-1] == n else (),
+                     u.order - n, u.basis)
+
+
+def phi_k_by_word_map(u, k):
+    return map_words(u, lambda w: () if sum(w) % k or any(p % k for p in w)
+                     else ((tuple(p // k for p in w), 1),), u.order // k)
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(0, 3), st.sampled_from(("S", "R")), st.data())
+def test_annihilation_matches_word_map(n, extra, basis, data):
+    u = data.draw(sparse_series(n + extra, basis))
+    assert annihilate(u, n) == annihilate_by_word_map(u, n)
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(0, 7).flatmap(lambda order: sparse_series(order, "S")))
+def test_phi_k_matches_word_map(k, u):
+    assert phi_k(u, k) == phi_k_by_word_map(u, k)
 
 
 PARTITION = st.lists(st.integers(1, 3), max_size=3).map(lambda p: tuple(sorted(p, reverse=True)))
