@@ -4,6 +4,9 @@ Plane rooted trees are handled purely through their Polish codes: the word of
 node arities in prefix order.  A tree with n edges has a code of length n+1,
 letter sum n, and every proper prefix sum of length j is at least j (the
 Lukasiewicz condition).  All tree operations here are word rewrites.
+
+The one walk over a tree code, ``_subtree_end``, serves plane trees and the
+Schroeder trees of ``schroeder`` alike; each family passes its letter arity.
 """
 
 from __future__ import annotations
@@ -107,40 +110,72 @@ def conjugate(comp: tuple[int, ...]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Lukasiewicz words / plane tree codes
 
+def _subtree_end(code: tuple[int, ...], start: int, arity) -> Optional[int]:
+    """The end of the subtree whose code begins at ``start``: the one walk
+    over a tree code, for every family.  A letter x heads a node of
+    ``arity(x)`` children, so it adds arity(x) - 1 to the count of subtrees
+    still to read, which starts at 1 and reaches 0 at the end.  None if the
+    code ends first or a letter is negative.
+    """
+    need, pos = 1, start
+    while need:
+        if pos == len(code) or code[pos] < 0:
+            return None
+        need += arity(code[pos]) - 1
+        pos += 1
+    return pos
+
+
+def _is_tree_code(code: tuple[int, ...], arity) -> bool:
+    """Whether the whole of ``code`` is the code of one tree."""
+    return bool(code) and _subtree_end(code, 0, arity) == len(code)
+
+
+def _root_children(code: tuple[int, ...], arity, family: str) -> list[tuple[int, ...]]:
+    """Split a tree code into the codes of the root's child subtrees."""
+    if not _is_tree_code(code, arity):
+        raise ValueError(f"not a {family} code: {code}")
+    children, start = [], 1
+    for _ in range(arity(code[0])):
+        end = _subtree_end(code, start, arity)
+        children.append(code[start:end])
+        start = end
+    return children
+
+
+def _plane_arity(letter: int) -> int:
+    return letter
+
+
 def is_lukasiewicz(word: tuple[int, ...]) -> bool:
     """Check the code of a plane tree: sum n, length n+1, prefix dominance."""
-    if not word:
-        return False
-    n = len(word) - 1
-    if sum(word) != n or any(x < 0 for x in word):
-        return False
-    s = 0
-    for j in range(n):
-        s += word[j]
-        if s < j + 1:
-            return False
-    return True
+    return _is_tree_code(word, _plane_arity)
 
 
 def iter_lukasiewicz(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield all plane tree codes of size n in decreasing lexicographic order."""
-    length = n + 1
+    """Yield all plane tree codes of size n in decreasing lexicographic order.
 
-    def rec(prefix, ssum):
-        pos = len(prefix)
-        if pos == length:
-            yield tuple(prefix)
+    An odometer: the largest completion of a prefix gives its next letter
+    all of the remaining sum and zeros after it.  The next code lowers by one
+    the last letter that can drop while its proper prefix still sums to at
+    least its length, and completes that prefix again.
+    """
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    code: list[int] = []
+    while True:
+        code.append(n - sum(code))
+        code.extend([0] * (n + 1 - len(code)))
+        yield tuple(code)
+        # the final letter is 0; the prefix through i sums to n - tail
+        i, tail = n - 1, 0
+        while i >= 0 and not (code[i] and n - tail >= i + 2):
+            tail += code[i]
+            i -= 1
+        if i < 0:
             return
-        rem = n - ssum
-        for letter in range(rem, -1, -1):
-            # prefix-dominance must hold for every proper prefix
-            if pos < length - 1 and ssum + letter < pos + 1:
-                continue
-            prefix.append(letter)
-            yield from rec(prefix, ssum + letter)
-            prefix.pop()
-
-    yield from rec([], 0)
+        del code[i + 1:]
+        code[i] -= 1
 
 
 def enumerate_lukasiewicz(n: int) -> list[tuple[int, ...]]:
@@ -291,15 +326,7 @@ def shift_words(code: tuple[int, ...]) -> list[tuple[int, ...]]:
     nondecreasing word on the alphabet {1, ..., n}.
     """
     n = len(code) - 1
-    z = trailing_zeros(code)
-    out = []
-    for s in range(z):
-        vec = (0,) * s + code[: n - s]
-        word = []
-        for letter, mult in enumerate(vec, start=1):
-            word.extend([letter] * mult)
-        out.append(tuple(word))
-    return out
+    return [code_to_ndpf((0,) * s + code[: n - s]) for s in range(trailing_zeros(code))]
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +396,4 @@ def count_parking_quasi_ribbons(shape: tuple[int, ...]) -> int:
 
 def lukasiewicz_root_children(code: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Split a plane tree code into the codes of the root's child subtrees."""
-    if not is_lukasiewicz(code):
-        raise ValueError(f"not a plane tree code: {code}")
-    arity = code[0]
-    children = []
-    pos = 1
-    for _ in range(arity):
-        need = 1
-        start = pos
-        while need:
-            need += code[pos] - 1
-            pos += 1
-        children.append(code[start:pos])
-    return children
+    return _root_children(code, _plane_arity, "plane tree")

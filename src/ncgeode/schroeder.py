@@ -2,7 +2,8 @@
 
 A Schroeder tree of size n has n+1 leaves and internal nodes of arity at
 least 2.  Its code reads the tree in prefix order, writing 0 for a leaf and
-the label i for an internal node of arity i+1; the labels sum to n.
+the label i for an internal node of arity i+1; the labels sum to n.  Codes
+are checked and split by the tree-code walk of ``combinat``.
 
 The e-Lagrange series attaches to each tree a monomial in the commuting
 generators e_k: the partition recording the lengths of the maximal chains of
@@ -23,8 +24,9 @@ the monomials per word; it raises if a word's chains do not sum to its
 internal nodes below the root, the trace that two codes collided and their
 chains were concatenated.
 
-The trees route never re-parses a code.  ``trees_with_chains`` builds every
-tree bottom-up together with its chain lengths: a tree with root label r
+Neither the enumeration nor the trees route parses a code.  Both read
+``_grown_trees``, which builds every tree bottom-up with its chain lengths
+from the smaller trees of ``trees_with_chains``.  A tree with root label r
 over the subtrees t_0, ..., t_r keeps all chains of t_0, ..., t_{r-1} and
 the chains of t_r except its root chain, which grows by one (a leaf t_r
 starts a new chain of length 1 at the root).  A prime tree is root r, then
@@ -45,7 +47,8 @@ from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
 from .ncsf import NcsfSeries, annihilate, graded_power
-from .combinat import compositions, nonzero_letters, tree_code_sum
+from .combinat import (_is_tree_code, _root_children, compositions, nonzero_letters,
+                       tree_code_sum)
 
 
 def _arity(letter: int) -> int:
@@ -53,15 +56,9 @@ def _arity(letter: int) -> int:
 
 
 def is_schroeder_code(word: tuple[int, ...]) -> bool:
-    need = 1
-    for letter in word:
-        if need == 0:
-            return False
-        need += _arity(letter) - 1
-    return need == 0
+    return _is_tree_code(word, _arity)
 
 
-@lru_cache(maxsize=None)
 def enumerate_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
     """Codes of all Schroeder trees of size n, in decreasing lexicographic
     order; a leaf alone is the unique tree of size 0."""
@@ -69,14 +66,7 @@ def enumerate_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("size must be nonnegative")
     if n == 0:
         return ((0,),)
-    out = []
-    for root in range(1, n + 1):
-        arity = root + 1
-        for split in _weak_compositions(n - root, arity):
-            for kids in product(*(enumerate_schroeder(s) for s in split)):
-                out.append((root,) + tuple(x for kid in kids for x in kid))
-    out.sort(reverse=True)
-    return tuple(out)
+    return _sorted_codes(_grown_trees(n, prime=False))
 
 
 def _weak_compositions(total: int, parts: int):
@@ -89,12 +79,16 @@ def _weak_compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _sorted_codes(trees) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted((code for code, _ in trees), reverse=True))
+
+
 def enumerate_prime_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
     """Schroeder trees whose root's rightmost subtree is a leaf, in
     decreasing lexicographic order."""
     if n < 1:
         raise ValueError("size must be at least 1")
-    return tuple(sorted((code for code, _ in prime_trees_with_chains(n)), reverse=True))
+    return _sorted_codes(prime_trees_with_chains(n))
 
 
 @lru_cache(maxsize=None)
@@ -147,18 +141,7 @@ def _grown_trees(n: int, prime: bool):
 
 def root_children(code: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Split a Schroeder code into the codes of the root's child subtrees."""
-    if not is_schroeder_code(code):
-        raise ValueError(f"not a Schroeder tree code: {code}")
-    children = []
-    pos = 1
-    for _ in range(_arity(code[0])):
-        need = 1
-        start = pos
-        while need:
-            need += _arity(code[pos]) - 1
-            pos += 1
-        children.append(code[start:pos])
-    return children
+    return _root_children(code, _arity, "Schroeder tree")
 
 
 def _parse(code: tuple[int, ...], pos: int = 0):

@@ -102,29 +102,15 @@ def paper_suite(degree: int) -> Report:
     ok, why = _series_matches_table(gmt, fx.GAMMA_T_TABLE, dmax)
     rep.add("table-gamma-t", ok, why)
 
-    tht = theta_t(max(dmax, 4))
-    ok, why = _series_matches_table(tht, {n: t for n, t in fx.THETA_T_TABLE.items() if n <= 3}, dmax)
-    rep.add("table-theta-t-low", ok, why)
-    if dmax >= 4:
-        ok, why = _series_matches_table(tht, {4: fx.THETA_T_TABLE[4]}, 4)
-        rep.add("table-theta-t-4", ok, why,
-                deviation=fx.DOCUMENTED_DEVIATIONS["table-theta-t-4"])
-
-    ht = h_t(max(dmax, 4))
-    ok, why = _series_matches_table(ht, {n: t for n, t in fx.H_T_TABLE.items() if n <= 3}, dmax)
-    rep.add("table-h-t-low", ok, why)
-    if dmax >= 4:
-        ok, why = _series_matches_table(ht, {4: fx.H_T_TABLE[4]}, 4)
-        rep.add("table-h-t-4", ok, why,
-                deviation=fx.DOCUMENTED_DEVIATIONS["table-h-t-4"])
-
-    et = eta_t(max(dmax, 4))
-    ok, why = _series_matches_table(et, {n: t for n, t in fx.ETA_T_TABLE.items() if n <= 3}, dmax)
-    rep.add("table-eta-t-low", ok, why)
-    if dmax >= 4:
-        ok, why = _series_matches_table(et, {4: fx.ETA_T_TABLE[4]}, 4)
-        rep.add("table-eta-t-4", ok, why,
-                deviation=fx.DOCUMENTED_DEVIATIONS["table-eta-t-4"])
+    for name, maker, table in (("theta", theta_t, fx.THETA_T_TABLE),
+                               ("h", h_t, fx.H_T_TABLE), ("eta", eta_t, fx.ETA_T_TABLE)):
+        series = maker(max(dmax, 4))
+        ok, why = _series_matches_table(series, {n: t for n, t in table.items() if n <= 3}, dmax)
+        rep.add(f"table-{name}-t-low", ok, why)
+        if dmax >= 4:
+            ok, why = _series_matches_table(series, {4: table[4]}, 4)
+            rep.add(f"table-{name}-t-4", ok, why,
+                    deviation=fx.DOCUMENTED_DEVIATIONS[f"table-{name}-t-4"])
 
     rep.add("delta-coefficient-211",
             delta_coefficient((2, 1, 1)) == fx.DELTA_211,
@@ -139,7 +125,7 @@ def paper_suite(degree: int) -> Report:
     ok, why = _series_matches_table(gme, fx.GAMMA_E_TABLE, dmax)
     rep.add("table-e-geode", ok, why)
 
-    K = free_cumulant_routes(3)["t-specialization"]
+    K = specialize_t(g_t(3), -1)
     ok, why = _series_matches_table(K, fx.FREE_CUMULANTS_LOW, 3)
     rep.add("free-cumulants-low-degrees", ok, why)
 
@@ -248,7 +234,7 @@ def identities_suite(degree: int) -> Report:
             gamma_e(ke, 1) == gamma_e(ke, 2) == gamma_e(ke, 3))
     sign_spec = g_e(de).map_coefficients(lambda c: epoly_evaluate(c, "sign"), INT_RING)
     rep.add("e-series-at-sign-is-free-cumulants",
-            sign_spec == free_cumulant_routes(de)["t-specialization"])
+            sign_spec == specialize_t(g_t(de), -1))
 
     # conjugation/sign identity, specific to the Lagrange series
     from .combinat import compositions, conjugate

@@ -62,6 +62,10 @@ def test_enumerate_lukasiewicz_examples():
 def test_lukasiewicz_counts_are_catalan():
     for n in range(0, 13):
         assert sum(1 for _ in iter_lukasiewicz(n)) == catalan(n)
+    # lazy: the first of Catalan(40) codes comes without the others
+    assert next(iter_lukasiewicz(40)) == (40,) + (0,) * 40
+    with pytest.raises(ValueError):
+        enumerate_lukasiewicz(-1)
 
 
 def test_lukasiewicz_validity_and_order():

@@ -39,6 +39,7 @@ CASES = {
     "eseries_g_4.txt": ["eseries", "--series", "g", "--degree", "4"],
     "eseries_gamma_4.txt": ["eseries", "--series", "gamma", "--degree", "4"],
     "trees_lukasiewicz_3.txt": ["trees", "--kind", "lukasiewicz", "--n", "3"],
+    "trees_schroeder_3.txt": ["trees", "--kind", "schroeder", "--n", "3"],
     "trees_prime_schroeder_3.txt": ["trees", "--kind", "prime-schroeder",
                                     "--n", "3"],
     "trees_pqr_31.txt": ["trees", "--kind", "pqr", "--shape", "3,1"],

@@ -3,6 +3,8 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 
 from ncgeode.coeffring import EPoly, epoly_evaluate
+from ncgeode.combinat import (enumerate_lukasiewicz, is_lukasiewicz,
+                              lukasiewicz_root_children)
 from ncgeode.lagrange import free_cumulant_routes, solve_g
 from ncgeode.schroeder import (SystemState, chain_monomials, delta_e_coefficient,
                                enumerate_prime_schroeder, enumerate_schroeder,
@@ -19,6 +21,8 @@ def test_enumerate_schroeder_counts():
     assert [len(enumerate_schroeder(n)) for n in range(1, 7)] == LITTLE_SCHROEDER
     assert enumerate_schroeder(0) == ((0,),)
     assert enumerate_schroeder(1) == ((1, 0, 0),)
+    with pytest.raises(ValueError):
+        enumerate_schroeder(-1)
 
 
 def test_schroeder_codes_are_valid_and_sorted():
@@ -71,6 +75,40 @@ def test_root_children():
     assert root_children((0,)) == []
     with pytest.raises(ValueError):
         root_children((2, 0, 0))
+
+
+def test_negative_letters_are_rejected():
+    # a negative letter would count as a leaf if only its arity were read
+    assert not is_schroeder_code((-1,))
+    assert not is_schroeder_code((1, -1, 0))
+    assert not is_lukasiewicz((1, -1, 1, 0))
+    for split in (root_children, right_branch_partition):
+        with pytest.raises(ValueError):
+            split((1, -1, 0))
+    with pytest.raises(ValueError):
+        lukasiewicz_root_children((1, -1, 1, 0))
+
+
+FAMILIES = {
+    "plane": (enumerate_lukasiewicz, is_lukasiewicz, lukasiewicz_root_children,
+              lambda letter: letter),
+    "schroeder": (enumerate_schroeder, is_schroeder_code, root_children,
+                  lambda letter: letter + 1 if letter else 0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_tree_codes_split_and_extend_by_family(family):
+    enumerate_codes, is_code, children_of, arity = FAMILIES[family]
+    for n in range(7):
+        for code in enumerate_codes(n):
+            assert is_code(code)
+            assert not any(is_code(code[:j]) for j in range(len(code))), code
+            assert not any(is_code(code + (x,)) for x in range(-1, n + 2)), code
+            kids = children_of(code)
+            assert tuple(x for kid in kids for x in kid) == code[1:]
+            assert all(is_code(kid) for kid in kids)
+            assert len(kids) == arity(code[0])
 
 
 def test_right_branch_partition_examples():
