@@ -168,7 +168,8 @@ def cmd_klagrange(args, out) -> int:
 
 def cmd_eseries(args, out) -> int:
     from .schroeder import gamma_e
-    # gamma^[e] through degree n is read off g^[e] through n + 1
+    # gamma^[e] through degree n counts as g^[e] through n + 1, whose
+    # annihilation by S_1 it is
     order = args.degree + (args.series == "gamma")
     if _refuse_order(order, f"--series {args.series} --degree {args.degree}"):
         return 2

@@ -7,6 +7,9 @@ Lukasiewicz condition).  All tree operations here are word rewrites.
 
 The one walk over a tree code, ``_subtree_end``, serves plane trees and the
 Schroeder trees of ``schroeder`` alike; each family passes its letter arity.
+Sums over plane tree codes weighted by a composition are a DP over the
+running letter sum: ``tree_code_sum`` for one composition,
+``tree_code_prefix_sums`` for all of them over one walk of their prefixes.
 """
 
 from __future__ import annotations
@@ -200,6 +203,9 @@ def tree_code_sum(comp: tuple[int, ...], factor, one, zero):
     answer is the entry s = p - 1 after p - 1 letters, for at most
     p^3 / 6 ring products instead of Catalan(p - 1) * (p - 1).
     ``factor(0, i)`` must be ``one``; those products are skipped.
+
+    This is the sum for one composition.  ``tree_code_prefix_sums`` runs
+    the same DP for all compositions at once, sharing each prefix.
     """
     n = len(comp) - 1
     if n <= 0:
@@ -219,6 +225,62 @@ def tree_code_sum(comp: tuple[int, ...], factor, one, zero):
                 new[s + a] = new[s + a] + v * factors[a]
         vec = new
     return vec[n]
+
+
+def tree_code_prefix_sums(n: int, factor, one, zero, first=None) -> list[dict]:
+    """``tree_code_sum`` of every composition (I, x) with |I| <= n, read off
+    one depth-first walk over the trie of the prefixes I.
+
+    The last part x carries no factor, so the sum of (I, x) is the same for
+    every x >= 1: it is the entry s = len(I) of the DP vector at the prefix
+    I, and the walk returns it as ``sums[|I|][I]``.  A child I + (x,) applies
+    one more letter to its parent's vector, so each prefix costs one DP step
+    instead of one DP per composition.  The walk serves every size through
+    n + 1, so at the prefix I of length j the running sum is capped at
+    j + n - |I|: the longest composition through I has length j + 1 + n - |I|
+    and ends at sum one less.
+
+    ``first(a, i)``, if given, replaces ``factor`` at the first letter.  A
+    prefix whose vector is zero is left out, with every prefix below it:
+    their sums are zero.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    tables = {i: [factor(a, i) for a in range(n + 1)] for i in range(1, n + 1)}
+    first_tables = tables if first is None else \
+        {i: [first(a, i) for a in range(n + 1)] for i in range(1, n + 1)}
+    sums: list[dict] = [{} for _ in range(n + 1)]
+
+    def walk(prefix, total, vec, children):
+        j = len(prefix)
+        sums[total][prefix] = vec[j]
+        for x in range(1, n - total + 1):
+            f = children[x]
+            cap = j + 2 + n - total - x
+            new = [zero] * cap
+            # vec[s] with s >= j is all that a prefix of length j keeps
+            for s in range(j, min(len(vec), cap)):
+                v = vec[s]
+                if not v:
+                    continue
+                if s > j:
+                    new[s] = new[s] + v          # letter 0, whose factor is one
+                for a in range(max(j + 1 - s, 1), cap - s):
+                    new[s + a] = new[s + a] + v * f[a]
+            if any(new):
+                walk(prefix + (x,), total + x, new, tables)
+
+    walk((), 0, [one], first_tables)
+    return sums
+
+
+def with_last_part(prefix_sums, order: int, constant: dict) -> list[dict]:
+    """Components through ``order`` whose coefficient at (I, x) is
+    ``prefix_sums[|I|][I]`` for every last part x >= 1, after the degree-0
+    component ``constant``: the series of ``tree_code_sum`` read off
+    ``tree_code_prefix_sums``."""
+    return [constant] + [{I + (d - e,): c for e in range(d) for I, c in prefix_sums[e].items()}
+                         for d in range(1, order + 1)]
 
 
 def nonzero_letters(word: tuple[int, ...]) -> tuple[int, ...]:

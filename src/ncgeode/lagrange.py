@@ -22,12 +22,17 @@ prefix of length j summing to at least j) of
 
     C(t*i_1, a_1) C(t*i_2, a_2) ... C(t*i_{p-1}, a_{p-1}),
 
-the last code letter being always zero.  delta_coefficient does not list the
-Catalan(p-1) codes: since the condition on a code only involves its running
-letter sum, combinat.tree_code_sum carries, letter by letter, the summed
-products of all admissible prefixes with each prefix sum s, and reads the
-answer off at s = p-1 after p-1 letters.  Specializing t to -1 gives free
-cumulants.
+the last code letter being always zero.  No code is listed: since the
+condition on a code only involves its running letter sum, a DP carries,
+letter by letter, the summed products of all admissible prefixes with each
+prefix sum s.  ``delta_coefficient`` runs it for one composition
+(``combinat.tree_code_sum``).  The series run it once for all of them
+(``combinat.tree_code_prefix_sums``): compositions with a common prefix
+share its DP vector, and since the last part carries no factor, S^(I, x) has
+the same coefficient for every x >= 1, which is the coefficient of S^I in
+the t-geode.  So ``gamma_t`` is read off the prefixes, ``g_t`` appends every
+last part to them, and ``h_t`` runs the same walk with the first factor
+C(t*(i_1 - 1), a_1).  Specializing t to -1 gives free cumulants.
 """
 
 from __future__ import annotations
@@ -37,11 +42,11 @@ from functools import lru_cache
 
 from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
                         binomial_polynomial)
-from .combinat import compositions, tree_code_sum
+from .combinat import tree_code_prefix_sums, tree_code_sum, with_last_part
 from .ncsf import (NcsfSeries, NotDivisibleError, _conv_into, annihilate,
                    graded_power, inverse_component, lagrange_transform,
                    negate_alphabet, phi_k, right_divide, series_inverse,
-                   series_mul, series_power_binomial, sigma1, unit_series)
+                   series_mul, sigma1, unit_series)
 
 
 # The Lagrange series as grown so far: its components and the graded_power
@@ -150,13 +155,22 @@ def delta_coefficient(comp: tuple[int, ...]) -> PolyT:
                          POLYT_ONE, POLYT_ZERO)
 
 
+def _t_prefix_sums(n: int, first_shift: int = 0) -> list[dict]:
+    """The coefficient of S^(I, x), the same for every x >= 1, at each
+    prefix |I| <= n: ``combinat.tree_code_prefix_sums`` with the factors
+    C(t*i, a), the first one C(t*(i - first_shift), a)."""
+    first = (lambda a, i: binomial_polynomial(i - first_shift, a)) if first_shift else None
+    return tree_code_prefix_sums(n, lambda a, i: binomial_polynomial(i, a),
+                                 POLYT_ONE, POLYT_ZERO, first)
+
+
 @lru_cache(maxsize=None)
 def g_t(order: int) -> NcsfSeries:
-    """The t-Lagrange series over polynomials in t."""
-    comps: list[dict] = [{(): POLYT_ONE}]
-    for n in range(1, order + 1):
-        comps.append({I: delta_coefficient(I) for I in compositions(n)})
-    return NcsfSeries(POLYT_RING, comps)
+    """The t-Lagrange series over polynomials in t: g^(t) - 1 = gamma^(t)
+    (sigma_1 - 1), so the coefficient of S^(I, x) is that of S^I in
+    ``gamma_t(order - 1)``."""
+    prefix_sums = gamma_t(order - 1).components if order else ()
+    return NcsfSeries(POLYT_RING, with_last_part(prefix_sums, order, {(): POLYT_ONE}))
 
 
 def specialize_t(u: NcsfSeries, value) -> NcsfSeries:
@@ -236,10 +250,15 @@ def free_cumulant_equation_holds(order: int) -> bool:
     return NcsfSeries(INT_RING, acc) == sig
 
 
+@lru_cache(maxsize=None)
 def gamma_t(order: int) -> NcsfSeries:
-    """The t-geode (g^(t) - 1) / (sigma_1 - 1), computed as g^(t) S_1^{-1}:
-    the words of g^(t) - 1 that end in 1 are exactly gamma^(t) S_1."""
-    return annihilate(g_t(order + 1), 1)
+    """The t-geode (g^(t) - 1) / (sigma_1 - 1).
+
+    The last part of a word of g^(t) carries no factor, so the coefficient
+    of S^I in gamma^(t) is the prefix sum at I of the tree-code walk, read
+    off without building g^(t + 1) or annihilating it.
+    """
+    return NcsfSeries(POLYT_RING, _t_prefix_sums(order))
 
 
 def theta_t(order: int) -> NcsfSeries:
@@ -265,12 +284,13 @@ def theta_k_by_transform(k: int, order: int) -> NcsfSeries:
 def h_t(order: int) -> NcsfSeries:
     """The t-analogue of the prime series: (g^(t) - 1) (g^(t))^{-t}.
 
-    Equals sum_{n>=1} S_n (g^(t))^{t(n-1)} and reduces to h at t = 1.
+    Equals sum_{n>=1} S_n (g^(t))^{t(n-1)} and reduces to h at t = 1.  So
+    its coefficient at I is the tree-code sum of g^(t) with the first factor
+    C(t*(i_1 - 1), a_1) in place of C(t*i_1, a_1), read off the same walk;
+    as in g^(t), the last part carries no factor.
     """
-    g = g_t(order)
-    minus_t = PolyT((0, -1))
-    return series_mul(g - unit_series(POLYT_RING, order),
-                      series_power_binomial(g, minus_t))
+    prefix_sums = _t_prefix_sums(order - 1, first_shift=1) if order else ()
+    return NcsfSeries(POLYT_RING, with_last_part(prefix_sums, order, {}))
 
 
 def eta_t(order: int) -> NcsfSeries:

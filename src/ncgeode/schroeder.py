@@ -47,8 +47,8 @@ from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
 from .ncsf import NcsfSeries, annihilate, graded_power
-from .combinat import (_is_tree_code, _root_children, compositions, nonzero_letters,
-                       tree_code_sum)
+from .combinat import (_is_tree_code, _root_children, nonzero_letters,
+                       tree_code_prefix_sums, tree_code_sum, with_last_part)
 
 
 def _arity(letter: int) -> int:
@@ -322,12 +322,16 @@ def delta_e_coefficient(comp: tuple[int, ...]) -> EPoly:
 
 
 def g_e(order: int, route: str = "delta") -> NcsfSeries:
-    """The e-Lagrange series by any of its three constructions."""
+    """The e-Lagrange series by any of its three constructions.
+
+    The delta route is the tree-code sum of ``delta_e_coefficient`` for
+    every composition at once: it appends every last part to the prefix
+    sums of ``gamma_e(order - 1)``, as ``lagrange.g_t`` does over t.
+    """
     if route == "delta":
-        comps: list[dict] = [{(): EPoly.one()}]
-        for n in range(1, order + 1):
-            comps.append({I: delta_e_coefficient(I) for I in compositions(n)})
-        return NcsfSeries(EPOLY_RING, comps)
+        # g^[e] - 1 = gamma^[e] (sigma_1 - 1): the last part has no factor
+        prefix_sums = gamma_e(order - 1).components if order else ()
+        return NcsfSeries(EPOLY_RING, with_last_part(prefix_sums, order, {(): EPoly.one()}))
     if route == "system":
         return project_placeholder(solve_xy_system(order).x)
     if route == "trees":
@@ -341,8 +345,16 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
     raise ValueError(f"unknown route {route!r}")
 
 
+@lru_cache(maxsize=None)
 def gamma_e(order: int, k: int = 1) -> NcsfSeries:
-    """The e-geode g^[e] S_k^{-1}; independent of k >= 1."""
+    """The e-geode g^[e] S_k^{-1}; independent of k >= 1.
+
+    At k = 1 its coefficient at I is the prefix sum at I of the tree-code
+    walk, read off directly; k >= 2 annihilates ``g_e(order + k)``.
+    """
     if k < 1:
         raise ValueError("k must be positive")
+    if k == 1:
+        return NcsfSeries(EPOLY_RING, tree_code_prefix_sums(
+            order, elementary_of_multiple, EPoly.one(), EPoly()))
     return annihilate(g_e(order + k), k)

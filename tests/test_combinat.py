@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from itertools import product
 
@@ -14,7 +15,7 @@ from ncgeode.combinat import (catalan, coarsenings, code_to_dyck, code_to_ndpf,
                               noncrossing_to_ndpf, nonzero_letters,
                               parking_quasi_ribbons, plane_tree_codes_with_nodes,
                               remove_last_corolla, shift_words, trailing_zeros,
-                              tree_code_sum)
+                              tree_code_prefix_sums, tree_code_sum)
 from ncgeode.lagrange import delta_coefficient
 from ncgeode.schroeder import delta_e_coefficient
 
@@ -101,6 +102,48 @@ def test_delta_coefficients_match_code_enumeration(n):
             comp, lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT()), comp
         assert delta_e_coefficient(comp) == tree_code_sum_by_enumeration(
             comp, elementary_of_multiple, EPoly.one(), EPoly()), comp
+
+
+@pytest.mark.parametrize("ring", ["polyt", "epoly"])
+def test_tree_code_prefix_sums_match_each_composition(ring):
+    # every composition (I, x) through degree 10 reads the prefix sum at I
+    if ring == "polyt":
+        factor, one, zero = lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT()
+        single = delta_coefficient
+    else:
+        factor, one, zero = elementary_of_multiple, EPoly.one(), EPoly()
+        single = delta_e_coefficient
+    sums = tree_code_prefix_sums(9, factor, one, zero)
+    assert [sorted(comp) for comp in sums] == [sorted(compositions(e)) for e in range(10)]
+    for n in range(1, 11):
+        for comp in compositions(n):
+            assert sums[n - comp[-1]][comp[:-1]] == single(comp), comp
+
+
+def test_tree_code_prefix_sums_count_plane_trees():
+    sums = tree_code_prefix_sums(7, lambda a, i: 1, 1, 0)
+    for e, comp in enumerate(sums):
+        assert comp and all(c == catalan(len(I)) for I, c in comp.items()), e
+    assert tree_code_prefix_sums(0, lambda a, i: 1, 1, 0) == [{(): 1}]
+    assert tree_code_prefix_sums(1, lambda a, i: 1, 1, 0) == [{(): 1}, {(1,): 1}]
+    with pytest.raises(ValueError):
+        tree_code_prefix_sums(-1, lambda a, i: 1, 1, 0)
+
+
+def test_tree_code_prefix_sums_first_factor():
+    # the first letter takes its own factor; checked against every code
+    factor, first = lambda a, i: math.comb(i + a, a), lambda a, i: (i + 1) ** a
+    sums = tree_code_prefix_sums(6, factor, 1, 0, first=first)
+    for e in range(1, 7):
+        for I in compositions(e):
+            expected = sum(
+                first(code[0], I[0]) * math.prod(map(factor, code[1:-1], I[1:]))
+                for code in plane_tree_codes_with_nodes(len(I) + 1))
+            assert sums[e][I] == expected, I
+    assert sums[0] == {(): 1}
+    # a first factor that vanishes off a = 0 leaves no prefix of length 1
+    dead = tree_code_prefix_sums(4, lambda a, i: 1, 1, 0, first=lambda a, i: int(a == 0))
+    assert dead == [{(): 1}, {}, {}, {}, {}]
 
 
 def test_plane_tree_codes_with_nodes():

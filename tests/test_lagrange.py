@@ -217,6 +217,20 @@ def test_gamma_t_equals_right_division_through_degree_8():
         assert gamma_t(n) == quotient.truncate(n), n
 
 
+def test_gamma_t_read_off_equals_annihilation_through_degree_8():
+    for n in range(9):
+        assert gamma_t(n) == annihilate(g_t(n + 1), 1), n
+
+
+def test_g_t_equals_k_series_as_polynomials():
+    # every coefficient of g_t(8) has t-degree <= 7, so the eight points
+    # k = 0..7 pin it down; k = -1..-8 check the free-cumulant side too
+    gt = g_t(8)
+    assert max(c.degree() for comp in gt.components for c in comp.values()) <= 7
+    for k in [*range(8), *range(-1, -9, -1)]:
+        assert specialize_t(gt, k) == k_lagrange_direct(k, 8), k
+
+
 def test_gamma_t_specializes_to_geode():
     assert specialize_t(gamma_t(8), 1) == geode(8)
 
@@ -279,6 +293,16 @@ def test_h_t_at_two_matches_integer_power_formula():
     g2 = specialize_t(g_t(4), 2)
     expected = series_mul(g2 - unit_series(INT_RING, 4), series_power(g2, -2))
     assert specialize_t(h_t(4), 2) == expected
+
+
+def test_h_t_equals_binomial_power_route_through_degree_8():
+    # the product form (g^(t) - 1) (g^(t))^{-t} on the binomial-power kernel
+    from ncgeode.ncsf import series_power_binomial
+    g = g_t(8)
+    product_form = series_mul(g - unit_series(POLYT_RING, 8),
+                              series_power_binomial(g, PolyT([0, -1])))
+    for n in range(9):
+        assert h_t(n) == product_form.truncate(n), n
 
 
 def test_h_t_equals_shifted_power_sum():

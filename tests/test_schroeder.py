@@ -6,6 +6,7 @@ from ncgeode.coeffring import EPoly, epoly_evaluate
 from ncgeode.combinat import (enumerate_lukasiewicz, is_lukasiewicz,
                               lukasiewicz_root_children)
 from ncgeode.lagrange import free_cumulant_routes, solve_g
+from ncgeode.ncsf import annihilate
 from ncgeode.schroeder import (SystemState, chain_monomials, delta_e_coefficient,
                                enumerate_prime_schroeder, enumerate_schroeder,
                                g_e, gamma_e, is_schroeder_code, prime_tree_weight,
@@ -225,6 +226,11 @@ def test_gamma_e_tables():
     gme = gamma_e(4)
     for n, expected in fx.GAMMA_E_TABLE.items():
         assert gme.component(n) == expected
+
+
+def test_gamma_e_read_off_equals_annihilation_through_degree_8():
+    for n in range(9):
+        assert gamma_e(n) == annihilate(g_e(n + 1), 1), n
 
 
 def test_gamma_e_corolla_independence():
