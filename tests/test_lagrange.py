@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncgeode.coeffring import INT_RING, POLYT_RING, PolyT
-from ncgeode.combinat import (catalan, iter_lukasiewicz,
+from ncgeode.coeffring import INT_RING, POLYT_ONE, POLYT_RING, PolyT
+from ncgeode.combinat import (catalan, compositions, iter_lukasiewicz,
                               lukasiewicz_root_children, nonzero_letters,
                               shift_words, trailing_zeros)
 from ncgeode.lagrange import (delta_coefficient, divisibility_check,
@@ -13,7 +13,7 @@ from ncgeode.lagrange import (delta_coefficient, divisibility_check,
                               k_lagrange_by_phi, k_lagrange_direct,
                               prime_series, solve_g, specialize_t,
                               substitute_t, theta_k_by_transform, theta_t)
-from ncgeode.ncsf import (NotDivisibleError, annihilate, generator,
+from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate, generator,
                           right_divide, series_mul, series_power, sigma1,
                           unit_series, zero_series)
 from ncgeode import fixtures as fx
@@ -207,19 +207,23 @@ def test_gamma_t_tables():
         assert gmt.component(n) == expected
 
 
+def g_t_by_compositions(order):
+    # g^(t) with one tree-code DP per composition, apart from the prefix walk
+    return NcsfSeries(POLYT_RING, [{(): POLYT_ONE}] + [
+        {I: delta_coefficient(I) for I in compositions(n)} for n in range(1, order + 1)])
+
+
 def test_gamma_t_equals_right_division_through_degree_8():
-    # the exact right quotient (g^(t) - 1) / (sigma_1 - 1) as the oracle
-    g = g_t(9)
+    # the exact right quotient (g^(t) - 1) / (sigma_1 - 1) and the words of
+    # g^(t) ending in 1, both of the per-composition g^(t), as the oracles
+    g = g_t_by_compositions(9)
+    assert g == g_t(9)
     one = unit_series(POLYT_RING, 9)
     quotient = right_divide(g - one, sigma1(POLYT_RING, 9) - one)
     assert quotient.order == 8
+    assert annihilate(g, 1) == quotient
     for n in range(9):
         assert gamma_t(n) == quotient.truncate(n), n
-
-
-def test_gamma_t_read_off_equals_annihilation_through_degree_8():
-    for n in range(9):
-        assert gamma_t(n) == annihilate(g_t(n + 1), 1), n
 
 
 def test_g_t_equals_k_series_as_polynomials():
