@@ -24,6 +24,9 @@ CASES = {
                              "--basis", "R"],
     "expand_gamma_L_3.txt": ["expand", "--series", "gamma", "--degree", "3",
                              "--basis", "L"],
+    "expand_g_L_7.txt": ["expand", "--series", "g", "--basis", "L", "--degree", "7"],
+    "expand_eta_polyt_R_6.txt": ["expand", "--series", "eta", "--ring", "polyt",
+                                 "--basis", "R", "--degree", "6"],
     "expand_h_int_4.txt": ["expand", "--series", "h", "--degree", "4"],
     "expand_eta_int_4.txt": ["expand", "--series", "eta", "--degree", "4"],
     "expand_g_polyt_4.txt": ["expand", "--series", "g", "--degree", "4",
