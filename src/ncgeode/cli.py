@@ -168,10 +168,9 @@ def cmd_klagrange(args, out) -> int:
 
 def cmd_eseries(args, out) -> int:
     from .schroeder import gamma_e
-    # gamma^[e] through degree n counts as g^[e] through n + 1, whose
-    # annihilation by S_1 it is
-    order = args.degree + (args.series == "gamma")
-    if _refuse_order(order, f"--series {args.series} --degree {args.degree}"):
+    # gamma^[e] through degree n is read off the prefix walk through n, and
+    # g^[e] through n appends the last parts to the walk through n - 1
+    if _refuse_order(args.degree, f"--series {args.series} --degree {args.degree}"):
         return 2
     series = g_e(args.degree) if args.series == "g" else gamma_e(args.degree)
     name = "g^[e]" if args.series == "g" else "gamma^[e]"

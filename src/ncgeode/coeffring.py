@@ -212,13 +212,10 @@ def binomial_polynomial(m: int, a: int) -> PolyT:
     return out.scale_div(math.factorial(a))
 
 
-def partitions_of(n: int, max_part: int | None = None,
-                  max_len: int | None = None) -> Iterator[tuple[int, ...]]:
+def partitions_of(n: int, max_len: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield the partitions of n as weakly decreasing tuples."""
     if n < 0:
         return
-    if max_part is None or max_part > n:
-        max_part = n
 
     def rec(rem, mx, acc):
         if rem == 0:
@@ -231,7 +228,7 @@ def partitions_of(n: int, max_part: int | None = None,
             yield from rec(rem - p, p, acc)
             acc.pop()
 
-    yield from rec(n, max_part, [])
+    yield from rec(n, n, [])
 
 
 def partition_sort_key(part: tuple[int, ...]) -> tuple:

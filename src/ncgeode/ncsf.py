@@ -6,13 +6,16 @@ is concatenation of compositions extended bilinearly, so a series with unit
 constant term is invertible degree by degree.
 
 Three bases are supported.  S is the computational basis; the ribbon basis R
-and the elementary basis L exist as views obtained by triangular conversions:
+and the elementary basis L exist as views.  A composition of n is a descent
+set D in {1, ..., n-1}; with s, r and l the coefficients in the three bases,
 
-    S^I = sum of R_J over coarsenings J of I,
-    R_I = sum of (-1)^(len I - len J) S^J over coarsenings J of I,
-    S_n = sum over compositions J of n of (-1)^(n - len J) L^J,
+    r[D] = sum of s[D'] over D' containing D   (S^I = sum of R_J, J coarser),
+    s[D] = sum of (-1)^(|D'| - |D|) r[D'] over D' containing D,
+    l[D] = (-1)^(n-1-|D|) sum of s[D'] over D' inside D,
 
-the last rule being its own inverse and extended multiplicatively.
+the last its own inverse (S_n = sum of (-1)^(n - len J) L^J over compositions
+J of n, extended multiplicatively).  Alphabet negation is that subset sum
+signed (-1)^(|D|+1).  ``_descent_transform`` computes each of them.
 
 Every series records the degree through which it is exact; operations derive
 the output truncation from the inputs and raise rather than silently truncate.
@@ -30,21 +33,20 @@ the product kernel on truncations (each power only through the degrees its
 term reads), and ``series_power_binomial`` would gain little on
 ``graded_power`` while its memo held every (u-1)^j.
 
-``map_words`` is the one linear word map, for basis changes and algebra
-morphisms.  Annihilation in the S and R bases and ``phi_k`` send each output
-word back to exactly one input word, so they filter the components directly.
+``map_words`` is the one linear word map, for ``lagrange_transform`` and
+L-basis annihilation.  Annihilation in the S and R bases and ``phi_k`` send
+each output word back to exactly one input word, so they filter the
+components directly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import lru_cache
-from itertools import repeat
-from operator import mul as _mul
+from operator import add, mul as _mul, neg, sub
 from types import MappingProxyType
 
 from .coeffring import PolyT, POLYT_ONE, RINGS, Ring
-from .combinat import coarsenings, compositions
+from .combinat import compositions, descent_mask
 
 BASES = ("S", "R", "L")
 
@@ -319,26 +321,6 @@ def map_words(u: NcsfSeries, image, order: int | None = None,
     return NcsfSeries(u.ring, out, basis)
 
 
-def _morphism(letter_image, one, zero):
-    """Word function of the algebra morphism sending the letter n to the
-    component ``letter_image(n)``: the product of the letter images."""
-    def image(word):
-        product = {(): one}
-        for letter in word:
-            nxt: dict = {}
-            _conv_into(nxt, product, letter_image(letter), zero)
-            product = nxt
-        return product.items()
-    return image
-
-
-@lru_cache(maxsize=None)
-def _elementary(n: int, sign: int = 1) -> dict:
-    # S_n in the L basis and L_n in the S basis share the coefficients
-    # (-1)^(n - len J) over compositions J of n
-    return {J: sign * (-1) ** (n - len(J)) for J in compositions(n)}
-
-
 # ---------------------------------------------------------------------------
 # annihilation operators
 
@@ -371,21 +353,54 @@ def annihilate(u: NcsfSeries, n: int) -> NcsfSeries:
 # ---------------------------------------------------------------------------
 # basis conversions
 
+def _descent_transform(u: NcsfSeries, basis: str, butterfly,
+                       negate_odd: bool = False) -> NcsfSeries:
+    """The linear map acting on each descent position by ``butterfly``.
+
+    A component of degree n >= 1 is laid out as 2^(n-1) slots indexed by
+    ``descent_mask``, in the order of ``compositions(n)``.  Each of the n-1
+    passes (Yates) maps the slices (a, b) of slots without and with one
+    descent position to ``butterfly(a, b)``.  With ``negate_odd``, odd
+    degrees then change sign.  Degree 0 passes through unchanged.
+    """
+    zero = u.ring.zero
+    out = list(u.components[:1])
+    for n in range(1, u.order + 1):
+        size = 1 << (n - 1)
+        slots = [zero] * size
+        for word, coeff in u.components[n].items():
+            slots[descent_mask(word)] = coeff
+        half = 1
+        while half < size:
+            for lo in range(0, size, 2 * half):
+                mid, hi = lo + half, lo + 2 * half
+                slots[lo:mid], slots[mid:hi] = butterfly(slots[lo:mid], slots[mid:hi])
+            half *= 2
+        if negate_odd and n % 2:
+            slots = map(neg, slots)
+        out.append(dict(zip(compositions(n), slots)))
+    return NcsfSeries(u.ring, out, basis)
+
+
+# the slots a lack the descent position of the pass, the slots b have it
+_BUTTERFLIES = {
+    ("S", "R"): lambda a, b: (map(add, a, b), b),           # sum over supersets
+    ("R", "S"): lambda a, b: (map(sub, a, b), b),           # its Moebius inverse
+    ("S", "L"): lambda a, b: (map(neg, a), map(add, a, b)),  # signed subset sum
+}
+_BUTTERFLIES["L", "S"] = _BUTTERFLIES["S", "L"]  # an involution
+
+
 def convert_basis(u: NcsfSeries, target: str) -> NcsfSeries:
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == u.basis:
         return u
-    if u.basis == "S" and target == "R":
-        image = lambda I: zip(coarsenings(I), repeat(1))
-    elif u.basis == "R" and target == "S":
-        image = lambda I: [(J, (-1) ** (len(I) - len(J))) for J in coarsenings(I)]
-    elif u.basis == "S" and target == "L" or u.basis == "L" and target == "S":
-        image = _morphism(_elementary, 1, 0)
-    else:
+    butterfly = _BUTTERFLIES.get((u.basis, target))
+    if butterfly is None:
         # route through S
         return convert_basis(convert_basis(u, "S"), target)
-    return map_words(u, image, basis=target)
+    return _descent_transform(u, target, butterfly)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +410,9 @@ def negate_alphabet(u: NcsfSeries) -> NcsfSeries:
     """The morphism sending S_n to (-1)^n times the elementary generator."""
     if u.basis != "S":
         raise ValueError("alphabet negation acts on the S basis")
-    return map_words(u, _morphism(lambda n: _elementary(n, (-1) ** n), 1, 0))
+    # the image of S^I is (-1)^n times L^I written in S, and L^I in S has the
+    # coefficients of S^I in L: the S -> L transform, signed (-1)^n at degree n
+    return _descent_transform(u, "S", _BUTTERFLIES["S", "L"], negate_odd=True)
 
 
 def phi_k(u: NcsfSeries, k: int) -> NcsfSeries:
@@ -419,7 +436,17 @@ def lagrange_transform(g: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
         raise ValueError("the transform acts on the S basis")
     if g.order < u.order:
         raise TruncationError("transform series shorter than the argument")
-    return map_words(u, _morphism(g.components.__getitem__, u.ring.one, u.ring.zero))
+    one, zero = u.ring.one, u.ring.zero
+
+    def image(word):
+        # the product of the images g_n of the letters n
+        product = {(): one}
+        for letter in word:
+            nxt: dict = {}
+            _conv_into(nxt, product, g.components[letter], zero)
+            product = nxt
+        return product.items()
+    return map_words(u, image)
 
 
 # ---------------------------------------------------------------------------

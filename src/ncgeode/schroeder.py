@@ -144,16 +144,6 @@ def root_children(code: tuple[int, ...]) -> list[tuple[int, ...]]:
     return _root_children(code, _arity, "Schroeder tree")
 
 
-def _parse(code: tuple[int, ...], pos: int = 0):
-    label = code[pos]
-    pos += 1
-    kids = []
-    for _ in range(_arity(label)):
-        kid, pos = _parse(code, pos)
-        kids.append(kid)
-    return (label, kids), pos
-
-
 def right_branch_partition(code: tuple[int, ...]) -> tuple[int, ...]:
     """Lengths of the maximal internal-node chains along rightmost edges.
 
@@ -162,30 +152,15 @@ def right_branch_partition(code: tuple[int, ...]) -> tuple[int, ...]:
     Every internal node lies on exactly one chain, so the parts sum to the
     number of internal nodes.
     """
-    if not is_schroeder_code(code):
-        raise ValueError(f"not a Schroeder tree code: {code}")
-    tree, _ = _parse(code)
-
-    def chain_length(node):
-        label, kids = node
+    def chains(subtree, run):
+        # ``run`` internal nodes lead down rightmost edges to ``subtree``; the
+        # chain grows along the last child and is recorded at the leaf ending it
+        kids = root_children(subtree)
         if not kids:
-            return 0
-        return 1 + chain_length(kids[-1])
+            return [run] if run else []
+        return [c for kid in kids[:-1] for c in chains(kid, 0)] + chains(kids[-1], run + 1)
 
-    lengths = []
-
-    def walk(node, starts_chain):
-        label, kids = node
-        if not kids:
-            return
-        if starts_chain:
-            lengths.append(chain_length(node))
-        for kid in kids[:-1]:
-            walk(kid, True)
-        walk(kids[-1], False)
-
-    walk(tree, True)
-    return tuple(sorted(lengths, reverse=True))
+    return tuple(sorted(chains(code, 0), reverse=True))
 
 
 def tree_weight(code: tuple[int, ...]) -> EPoly:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncgeode.coeffring import (INT_RING, EPoly, PolyT, _polyt_from_json,
                                _polyt_to_json, fraction_to_str)
-from ncgeode.combinat import compositions
+from ncgeode.combinat import coarsenings, compositions
 from ncgeode.gfseries import PowerSeries
 from ncgeode.render import polyt_str
 from ncgeode.ncsf import (NcsfSeries, annihilate, convert_basis, graded_power,
@@ -106,6 +106,54 @@ def test_annihilation_matches_word_map(n, extra, basis, data):
 @given(st.integers(1, 4), st.integers(0, 7).flatmap(lambda order: sparse_series(order, "S")))
 def test_phi_k_matches_word_map(k, u):
     assert phi_k(u, k) == phi_k_by_word_map(u, k)
+
+
+def elementary_letter(n, sign=1):
+    """S_n in the L basis, which is also L_n in the S basis, times ``sign``."""
+    return {J: sign * (-1) ** (n - len(J)) for J in compositions(n)}
+
+
+def morphism_by_letters(letter_image):
+    """The word function of the algebra morphism sending the letter n to the
+    component ``letter_image(n)``, multiplied out letter by letter."""
+    def image(word):
+        product = {(): 1}
+        for letter in word:
+            product_next: dict = {}
+            for w, c in product.items():
+                for v, d in letter_image(letter).items():
+                    product_next[w + v] = product_next.get(w + v, 0) + c * d
+            product = product_next
+        return product.items()
+    return image
+
+
+def convert_by_word_map(u, target):
+    """S <-> R through the coarsenings of each word, S <-> L through the
+    elementary letters."""
+    if (u.basis, target) == ("S", "R"):
+        image = lambda I: [(J, 1) for J in coarsenings(I)]
+    elif (u.basis, target) == ("R", "S"):
+        image = lambda I: [(J, (-1) ** (len(I) - len(J))) for J in coarsenings(I)]
+    else:
+        image = morphism_by_letters(elementary_letter)
+    return map_words(u, image, basis=target)
+
+
+@SETTINGS
+@given(st.sampled_from((("S", "R"), ("R", "S"), ("S", "L"), ("L", "S"))),
+       st.integers(0, 6), st.data())
+def test_basis_change_matches_word_map(pair, order, data):
+    source, target = pair
+    u = data.draw(sparse_series(order, source))
+    assert convert_basis(u, target) == convert_by_word_map(u, target)
+
+
+@SETTINGS
+@given(st.integers(0, 6).flatmap(lambda order: sparse_series(order, "S")))
+def test_alphabet_negation_matches_word_map(u):
+    assert negate_alphabet(u) == map_words(
+        u, morphism_by_letters(lambda n: elementary_letter(n, (-1) ** n)))
 
 
 PARTITION = st.lists(st.integers(1, 3), max_size=3).map(lambda p: tuple(sorted(p, reverse=True)))
