@@ -20,7 +20,7 @@ from .lagrange import (eta_t, g_t, gamma_t, geode, gessel_gamma, h_t,
                        solve_g, specialize_t)
 from .ncsf import convert_basis
 from .render import (biseries_to_json_dict, series_to_json_dict,
-                     series_to_text, uniseries_to_json_dict)
+                     series_to_text, uniseries_to_json_dict, word_str)
 from .schroeder import enumerate_prime_schroeder, enumerate_schroeder, g_e
 from .verify import SUITES, run_suite
 
@@ -198,6 +198,17 @@ def _codes_for(kind, n):
     return list(enumerate_prime_schroeder(n))
 
 
+def _emit_items(head: dict, items, line, fmt, out):
+    """Print ``items`` as one JSON object after the keys of ``head``, or one
+    ``line`` each, then their count."""
+    if fmt == "json":
+        print(json.dumps({**head, "count": len(items), "items": items}), file=out)
+    else:
+        for item in items:
+            print(line(item), file=out)
+        print(f"count: {len(items)}", file=out)
+
+
 def cmd_trees(args, out) -> int:
     if args.kind == "pqr":
         if args.shape is None:
@@ -213,16 +224,8 @@ def cmd_trees(args, out) -> int:
             print(f"shape {','.join(map(str, args.shape))} has {count} fillings, "
                   f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
             return 2
-        fillings = parking_quasi_ribbons(args.shape)
-        if args.format == "json":
-            payload = {"kind": "pqr", "shape": list(args.shape),
-                       "count": len(fillings),
-                       "items": [[list(seg) for seg in f] for f in fillings]}
-            print(json.dumps(payload), file=out)
-        else:
-            for f in fillings:
-                print("|".join("".join(str(x) for x in seg) for seg in f), file=out)
-            print(f"count: {len(fillings)}", file=out)
+        _emit_items({"kind": "pqr", "shape": args.shape}, parking_quasi_ribbons(args.shape),
+                    lambda f: "|".join(map(word_str, f)), args.format, out)
         return 0
     if args.n is None:
         print("--n is required for tree enumerations", file=sys.stderr)
@@ -235,16 +238,8 @@ def cmd_trees(args, out) -> int:
         print(f"--kind {args.kind} --n {args.n} has {count} trees, "
               f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
         return 2
-    codes = _codes_for(args.kind, args.n)
-    if args.format == "json":
-        payload = {"kind": args.kind, "n": args.n, "count": len(codes),
-                   "items": [list(c) for c in codes]}
-        print(json.dumps(payload), file=out)
-    else:
-        for c in codes:
-            print(",".join(str(x) for x in c) if any(x > 9 for x in c)
-                  else "".join(str(x) for x in c), file=out)
-        print(f"count: {len(codes)}", file=out)
+    _emit_items({"kind": args.kind, "n": args.n}, _codes_for(args.kind, args.n),
+                word_str, args.format, out)
     return 0
 
 

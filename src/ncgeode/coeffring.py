@@ -437,53 +437,12 @@ def fraction_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _int_exact_div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("integer division by zero")
-    q, r = divmod(a, b)
-    if r:
-        raise ValueError(f"{a} is not divisible by {b}")
-    return q
-
-
-def _polyt_exact_div(a: PolyT, b: PolyT) -> PolyT:
-    if not b:
-        raise ZeroDivisionError("PolyT division by zero")
-    if b.degree() != 0:
-        raise ValueError("PolyT division only supported by nonzero constants")
-    return a.scale_div(Fraction(b.num[0], b.den))
-
-
-def _epoly_exact_div(a: EPoly, b: EPoly) -> EPoly:
-    if not b:
-        raise ZeroDivisionError("EPoly division by zero")
-    if set(b.terms) != {()}:
-        raise ValueError("EPoly division only supported by integer constants")
-    c = b.terms[()]
-    out = {}
-    for k, v in a.terms.items():
-        out[k] = _int_exact_div(v, c)
-    return EPoly(out)
-
-
-def _int_to_json(a: int) -> str:
-    return str(a)
-
-
-def _int_from_json(s) -> int:
-    return int(s)
-
-
 def _polyt_to_json(p: PolyT) -> list[str]:
     out = []
     for c in p.num:
         g = math.gcd(c, p.den)
         out.append(str(c // g) if g == p.den else f"{c // g}/{p.den // g}")
     return out
-
-
-def _polyt_from_json(v) -> PolyT:
-    return PolyT(v)
 
 
 def _epoly_to_json(p: EPoly) -> list[dict]:
@@ -501,17 +460,12 @@ class Ring:
     name: str
     zero: object
     one: object
-    from_int: Callable
-    exact_div: Callable
     to_json: Callable
     from_json: Callable
 
 
-INT_RING = Ring("int", 0, 1, int, _int_exact_div, _int_to_json, _int_from_json)
-POLYT_RING = Ring("polyt", POLYT_ZERO, POLYT_ONE, PolyT.constant,
-                  _polyt_exact_div, _polyt_to_json, _polyt_from_json)
-EPOLY_RING = Ring("epoly", EPoly(), EPoly.one(),
-                  lambda n: EPoly({(): n}), _epoly_exact_div,
-                  _epoly_to_json, _epoly_from_json)
+INT_RING = Ring("int", 0, 1, str, int)
+POLYT_RING = Ring("polyt", POLYT_ZERO, POLYT_ONE, _polyt_to_json, PolyT)
+EPOLY_RING = Ring("epoly", EPoly(), EPoly.one(), _epoly_to_json, _epoly_from_json)
 
 RINGS = {r.name: r for r in (INT_RING, POLYT_RING, EPOLY_RING)}

@@ -5,8 +5,8 @@ node arities in prefix order.  A tree with n edges has a code of length n+1,
 letter sum n, and every proper prefix sum of length j is at least j (the
 Lukasiewicz condition).  All tree operations here are word rewrites.
 
-The one walk over a tree code, ``_subtree_end``, serves plane trees and the
-Schroeder trees of ``schroeder`` alike; each family passes its letter arity.
+The one walk over a tree code, ``_subtree_end``, takes the letter arity of
+its tree family; ``schroeder`` splits its codes with it.
 Sums over plane tree codes weighted by a composition are a DP over the
 running letter sum: ``tree_code_sum`` for one composition,
 ``tree_code_prefix_sums`` for all of them over one walk of their prefixes.
@@ -144,15 +144,6 @@ def _root_children(code: tuple[int, ...], arity, family: str) -> list[tuple[int,
         children.append(code[start:end])
         start = end
     return children
-
-
-def _plane_arity(letter: int) -> int:
-    return letter
-
-
-def is_lukasiewicz(word: tuple[int, ...]) -> bool:
-    """Check the code of a plane tree: sum n, length n+1, prefix dominance."""
-    return _is_tree_code(word, _plane_arity)
 
 
 def iter_lukasiewicz(n: int) -> Iterator[tuple[int, ...]]:
@@ -309,14 +300,6 @@ def code_to_ndpf(code: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def ndpf_to_code(word: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Inverse of code_to_ndpf for words of length n (code length n+1)."""
-    code = [0] * (n + 1)
-    for letter in word:
-        code[letter - 1] += 1
-    return tuple(code)
-
-
 def is_ndpf(word: tuple[int, ...]) -> bool:
     return all(word[i] <= i + 1 for i in range(len(word))) and \
         all(word[i] <= word[i + 1] for i in range(len(word) - 1)) and \
@@ -351,13 +334,6 @@ def ndpf_to_noncrossing(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         blocks.append(tuple(block))
     blocks.sort(key=lambda b: b[0])
     return tuple(blocks)
-
-
-def noncrossing_to_ndpf(blocks) -> tuple[int, ...]:
-    out = []
-    for block in blocks:
-        out.extend([min(block)] * len(block))
-    return tuple(sorted(out))
 
 
 def remove_last_corolla(code: tuple[int, ...], k: int) -> Optional[tuple[int, ...]]:
@@ -451,11 +427,3 @@ def count_parking_quasi_ribbons(shape: tuple[int, ...]) -> int:
         shift = 1 if pos in starts else 0
         cnt = [0] + [below[min(w - shift, pos)] for w in range(1, pos + 2)]
     return sum(cnt)
-
-
-# ---------------------------------------------------------------------------
-# plane tree structure helpers
-
-def lukasiewicz_root_children(code: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Split a plane tree code into the codes of the root's child subtrees."""
-    return _root_children(code, _plane_arity, "plane tree")

@@ -71,19 +71,6 @@ def solve_g(order: int) -> NcsfSeries:
     return NcsfSeries(INT_RING, _g[: order + 1])
 
 
-def g_from_trees(order: int) -> NcsfSeries:
-    """Independent construction of g by enumerating plane tree codes."""
-    from .combinat import iter_lukasiewicz, nonzero_letters
-    comps: list[dict] = []
-    for n in range(order + 1):
-        comp: dict = {}
-        for code in iter_lukasiewicz(n):
-            word = nonzero_letters(code)
-            comp[word] = comp.get(word, 0) + 1
-        comps.append(comp)
-    return NcsfSeries(INT_RING, comps)
-
-
 def geode(order: int, k: int = 1) -> NcsfSeries:
     """The geode, computed as g_{n+k} S_k^{-1}; independent of k."""
     if k < 1:
@@ -222,7 +209,7 @@ def k_lagrange_by_phi(k: int, order: int) -> NcsfSeries:
 def free_cumulant_routes(order: int) -> dict[str, NcsfSeries]:
     """The three constructions of the (-1)-Lagrange series."""
     return {
-        "alphabet-negation-inverse": series_inverse(negate_alphabet(solve_g(order))),
+        "alphabet-negation-inverse": free_cumulants(order),
         "direct-recursion": k_lagrange_direct(-1, order),
         "t-specialization": specialize_t(g_t(order), -1),
     }

@@ -92,7 +92,7 @@ class NcsfSeries:
         raise AttributeError(f"NcsfSeries is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        # the ring goes by name: the EPoly ring descriptor holds lambdas
+        # the ring goes by name, so a copy shares the descriptor in RINGS
         return _series_of, (self.ring.name, [c.copy() for c in self.components],
                             self.basis)
 
@@ -167,20 +167,6 @@ def _series_of(ring_name: str, components, basis: str) -> NcsfSeries:
 
 def unit_series(ring: Ring, order: int) -> NcsfSeries:
     comps = [{(): ring.one}] + [{} for _ in range(order)]
-    return NcsfSeries(ring, comps)
-
-
-def zero_series(ring: Ring, order: int) -> NcsfSeries:
-    return NcsfSeries(ring, [{} for _ in range(order + 1)])
-
-
-def generator(ring: Ring, n: int, order: int | None = None) -> NcsfSeries:
-    """The single generator S_n as a series exact through ``order``."""
-    order = n if order is None else order
-    if order < n:
-        raise ValueError("order must reach the generator degree")
-    comps = [{} for _ in range(order + 1)]
-    comps[n][(n,)] = ring.one
     return NcsfSeries(ring, comps)
 
 
@@ -454,10 +440,10 @@ def lagrange_transform(g: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
 
 def right_divide(v: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
     """Solve theta * u = v exactly, for u with zero constant term and
-    lowest term c*S_1 with invertible c.
+    lowest term S_1.
 
     The degree-n equation theta_{n-1} u_1 = v_n - sum_{m>=2} theta_{n-m} u_m
-    determines theta triangularly; dividing by u_1 = c S_1 strips a final
+    determines theta triangularly; dividing by u_1 = S_1 strips a final
     part 1 from every residual word.  A residual word not ending in 1 means
     v is not right-divisible by u and NotDivisibleError is raised.
     """
@@ -469,9 +455,8 @@ def right_divide(v: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
     if min(v.order, u.order) < 1:
         raise TruncationError("right division needs at least degree 1")
     ring = v.ring
-    if list(u.components[1].keys()) != [(1,)]:
-        raise ValueError("divisor must start with a multiple of S_1")
-    c1 = u.components[1][(1,)]
+    if u.components[1] != {(1,): ring.one}:
+        raise ValueError("divisor must start with S_1")
     order = min(v.order, u.order)
     minus_u = [{w: -c for w, c in comp.items()} for comp in u.components[: order + 1]]
     theta: list[dict] = []
@@ -486,6 +471,6 @@ def right_divide(v: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
             if not word or word[-1] != 1:
                 raise NotDivisibleError(
                     f"residual term {word} at degree {n} does not end in 1")
-            comp[word[:-1]] = coeff if c1 == ring.one else ring.exact_div(coeff, c1)
+            comp[word[:-1]] = coeff
         theta.append(comp)
     return NcsfSeries(ring, theta)

@@ -12,11 +12,18 @@ from .combinat import composition_sort_key
 from .ncsf import NcsfSeries
 
 
+def word_str(word: tuple[int, ...]) -> str:
+    """The letters of a word run together, or comma-separated if one
+    exceeds 9."""
+    body = "".join(map(str, word))
+    # a letter above 9 has two digits or more, which lengthens the string
+    return body if len(body) == len(word) else ",".join(map(str, word))
+
+
 def composition_str(word: tuple[int, ...], basis: str) -> str:
     if not word:
         return "1"
-    body = ",".join(str(p) for p in word) if any(p > 9 for p in word) \
-        else "".join(str(p) for p in word)
+    body = word_str(word)
     if basis == "S":
         if len(word) == 1:
             n = word[0]
@@ -29,29 +36,30 @@ def composition_str(word: tuple[int, ...], basis: str) -> str:
     raise ValueError(f"unknown basis {basis!r}")
 
 
+def _join_signed(terms: list[str], plus: str = "+", minus: str = "-") -> str:
+    """Join nonempty ``terms``, folding the leading minus of each term after
+    the first into the joining sign."""
+    return terms[0] + "".join([minus + t[1:] if t[0] == "-" else plus + t for t in terms[1:]])
+
+
+def _head(coeff: int) -> str:
+    """An integer coefficient as the prefix of a symbol; empty for 1."""
+    return "" if coeff == 1 else ("-" if coeff == -1 else str(coeff))
+
+
 def _monomial_t(coeff: int, power: int, var: str) -> str:
     if power == 0:
         return str(coeff)
-    head = "" if coeff == 1 else ("-" if coeff == -1 else str(coeff))
-    tail = var if power == 1 else f"{var}^{power}"
-    return head + tail
+    return _head(coeff) + (var if power == 1 else f"{var}^{power}")
 
 
 def polyt_str(p: PolyT, var: str = "t") -> str:
     """Render over the common denominator, e.g. (3t^2-t)/2 or 2t or 1."""
     if not p:
         return "0"
-    parts = []
-    for power in range(len(p.num) - 1, -1, -1):
-        c = p.num[power]
-        if not c:
-            continue
-        mono = _monomial_t(c, power, var)
-        if parts:
-            parts.append("-" + mono[1:] if mono.startswith("-") else "+" + mono)
-        else:
-            parts.append(mono)
-    core = "".join(parts)
+    num = p.num
+    core = _join_signed([_monomial_t(num[k], k, var) for k in range(len(num) - 1, -1, -1)
+                         if num[k]])
     if p.den != 1:
         return f"({core})/{p.den}"
     return core
@@ -60,28 +68,20 @@ def polyt_str(p: PolyT, var: str = "t") -> str:
 def partition_str(part: tuple[int, ...]) -> str:
     if not part:
         return "1"
-    body = ",".join(str(x) for x in part) if any(x > 9 for x in part) \
-        else "".join(str(x) for x in part)
+    body = word_str(part)
     if len(part) == 1 and part[0] <= 9:
         return f"e_{body}"
     return f"e_{{{body}}}"
 
 
+def _epoly_monomial(partition: tuple[int, ...], c: int) -> str:
+    return _head(c) + partition_str(partition) if partition else str(c)
+
+
 def epoly_str(p: EPoly) -> str:
     if not p:
         return "0"
-    parts = []
-    for partition, c in p.sorted_terms():
-        if not partition:
-            mono = str(c)
-        else:
-            head = "" if c == 1 else ("-" if c == -1 else str(c))
-            mono = head + partition_str(partition)
-        if parts:
-            parts.append("-" + mono[1:] if mono.startswith("-") else "+" + mono)
-        else:
-            parts.append(mono)
-    return "".join(parts)
+    return _join_signed([_epoly_monomial(part, c) for part, c in p.sorted_terms()])
 
 
 def coeff_prefix(coeff, ring_name: str) -> str:
@@ -91,11 +91,7 @@ def coeff_prefix(coeff, ring_name: str) -> str:
     the caller can fold the sign into the joining operator.
     """
     if ring_name == "int":
-        if coeff == 1:
-            return ""
-        if coeff == -1:
-            return "-"
-        return str(coeff)
+        return _head(coeff)
     if ring_name == "polyt":
         if coeff == POLYT_ONE:
             return ""
@@ -107,11 +103,7 @@ def coeff_prefix(coeff, ring_name: str) -> str:
         if coeff == EPoly({(): 1}):
             return ""
         if len(coeff.terms) == 1:
-            ((partition, c),) = coeff.terms.items()
-            if not partition:
-                return str(c)
-            head = "" if c == 1 else ("-" if c == -1 else str(c))
-            return head + partition_str(partition)
+            return _epoly_monomial(*next(iter(coeff.terms.items())))
         return f"({epoly_str(coeff)})"
     raise ValueError(f"unknown ring {ring_name!r}")
 
@@ -119,19 +111,12 @@ def coeff_prefix(coeff, ring_name: str) -> str:
 def component_str(comp: dict, basis: str, ring_name: str) -> str:
     if not comp:
         return "0"
-    words = sorted(comp, key=composition_sort_key)
-    parts = []
-    for w in words:
+    terms = []
+    for w in sorted(comp, key=composition_sort_key):
         prefix = coeff_prefix(comp[w], ring_name)
-        term = prefix + composition_str(w, basis) if w else \
-            (prefix if prefix not in ("", "-") else prefix + "1")
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(" - " + term[1:])
-        else:
-            parts.append(" + " + term)
-    return "".join(parts)
+        terms.append(prefix + composition_str(w, basis) if w else
+                     (prefix if prefix not in ("", "-") else prefix + "1"))
+    return _join_signed(terms, " + ", " - ")
 
 
 def series_to_text(series: NcsfSeries, name: str) -> list[str]:
@@ -155,8 +140,11 @@ def series_to_json_dict(series: NcsfSeries, name: str) -> dict:
 def series_from_json(data: dict) -> NcsfSeries:
     """Rebuild a series from the output of ``series_to_json_dict``.
 
-    Raises ValueError for a missing key, an unknown ring, a negative
-    truncation or a component degree outside 0..truncation.
+    Raises ValueError for a missing key, a component or term that is not
+    an object, an unknown ring, a negative truncation, a component degree
+    outside 0..truncation, a composition that is not a list of positive
+    integers summing to its degree, two terms on one word, or a coefficient
+    its ring cannot read.
     """
     try:
         ring_name, order, basis = data["ring"], data["truncation"], data["basis"]
@@ -165,6 +153,8 @@ def series_from_json(data: dict) -> NcsfSeries:
                    for entry in data["components"]]
     except KeyError as exc:
         raise ValueError(f"series JSON lacks the key {exc}") from None
+    except TypeError:
+        raise ValueError("series JSON is not shaped as series_to_json_dict writes it") from None
     if ring_name not in RINGS:
         raise ValueError(f"unknown ring {ring_name!r}; expected one of {sorted(RINGS)}")
     if type(order) is not int or order < 0:
@@ -175,7 +165,15 @@ def series_from_json(data: dict) -> NcsfSeries:
         if type(degree) is not int or not 0 <= degree <= order:
             raise ValueError(f"component degree {degree!r} outside 0..{order}")
         for word, coeff in terms:
-            comps[degree][tuple(word)] = ring.from_json(coeff)
+            if type(word) is not list or not all(type(p) is int and p > 0 for p in word):
+                raise ValueError(f"composition {word!r} is not a list of positive integers")
+            if tuple(word) in comps[degree]:
+                raise ValueError(f"two terms on the composition {word}")
+            try:
+                value = ring.from_json(coeff)
+            except (KeyError, TypeError):
+                raise ValueError(f"bad {ring_name} coefficient {coeff!r}") from None
+            comps[degree][tuple(word)] = value
     return NcsfSeries(ring, comps, basis)
 
 

@@ -47,16 +47,12 @@ from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
 from .ncsf import NcsfSeries, annihilate, graded_power
-from .combinat import (_is_tree_code, _root_children, nonzero_letters,
-                       tree_code_prefix_sums, tree_code_sum, with_last_part)
+from .combinat import (_root_children, nonzero_letters, tree_code_prefix_sums,
+                       tree_code_sum, with_last_part)
 
 
 def _arity(letter: int) -> int:
     return letter + 1 if letter else 0
-
-
-def is_schroeder_code(word: tuple[int, ...]) -> bool:
-    return _is_tree_code(word, _arity)
 
 
 def enumerate_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
@@ -161,20 +157,6 @@ def right_branch_partition(code: tuple[int, ...]) -> tuple[int, ...]:
         return [c for kid in kids[:-1] for c in chains(kid, 0)] + chains(kids[-1], run + 1)
 
     return tuple(sorted(chains(code, 0), reverse=True))
-
-
-def tree_weight(code: tuple[int, ...]) -> EPoly:
-    """The monomial e_{lambda(t)} attached to a whole Schroeder tree."""
-    return EPoly({right_branch_partition(code): 1})
-
-
-def prime_tree_weight(code: tuple[int, ...]) -> EPoly:
-    """Product of the right-branch monomials of the root's child subtrees."""
-    w = EPoly.one()
-    for kid in root_children(code):
-        if kid != (0,):
-            w = w * tree_weight(kid)
-    return w
 
 
 # ---------------------------------------------------------------------------

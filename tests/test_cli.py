@@ -80,6 +80,14 @@ def _without(data, key):
     return {k: v for k, v in data.items() if k != key}
 
 
+def _with_terms(data, degree, *terms):
+    """``data`` with the component of ``degree`` replaced by ``terms``, each
+    a (composition, coefficient) pair."""
+    entry = {"degree": degree,
+             "terms": [{"composition": w, "coeff": c} for w, c in terms]}
+    return {**data, "components": [entry]}
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda d: {**d, "ring": "quaternion"}, "unknown ring", id="unknown-ring"),
     pytest.param(lambda d: {**d, "truncation": -1}, "truncation", id="negative-truncation"),
@@ -89,6 +97,20 @@ def _without(data, key):
     pytest.param(lambda d: _without(d, "basis"), "lacks the key 'basis'", id="missing-basis"),
     pytest.param(lambda d: {**d, "components": [{"degree": 0}]},
                  "lacks the key 'terms'", id="missing-terms"),
+    pytest.param(lambda d: {**d, "components": [5]}, "not shaped", id="component-not-an-object"),
+    pytest.param(lambda d: {**d, "components": [{"degree": 1, "terms": [7]}]}, "not shaped",
+                 id="term-not-an-object"),
+    pytest.param(lambda d: _with_terms(d, 2, ([0, 2], "1")), "positive integers",
+                 id="zero-part"),
+    pytest.param(lambda d: _with_terms(d, 2, ([3, -1], "1")), "positive integers",
+                 id="negative-part"),
+    pytest.param(lambda d: _with_terms(d, 2, ([2], "1"), ([2], "5")), "two terms",
+                 id="repeated-word"),
+    pytest.param(lambda d: _with_terms(d, 2, (2, "1")), "positive integers",
+                 id="composition-not-a-list"),
+    pytest.param(lambda d: _with_terms({**d, "ring": "epoly"}, 2,
+                                       ([2], [{"partition": [1]}])),
+                 "bad epoly coefficient", id="epoly-coeff-without-coeff"),
 ])
 def test_series_from_json_rejects_bad_input(edit, message):
     data = series_to_json_dict(solve_g(3), "g")
@@ -135,6 +157,18 @@ def test_trees_pqr(capsys):
     assert lines[0] == "111|2"
     assert lines[-1] == "count: 9"
     assert "113|4" in lines
+
+
+def test_trees_pqr_separates_letters_above_nine(capsys):
+    code, out = run_cli(capsys, "trees", "--kind", "pqr", "--shape", "1,10")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["1|2,3,4,5,6,7,8,9,10,11", "count: 16796"]
+    code, out = run_cli(capsys, "trees", "--kind", "pqr", "--shape", "1,10",
+                        "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == len(data["items"]) == 16796
+    assert data["items"][-1] == [[1], list(range(2, 12))]
 
 
 def test_trees_pqr_refuses_huge_shape(capsys):
@@ -342,8 +376,10 @@ def test_verify_catches_a_wrong_free_cumulant(capsys, monkeypatch, degree):
                         lambda order: perturbed(real(order), degree))
     code, out = run_cli(capsys, "verify", "--suite", "identities", "--degree", "6")
     assert code == 1
+    # the alphabet-negation route reads free_cumulants too, so both fail
     assert "[FAIL] free-cumulant-defining-equation" in out
-    assert out.count("[FAIL]") == 1
+    assert "[FAIL] free-cumulant-route-agreement" in out
+    assert out.count("[FAIL]") == 2
 
 
 def test_verify_reports_a_failed_division(capsys, monkeypatch):

@@ -147,16 +147,6 @@ def test_partitions_of():
     assert list(partitions_of(4, max_len=2)) == [(4,), (3, 1), (2, 2)]
 
 
-def test_ring_exact_division():
-    assert INT_RING.exact_div(6, -3) == -2
-    with pytest.raises(ValueError):
-        INT_RING.exact_div(5, 2)
-    assert POLYT_RING.exact_div(PolyT([0, 2]), PolyT([2])) == PolyT.t()
-    with pytest.raises(ZeroDivisionError):
-        POLYT_RING.exact_div(PolyT([1]), PolyT())
-    assert EPOLY_RING.exact_div(EPoly({(1,): 4}), EPoly({(): 2})) == EPoly({(1,): 2})
-
-
 def test_json_round_trips():
     assert INT_RING.from_json(INT_RING.to_json(-12)) == -12
     p = PolyT([0, Fraction(-1, 2), Fraction(3, 2)])

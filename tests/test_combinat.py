@@ -9,15 +9,15 @@ from ncgeode.coeffring import (EPoly, POLYT_ONE, PolyT, binomial_polynomial,
 from ncgeode.combinat import (catalan, coarsenings, code_to_dyck, code_to_ndpf,
                               compositions, conjugate,
                               count_parking_quasi_ribbons, descent_mask,
-                              enumerate_lukasiewicz, is_lukasiewicz, is_ndpf,
-                              iter_lukasiewicz, lukasiewicz_root_children,
-                              ndpf_to_code, ndpf_to_noncrossing,
-                              noncrossing_to_ndpf, nonzero_letters,
+                              enumerate_lukasiewicz, is_ndpf, iter_lukasiewicz,
+                              ndpf_to_noncrossing, nonzero_letters,
                               parking_quasi_ribbons, plane_tree_codes_with_nodes,
                               remove_last_corolla, shift_words, trailing_zeros,
                               tree_code_prefix_sums, tree_code_sum)
 from ncgeode.lagrange import delta_coefficient
 from ncgeode.schroeder import delta_e_coefficient
+from oracles import (is_lukasiewicz, lukasiewicz_root_children, ndpf_to_code,
+                     noncrossing_to_ndpf)
 
 
 def test_compositions_order_matches_display_convention():

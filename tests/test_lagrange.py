@@ -4,20 +4,21 @@ import pytest
 
 from ncgeode.coeffring import INT_RING, POLYT_ONE, POLYT_RING, PolyT
 from ncgeode.combinat import (catalan, compositions, iter_lukasiewicz,
-                              lukasiewicz_root_children, nonzero_letters,
-                              shift_words, trailing_zeros)
+                              nonzero_letters, shift_words, trailing_zeros)
 from ncgeode.lagrange import (delta_coefficient, divisibility_check,
                               eta_identities, eta_t, free_cumulant_equation_holds,
-                              free_cumulant_routes, g_from_trees, g_t, gamma_t,
+                              free_cumulant_routes, g_t, gamma_t,
                               geode, geode_by_division, gessel_gamma, h_t,
                               k_lagrange_by_phi, k_lagrange_direct,
                               prime_series, solve_g, specialize_t,
                               substitute_t, theta_k_by_transform, theta_t)
-from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate, generator,
+from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate,
                           right_divide, series_mul, series_power, sigma1,
-                          unit_series, zero_series)
+                          unit_series)
 from ncgeode import fixtures as fx
 from ncgeode import lagrange
+from oracles import (g_from_trees, generator, lukasiewicz_root_children,
+                     zero_series)
 
 
 def test_g_low_degrees():

@@ -12,8 +12,9 @@ from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, TruncationError,
                           lagrange_transform, negate_alphabet, phi_k,
                           right_divide, series_inverse, series_mul,
                           series_power, series_power_binomial, sigma1,
-                          unit_series, zero_series)
+                          unit_series)
 from ncgeode.schroeder import g_e
+from oracles import zero_series
 
 
 def s_series(terms, order, ring=INT_RING):
@@ -24,13 +25,13 @@ def s_series(terms, order, ring=INT_RING):
 
 
 def random_series(rng, order, constant=0, ring=INT_RING):
-    comps = [{(): ring.from_int(constant)} if constant else {}]
+    comps = [{(): ring.one * constant} if constant else {}]
     for n in range(1, order + 1):
         comp = {}
         for I in compositions(n):
             c = rng.randint(-3, 3)
             if c:
-                comp[I] = ring.from_int(c)
+                comp[I] = ring.one * c
         comps.append(comp)
     return NcsfSeries(ring, comps)
 
@@ -263,6 +264,17 @@ def test_right_divide_signals_failure():
     v = s_series({(2,): 1}, 3)
     u = sigma1(INT_RING, 3) - unit_series(INT_RING, 3)
     with pytest.raises(NotDivisibleError):
+        right_divide(v, u)
+
+
+@pytest.mark.parametrize("divisor", [
+    pytest.param({(1,): 2, (2,): 1}, id="twice-s1"),
+    pytest.param({(2,): 1}, id="no-s1"),
+])
+def test_right_divide_requires_divisor_starting_with_s1(divisor):
+    u = s_series(divisor, 3)
+    v = series_mul(s_series({(): 1, (1,): 1}, 3), u)
+    with pytest.raises(ValueError, match="must start with S_1"):
         right_divide(v, u)
 
 

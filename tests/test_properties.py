@@ -8,8 +8,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ncgeode.coeffring import (INT_RING, EPoly, PolyT, _polyt_from_json,
-                               _polyt_to_json, fraction_to_str)
+from ncgeode.coeffring import (INT_RING, POLYT_RING, EPoly, PolyT,
+                               fraction_to_str)
 from ncgeode.combinat import coarsenings, compositions
 from ncgeode.gfseries import PowerSeries
 from ncgeode.render import polyt_str
@@ -342,9 +342,9 @@ def test_polyt_ring_axioms(p, q, r, k):
 @SETTINGS
 @given(POLYT)
 def test_polyt_json_round_trip(p):
-    data = _polyt_to_json(p)
+    data = POLYT_RING.to_json(p)
     assert data == [fraction_to_str(c) for c in p.coeffs]
-    back = _polyt_from_json(json.loads(json.dumps(data)))
+    back = POLYT_RING.from_json(json.loads(json.dumps(data)))
     assert back == p
     assert_canonical(back)
 

@@ -3,17 +3,17 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 
 from ncgeode.coeffring import EPoly, epoly_evaluate
-from ncgeode.combinat import (enumerate_lukasiewicz, is_lukasiewicz,
-                              lukasiewicz_root_children)
+from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import free_cumulant_routes, solve_g
 from ncgeode.ncsf import annihilate
 from ncgeode.schroeder import (SystemState, chain_monomials, delta_e_coefficient,
                                enumerate_prime_schroeder, enumerate_schroeder,
-                               g_e, gamma_e, is_schroeder_code, prime_tree_weight,
-                               prime_trees_with_chains, project_placeholder,
-                               right_branch_partition, root_children,
-                               solve_xy_system, tree_weight, trees_with_chains)
+                               g_e, gamma_e, prime_trees_with_chains,
+                               project_placeholder, right_branch_partition,
+                               root_children, solve_xy_system, trees_with_chains)
 from ncgeode import fixtures as fx
+from oracles import (is_lukasiewicz, is_schroeder_code, lukasiewicz_root_children,
+                     prime_tree_weight, tree_weight)
 
 LITTLE_SCHROEDER = [1, 3, 11, 45, 197, 903]
 
