@@ -21,7 +21,8 @@ from .lagrange import (eta_t, g_t, gamma_t, geode, gessel_gamma, h_t,
 from .ncsf import convert_basis
 from .render import (biseries_to_json_dict, series_to_json_dict,
                      series_to_text, uniseries_to_json_dict, word_str)
-from .schroeder import enumerate_prime_schroeder, enumerate_schroeder, g_e
+from .schroeder import (enumerate_prime_schroeder, enumerate_schroeder, g_e,
+                        gamma_e)
 from .verify import SUITES, run_suite
 
 
@@ -167,7 +168,6 @@ def cmd_klagrange(args, out) -> int:
 
 
 def cmd_eseries(args, out) -> int:
-    from .schroeder import gamma_e
     # gamma^[e] through degree n is read off the prefix walk through n, and
     # g^[e] through n appends the last parts to the walk through n - 1
     if _refuse_order(args.degree, f"--series {args.series} --degree {args.degree}"):

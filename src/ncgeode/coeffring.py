@@ -82,17 +82,6 @@ class PolyT:
         den = self.den
         return tuple(Fraction(c, den) for c in self.num)
 
-    @classmethod
-    def constant(cls, c) -> "PolyT":
-        return cls((c,))
-
-    @classmethod
-    def t(cls) -> "PolyT":
-        return cls((0, 1))
-
-    def degree(self) -> int:
-        return len(self.num) - 1
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -285,12 +274,6 @@ class EPoly:
     def one(cls) -> "EPoly":
         return cls({(): 1})
 
-    @classmethod
-    def e(cls, k: int) -> "EPoly":
-        if k == 0:
-            return cls.one()
-        return cls({(k,): 1})
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda kv: partition_sort_key(kv[0]))
 
@@ -449,8 +432,26 @@ def _epoly_to_json(p: EPoly) -> list[dict]:
     return [{"partition": list(part), "coeff": str(c)} for part, c in p.sorted_terms()]
 
 
+def _exact(v, parse=int):
+    """``parse(v)`` for a JSON integer or string; a float would be rounded
+    and a bool read as 0 or 1, so anything else raises TypeError."""
+    if type(v) not in (int, str):
+        raise TypeError(f"{v!r} is neither an integer nor a string")
+    return parse(v)
+
+
+def _exact_list(v, parse=int) -> list:
+    if type(v) is not list:
+        raise TypeError(f"{v!r} is not a list")
+    return [_exact(c, parse) for c in v]
+
+
+def _polyt_from_json(v) -> PolyT:
+    return PolyT(_exact_list(v, Fraction))
+
+
 def _epoly_from_json(v) -> EPoly:
-    return EPoly([(tuple(item["partition"]), int(item["coeff"])) for item in v])
+    return EPoly([(_exact_list(item["partition"]), _exact(item["coeff"])) for item in v])
 
 
 @dataclass(frozen=True)
@@ -464,8 +465,8 @@ class Ring:
     from_json: Callable
 
 
-INT_RING = Ring("int", 0, 1, str, int)
-POLYT_RING = Ring("polyt", POLYT_ZERO, POLYT_ONE, _polyt_to_json, PolyT)
+INT_RING = Ring("int", 0, 1, str, _exact)
+POLYT_RING = Ring("polyt", POLYT_ZERO, POLYT_ONE, _polyt_to_json, _polyt_from_json)
 EPOLY_RING = Ring("epoly", EPoly(), EPoly.one(), _epoly_to_json, _epoly_from_json)
 
 RINGS = {r.name: r for r in (INT_RING, POLYT_RING, EPOLY_RING)}

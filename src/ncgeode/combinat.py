@@ -8,8 +8,8 @@ Lukasiewicz condition).  All tree operations here are word rewrites.
 The one walk over a tree code, ``_subtree_end``, takes the letter arity of
 its tree family; ``schroeder`` splits its codes with it.
 Sums over plane tree codes weighted by a composition are a DP over the
-running letter sum: ``tree_code_sum`` for one composition,
-``tree_code_prefix_sums`` for all of them over one walk of their prefixes.
+running letter sum, ``tree_code_prefix_sums``, run for all compositions
+over one walk of their prefixes.
 """
 
 from __future__ import annotations
@@ -183,57 +183,22 @@ def plane_tree_codes_with_nodes(p: int) -> list[tuple[int, ...]]:
     return enumerate_lukasiewicz(p - 1)
 
 
-def tree_code_sum(comp: tuple[int, ...], factor, one, zero):
-    """Sum over the codes a of plane trees with len(comp) nodes of the
-    products factor(a_1, i_1) ... factor(a_{p-1}, i_{p-1}).
-
-    The final code letter is always zero and has no factor.  The
-    Lukasiewicz condition only constrains the running letter sum, so the
-    sum is a DP over it: after j letters, ``vec[s]`` sums the products of
-    all prefixes with letter sum s, and a proper prefix needs s >= j.  The
-    answer is the entry s = p - 1 after p - 1 letters, for at most
-    p^3 / 6 ring products instead of Catalan(p - 1) * (p - 1).
-    ``factor(0, i)`` must be ``one``; those products are skipped.
-
-    This is the sum for one composition.  ``tree_code_prefix_sums`` runs
-    the same DP for all compositions at once, sharing each prefix.
-    """
-    n = len(comp) - 1
-    if n <= 0:
-        return one
-    vec = [one]              # vec[s] for the empty prefix: s = 0 only
-    for j in range(1, n + 1):
-        i = comp[j - 1]
-        # letter j lifts the sum from s to s + a with j <= s + a <= n
-        factors = [factor(a, i) for a in range(n - j + 2)]
-        new = [zero] * (n + 1)
-        for s, v in enumerate(vec):
-            if not v:
-                continue
-            if s >= j:
-                new[s] = new[s] + v          # letter 0, whose factor is one
-            for a in range(max(j - s, 1), n - s + 1):
-                new[s + a] = new[s + a] + v * factors[a]
-        vec = new
-    return vec[n]
-
-
 def tree_code_prefix_sums(n: int, factor, one, zero, first=None) -> list[dict]:
-    """``tree_code_sum`` of every composition (I, x) with |I| <= n, read off
-    one depth-first walk over the trie of the prefixes I.
+    """For every composition (I, x) with |I| <= n, the sum over the codes
+    a of plane trees with len(I) + 1 nodes of factor(a_1, i_1) ...
+    factor(a_p, i_p), p = len(I); the last code letter is zero and, like
+    x, has no factor, so the sum is the same for every x.
 
-    The last part x carries no factor, so the sum of (I, x) is the same for
-    every x >= 1: it is the entry s = len(I) of the DP vector at the prefix
-    I, and the walk returns it as ``sums[|I|][I]``.  A child I + (x,) applies
-    one more letter to its parent's vector, so each prefix costs one DP step
-    instead of one DP per composition.  The walk serves every size through
-    n + 1, so at the prefix I of length j the running sum is capped at
-    j + n - |I|: the longest composition through I has length j + 1 + n - |I|
-    and ends at sum one less.
-
-    ``first(a, i)``, if given, replaces ``factor`` at the first letter.  A
-    prefix whose vector is zero is left out, with every prefix below it:
-    their sums are zero.
+    The Lukasiewicz condition only bounds the running letter sum, so the
+    sum is a DP over it: entry s of the vector after j letters sums the
+    prefixes of letter sum s >= j.  One depth-first walk over the trie of
+    the prefixes I returns entry len(I) of the vector at I as
+    ``sums[|I|][I]``; a child I + (x,) applies one letter to its parent's
+    vector, and at length j the sum is capped at j + n - |I|, one less
+    than the length of the longest composition through I.
+    ``factor(0, i)`` must be ``one``, and ``first(a, i)``, if given,
+    replaces ``factor`` at the first letter.  A prefix whose vector is zero
+    is left out, with every prefix below it: their sums are zero.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -268,7 +233,7 @@ def tree_code_prefix_sums(n: int, factor, one, zero, first=None) -> list[dict]:
 def with_last_part(prefix_sums, order: int, constant: dict) -> list[dict]:
     """Components through ``order`` whose coefficient at (I, x) is
     ``prefix_sums[|I|][I]`` for every last part x >= 1, after the degree-0
-    component ``constant``: the series of ``tree_code_sum`` read off
+    component ``constant``: the series of tree-code sums read off
     ``tree_code_prefix_sums``."""
     return [constant] + [{I + (d - e,): c for e in range(d) for I, c in prefix_sums[e].items()}
                          for d in range(1, order + 1)]

@@ -25,13 +25,12 @@ prefix of length j summing to at least j) of
 the last code letter being always zero.  No code is listed: since the
 condition on a code only involves its running letter sum, a DP carries,
 letter by letter, the summed products of all admissible prefixes with each
-prefix sum s.  ``delta_coefficient`` runs it for one composition
-(``combinat.tree_code_sum``).  The series run it once for all of them
-(``combinat.tree_code_prefix_sums``): compositions with a common prefix
-share its DP vector, and since the last part carries no factor, S^(I, x) has
-the same coefficient for every x >= 1, which is the coefficient of S^I in
-the t-geode.  So ``gamma_t`` is read off the prefixes, ``g_t`` appends every
-last part to them, and ``h_t`` runs the same walk with the first factor
+prefix sum s, once for all compositions (``combinat.tree_code_prefix_sums``):
+compositions with a common prefix share its DP vector, and since the last
+part carries no factor, S^(I, x) has the same coefficient for every x >= 1,
+which is the coefficient of S^I in the t-geode.  So ``gamma_t`` is read off
+the prefixes, ``g_t`` appends every last part to them, ``delta_coefficient``
+reads one of them, and ``h_t`` runs the same walk with the first factor
 C(t*(i_1 - 1), a_1).  Specializing t to -1 gives free cumulants.
 """
 
@@ -42,8 +41,8 @@ from functools import lru_cache
 
 from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
                         binomial_polynomial)
-from .combinat import tree_code_prefix_sums, tree_code_sum, with_last_part
-from .ncsf import (NcsfSeries, NotDivisibleError, _conv_into, annihilate,
+from .combinat import tree_code_prefix_sums, with_last_part
+from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, compose,
                    graded_power, inverse_component, lagrange_transform,
                    negate_alphabet, phi_k, right_divide, series_inverse,
                    series_mul, sigma1, unit_series)
@@ -134,12 +133,12 @@ def eta_identities(order: int) -> dict[str, bool]:
 def delta_coefficient(comp: tuple[int, ...]) -> PolyT:
     """Coefficient of S^I in the t-Lagrange series as a polynomial in t.
 
-    The sum, over the codes a of plane trees with len(I) nodes, of the
-    products C(t*i_1, a_1) ... C(t*i_{p-1}, a_{p-1}), computed by the DP
-    over the running letter sum of ``tree_code_sum``.
+    The last part of I carries no factor, so for I = (J, x) it is the
+    coefficient of S^J in ``gamma_t(|J|)``, read off the prefix walk.
     """
-    return tree_code_sum(comp, lambda a, i: binomial_polynomial(i, a),
-                         POLYT_ONE, POLYT_ZERO)
+    if not comp:
+        return POLYT_ONE
+    return gamma_t(sum(comp) - comp[-1]).coefficient(comp[:-1])
 
 
 def _t_prefix_sums(n: int, first_shift: int = 0) -> list[dict]:
@@ -220,21 +219,9 @@ def free_cumulants(order: int) -> NcsfSeries:
 
 
 def free_cumulant_equation_holds(order: int) -> bool:
-    """Check sigma_1 = sum_n K_n sigma_1^n through the given degree.
-
-    K_n sigma_1^n through degree ``order`` reads sigma_1^n only through
-    degree order - n, so each power is a product of truncations.
-    """
-    K = free_cumulants(order)
+    """Check sigma_1 = sum_n K_n sigma_1^n through the given degree."""
     sig = sigma1(INT_RING, order)
-    acc = [dict() for _ in range(order + 1)]
-    sig_pow = unit_series(INT_RING, order)
-    for n in range(order + 1):
-        if n:
-            sig_pow = series_mul(sig_pow, sig.truncate(order - n))
-        for j, comp in enumerate(sig_pow.components):
-            _conv_into(acc[n + j], K.components[n], comp, 0)
-    return NcsfSeries(INT_RING, acc) == sig
+    return compose(free_cumulants(order), sig) == sig
 
 
 @lru_cache(maxsize=None)

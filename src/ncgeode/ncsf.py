@@ -28,9 +28,9 @@ the coefficient product as an argument (by default ``*``), so the lifted
 e-system runs it on plain tuples of chain lengths, whose product is
 concatenation.  Chained ``series_mul`` products stay where they serve as a
 check or cost less memory: ``series_power`` is the repeated-product
-reference of the tests, the defining-equation checks of ``verify`` exercise
-the product kernel on truncations (each power only through the degrees its
-term reads), and ``series_power_binomial`` would gain little on
+reference of the tests, ``compose``, behind both defining-equation checks,
+exercises the product kernel on truncations (each power only through the
+degrees its term reads), and ``series_power_binomial`` would gain little on
 ``graded_power`` while its memo held every (u-1)^j.
 
 ``map_words`` is the one linear word map, for ``lagrange_transform`` and
@@ -238,6 +238,22 @@ def series_power(u: NcsfSeries, k: int) -> NcsfSeries:
     for _ in range(abs(k) - 1):
         out = series_mul(out, base)
     return out
+
+
+def compose(a: NcsfSeries, b: NcsfSeries) -> NcsfSeries:
+    """sum_n a_n b^n, a_n the degree-n component of ``a``, through the lower
+    order; a_n b^n reads b^n only through degree order - n, so each power
+    is a ``series_mul`` of truncations."""
+    a._check_compatible(b)
+    order = min(a.order, b.order)
+    acc = [dict() for _ in range(order + 1)]
+    power = unit_series(b.ring, order)
+    for n in range(order + 1):
+        if n:
+            power = series_mul(power, b.truncate(order - n))
+        for j, comp in enumerate(power.components):
+            _conv_into(acc[n + j], a.components[n], comp, b.ring.zero)
+    return NcsfSeries(b.ring, acc)
 
 
 def graded_power(comps, m: int, d: int, memo: dict, one, zero, mul=_mul) -> dict:

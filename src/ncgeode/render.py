@@ -144,7 +144,7 @@ def series_from_json(data: dict) -> NcsfSeries:
     an object, an unknown ring, a negative truncation, a component degree
     outside 0..truncation, a composition that is not a list of positive
     integers summing to its degree, two terms on one word, or a coefficient
-    its ring cannot read.
+    its ring cannot read: a float or a bool where an integer belongs too.
     """
     try:
         ring_name, order, basis = data["ring"], data["truncation"], data["basis"]

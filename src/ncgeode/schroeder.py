@@ -46,9 +46,9 @@ from operator import add
 from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
-from .ncsf import NcsfSeries, annihilate, graded_power
+from .ncsf import NcsfSeries, graded_power
 from .combinat import (_root_children, nonzero_letters, tree_code_prefix_sums,
-                       tree_code_sum, with_last_part)
+                       with_last_part)
 
 
 def _arity(letter: int) -> int:
@@ -268,22 +268,21 @@ def project_placeholder(graded) -> NcsfSeries:
 
 @lru_cache(maxsize=None)
 def delta_e_coefficient(comp: tuple[int, ...]) -> EPoly:
-    """Coefficient of S^I in the e-Lagrange series.
-
-    The sum, over the codes a of plane trees with len(I) nodes, of the
-    products e_{a_1}(i_1 A) ... e_{a_{p-1}}(i_{p-1} A) of elementary
-    functions of multiplied alphabets, computed by the DP over the running
-    letter sum of ``tree_code_sum``.
-    """
-    return tree_code_sum(comp, elementary_of_multiple, EPoly.one(), EPoly())
+    """Coefficient of S^I in the e-Lagrange series: the sum, over the codes
+    a of plane trees with len(I) nodes, of the products e_{a_1}(i_1 A) ...
+    e_{a_{p-1}}(i_{p-1} A).  The last part carries no factor, so for
+    I = (J, x) it is the coefficient of S^J in ``gamma_e(|J|)``."""
+    if not comp:
+        return EPoly.one()
+    return gamma_e(sum(comp) - comp[-1]).coefficient(comp[:-1])
 
 
 def g_e(order: int, route: str = "delta") -> NcsfSeries:
     """The e-Lagrange series by any of its three constructions.
 
-    The delta route is the tree-code sum of ``delta_e_coefficient`` for
-    every composition at once: it appends every last part to the prefix
-    sums of ``gamma_e(order - 1)``, as ``lagrange.g_t`` does over t.
+    The delta route is ``delta_e_coefficient`` for every composition at
+    once: it appends every last part to the prefix sums of
+    ``gamma_e(order - 1)``, as ``lagrange.g_t`` does over t.
     """
     if route == "delta":
         # g^[e] - 1 = gamma^[e] (sigma_1 - 1): the last part has no factor
@@ -303,15 +302,8 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
 
 
 @lru_cache(maxsize=None)
-def gamma_e(order: int, k: int = 1) -> NcsfSeries:
-    """The e-geode g^[e] S_k^{-1}; independent of k >= 1.
-
-    At k = 1 its coefficient at I is the prefix sum at I of the tree-code
-    walk, read off directly; k >= 2 annihilates ``g_e(order + k)``.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k == 1:
-        return NcsfSeries(EPOLY_RING, tree_code_prefix_sums(
-            order, elementary_of_multiple, EPoly.one(), EPoly()))
-    return annihilate(g_e(order + k), k)
+def gamma_e(order: int) -> NcsfSeries:
+    """The e-geode g^[e] S_1^{-1}: its coefficient at I is the prefix sum
+    at I of the tree-code walk, read off directly."""
+    return NcsfSeries(EPOLY_RING, tree_code_prefix_sums(
+        order, elementary_of_multiple, EPoly.one(), EPoly()))

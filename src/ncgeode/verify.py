@@ -11,15 +11,18 @@ from dataclasses import dataclass, field
 
 from . import fixtures as fx
 from .coeffring import EPOLY_RING, INT_RING, epoly_evaluate
-from .combinat import (catalan, enumerate_lukasiewicz, iter_lukasiewicz,
-                       parking_quasi_ribbons, shift_words, remove_last_corolla)
+from .combinat import (catalan, code_to_dyck, code_to_ndpf, compositions,
+                       conjugate, enumerate_lukasiewicz, iter_lukasiewicz,
+                       ndpf_to_noncrossing, parking_quasi_ribbons, shift_words,
+                       remove_last_corolla)
 from .gfseries import closed_form, prefix_check, specialize_ncsf
 from .lagrange import (delta_coefficient, divisibility_check, eta_identities,
                        free_cumulant_equation_holds, free_cumulant_routes,
                        g_t, gamma_t, geode, geode_by_division, gessel_gamma,
                        h_t, eta_t, k_lagrange_by_phi, k_lagrange_direct,
                        solve_g, specialize_t, theta_t, theta_k_by_transform)
-from .ncsf import NcsfSeries, convert_basis, series_mul
+from .ncsf import (NcsfSeries, annihilate, compose, convert_basis, sigma1,
+                   unit_series)
 from .schroeder import (chain_monomials, enumerate_prime_schroeder, g_e,
                         gamma_e, solve_xy_system)
 
@@ -147,7 +150,6 @@ def paper_suite(degree: int) -> Report:
             and enumerate_lukasiewicz(3) == fx.LUKASIEWICZ_3)
 
     code, dyck = fx.DYCK_EXAMPLE
-    from .combinat import code_to_dyck, code_to_ndpf, ndpf_to_noncrossing
     rep.add("dyck-and-parking-example",
             code_to_dyck(code) == dyck
             and code_to_ndpf(fx.NDPF_EXAMPLE[0]) == fx.NDPF_EXAMPLE[1]
@@ -175,16 +177,8 @@ def identities_suite(degree: int) -> Report:
     d = degree
 
     g = solve_g(d)
-    from .ncsf import sigma1, unit_series
-    # S_m g^m through degree d reads g^m only through degree d - m; its words
-    # are those of g^m with the prefix m, so no two terms collide
-    acc = [dict() for _ in range(d + 1)]
-    gm = unit_series(INT_RING, d)
-    for m in range(1, d + 1):
-        gm = series_mul(gm, g.truncate(d - m))
-        for n, comp in enumerate(gm.components):
-            acc[m + n].update(((m,) + w, c) for w, c in comp.items())
-    rep.add("defining-equation", NcsfSeries(INT_RING, acc) == g - unit_series(INT_RING, d),
+    one = unit_series(INT_RING, d)
+    rep.add("defining-equation", compose(sigma1(INT_RING, d) - one, g) == g - one,
             "g - 1 must equal sum_m S_m g^m")
 
     kmax = min(4, d)
@@ -229,15 +223,16 @@ def identities_suite(degree: int) -> Report:
     de = min(d, 6)
     rep.add("e-lagrange-route-agreement",
             g_e(de, "delta") == g_e(de, "system") == g_e(de, "trees"))
-    ke = min(d, 5)
+    # the trees route enumerates prime trees and never runs the prefix walk
+    ke = min(d, 4) + 3
+    trees = g_e(ke, "trees")
     rep.add("e-geode-corolla-independence",
-            gamma_e(ke, 1) == gamma_e(ke, 2) == gamma_e(ke, 3))
+            all(annihilate(trees, k) == gamma_e(ke - k) for k in (1, 2, 3)))
     sign_spec = g_e(de).map_coefficients(lambda c: epoly_evaluate(c, "sign"), INT_RING)
     rep.add("e-series-at-sign-is-free-cumulants",
             sign_spec == specialize_t(g_t(de), -1))
 
     # conjugation/sign identity, specific to the Lagrange series
-    from .combinat import compositions, conjugate
     gl = convert_basis(solve_g(min(d, 7)), "L")
     gr = convert_basis(solve_g(min(d, 7)), "R")
     sign_ok = True
@@ -293,15 +288,15 @@ def oeis_suite(degree: int) -> Report:
     counts_ok = all(len(enumerate_prime_schroeder(n)) == c
                     for n, c in fx.PRIME_SCHROEDER_COUNTS.items() if n <= d)
     rep.add("prime-schroeder-counts", counts_ok)
+    nz = min(d, 8)
+    ge = g_e(nz)
     sums_ok = all(
-        epoly_evaluate(sum(g_e(5).component(n).values(), start=EPOLY_RING.zero), "one")
+        epoly_evaluate(sum(ge.component(n).values(), start=EPOLY_RING.zero), "one")
         == fx.PRIME_SCHROEDER_COUNTS[n]
         for n in range(1, min(d, 5) + 1))
     rep.add("e-series-coefficient-sums-are-schroeder", sums_ok)
-
-    nz = min(d, 8)
     rep.add("zq-specialization-equals-closed-form",
-            specialize_ncsf(g_e(nz), "zq") == closed_form("zq", nz))
+            specialize_ncsf(ge, "zq") == closed_form("zq", nz))
 
     ncat = min(d, 10)
     rep.add("lukasiewicz-counts-are-catalan",

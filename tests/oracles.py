@@ -3,7 +3,8 @@
 Each one is an independent, slower route to something the package computes
 another way: plane tree and Schroeder codes checked and split letter by
 letter, the Lagrange series counted off enumerated trees, tree weights read
-off parsed codes, and the inverse bijections of ``combinat``.
+off parsed codes, the inverse bijections of ``combinat``, and the tree-code
+sum of one composition, a DP of its own beside the prefix walk.
 """
 
 from __future__ import annotations
@@ -58,6 +59,41 @@ def g_from_trees(order: int) -> NcsfSeries:
             comp[word] = comp.get(word, 0) + 1
         comps.append(comp)
     return NcsfSeries(INT_RING, comps)
+
+
+def tree_code_sum(comp: tuple[int, ...], factor, one, zero):
+    """Sum over the codes a of plane trees with len(comp) nodes of the
+    products factor(a_1, i_1) ... factor(a_{p-1}, i_{p-1}).
+
+    The final code letter is always zero and has no factor.  The
+    Lukasiewicz condition only constrains the running letter sum, so the
+    sum is a DP over it: after j letters, ``vec[s]`` sums the products of
+    all prefixes with letter sum s, and a proper prefix needs s >= j.  The
+    answer is the entry s = p - 1 after p - 1 letters, for at most
+    p^3 / 6 ring products instead of Catalan(p - 1) * (p - 1).
+    ``factor(0, i)`` must be ``one``; those products are skipped.
+
+    This is the sum for one composition.  ``tree_code_prefix_sums`` runs
+    the same DP for all compositions at once, sharing each prefix.
+    """
+    n = len(comp) - 1
+    if n <= 0:
+        return one
+    vec = [one]              # vec[s] for the empty prefix: s = 0 only
+    for j in range(1, n + 1):
+        i = comp[j - 1]
+        # letter j lifts the sum from s to s + a with j <= s + a <= n
+        factors = [factor(a, i) for a in range(n - j + 2)]
+        new = [zero] * (n + 1)
+        for s, v in enumerate(vec):
+            if not v:
+                continue
+            if s >= j:
+                new[s] = new[s] + v          # letter 0, whose factor is one
+            for a in range(max(j - s, 1), n - s + 1):
+                new[s + a] = new[s + a] + v * factors[a]
+        vec = new
+    return vec[n]
 
 
 def tree_weight(code: tuple[int, ...]) -> EPoly:

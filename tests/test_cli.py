@@ -111,6 +111,23 @@ def _with_terms(data, degree, *terms):
     pytest.param(lambda d: _with_terms({**d, "ring": "epoly"}, 2,
                                        ([2], [{"partition": [1]}])),
                  "bad epoly coefficient", id="epoly-coeff-without-coeff"),
+    pytest.param(lambda d: _with_terms(d, 2, ([2], 1.5)), "bad int coefficient",
+                 id="int-float-coeff"),
+    pytest.param(lambda d: _with_terms(d, 2, ([2], True)), "bad int coefficient",
+                 id="int-bool-coeff"),
+    pytest.param(lambda d: _with_terms({**d, "ring": "polyt"}, 2, ([2], [0.1])),
+                 "bad polyt coefficient", id="polyt-float-entry"),
+    pytest.param(lambda d: _with_terms({**d, "ring": "polyt"}, 2, ([2], "12")),
+                 "bad polyt coefficient", id="polyt-coeff-not-a-list"),
+    pytest.param(lambda d: _with_terms({**d, "ring": "epoly"}, 2,
+                                       ([2], [{"partition": [1], "coeff": 2.5}])),
+                 "bad epoly coefficient", id="epoly-float-coeff"),
+    pytest.param(lambda d: _with_terms({**d, "ring": "epoly"}, 2,
+                                       ([2], [{"partition": [1.5], "coeff": "1"}])),
+                 "bad epoly coefficient", id="epoly-float-part"),
+    pytest.param(lambda d: _with_terms({**d, "ring": "epoly"}, 2,
+                                       ([2], [{"partition": [True], "coeff": "1"}])),
+                 "bad epoly coefficient", id="epoly-bool-part"),
 ])
 def test_series_from_json_rejects_bad_input(edit, message):
     data = series_to_json_dict(solve_g(3), "g")

@@ -13,11 +13,11 @@ from ncgeode.combinat import (catalan, coarsenings, code_to_dyck, code_to_ndpf,
                               ndpf_to_noncrossing, nonzero_letters,
                               parking_quasi_ribbons, plane_tree_codes_with_nodes,
                               remove_last_corolla, shift_words, trailing_zeros,
-                              tree_code_prefix_sums, tree_code_sum)
+                              tree_code_prefix_sums)
 from ncgeode.lagrange import delta_coefficient
 from ncgeode.schroeder import delta_e_coefficient
 from oracles import (is_lukasiewicz, lukasiewicz_root_children, ndpf_to_code,
-                     noncrossing_to_ndpf)
+                     noncrossing_to_ndpf, tree_code_sum)
 
 
 def test_compositions_order_matches_display_convention():
@@ -106,18 +106,18 @@ def test_delta_coefficients_match_code_enumeration(n):
 
 @pytest.mark.parametrize("ring", ["polyt", "epoly"])
 def test_tree_code_prefix_sums_match_each_composition(ring):
-    # every composition (I, x) through degree 10 reads the prefix sum at I
+    # every composition (I, x) through degree 10 reads the prefix sum at I,
+    # which the per-composition DP of the oracles computes on its own
     if ring == "polyt":
         factor, one, zero = lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT()
-        single = delta_coefficient
     else:
         factor, one, zero = elementary_of_multiple, EPoly.one(), EPoly()
-        single = delta_e_coefficient
     sums = tree_code_prefix_sums(9, factor, one, zero)
     assert [sorted(comp) for comp in sums] == [sorted(compositions(e)) for e in range(10)]
     for n in range(1, 11):
         for comp in compositions(n):
-            assert sums[n - comp[-1]][comp[:-1]] == single(comp), comp
+            single = tree_code_sum(comp, factor, one, zero)
+            assert sums[n - comp[-1]][comp[:-1]] == single, comp
 
 
 def test_tree_code_prefix_sums_count_plane_trees():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncgeode.coeffring import INT_RING, POLYT_ONE, POLYT_RING, PolyT
+from ncgeode.coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
+                               binomial_polynomial)
 from ncgeode.combinat import (catalan, compositions, iter_lukasiewicz,
                               nonzero_letters, shift_words, trailing_zeros)
 from ncgeode.lagrange import (delta_coefficient, divisibility_check,
@@ -18,7 +19,7 @@ from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate,
 from ncgeode import fixtures as fx
 from ncgeode import lagrange
 from oracles import (g_from_trees, generator, lukasiewicz_root_children,
-                     zero_series)
+                     tree_code_sum, zero_series)
 
 
 def test_g_low_degrees():
@@ -211,7 +212,8 @@ def test_gamma_t_tables():
 def g_t_by_compositions(order):
     # g^(t) with one tree-code DP per composition, apart from the prefix walk
     return NcsfSeries(POLYT_RING, [{(): POLYT_ONE}] + [
-        {I: delta_coefficient(I) for I in compositions(n)} for n in range(1, order + 1)])
+        {I: tree_code_sum(I, lambda a, i: binomial_polynomial(i, a), POLYT_ONE, POLYT_ZERO)
+         for I in compositions(n)} for n in range(1, order + 1)])
 
 
 def test_gamma_t_equals_right_division_through_degree_8():
@@ -231,7 +233,7 @@ def test_g_t_equals_k_series_as_polynomials():
     # every coefficient of g_t(8) has t-degree <= 7, so the eight points
     # k = 0..7 pin it down; k = -1..-8 check the free-cumulant side too
     gt = g_t(8)
-    assert max(c.degree() for comp in gt.components for c in comp.values()) <= 7
+    assert max(len(c.num) - 1 for comp in gt.components for c in comp.values()) <= 7
     for k in [*range(8), *range(-1, -9, -1)]:
         assert specialize_t(gt, k) == k_lagrange_direct(k, 8), k
 
@@ -249,10 +251,14 @@ def test_gamma_t_at_integers_is_phi_of_geode():
 
 def test_gamma_t_corolla_independence_observed():
     # suggested by the tables and verified here at small scale; not a
-    # claimed theorem for symbolic t
+    # claimed theorem for symbolic t.  Through degree 4, gamma^(t) and
+    # g^(t) S_k^{-1} have coefficients of t-degree <= 4, so t = 0..4 pin
+    # down their equality; the integer k-series is solved without the walk
     gmt = gamma_t(4)
-    for k in (1, 2, 3):
-        assert annihilate(g_t(4 + k), k) == gmt, k
+    assert max(len(c.num) - 1 for comp in gmt.components for c in comp.values()) <= 4
+    for j in range(5):
+        for k in (1, 2, 3):
+            assert specialize_t(gmt, j) == annihilate(k_lagrange_direct(j, 4 + k), k), (j, k)
 
 
 def test_theta_t_tables():

@@ -236,7 +236,10 @@ def test_gamma_e_tables():
 
 
 def test_gamma_e_corolla_independence():
-    assert gamma_e(5, 1) == gamma_e(5, 2) == gamma_e(5, 3)
+    # the system route builds g^[e] without the prefix walk of gamma_e
+    system = g_e(8, "system")
+    for k in (1, 2, 3):
+        assert annihilate(system, k) == gamma_e(8 - k), k
 
 
 def test_e_sign_specialization_gives_free_cumulants():
@@ -273,4 +276,4 @@ def test_coefficient_sums_are_schroeder_numbers():
 def test_project_placeholder():
     state = solve_xy_system(2)
     projected = project_placeholder(state.g)
-    assert projected.component(2) == {(2,): EPoly.one(), (1, 1): EPoly.e(1)}
+    assert projected.component(2) == {(2,): EPoly.one(), (1, 1): EPoly({(1,): 1})}
