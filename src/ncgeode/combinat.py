@@ -8,8 +8,10 @@ Lukasiewicz condition).  All tree operations here are word rewrites.
 The one walk over a tree code, ``_subtree_end``, takes the letter arity of
 its tree family; ``schroeder`` splits its codes with it.
 Sums over plane tree codes weighted by a composition are a DP over the
-running letter sum, ``tree_code_prefix_sums``, run for all compositions
-over one walk of their prefixes.
+running letter sum, ``tree_code_prefix_sums``: one walk over the trie of
+prefixes, either every prefix through n, for a whole series, or the path of
+one composition, for a single coefficient (``tree_code_coefficient``), at
+about p^3 / 6 ring products for p parts.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def plane_tree_codes_with_nodes(p: int) -> list[tuple[int, ...]]:
     return enumerate_lukasiewicz(p - 1)
 
 
-def tree_code_prefix_sums(n: int, factor, one, zero, first=None) -> list[dict]:
+def tree_code_prefix_sums(n: int, factor, one, zero, first=None, along=None) -> list[dict]:
     """For every composition (I, x) with |I| <= n, the sum over the codes
     a of plane trees with len(I) + 1 nodes of factor(a_1, i_1) ...
     factor(a_p, i_p), p = len(I); the last code letter is zero and, like
@@ -191,28 +193,34 @@ def tree_code_prefix_sums(n: int, factor, one, zero, first=None) -> list[dict]:
 
     The Lukasiewicz condition only bounds the running letter sum, so the
     sum is a DP over it: entry s of the vector after j letters sums the
-    prefixes of letter sum s >= j.  One depth-first walk over the trie of
-    the prefixes I returns entry len(I) of the vector at I as
+    prefixes of letter sum s >= j.  One depth-first walk over a trie of
+    prefixes I returns entry len(I) of the vector at I as
     ``sums[|I|][I]``; a child I + (x,) applies one letter to its parent's
-    vector, and at length j the sum is capped at j + n - |I|, one less
-    than the length of the longest composition through I.
+    vector, and at length j the sum is capped at j plus the number of parts
+    after I of the longest composition the walk visits through I.  The
+    trie holds every prefix through n, or, if ``along`` is a composition of
+    n, only the prefixes of ``along``: that walk is one path of len(along)
+    steps, about len(along)^3 / 6 ring products, with factor tables for
+    its own parts and letters through len(along).
     ``factor(0, i)`` must be ``one``, and ``first(a, i)``, if given,
     replaces ``factor`` at the first letter.  A prefix whose vector is zero
     is left out, with every prefix below it: their sums are zero.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    tables = {i: [factor(a, i) for a in range(n + 1)] for i in range(1, n + 1)}
+    parts, letters = (range(1, n + 1), n) if along is None else (set(along), len(along))
+    tables = {i: [factor(a, i) for a in range(letters + 1)] for i in parts}
     first_tables = tables if first is None else \
-        {i: [first(a, i) for a in range(n + 1)] for i in range(1, n + 1)}
+        {i: [first(a, i) for a in range(letters + 1)] for i in parts}
     sums: list[dict] = [{} for _ in range(n + 1)]
 
     def walk(prefix, total, vec, children):
         j = len(prefix)
         sums[total][prefix] = vec[j]
-        for x in range(1, n - total + 1):
+        for x in range(1, n - total + 1) if along is None else along[j:j + 1]:
             f = children[x]
-            cap = j + 2 + n - total - x
+            more = n - total - x if along is None else len(along) - j - 1
+            cap = j + 2 + more
             new = [zero] * cap
             # vec[s] with s >= j is all that a prefix of length j keeps
             for s in range(j, min(len(vec), cap)):
@@ -228,6 +236,17 @@ def tree_code_prefix_sums(n: int, factor, one, zero, first=None) -> list[dict]:
 
     walk((), 0, [one], first_tables)
     return sums
+
+
+def tree_code_coefficient(comp: tuple[int, ...], factor, one, zero):
+    """The tree-code sum at the composition ``comp`` alone.  Its last part
+    has no factor, so for comp = (J, x) it is the prefix sum at J, read off
+    the walk along J (J = () for the empty word); ``with_last_part`` reads
+    the whole series the same way."""
+    if any(i < 1 for i in comp):
+        raise ValueError(f"not a composition: {comp}")
+    J = comp[:-1]
+    return tree_code_prefix_sums(sum(J), factor, one, zero, along=J)[sum(J)].get(J, zero)
 
 
 def with_last_part(prefix_sums, order: int, constant: dict) -> list[dict]:

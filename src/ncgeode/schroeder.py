@@ -47,8 +47,8 @@ from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
 from .ncsf import NcsfSeries, graded_power
-from .combinat import (_root_children, nonzero_letters, tree_code_prefix_sums,
-                       with_last_part)
+from .combinat import (_root_children, nonzero_letters, tree_code_coefficient,
+                       tree_code_prefix_sums, with_last_part)
 
 
 def _arity(letter: int) -> int:
@@ -270,11 +270,9 @@ def project_placeholder(graded) -> NcsfSeries:
 def delta_e_coefficient(comp: tuple[int, ...]) -> EPoly:
     """Coefficient of S^I in the e-Lagrange series: the sum, over the codes
     a of plane trees with len(I) nodes, of the products e_{a_1}(i_1 A) ...
-    e_{a_{p-1}}(i_{p-1} A).  The last part carries no factor, so for
-    I = (J, x) it is the coefficient of S^J in ``gamma_e(|J|)``."""
-    if not comp:
-        return EPoly.one()
-    return gamma_e(sum(comp) - comp[-1]).coefficient(comp[:-1])
+    e_{a_{p-1}}(i_{p-1} A), read off the prefix walk along I alone, as
+    ``lagrange.delta_coefficient`` is, without building ``gamma_e``."""
+    return tree_code_coefficient(comp, elementary_of_multiple, EPoly.one(), EPoly())
 
 
 def g_e(order: int, route: str = "delta") -> NcsfSeries:

@@ -73,8 +73,10 @@ def tree_code_sum(comp: tuple[int, ...], factor, one, zero):
     p^3 / 6 ring products instead of Catalan(p - 1) * (p - 1).
     ``factor(0, i)`` must be ``one``; those products are skipped.
 
-    This is the sum for one composition.  ``tree_code_prefix_sums`` runs
-    the same DP for all compositions at once, sharing each prefix.
+    This is the sum for one composition, a loop of its own.
+    ``tree_code_prefix_sums`` runs the same DP for all compositions at
+    once, sharing each prefix, or along the path of one composition, which
+    is how ``delta_coefficient`` costs what this oracle costs.
     """
     n = len(comp) - 1
     if n <= 0:

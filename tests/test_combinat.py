@@ -14,8 +14,8 @@ from ncgeode.combinat import (catalan, coarsenings, code_to_dyck, code_to_ndpf,
                               parking_quasi_ribbons, plane_tree_codes_with_nodes,
                               remove_last_corolla, shift_words, trailing_zeros,
                               tree_code_prefix_sums)
-from ncgeode.lagrange import delta_coefficient
-from ncgeode.schroeder import delta_e_coefficient
+from ncgeode.lagrange import delta_coefficient, gamma_t
+from ncgeode.schroeder import delta_e_coefficient, gamma_e
 from oracles import (is_lukasiewicz, lukasiewicz_root_children, ndpf_to_code,
                      noncrossing_to_ndpf, tree_code_sum)
 
@@ -118,6 +118,44 @@ def test_tree_code_prefix_sums_match_each_composition(ring):
         for comp in compositions(n):
             single = tree_code_sum(comp, factor, one, zero)
             assert sums[n - comp[-1]][comp[:-1]] == single, comp
+
+
+@pytest.mark.parametrize("single", [delta_coefficient, delta_e_coefficient])
+@pytest.mark.parametrize("word", [(2, 0), (0,), (2, -1, 3), (1, 0, 1)])
+def test_single_coefficients_refuse_words_that_are_not_compositions(single, word):
+    with pytest.raises(ValueError, match="not a composition"):
+        single(word)
+
+
+def test_single_coefficients_walk_only_their_path():
+    # neither the whole t-geode nor the whole e-geode is read or built
+    comp = (2,) + (1,) * 10
+    for single, whole in ((delta_coefficient, gamma_t), (delta_e_coefficient, gamma_e)):
+        before = whole.cache_info()
+        single.__wrapped__(comp)
+        assert whole.cache_info() == before, single.__name__
+    # degree 30: the whole walk would visit 2^28 prefixes
+    comp = (2,) + (1,) * 28
+    assert delta_coefficient(comp) == tree_code_sum(
+        comp, lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT())
+
+
+@pytest.mark.parametrize("along", [(20, 20, 20), (10,) * 5, (3, 1, 3, 2)])
+def test_tree_code_prefix_sums_along_one_composition(along):
+    # the cap follows the path and the tables hold only its parts, so the
+    # walk asks for len(set(along)) * (len(along) + 1) factors at most
+    calls = Counter()
+
+    def factor(a, i):
+        calls[a, i] += 1
+        return binomial_polynomial(i, a)
+
+    n = sum(along)
+    sums = tree_code_prefix_sums(n, factor, POLYT_ONE, PolyT(), along=along)
+    assert sum(calls.values()) <= len(set(along)) * (len(along) + 1)
+    assert [I for comp in sums for I in comp] == [along[:j] for j in range(len(along) + 1)]
+    assert sums[n][along] == tree_code_sum(
+        along + (1,), lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT())
 
 
 def test_tree_code_prefix_sums_count_plane_trees():

@@ -1,6 +1,7 @@
 """Property tests of the free-algebra kernels on random small integer series,
-of the rings of ``EPoly`` and ``PolyT`` values on random small polynomials,
-and of ``PowerSeries`` products and square roots."""
+of single tree-code coefficients on random compositions, of the rings of
+``EPoly`` and ``PolyT`` values on random small polynomials, and of
+``PowerSeries`` products and square roots."""
 
 import json
 import math
@@ -8,14 +9,18 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ncgeode.coeffring import (INT_RING, POLYT_RING, EPoly, PolyT,
+from ncgeode.coeffring import (INT_RING, POLYT_ONE, POLYT_RING, EPoly, PolyT,
+                               binomial_polynomial, elementary_of_multiple,
                                fraction_to_str)
 from ncgeode.combinat import coarsenings, compositions
 from ncgeode.gfseries import PowerSeries
+from ncgeode.lagrange import delta_coefficient, gamma_t
 from ncgeode.render import polyt_str
 from ncgeode.ncsf import (NcsfSeries, annihilate, convert_basis, graded_power,
                           lagrange_transform, map_words, negate_alphabet,
                           phi_k, series_mul, series_power)
+from ncgeode.schroeder import delta_e_coefficient, gamma_e
+from oracles import tree_code_sum
 
 COEFF = st.integers(-3, 3)
 
@@ -154,6 +159,33 @@ def test_basis_change_matches_word_map(pair, order, data):
 def test_alphabet_negation_matches_word_map(u):
     assert negate_alphabet(u) == map_words(
         u, morphism_by_letters(lambda n: elementary_letter(n, (-1) ** n)))
+
+
+@st.composite
+def composition(draw, low, high):
+    """A composition of a degree in [low, high], from its descent set."""
+    n = draw(st.integers(low, high))
+    mask = draw(st.integers(0, (1 << (n - 1)) - 1))
+    cuts = [0] + [i for i in range(1, n) if mask >> (i - 1) & 1] + [n]
+    return tuple(b - a for a, b in zip(cuts, cuts[1:]))
+
+
+@SETTINGS
+@given(composition(10, 14))
+def test_delta_coefficient_matches_whole_walk_and_oracle(comp):
+    # gamma_t(13) holds every prefix J = comp[:-1], which sums to at most 13
+    single = delta_coefficient(comp)
+    assert single == gamma_t(13).coefficient(comp[:-1])
+    assert single == tree_code_sum(comp, lambda a, i: binomial_polynomial(i, a),
+                                   POLYT_ONE, PolyT())
+
+
+@SETTINGS
+@given(composition(1, 9))
+def test_delta_e_coefficient_matches_whole_walk_and_oracle(comp):
+    single = delta_e_coefficient(comp)
+    assert single == gamma_e(8).coefficient(comp[:-1])
+    assert single == tree_code_sum(comp, elementary_of_multiple, EPoly.one(), EPoly())
 
 
 PARTITION = st.lists(st.integers(1, 3), max_size=3).map(lambda p: tuple(sorted(p, reverse=True)))
