@@ -185,7 +185,7 @@ def plane_tree_codes_with_nodes(p: int) -> list[tuple[int, ...]]:
     return enumerate_lukasiewicz(p - 1)
 
 
-def tree_code_prefix_sums(n: int, factor, one, zero, first=None, along=None) -> list[dict]:
+def tree_code_prefix_sums(n: int, factor, one, zero, along=None) -> list[dict]:
     """For every composition (I, x) with |I| <= n, the sum over the codes
     a of plane trees with len(I) + 1 nodes of factor(a_1, i_1) ...
     factor(a_p, i_p), p = len(I); the last code letter is zero and, like
@@ -202,23 +202,20 @@ def tree_code_prefix_sums(n: int, factor, one, zero, first=None, along=None) -> 
     n, only the prefixes of ``along``: that walk is one path of len(along)
     steps, about len(along)^3 / 6 ring products, with factor tables for
     its own parts and letters through len(along).
-    ``factor(0, i)`` must be ``one``, and ``first(a, i)``, if given,
-    replaces ``factor`` at the first letter.  A prefix whose vector is zero
-    is left out, with every prefix below it: their sums are zero.
+    ``factor(0, i)`` must be ``one``.  A prefix whose vector is zero is
+    left out, with every prefix below it: their sums are zero.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     parts, letters = (range(1, n + 1), n) if along is None else (set(along), len(along))
     tables = {i: [factor(a, i) for a in range(letters + 1)] for i in parts}
-    first_tables = tables if first is None else \
-        {i: [first(a, i) for a in range(letters + 1)] for i in parts}
     sums: list[dict] = [{} for _ in range(n + 1)]
 
-    def walk(prefix, total, vec, children):
+    def walk(prefix, total, vec):
         j = len(prefix)
         sums[total][prefix] = vec[j]
         for x in range(1, n - total + 1) if along is None else along[j:j + 1]:
-            f = children[x]
+            f = tables[x]
             more = n - total - x if along is None else len(along) - j - 1
             cap = j + 2 + more
             new = [zero] * cap
@@ -232,9 +229,9 @@ def tree_code_prefix_sums(n: int, factor, one, zero, first=None, along=None) -> 
                 for a in range(max(j + 1 - s, 1), cap - s):
                     new[s + a] = new[s + a] + v * f[a]
             if any(new):
-                walk(prefix + (x,), total + x, new, tables)
+                walk(prefix + (x,), total + x, new)
 
-    walk((), 0, [one], first_tables)
+    walk((), 0, [one])
     return sums
 
 

@@ -29,10 +29,12 @@ prefix sum s, once for all compositions (``combinat.tree_code_prefix_sums``):
 compositions with a common prefix share its DP vector, and since the last
 part carries no factor, S^(I, x) has the same coefficient for every x >= 1,
 which is the coefficient of S^I in the t-geode.  So ``gamma_t`` is read off
-the prefixes, ``g_t`` appends every last part to them, ``delta_coefficient``
-walks only the path of its own composition, about p^3 / 6 products for p
-parts, and ``h_t`` runs the whole walk with the first factor
-C(t*(i_1 - 1), a_1).  Specializing t to -1 gives free cumulants.
+the prefixes, ``g_t`` appends every last part to them, and
+``delta_coefficient`` walks only the path of its own composition, about
+p^3 / 6 products for p parts.  Since g^(t) = sum_{m>=0} S_m (g^(t))^{tm},
+the t-prime series h^(t) = sum_{n>=1} S_n (g^(t))^{t(n-1)} is g^(t) under
+the word map S_m w -> S_{m+1} w, 1 -> S_1, with no walk of its own.
+Specializing t to -1 gives free cumulants.
 """
 
 from __future__ import annotations
@@ -144,14 +146,6 @@ def _binomial(a: int, i: int) -> PolyT:
     return binomial_polynomial(i, a)
 
 
-def _t_prefix_sums(n: int, first_shift: int = 0) -> list[dict]:
-    """The coefficient of S^(I, x), the same for every x >= 1, at each
-    prefix |I| <= n: ``combinat.tree_code_prefix_sums`` with the factors
-    C(t*i, a), the first one C(t*(i - first_shift), a)."""
-    first = (lambda a, i: binomial_polynomial(i - first_shift, a)) if first_shift else None
-    return tree_code_prefix_sums(n, _binomial, POLYT_ONE, POLYT_ZERO, first)
-
-
 @lru_cache(maxsize=None)
 def g_t(order: int) -> NcsfSeries:
     """The t-Lagrange series over polynomials in t: g^(t) - 1 = gamma^(t)
@@ -234,7 +228,7 @@ def gamma_t(order: int) -> NcsfSeries:
     of S^I in gamma^(t) is the prefix sum at I of the tree-code walk, read
     off without building g^(t + 1) or annihilating it.
     """
-    return NcsfSeries(POLYT_RING, _t_prefix_sums(order))
+    return NcsfSeries(POLYT_RING, tree_code_prefix_sums(order, _binomial, POLYT_ONE, POLYT_ZERO))
 
 
 def theta_t(order: int) -> NcsfSeries:
@@ -260,13 +254,13 @@ def theta_k_by_transform(k: int, order: int) -> NcsfSeries:
 def h_t(order: int) -> NcsfSeries:
     """The t-analogue of the prime series: (g^(t) - 1) (g^(t))^{-t}.
 
-    Equals sum_{n>=1} S_n (g^(t))^{t(n-1)} and reduces to h at t = 1.  So
-    its coefficient at I is the tree-code sum of g^(t) with the first factor
-    C(t*(i_1 - 1), a_1) in place of C(t*i_1, a_1), read off the same walk;
-    as in g^(t), the last part carries no factor.
+    Equals sum_{n>=1} S_n (g^(t))^{t(n-1)} and reduces to h at t = 1.  As
+    g^(t) = sum_{m>=0} S_m (g^(t))^{tm}, it is g^(t) through degree
+    order - 1 under the word map S_m w -> S_{m+1} w, 1 -> S_1.
     """
-    prefix_sums = _t_prefix_sums(order - 1, first_shift=1) if order else ()
-    return NcsfSeries(POLYT_RING, with_last_part(prefix_sums, order, {}))
+    g = g_t(order - 1).components if order else ()
+    return NcsfSeries(POLYT_RING, [{}] + [{(w[0] + 1,) + w[1:] if w else (1,): c
+                                           for w, c in comp.items()} for comp in g])
 
 
 def eta_t(order: int) -> NcsfSeries:

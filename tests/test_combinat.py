@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 from itertools import product
 
@@ -168,19 +167,10 @@ def test_tree_code_prefix_sums_count_plane_trees():
         tree_code_prefix_sums(-1, lambda a, i: 1, 1, 0)
 
 
-def test_tree_code_prefix_sums_first_factor():
-    # the first letter takes its own factor; checked against every code
-    factor, first = lambda a, i: math.comb(i + a, a), lambda a, i: (i + 1) ** a
-    sums = tree_code_prefix_sums(6, factor, 1, 0, first=first)
-    for e in range(1, 7):
-        for I in compositions(e):
-            expected = sum(
-                first(code[0], I[0]) * math.prod(map(factor, code[1:-1], I[1:]))
-                for code in plane_tree_codes_with_nodes(len(I) + 1))
-            assert sums[e][I] == expected, I
-    assert sums[0] == {(): 1}
-    # a first factor that vanishes off a = 0 leaves no prefix of length 1
-    dead = tree_code_prefix_sums(4, lambda a, i: 1, 1, 0, first=lambda a, i: int(a == 0))
+def test_tree_code_prefix_sums_prune_vanishing_prefixes():
+    # a factor that vanishes off a = 0 leaves no prefix of length 1, since
+    # the first letter of a code is at least 1
+    dead = tree_code_prefix_sums(4, lambda a, i: int(a == 0), 1, 0)
     assert dead == [{(): 1}, {}, {}, {}, {}]
 
 

@@ -316,6 +316,18 @@ def test_h_t_equals_binomial_power_route_through_degree_8():
         assert h_t(n) == product_form.truncate(n), n
 
 
+def test_h_t_equals_integer_power_route_as_polynomials_at_degree_10():
+    # a coefficient at I has t-degree at most len(I) - 1 <= 9, so agreeing
+    # with (g^(k) - 1) (g^(k))^{-k} at the ten points k = 0..9 proves h^(t)
+    # equal as polynomials; the integer route runs no tree-code walk
+    ht = h_t(10)
+    assert all(len(c.num) <= len(w) for comp in ht.components for w, c in comp.items())
+    for k in range(10):
+        gk = k_lagrange_direct(k, 10)
+        expected = series_mul(gk - unit_series(INT_RING, 10), series_power(gk, -k))
+        assert specialize_t(ht, k) == expected, k
+
+
 def test_h_t_equals_shifted_power_sum():
     # h^(t) = sum_{n>=1} S_n (g^(t))^{t(n-1)}, the closed product form
     from ncgeode.ncsf import series_power_binomial
