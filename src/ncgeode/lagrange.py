@@ -39,22 +39,24 @@ Specializing t to -1 gives free cumulants.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
                         binomial_polynomial)
 from .combinat import tree_code_coefficient, tree_code_prefix_sums, with_last_part
-from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, compose,
-                   graded_power, inverse_component, lagrange_transform,
-                   negate_alphabet, phi_k, right_divide, series_inverse,
-                   series_mul, sigma1, unit_series)
+from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, check_order,
+                   compose, frozen_component, graded_power, inverse_component,
+                   lagrange_transform, negate_alphabet, phi_k, right_divide,
+                   series_inverse, series_mul, sigma1, unit_series)
 
 
-# The Lagrange series as grown so far: its components and the graded_power
-# memo of its powers.  A memo entry of degree d reads only the components of
-# degree <= d, so it stays valid as g grows; both live as long as the process.
-_g: list[dict] = [{(): 1}]
+# The Lagrange series as grown so far: its read-only components and the
+# graded_power memo of its powers.  A memo entry of degree d reads only the
+# components of degree <= d, so it stays valid as g grows; both live as long
+# as the process.
+_g: list[Mapping] = [frozen_component({(): 1}, 0)]
 _g_powers: dict = {}
 
 
@@ -64,13 +66,16 @@ def solve_g(order: int) -> NcsfSeries:
 
     g grows: its components and the memo of its powers are kept for the life
     of the process, so ``solve_g(16)`` after ``solve_g(15)`` computes only
-    degree 16.  The returned series is a copy, so no caller reaches the grown
-    state, and ``cache_clear`` empties only the per-order cache, not the
-    grown state.
+    degree 16.  Each component is checked and frozen once, when it is grown,
+    and every returned series shares the read-only components, so no caller
+    can change the grown state.  ``cache_clear`` empties only the per-order
+    cache, not the grown state.
     """
+    check_order(order)
     while len(_g) <= order:
-        _g.append(_lagrange_component(_g, 1, len(_g), _g_powers))
-    return NcsfSeries(INT_RING, _g[: order + 1])
+        n = len(_g)
+        _g.append(frozen_component(_lagrange_component(_g, 1, n, _g_powers), n))
+    return NcsfSeries._of(INT_RING, tuple(_g[: order + 1]))
 
 
 def geode(order: int, k: int = 1) -> NcsfSeries:
@@ -176,6 +181,7 @@ def k_lagrange_direct(k: int, order: int) -> NcsfSeries:
     """Solve w = 1 + sum_m S_m w^{k m} degree by degree (k may be negative),
     where b is w for k >= 0 and w^{-1}, grown one degree behind w, for k < 0
     (see ``_lagrange_component``)."""
+    check_order(order)
     comps: list[dict] = [{(): 1}]
     base = comps if k >= 0 else [{(): 1}]
     memo: dict = {}

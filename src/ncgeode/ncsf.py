@@ -41,6 +41,7 @@ components directly.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from operator import add, mul as _mul, neg, sub
 from types import MappingProxyType
@@ -71,19 +72,21 @@ class NcsfSeries:
     def __init__(self, ring: Ring, components, basis: str = "S"):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        comps = []
-        for degree, comp in enumerate(components):
-            clean = {}
-            for word, coeff in comp.items():
-                if sum(word) != degree:
-                    raise ValueError(f"word {word} in the component of degree {degree}")
-                if coeff:
-                    clean[word] = coeff
-            comps.append(MappingProxyType(clean))
+        self._fill(ring, tuple(map(frozen_component, components, itertools.count())), basis)
+
+    @classmethod
+    def _of(cls, ring: Ring, components: tuple, basis: str = "S") -> "NcsfSeries":
+        """The series over a tuple of components that ``frozen_component``
+        already checked: they are shared, not copied or checked again."""
+        series = object.__new__(cls)
+        series._fill(ring, components, basis)
+        return series
+
+    def _fill(self, ring: Ring, components: tuple, basis: str):
         _set = object.__setattr__
         _set(self, "ring", ring)
         _set(self, "basis", basis)
-        _set(self, "components", tuple(comps))
+        _set(self, "components", components)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"NcsfSeries is immutable; cannot set {name!r}")
@@ -110,10 +113,11 @@ class NcsfSeries:
         return self.component(sum(word)).get(word, self.ring.zero)
 
     def truncate(self, order: int) -> "NcsfSeries":
+        check_order(order)
         if order > self.order:
             raise TruncationError(f"series exact through degree {self.order}, "
                                   f"truncation {order} requested")
-        return NcsfSeries(self.ring, self.components[: order + 1], self.basis)
+        return NcsfSeries._of(self.ring, self.components[: order + 1], self.basis)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NcsfSeries):
@@ -161,17 +165,37 @@ class NcsfSeries:
                 f"order={self.order}, terms={nterms})")
 
 
+def frozen_component(comp: Mapping, degree: int) -> Mapping:
+    """A read-only copy of ``comp`` without its zero coefficients; a word
+    of another degree than ``degree`` raises ``ValueError``."""
+    clean = {}
+    for word, coeff in comp.items():
+        if sum(word) != degree:
+            raise ValueError(f"word {word} in the component of degree {degree}")
+        if coeff:
+            clean[word] = coeff
+    return MappingProxyType(clean)
+
+
+def check_order(order: int) -> None:
+    """Refuse a negative truncation order: no series is exact through it."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+
+
 def _series_of(ring_name: str, components, basis: str) -> NcsfSeries:
     return NcsfSeries(RINGS[ring_name], components, basis)
 
 
 def unit_series(ring: Ring, order: int) -> NcsfSeries:
+    check_order(order)
     comps = [{(): ring.one}] + [{} for _ in range(order)]
     return NcsfSeries(ring, comps)
 
 
 def sigma1(ring: Ring, order: int) -> NcsfSeries:
     """The sum 1 + S_1 + S_2 + ... truncated at ``order``."""
+    check_order(order)
     comps = [{(): ring.one}]
     for n in range(1, order + 1):
         comps.append({(n,): ring.one})

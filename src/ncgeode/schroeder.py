@@ -46,7 +46,7 @@ from operator import add
 from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
-from .ncsf import NcsfSeries, graded_power
+from .ncsf import NcsfSeries, check_order, graded_power
 from .combinat import (_root_children, nonzero_letters, tree_code_coefficient,
                        tree_code_prefix_sums, with_last_part)
 
@@ -203,6 +203,7 @@ def solve_xy_system(order: int) -> SystemState:
     ``project_placeholder`` checks the chain sums and raises on such a
     collision.
     """
+    check_order(order)
     # one shared tuple per pair of factors keeps the memory down
     concat = lru_cache(maxsize=None)(add)
     x: list[dict] = [{}]
@@ -282,6 +283,7 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
     once: it appends every last part to the prefix sums of
     ``gamma_e(order - 1)``, as ``lagrange.g_t`` does over t.
     """
+    check_order(order)
     if route == "delta":
         # g^[e] - 1 = gamma^[e] (sigma_1 - 1): the last part has no factor
         prefix_sums = gamma_e(order - 1).components if order else ()

@@ -8,7 +8,7 @@ from ncgeode.combinat import (catalan, compositions, iter_lukasiewicz,
                               nonzero_letters, shift_words, trailing_zeros)
 from ncgeode.lagrange import (delta_coefficient, divisibility_check,
                               eta_identities, eta_t, free_cumulant_equation_holds,
-                              free_cumulant_routes, g_t, gamma_t,
+                              free_cumulant_routes, free_cumulants, g_t, gamma_t,
                               geode, geode_by_division, gessel_gamma, h_t,
                               k_lagrange_by_phi, k_lagrange_direct,
                               prime_series, solve_g, specialize_t,
@@ -16,6 +16,7 @@ from ncgeode.lagrange import (delta_coefficient, divisibility_check,
 from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate,
                           right_divide, series_mul, series_power, sigma1,
                           unit_series)
+from ncgeode.schroeder import g_e, solve_xy_system
 from ncgeode import fixtures as fx
 from ncgeode import lagrange
 from oracles import (g_from_trees, generator, lukasiewicz_root_children,
@@ -154,6 +155,34 @@ def test_grown_g_is_the_same_in_any_request_order(monkeypatch):
             assert solve_g(n) == k_lagrange_direct(1, n)
     finally:
         solve_g.cache_clear()
+
+
+def test_solve_g_shares_the_grown_components():
+    # every order, and every truncation of it, hands out the grown
+    # components themselves rather than a copy
+    assert solve_g(12).components[5] is solve_g(14).components[5]
+    assert solve_g(14).truncate(12).components[5] is solve_g(12).components[5]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_g(-1),
+    lambda: k_lagrange_by_phi(1, -1),
+    lambda: solve_g(3).truncate(-1),
+    lambda: k_lagrange_direct(2, -3),
+    lambda: gessel_gamma(-1),
+    lambda: free_cumulants(-1),
+    lambda: g_e(-1, "system"),
+    lambda: g_e(-1, "trees"),
+    lambda: solve_xy_system(-1),
+    lambda: unit_series(INT_RING, -1),
+    lambda: sigma1(INT_RING, -1),
+], ids=["solve_g", "k_lagrange_by_phi", "truncate", "k_lagrange_direct",
+        "gessel_gamma", "free_cumulants", "g_e_system", "g_e_trees",
+        "solve_xy_system", "unit_series", "sigma1"])
+def test_negative_orders_are_refused(call):
+    # no series is exact through a negative degree
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        call()
 
 
 def test_cached_polyt_coefficients_are_read_only():
