@@ -41,7 +41,6 @@ components directly.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from operator import add, mul as _mul, neg, sub
 from types import MappingProxyType
@@ -72,7 +71,8 @@ class NcsfSeries:
     def __init__(self, ring: Ring, components, basis: str = "S"):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        self._fill(ring, tuple(map(frozen_component, components, itertools.count())), basis)
+        self._fill(ring, tuple(frozen_component(comp, degree)
+                               for degree, comp in enumerate(components)), basis)
 
     @classmethod
     def _of(cls, ring: Ring, components: tuple, basis: str = "S") -> "NcsfSeries":
