@@ -33,10 +33,10 @@ exercises the product kernel on truncations (each power only through the
 degrees its term reads), and ``series_power_binomial`` would gain little on
 ``graded_power`` while its memo held every (u-1)^j.
 
-``map_words`` is the one linear word map, for ``lagrange_transform`` and
-L-basis annihilation.  Annihilation in the S and R bases and ``phi_k`` send
-each output word back to exactly one input word, so they filter the
-components directly.
+Annihilation and ``phi_k`` send each output word back to exactly one input
+word, so they filter the S components directly; annihilation reaches the R
+and L bases through ``convert_basis``, so it is one operator in every basis.
+``lagrange_transform`` multiplies out the images of the letters of each word.
 """
 
 from __future__ import annotations
@@ -325,55 +325,25 @@ def series_power_binomial(u: NcsfSeries, p: PolyT) -> NcsfSeries:
 
 
 # ---------------------------------------------------------------------------
-# linear word maps
-
-def map_words(u: NcsfSeries, image, order: int | None = None,
-              basis: str = "S") -> NcsfSeries:
-    """The linear map sending each word of ``u`` to ``image(word)``.
-
-    ``image`` returns (word, coefficient) pairs.  Each output word goes into
-    the component of its own degree; the result is exact through ``order``
-    (by default the order of ``u``) and tagged with ``basis``.
-    """
-    zero = u.ring.zero
-    acc: dict = {}
-    for comp in u.components:
-        for word, coeff in comp.items():
-            for w, c in image(word):
-                acc[w] = acc.get(w, zero) + (coeff if c == 1 else coeff * c)
-    out = [dict() for _ in range((u.order if order is None else order) + 1)]
-    for w, c in acc.items():
-        out[sum(w)][w] = c
-    return NcsfSeries(u.ring, out, basis)
-
-
-# ---------------------------------------------------------------------------
 # annihilation operators
 
 def annihilate(u: NcsfSeries, n: int) -> NcsfSeries:
     """Right annihilation by S_n^{-1}; the grading drops by n.
 
-    In the S and R bases a word ending in the part n loses that part and any
-    other word dies.  Each output word then has exactly one preimage, so the
+    In the S basis a word ending in the part n loses that part and any other
+    word dies.  Each output word then has exactly one preimage, so the
     degree-d component is read off the degree-(d + n) component directly.
-    In the L basis, defined for n = 1 only, the last part decrements and is
-    dropped when it reaches zero, a linear map through ``map_words``.
+    A series in the R or L basis is annihilated in S and converted back.
     """
     if n < 1:
         raise ValueError("annihilation index must be positive")
-    if u.basis == "L" and n != 1:
-        raise ValueError("L-basis annihilation is only defined for n = 1")
     if u.order < n:
         raise TruncationError("series too short for this annihilation")
-    if u.basis == "L":
-        def image(word):
-            if not word:
-                return ()
-            return ((word[:-1] + (word[-1] - 1,) if word[-1] > 1 else word[:-1], 1),)
-        return map_words(u, image, u.order - n, u.basis)
+    if u.basis != "S":
+        return convert_basis(annihilate(convert_basis(u, "S"), n), u.basis)
     # a word of degree d + n >= 1 is never empty
     return NcsfSeries(u.ring, [{w[:-1]: c for w, c in comp.items() if w[-1] == n}
-                               for comp in u.components[n:]], u.basis)
+                               for comp in u.components[n:]])
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +432,21 @@ def lagrange_transform(g: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
         raise ValueError("the transform acts on the S basis")
     if g.order < u.order:
         raise TruncationError("transform series shorter than the argument")
-    one, zero = u.ring.one, u.ring.zero
-
-    def image(word):
-        # the product of the images g_n of the letters n
-        product = {(): one}
-        for letter in word:
-            nxt: dict = {}
-            _conv_into(nxt, product, g.components[letter], zero)
-            product = nxt
-        return product.items()
-    return map_words(u, image)
+    zero = u.ring.zero
+    out = []
+    for comp in u.components:
+        acc: dict = {}
+        for word, coeff in comp.items():
+            # coeff times the product of the images g_n of the letters n
+            product = {(): coeff}
+            for letter in word:
+                nxt: dict = {}
+                _conv_into(nxt, product, g.components[letter], zero)
+                product = nxt
+            for w, c in product.items():
+                acc[w] = acc.get(w, zero) + c
+        out.append(acc)
+    return NcsfSeries(u.ring, out)
 
 
 # ---------------------------------------------------------------------------

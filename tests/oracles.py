@@ -4,8 +4,9 @@ Each one is an independent, slower route to something the package computes
 another way: plane tree and Schroeder codes checked and split letter by
 letter, the Lagrange series counted off enumerated trees, tree weights read
 off parsed codes, the inverse bijections of ``combinat``, the tree-code
-sum of one composition, a DP of its own beside the prefix walk, and the
-bivariate ribbon specialization.
+sum of one composition, a DP of its own beside the prefix walk, the
+bivariate ribbon specialization, the general linear word map ``map_words``,
+and the termwise annihilation rules of the S, R and L bases.
 """
 
 from __future__ import annotations
@@ -135,3 +136,44 @@ def ribbon_ux(series: NcsfSeries) -> PowerSeries:
     # truncation could miss has total degree series.order + 2
     return PowerSeries((((n, len(w)), c) for n, comp in enumerate(series.components)
                         for w, c in comp.items()), series.order + 1)
+
+
+def map_words(u: NcsfSeries, image, order: int | None = None,
+              basis: str = "S") -> NcsfSeries:
+    """The linear map sending each word of ``u`` to ``image(word)``.
+
+    ``image`` returns (word, coefficient) pairs.  Each output word goes into
+    the component of its own degree; the result is exact through ``order``
+    (by default the order of ``u``) and tagged with ``basis``.
+    """
+    zero = u.ring.zero
+    acc: dict = {}
+    for comp in u.components:
+        for word, coeff in comp.items():
+            for w, c in image(word):
+                acc[w] = acc.get(w, zero) + coeff * c
+    out = [dict() for _ in range((u.order if order is None else order) + 1)]
+    for w, c in acc.items():
+        out[sum(w)][w] = c
+    return NcsfSeries(u.ring, out, basis)
+
+
+def drop_last_part(u: NcsfSeries, n: int) -> NcsfSeries:
+    """The termwise rule in the basis of ``u``: a word ending in the part n
+    loses it, every other word dies.  In S it is S_n^{-1} annihilation.  In
+    R it equals the operator for n = 1 and on words whose last part is at
+    least n, but for n >= 2 it is another linear map: coarsening a shorter
+    last part can create a new last part n, so S^{11} = R_2 + R_{11} maps to
+    1 at n = 2, where the operator gives 0."""
+    return map_words(u, lambda w: ((w[:-1], 1),) if w and w[-1] == n else (),
+                     u.order - n, u.basis)
+
+
+def decrement_last_part(u: NcsfSeries) -> NcsfSeries:
+    """The termwise S_1^{-1} rule of the L basis: the last part of L^J
+    decrements and is dropped when it reaches 0, and L^() dies."""
+    def image(word):
+        if not word:
+            return ()
+        return ((word[:-1] + (word[-1] - 1,) if word[-1] > 1 else word[:-1], 1),)
+    return map_words(u, image, u.order - 1, "L")

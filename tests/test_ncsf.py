@@ -14,7 +14,7 @@ from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, TruncationError,
                           series_power, series_power_binomial, sigma1,
                           unit_series)
 from ncgeode.schroeder import g_e
-from oracles import zero_series
+from oracles import decrement_last_part, drop_last_part, zero_series
 
 
 def s_series(terms, order, ring=INT_RING):
@@ -136,10 +136,13 @@ def test_annihilate_lambda_basis_single_part():
     assert out.component(1) == {}
 
 
-def test_annihilate_lambda_rejects_higher_index():
-    u = convert_basis(s_series({(2,): 1}, 2), "L")
-    with pytest.raises(ValueError):
-        annihilate(u, 2)
+def test_annihilate_lambda_higher_index_goes_through_s():
+    # S_2 + 3 S^{11} loses its S_2 at n = 2, whatever basis it is written in
+    u = convert_basis(s_series({(2,): 1, (1, 1): 3}, 2), "L")
+    out = annihilate(u, 2)
+    assert out.basis == "L" and out.order == 0
+    assert out.component(0) == {(): 1}
+    assert annihilate(convert_basis(u, "R"), 2) == convert_basis(out, "R")
 
 
 def test_basis_round_trips():
@@ -159,36 +162,40 @@ def test_s_to_r_counts_coarsenings():
 
 
 def test_annihilation_commutes_with_conversion_at_one():
+    # the termwise R and L rules, applied to the converted series, agree
+    # with the S-basis operator at n = 1
     rng = random.Random(5)
     u = random_series(rng, 8, constant=0)
     lhs = convert_basis(annihilate(u, 1), "R")
-    rhs = annihilate(convert_basis(u, "R"), 1)
-    assert lhs == rhs
+    assert lhs == drop_last_part(convert_basis(u, "R"), 1)
+    assert lhs == annihilate(convert_basis(u, "R"), 1)
     lhs = convert_basis(annihilate(u, 1), "L")
-    rhs = annihilate(convert_basis(u, "L"), 1)
-    assert lhs == rhs
+    assert lhs == decrement_last_part(convert_basis(u, "L"))
+    assert lhs == annihilate(convert_basis(u, "L"), 1)
 
 
 def test_annihilation_commutes_with_conversion_on_aligned_support():
-    # for n >= 2 the termwise basis rules agree only on words whose last
-    # part is at least n: coarsening a shorter last part can create a new
-    # final part equal to n, so the two operators differ on, e.g., S^{11}
+    # for n >= 2 the termwise R rule agrees with the operator only on words
+    # whose last part is at least n: coarsening a shorter last part can
+    # create a new final part equal to n, so the two differ on, e.g., S^{11}
     rng = random.Random(13)
     for n in (2, 3):
         u = NcsfSeries(INT_RING, [{w: c for w, c in comp.items()
                                    if not w or w[-1] >= n}
                                   for comp in random_series(rng, 8, constant=0).components])
         lhs = convert_basis(annihilate(u, n), "R")
-        rhs = annihilate(convert_basis(u, "R"), n)
-        assert lhs == rhs, n
+        assert lhs == drop_last_part(convert_basis(u, "R"), n), n
+        assert lhs == annihilate(convert_basis(u, "R"), n), n
 
 
 def test_annihilation_rules_differ_for_higher_index():
     # boundary of the previous property: S^{11} = R_2 + R_{11} vanishes
-    # under the S-basis rule for n = 2 but not under the R-basis rule
+    # under the operator for n = 2, in every basis, but not under the
+    # termwise R rule
     u = s_series({(1, 1): 1}, 2)
     assert annihilate(u, 2).component(0) == {}
-    assert annihilate(convert_basis(u, "R"), 2).component(0) == {(): 1}
+    assert annihilate(convert_basis(u, "R"), 2).component(0) == {}
+    assert drop_last_part(convert_basis(u, "R"), 2).component(0) == {(): 1}
 
 
 def test_derivation_like_rule_for_annihilation():

@@ -17,10 +17,11 @@ from ncgeode.gfseries import PowerSeries
 from ncgeode.lagrange import delta_coefficient, gamma_t
 from ncgeode.render import polyt_str
 from ncgeode.ncsf import (NcsfSeries, annihilate, convert_basis, graded_power,
-                          lagrange_transform, map_words, negate_alphabet,
-                          phi_k, series_mul, series_power)
+                          lagrange_transform, negate_alphabet, phi_k,
+                          series_mul, series_power)
 from ncgeode.schroeder import delta_e_coefficient, gamma_e
-from oracles import tree_code_sum
+from oracles import (decrement_last_part, drop_last_part,
+                     map_words, tree_code_sum)
 
 COEFF = st.integers(-3, 3)
 
@@ -89,22 +90,33 @@ def sparse_series(draw, order, basis):
     return NcsfSeries(INT_RING, comps, basis)
 
 
-def annihilate_by_word_map(u, n):
-    """S_n^{-1} annihilation in the S or R basis as a word map."""
-    return map_words(u, lambda w: ((w[:-1], 1),) if w and w[-1] == n else (),
-                     u.order - n, u.basis)
-
-
 def phi_k_by_word_map(u, k):
     return map_words(u, lambda w: () if sum(w) % k or any(p % k for p in w)
                      else ((tuple(p // k for p in w), 1),), u.order // k)
 
 
 @SETTINGS
-@given(st.integers(1, 4), st.integers(0, 3), st.sampled_from(("S", "R")), st.data())
-def test_annihilation_matches_word_map(n, extra, basis, data):
-    u = data.draw(sparse_series(n + extra, basis))
-    assert annihilate(u, n) == annihilate_by_word_map(u, n)
+@given(st.integers(1, 4), st.integers(0, 3), st.data())
+def test_annihilation_matches_word_map(n, extra, data):
+    u = data.draw(sparse_series(n + extra, "S"))
+    assert annihilate(u, n) == drop_last_part(u, n)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_ribbon_annihilation_matches_termwise_rule_on_aligned_support(n, extra, data):
+    # at n = 1 every word qualifies; for n >= 2 only words whose last part
+    # is at least n, the support on which the termwise rule is the operator
+    u = data.draw(sparse_series(n + extra, "R"))
+    u = NcsfSeries(INT_RING, [{w: c for w, c in comp.items() if not w or w[-1] >= n}
+                              for comp in u.components], "R")
+    assert annihilate(u, n) == drop_last_part(u, n)
+
+
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda order: sparse_series(order, "L")))
+def test_elementary_annihilation_matches_termwise_rule_at_one(u):
+    assert annihilate(u, 1) == decrement_last_part(u)
 
 
 @SETTINGS
