@@ -104,12 +104,18 @@ class NcsfSeries:
         return len(self.components) - 1
 
     def component(self, n: int) -> Mapping:
+        if n < 0:
+            raise ValueError(f"no component of negative degree {n}")
         if n > self.order:
             raise TruncationError(f"series exact through degree {self.order}, "
                                   f"component {n} requested")
         return self.components[n]
 
     def coefficient(self, word: tuple[int, ...]):
+        """The coefficient of a composition; a part below 1 raises
+        ``ValueError``."""
+        if any(p < 1 for p in word):
+            raise ValueError(f"not a composition: {word}")
         return self.component(sum(word)).get(word, self.ring.zero)
 
     def truncate(self, order: int) -> "NcsfSeries":

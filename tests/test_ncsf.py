@@ -301,6 +301,18 @@ def test_truncation_errors_are_loud():
         annihilate(unit_series(INT_RING, 0), 1)
 
 
+def test_negative_degree_and_parts_are_refused():
+    # a negative index would read a component from the top of the tuple
+    g = solve_g(3)
+    with pytest.raises(ValueError, match="negative degree"):
+        g.component(-1)
+    for word in [(-1,), (2, 0), (4, -1)]:
+        with pytest.raises(ValueError, match="not a composition"):
+            g.coefficient(word)
+    assert g.coefficient(()) == 1
+    assert g.coefficient((2, 1)) == 2
+
+
 @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
 @pytest.mark.parametrize("make", [lambda: solve_g(4), lambda: g_t(3),
                                   lambda: g_e(3), lambda: convert_basis(solve_g(3), "R")],
