@@ -22,13 +22,12 @@ its constructor (``__reduce__``).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator
 
 
 class PolyT:
@@ -454,15 +453,10 @@ def _epoly_from_json(v) -> EPoly:
     return EPoly([(_exact_list(item["partition"]), _exact(item["coeff"])) for item in v])
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(namedtuple("Ring", "name zero one to_json from_json")):
     """Duck-typed coefficient ring descriptor for series code."""
 
-    name: str
-    zero: object
-    one: object
-    to_json: Callable
-    from_json: Callable
+    __slots__ = ()
 
 
 INT_RING = Ring("int", 0, 1, str, _exact)

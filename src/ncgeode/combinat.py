@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 
 def catalan(n: int) -> int:
@@ -115,7 +115,7 @@ def conjugate(comp: tuple[int, ...]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Lukasiewicz words / plane tree codes
 
-def _subtree_end(code: tuple[int, ...], start: int, arity) -> Optional[int]:
+def _subtree_end(code: tuple[int, ...], start: int, arity) -> int | None:
     """The end of the subtree whose code begins at ``start``: the one walk
     over a tree code, for every family.  A letter x heads a node of
     ``arity(x)`` children, so it adds arity(x) - 1 to the count of subtrees
@@ -317,7 +317,7 @@ def ndpf_to_noncrossing(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def remove_last_corolla(code: tuple[int, ...], k: int) -> Optional[tuple[int, ...]]:
+def remove_last_corolla(code: tuple[int, ...], k: int) -> tuple[int, ...] | None:
     """Replace the prefix-last corolla of arity k by a leaf.
 
     If the last nonzero letter of the code is not k the map is undefined and

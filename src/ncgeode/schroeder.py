@@ -37,9 +37,8 @@ the partitions mu, through the helper that the projection uses too.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import add
@@ -169,14 +168,12 @@ def right_branch_partition(code: tuple[int, ...]) -> tuple[int, ...]:
 #   G = (1 + X) S0,   X = sum_{n>=1} S_n Y^n,   Y = S0 + sum_{n>=1} e_n X^n S0.
 
 
-@dataclass(frozen=True)
-class SystemState:
+class SystemState(namedtuple("SystemState", "order x y")):
     """The lifted system through ``order``: per degree, each word of X and
     Y maps to the chain lengths of its monomial.  A Y word is a full tree
     code, an X word a tree code without its final leaf; G is read off X."""
-    order: int
-    x: tuple[Mapping, ...]
-    y: tuple[Mapping, ...]
+
+    __slots__ = ()
 
     @property
     def g(self) -> tuple[Mapping, ...]:

@@ -7,7 +7,7 @@ the note; it only fails if the derived value itself cannot be reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import fixtures as fx
 from .coeffring import EPOLY_RING, INT_RING, epoly_evaluate
@@ -29,18 +29,13 @@ from .schroeder import (chain_monomials, enumerate_prime_schroeder, g_e,
 SUITES = ("all", "paper", "identities", "oeis")
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
-    deviation: str | None = None
+Check = namedtuple("Check", "name passed detail deviation", defaults=("", None))
 
 
-@dataclass
 class Report:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checks: list[Check] = []
 
     @property
     def passed(self) -> bool:

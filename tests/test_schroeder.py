@@ -1,4 +1,3 @@
-from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -145,7 +144,7 @@ def test_cached_system_state_is_read_only():
 def test_system_g_is_read_off_x():
     # G = (1 + X) S0: each X word, which lacks its final leaf, gets the
     # placeholder appended; only X and Y are stored
-    assert [f.name for f in fields(SystemState)] == ["order", "x", "y"]
+    assert SystemState._fields == ("order", "x", "y")
     state = solve_xy_system(6)
     assert state.x[1] == {(1, 0): ()}
     assert len(state.g) == len(state.x) == 7
@@ -154,7 +153,7 @@ def test_system_g_is_read_off_x():
         assert state.g[n] == {w + (0,): c for w, c in state.x[n].items()}, n
     with pytest.raises(TypeError):
         state.g[6][(6, 0, 0, 0, 0, 0, 0, 0)] = ()
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         state.g = ()
 
 
