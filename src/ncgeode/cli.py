@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .combinat import (catalan, count_parking_quasi_ribbons,
                        enumerate_lukasiewicz, large_schroeder,
@@ -56,6 +57,8 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+# built once per process: parsing leaves the parser unchanged
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncgeode",
