@@ -95,15 +95,16 @@ def geode_by_division(order: int) -> NcsfSeries:
 def gessel_gamma(order: int) -> NcsfSeries:
     """Geode via the inversion formula (1 - sum_{m>=1} S_m (1 + g + ...
     + g^{m-1}))^{-1}; the inverted series has degree-n component
-    -sum_m sum_{j<m} S_m (g^j)_{n-m}, read off ``graded_power``."""
-    g = solve_g(order).components
-    memo: dict = {}
+    -sum_m sum_{j<m} S_m (g^j)_{n-m}, read off ``graded_power``.  Growing
+    g through ``order`` leaves every power (g^j)_d with j + d <= order - 1
+    in the memo of the grown g, so the powers are read from there."""
+    solve_g(order)
     comps: list[dict] = [{(): 1}]
     for n in range(1, order + 1):
         comp: dict = {}
         for m in range(1, n + 1):
             for j in range(m):
-                for w, c in graded_power(g, j, n - m, memo, 1, 0).items():
+                for w, c in graded_power(_g, j, n - m, _g_powers, 1, 0).items():
                     comp[(m,) + w] = comp.get((m,) + w, 0) - c
         comps.append(comp)
     return series_inverse(NcsfSeries(INT_RING, comps))
