@@ -23,15 +23,14 @@ the output truncation from the inputs and raise rather than silently truncate.
 Powers have two kernels.  ``graded_power`` reads the degree-d component of
 u^m off the components of u through degree d, so a fixed-point solver can
 call it while u grows: ``lagrange.k_lagrange_direct`` (and so ``solve_g``),
-``lagrange.gessel_gamma`` and ``schroeder.solve_xy_system`` do.  It takes
-the coefficient product as an argument (by default ``*``), so the lifted
-e-system runs it on plain tuples of chain lengths, whose product is
-concatenation.  Chained ``series_mul`` products stay where they serve as a
-check or cost less memory: ``series_power`` is the repeated-product
-reference of the tests, ``compose``, behind both defining-equation checks,
-exercises the product kernel on truncations (each power only through the
-degrees its term reads), and ``series_power_binomial`` would gain little on
-``graded_power`` while its memo held every (u-1)^j.
+``lagrange.gessel_gamma`` and ``schroeder.solve_xy_system`` do, over the
+integers and over ``EPoly``, multiplying coefficients by ``*``.  Chained
+``series_mul`` products stay where they serve as a check or cost less
+memory: ``series_power`` is the repeated-product reference of the tests,
+``compose``, behind both defining-equation checks, exercises the product
+kernel on truncations (each power only through the degrees its term reads),
+and ``series_power_binomial`` would gain little on ``graded_power`` while
+its memo held every (u-1)^j.
 
 Annihilation and ``phi_k`` send each output word back to exactly one input
 word, so they filter the S components directly; annihilation reaches the R
@@ -42,7 +41,7 @@ and L bases through ``convert_basis``, so it is one operator in every basis.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import add, mul as _mul, neg, sub
+from operator import add, neg, sub
 from types import MappingProxyType
 
 from .coeffring import PolyT, POLYT_ONE, RINGS, Ring
@@ -208,13 +207,12 @@ def sigma1(ring: Ring, order: int) -> NcsfSeries:
     return NcsfSeries(ring, comps)
 
 
-def _conv_into(target: dict, a: dict, b: dict, zero, mul=_mul):
-    """Add the word convolution of two components into ``target``; ``mul``
-    is the coefficient product."""
+def _conv_into(target: dict, a: dict, b: dict, zero):
+    """Add the word convolution of two components into ``target``."""
     for wa, ca in a.items():
         for wb, cb in b.items():
             w = wa + wb
-            target[w] = target.get(w, zero) + mul(ca, cb)
+            target[w] = target.get(w, zero) + ca * cb
 
 
 def series_mul(u: NcsfSeries, v: NcsfSeries) -> NcsfSeries:
@@ -286,15 +284,15 @@ def compose(a: NcsfSeries, b: NcsfSeries) -> NcsfSeries:
     return NcsfSeries(b.ring, acc)
 
 
-def graded_power(comps, m: int, d: int, memo: dict, one, zero, mul=_mul) -> dict:
+def graded_power(comps, m: int, d: int, memo: dict, one, zero) -> dict:
     """Degree-``d`` component of the m-th power of the graded series ``comps``.
 
     Reads only the components of degree <= d, so ``comps`` may still be
     growing.  ``memo`` keeps the (m, d) components already computed; the
-    caller decides how long it lives.  The coefficients multiply by ``mul``
-    and add by ``+``, with ``one`` and ``zero`` their units.  The
-    Lagrange-type solvers and the lifted e-series system use it; the module
-    docstring lists the code that keeps chained products, and why.
+    caller decides how long it lives.  ``one`` and ``zero`` are the units of
+    the coefficient ring.  The Lagrange-type solvers and the e-series
+    system use it; the module docstring lists the code that keeps chained
+    products, and why.
     """
     if m == 0:
         return {(): one} if d == 0 else {}
@@ -304,8 +302,8 @@ def graded_power(comps, m: int, d: int, memo: dict, one, zero, mul=_mul) -> dict
         acc = {}
         for j in range(d + 1):
             if comps[j]:
-                _conv_into(acc, graded_power(comps, m - 1, d - j, memo, one, zero, mul),
-                           comps[j], zero, mul)
+                _conv_into(acc, graded_power(comps, m - 1, d - j, memo, one, zero),
+                           comps[j], zero)
         memo[key] = acc
     return acc
 

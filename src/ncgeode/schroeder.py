@@ -8,21 +8,23 @@ are checked and split by the tree-code walk of ``combinat``.
 The e-Lagrange series attaches to each tree a monomial in the commuting
 generators e_k: the partition recording the lengths of the maximal chains of
 internal nodes linked by rightmost-child edges (the right branches).  It is
-computed by three independent routes: a lifted two-series system with an
-explicit degree-0 placeholder letter, direct enumeration of prime trees, and
-a closed coefficient formula.
+computed by three independent routes: a two-series system over
+compositions, direct enumeration of prime trees, and a closed coefficient
+formula.
 
-Every word of Y and G in the lifted system is a full tree code; a word of
-X lacks the final leaf (X_1 is the word (1, 0), a root of arity 2 with one
-child), and G = (1 + X) S0 is read off X by appending that leaf.  Each word
-carries a single unit monomial, so ``solve_xy_system`` keeps, per word,
-only the tuple of its chain lengths: products concatenate the tuples, on
-the same ``ncsf.graded_power`` kernel as the integer series, and no
-``EPoly`` is built before the projection.  The projection deletes the
-placeholder letters, sorts each chain tuple into its partition and adds up
-the monomials per word; it raises if a word's chains do not sum to its
-internal nodes below the root, the trace that two codes collided and their
-chains were concatenated.
+The system comes from a lifted one whose words are tree codes, with a
+degree-0 placeholder letter S0 for the final leaf of every subtree:
+
+    G = (1 + X) S0,   X = sum_{n>=1} S_n Y^n,   Y = S0 + sum_{n>=1} e_n X^n S0.
+
+Setting S0 = 1 deletes a letter, which commutes with concatenation, and the
+e_n are scalars, so the projection is an algebra morphism.  It sends X to
+the solution x of x = sum S_n y^n, y = 1 + sum e_n x^n, and G to
+g^[e] = 1 + x.  ``solve_xy_system`` solves the projected system on the
+2^(n-1) compositions of each degree.  The lifted one grows with the little
+Schroeder numbers; ``tests/oracles.py`` keeps it as the reference over tree
+codes, and ``verify`` checks its displayed low-degree tables against the
+tree enumeration below.
 
 Neither the enumeration nor the trees route parses a code.  Both read
 ``_grown_trees``, which builds every tree bottom-up with its chain lengths
@@ -32,16 +34,14 @@ the chains of t_r except its root chain, which grows by one (a leaf t_r
 starts a new chain of length 1 at the root).  A prime tree is root r, then
 r subtrees, then the final leaf; its weight is e_mu for the chains of its r
 subtrees, and the route adds up one ``EPoly`` per word from the counts of
-the partitions mu, through the helper that the projection uses too.
+the partitions mu, through ``_partition_counts``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Mapping
 from functools import lru_cache
 from itertools import product
-from operator import add
 from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
@@ -159,73 +159,46 @@ def right_branch_partition(code: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the lifted system
+# the e-series system
 #
-# The degree-0 placeholder letter (written 0 inside words) keeps track of the
-# final leaf of every subtree, so the words of Y and G are full tree codes
-# and an X word is one without its final leaf:
+# Setting the placeholder S0 of the lifted system to 1 (see the module
+# docstring) leaves a system over compositions, with g^[e] = 1 + x:
 #
-#   G = (1 + X) S0,   X = sum_{n>=1} S_n Y^n,   Y = S0 + sum_{n>=1} e_n X^n S0.
+#   x = sum_{n>=1} S_n y^n,   y = 1 + sum_{n>=1} e_n x^n.
 
 
 class SystemState(namedtuple("SystemState", "order x y")):
-    """The lifted system through ``order``: per degree, each word of X and
-    Y maps to the chain lengths of its monomial.  A Y word is a full tree
-    code, an X word a tree code without its final leaf; G is read off X."""
+    """The e-series system through ``order``: per degree, each composition
+    of x and y maps to its ``EPoly``."""
 
     __slots__ = ()
 
-    @property
-    def g(self) -> tuple[Mapping, ...]:
-        """G = (1 + X) S0: the X words with the placeholder appended, each
-        a full tree code with the chains of its X word."""
-        return (MappingProxyType({(0,): ()}),) + tuple(
-            MappingProxyType({w + (0,): c for w, c in comp.items()}) for comp in self.x[1:])
-
 
 def solve_xy_system(order: int) -> SystemState:
-    """Solve the lifted system degree by degree.
+    """Solve x = sum S_m y^m, y = 1 + sum e_m x^m degree by degree.
 
-    X_n needs Y below degree n and Y_n needs X up to degree n, so the two
-    interleave; the degree of a word is the sum of its letters, placeholder
-    letters counting 0.
-
-    A Y word is a full tree code and an X word one without its final leaf;
-    either way its coefficient is one unit monomial e_lambda, so a word maps
-    to the tuple of its chain lengths, unsorted.  A product of words
-    concatenates their tuples: ``graded_power`` runs with tuple
-    concatenation as the product and () as both one and zero, and the Y
-    step appends (m,) for e_m.  Two terms landing on one word would be
-    summed by concatenation as well, merging two monomials into one, so
-    ``project_placeholder`` checks the chain sums and raises on such a
-    collision.
+    x_n = sum_m S_m (y^m)_{n-m} needs y below degree n, and y_n = sum_m e_m
+    (x^m)_n needs x through degree n, so the two interleave.  Both powers
+    come off ``graded_power`` with the ``EPoly`` product.
     """
     check_order(order)
-    # one shared tuple per pair of factors keeps the memory down
-    concat = lru_cache(maxsize=None)(add)
+    one, zero = EPoly.one(), EPoly()
     x: list[dict] = [{}]
-    y: list[dict] = [{(0,): ()}]
+    y: list[dict] = [{(): one}]
     # a power's component of degree d reads only components through d, which
     # are final by then, so the memos serve every later degree too
     y_memo: dict = {}
     x_memo: dict = {}
     for n in range(1, order + 1):
         x.append({(m,) + w: c for m in range(1, n + 1)
-                  for w, c in graded_power(y, m, n - m, y_memo, (), (), concat).items()})
+                  for w, c in graded_power(y, m, n - m, y_memo, one, zero).items()})
         yn: dict = {}
         for m in range(1, n + 1):
-            em = (m,)
-            for w, c in graded_power(x, m, n, x_memo, (), (), concat).items():
-                key = w + (0,)
-                yn[key] = yn.get(key, ()) + concat(c, em)
+            em = EPoly({(m,): 1})
+            for w, c in graded_power(x, m, n, x_memo, one, zero).items():
+                yn[w] = yn.get(w, zero) + c * em
         y.append(yn)
     return SystemState(order, *(tuple(map(MappingProxyType, comps)) for comps in (x, y)))
-
-
-def chain_monomials(comp: Mapping) -> dict:
-    """A component of ``SystemState`` with each chain tuple turned into its
-    monomial e_lambda."""
-    return {word: EPoly({chains: 1}) for word, chains in comp.items()}
 
 
 def _partition_counts(pairs: Counter) -> dict:
@@ -238,27 +211,6 @@ def _partition_counts(pairs: Counter) -> dict:
         mu = tuple(sorted(chains, reverse=True))
         counts[mu] = counts.get(mu, 0) + k
     return {word: EPoly(counts) for word, counts in weights.items()}
-
-
-def project_placeholder(graded) -> NcsfSeries:
-    """Set the placeholder letter to 1 in the X or G components of the
-    lifted system: delete zeros, merge words and add up their monomials.
-
-    The degree-0 component is skipped and gives the unit.  A word of X_n
-    carries the chains of the trees below its root, and so does the word of
-    G_n that appends the placeholder to it; they sum to the word's nonzero
-    letters minus 1.  Any other sum means two words collided and their chains were
-    concatenated, and raises ``ValueError``.
-    """
-    comps = [{(): EPoly.one()}]
-    for comp in graded[1:]:
-        pairs = Counter(zip(map(nonzero_letters, comp), comp.values()))
-        for word, chains in pairs:
-            if sum(chains) != len(word) - 1:
-                raise ValueError(f"the chains {chains} of a code of the word {word} "
-                                 f"do not sum to {len(word) - 1}: codes collided")
-        comps.append(_partition_counts(pairs))
-    return NcsfSeries(EPOLY_RING, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +238,7 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
         prefix_sums = gamma_e(order - 1).components if order else ()
         return NcsfSeries(EPOLY_RING, with_last_part(prefix_sums, order, {(): EPoly.one()}))
     if route == "system":
-        return project_placeholder(solve_xy_system(order).x)
+        return NcsfSeries(EPOLY_RING, ({(): EPoly.one()},) + solve_xy_system(order).x[1:])
     if route == "trees":
         comps = [{(): EPoly.one()}]
         for n in range(1, order + 1):

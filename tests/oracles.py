@@ -6,17 +6,25 @@ letter, the Lagrange series counted off enumerated trees, tree weights read
 off parsed codes, the inverse bijections of ``combinat``, the tree-code
 sum of one composition, a DP of its own beside the prefix walk, the
 bivariate ribbon specialization, the general linear word map ``map_words``,
-and the termwise annihilation rules of the S, R and L bases.
+the termwise annihilation rules of the S, R and L bases, and the lifted
+e-series system over tree codes.
 """
 
 from __future__ import annotations
 
-from ncgeode.coeffring import EPoly, INT_RING, Ring
+from collections import Counter, namedtuple
+from collections.abc import Mapping
+from functools import lru_cache
+from operator import add
+from types import MappingProxyType
+
+from ncgeode.coeffring import EPOLY_RING, EPoly, INT_RING, Ring
 from ncgeode.combinat import (_is_tree_code, _root_children, iter_lukasiewicz,
                               nonzero_letters)
 from ncgeode.gfseries import PowerSeries
-from ncgeode.ncsf import NcsfSeries
-from ncgeode.schroeder import _arity, right_branch_partition, root_children
+from ncgeode.ncsf import NcsfSeries, check_order
+from ncgeode.schroeder import (_arity, _partition_counts, right_branch_partition,
+                               root_children)
 
 
 def _plane_arity(letter: int) -> int:
@@ -177,3 +185,116 @@ def decrement_last_part(u: NcsfSeries) -> NcsfSeries:
             return ()
         return ((word[:-1] + (word[-1] - 1,) if word[-1] > 1 else word[:-1], 1),)
     return map_words(u, image, u.order - 1, "L")
+
+
+# ---------------------------------------------------------------------------
+# the lifted e-series system
+#
+# The degree-0 placeholder letter (written 0 inside words) keeps track of the
+# final leaf of every subtree, so the words of Y and G are full tree codes
+# and an X word is one without its final leaf:
+#
+#   G = (1 + X) S0,   X = sum_{n>=1} S_n Y^n,   Y = S0 + sum_{n>=1} e_n X^n S0.
+#
+# Setting S0 = 1 maps it onto ``schroeder.solve_xy_system``.
+
+
+class LiftedState(namedtuple("LiftedState", "order x y")):
+    """The lifted system through ``order``: per degree, each word of X and
+    Y maps to the chain lengths of its monomial.  A Y word is a full tree
+    code, an X word a tree code without its final leaf; G is read off X."""
+
+    __slots__ = ()
+
+    @property
+    def g(self) -> tuple[Mapping, ...]:
+        """G = (1 + X) S0: the X words with the placeholder appended, each
+        a full tree code with the chains of its X word."""
+        return (MappingProxyType({(0,): ()}),) + tuple(
+            MappingProxyType({w + (0,): c for w, c in comp.items()}) for comp in self.x[1:])
+
+
+def _chain_power(comps, m: int, d: int, memo: dict, concat) -> dict:
+    """Degree-``d`` component of the m-th power of lifted components whose
+    coefficients are chain tuples, multiplied by ``concat``; () is both one
+    and zero.  Reads components through degree d only, as
+    ``ncsf.graded_power`` does."""
+    if m == 0:
+        return {(): ()} if d == 0 else {}
+    key = (m, d)
+    acc = memo.get(key)
+    if acc is None:
+        acc = {}
+        for j in range(d + 1):
+            for wa, ca in _chain_power(comps, m - 1, d - j, memo, concat).items():
+                for wb, cb in comps[j].items():
+                    w = wa + wb
+                    acc[w] = acc.get(w, ()) + concat(ca, cb)
+        memo[key] = acc
+    return acc
+
+
+def lifted_xy_system(order: int) -> LiftedState:
+    """Solve the lifted system degree by degree.
+
+    X_n needs Y below degree n and Y_n needs X up to degree n, so the two
+    interleave; the degree of a word is the sum of its letters, placeholder
+    letters counting 0.
+
+    A Y word is a full tree code and an X word one without its final leaf;
+    either way its coefficient is one unit monomial e_lambda, so a word maps
+    to the tuple of its chain lengths, unsorted.  A product of words
+    concatenates their tuples, and the Y step appends (m,) for e_m.  Two
+    terms landing on one word would be summed by concatenation as well,
+    merging two monomials into one, so ``project_placeholder`` checks the
+    chain sums and raises on such a collision.
+    """
+    check_order(order)
+    # one shared tuple per pair of factors keeps the memory down
+    concat = lru_cache(maxsize=None)(add)
+    x: list[dict] = [{}]
+    y: list[dict] = [{(0,): ()}]
+    y_memo: dict = {}
+    x_memo: dict = {}
+    for n in range(1, order + 1):
+        x.append({(m,) + w: c for m in range(1, n + 1)
+                  for w, c in _chain_power(y, m, n - m, y_memo, concat).items()})
+        yn: dict = {}
+        for m in range(1, n + 1):
+            em = (m,)
+            for w, c in _chain_power(x, m, n, x_memo, concat).items():
+                key = w + (0,)
+                yn[key] = yn.get(key, ()) + concat(c, em)
+        y.append(yn)
+    return LiftedState(order, *(tuple(map(MappingProxyType, comps)) for comps in (x, y)))
+
+
+def chain_monomials(comp: Mapping) -> dict:
+    """A component of ``LiftedState`` with each chain tuple turned into its
+    monomial e_lambda."""
+    return {word: EPoly({chains: 1}) for word, chains in comp.items()}
+
+
+def projected(comp: Mapping) -> dict:
+    """A component of ``LiftedState`` with the placeholder letter set to 1:
+    zeros deleted, words merged and their monomials added up."""
+    return _partition_counts(Counter(zip(map(nonzero_letters, comp), comp.values())))
+
+
+def project_placeholder(graded) -> NcsfSeries:
+    """``projected`` over the X or G components of the lifted system.
+
+    The degree-0 component is skipped and gives the unit.  A word of X_n
+    carries the chains of the trees below its root, and so does the word of
+    G_n that appends the placeholder to it; they sum to the word's nonzero
+    letters minus 1.  Any other sum means two words collided and their
+    chains were concatenated, and raises ``ValueError``.
+    """
+    comps = [{(): EPoly.one()}]
+    for comp in graded[1:]:
+        for word, chains in zip(map(nonzero_letters, comp), comp.values()):
+            if sum(chains) != len(word) - 1:
+                raise ValueError(f"the chains {chains} of a code of the word {word} "
+                                 f"do not sum to {len(word) - 1}: codes collided")
+        comps.append(projected(comp))
+    return NcsfSeries(EPOLY_RING, comps)

@@ -1,18 +1,23 @@
 
+import json
+from pathlib import Path
+
 import pytest
 
 from ncgeode.coeffring import EPoly, epoly_evaluate
 from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import free_cumulant_routes, solve_g
 from ncgeode.ncsf import annihilate
-from ncgeode.schroeder import (SystemState, chain_monomials, delta_e_coefficient,
+from ncgeode.schroeder import (SystemState, delta_e_coefficient,
                                enumerate_prime_schroeder, enumerate_schroeder,
                                g_e, gamma_e, prime_trees_with_chains,
-                               project_placeholder, right_branch_partition,
-                               root_children, solve_xy_system, trees_with_chains)
+                               right_branch_partition, root_children,
+                               solve_xy_system, trees_with_chains)
+from ncgeode.verify import system_tables_hold
 from ncgeode import fixtures as fx
-from oracles import (is_lukasiewicz, is_schroeder_code, lukasiewicz_root_children,
-                     prime_tree_weight, tree_weight)
+from oracles import (LiftedState, chain_monomials, is_lukasiewicz, is_schroeder_code,
+                     lifted_xy_system, lukasiewicz_root_children, prime_tree_weight,
+                     project_placeholder, projected, tree_weight)
 
 LITTLE_SCHROEDER = [1, 3, 11, 45, 197, 903]
 
@@ -126,7 +131,7 @@ def test_right_branch_parts_sum_to_internal_nodes():
 
 
 def test_system_matches_displayed_solution():
-    state = solve_xy_system(3)
+    state = lifted_xy_system(3)
     for n, expected in fx.SYSTEM_Y_TABLE.items():
         assert chain_monomials(state.y[n]) == expected, n
     for n, expected in fx.SYSTEM_X_TABLE.items():
@@ -134,18 +139,45 @@ def test_system_matches_displayed_solution():
     assert chain_monomials(state.g[3]) == fx.SYSTEM_G3_TABLE
 
 
+def _printed_term(text: str) -> tuple[tuple[int, ...], EPoly]:
+    """A term such as "e_1 S^{20000}" as (word, coefficient)."""
+    *monomial, word = text.split()
+    parts = tuple(int(m.removeprefix("e_")) for m in monomial)
+    return tuple(map(int, word[3:-1])), EPoly({parts: 1})
+
+
+@pytest.mark.parametrize("name, table, degree", [("system-y-2", "y", 2),
+                                                   ("system-g-3", "g", 3)])
+def test_system_check_fails_on_each_printed_typo(name, table, degree):
+    assert system_tables_hold(fx.SYSTEM_Y_TABLE, fx.SYSTEM_X_TABLE, fx.SYSTEM_G3_TABLE)
+    # the typo replaces a derived term of a displayed table by the printed one
+    deviations = json.loads((Path(__file__).parent / "data" / "golden"
+                             / "deviations.json").read_text())["deviations"]
+    deviation = next(d for d in deviations if d["id"] == name)
+    tables = {"y": dict(fx.SYSTEM_Y_TABLE), "x": fx.SYSTEM_X_TABLE,
+              "g": {3: fx.SYSTEM_G3_TABLE}}
+    comp = tables[table][degree] = dict(tables[table][degree])
+    derived_word, derived = _printed_term(deviation["derived"])
+    printed_word, printed = _printed_term(deviation["printed"])
+    assert comp.pop(derived_word) == derived
+    comp[printed_word] = printed
+    assert not system_tables_hold(tables["y"], tables["x"], tables["g"][3])
+
+
 def test_cached_system_state_is_read_only():
     state = solve_xy_system(3)
     with pytest.raises(TypeError):
-        state.g[1][(1, 0)] = EPoly()
+        state.x[1][(1,)] = EPoly()
+    with pytest.raises(AttributeError):
+        state.x = ()
     assert g_e(3, "system") == g_e(3, "trees")
 
 
 def test_system_g_is_read_off_x():
     # G = (1 + X) S0: each X word, which lacks its final leaf, gets the
     # placeholder appended; only X and Y are stored
-    assert SystemState._fields == ("order", "x", "y")
-    state = solve_xy_system(6)
+    assert LiftedState._fields == SystemState._fields == ("order", "x", "y")
+    state = lifted_xy_system(6)
     assert state.x[1] == {(1, 0): ()}
     assert len(state.g) == len(state.x) == 7
     assert state.g[0] == {(0,): ()}
@@ -159,19 +191,31 @@ def test_system_g_is_read_off_x():
 
 def test_projection_of_x_equals_projection_of_g():
     for order in range(1, 7):
-        state = solve_xy_system(order)
+        state = lifted_xy_system(order)
         assert project_placeholder(state.x) == project_placeholder(state.g), order
 
 
+def test_system_is_the_projection_of_the_lifted_system():
+    # setting the placeholder to 1 is an algebra morphism, so it carries the
+    # lifted solution over tree codes onto the solution over compositions
+    lifted = lifted_xy_system(7)
+    state = solve_xy_system(7)
+    assert state.order == 7 and len(state.x) == len(state.y) == 8
+    assert state.y[0] == {(): EPoly.one()} and state.x[0] == {}
+    for n in range(8):
+        assert state.x[n] == projected(lifted.x[n]), n
+        assert state.y[n] == projected(lifted.y[n]), n
+
+
 def test_system_y_equals_tree_enumeration():
-    state = solve_xy_system(5)
+    state = lifted_xy_system(5)
     for n in range(6):
         expected = {code: tree_weight(code) for code in enumerate_schroeder(n)}
         assert chain_monomials(state.y[n]) == expected, n
 
 
 def test_system_g_equals_prime_tree_enumeration():
-    state = solve_xy_system(5)
+    state = lifted_xy_system(5)
     for n in range(1, 6):
         expected = {code: prime_tree_weight(code)
                     for code in enumerate_prime_schroeder(n)}
@@ -203,9 +247,13 @@ def test_g_e_system_route_agrees_at_degree_9():
         assert gamma_e(n) == expected.truncate(n), n
 
 
+def test_g_e_system_route_agrees_at_degree_10():
+    assert g_e(10, "system") == g_e(10, "delta")
+
+
 def test_projection_refuses_collided_words():
     # two codes meeting on one word would concatenate their chain tuples
-    graded = [dict(comp) for comp in solve_xy_system(3).g]
+    graded = [dict(comp) for comp in lifted_xy_system(3).g]
     code = (1, 1, 0, 0, 0)
     assert graded[2][code] == (1,)
     graded[2][code] += graded[2][code]
@@ -273,6 +321,6 @@ def test_coefficient_sums_are_schroeder_numbers():
 
 
 def test_project_placeholder():
-    state = solve_xy_system(2)
-    projected = project_placeholder(state.g)
-    assert projected.component(2) == {(2,): EPoly.one(), (1, 1): EPoly({(1,): 1})}
+    state = lifted_xy_system(2)
+    series = project_placeholder(state.g)
+    assert series.component(2) == {(2,): EPoly.one(), (1, 1): EPoly({(1,): 1})}
