@@ -9,13 +9,13 @@ order spell I.  The geode gamma satisfies g = 1 + gamma (sigma_1 - 1) and is
 also obtained by annihilating g with any S_k^{-1}.
 
 Replacing the exponent m by k*m gives the k-Lagrange series; its coefficients
-are polynomials in k, which turns k into a formal indeterminate t.  One
-per-degree step reads each component off ``ncsf.graded_power``: the solver
-``k_lagrange_direct`` runs it from scratch for any k, and ``solve_g`` runs it
-at k = 1 on one grown g.  That g keeps its components and the memo of its
-powers for the life of the process, so each order costs only its new
-degrees; ``solve_g.cache_clear()`` empties the per-order cache but does not
-reset the grown g.  For a
+are polynomials in k, which turns k into a formal indeterminate t.
+``solve_g`` grows g by the step ``ncsf.lagrange_step``, keeping its
+components and the memo of its powers for the life of the process, so each
+order costs only its new degrees; ``solve_g.cache_clear()`` empties the
+per-order cache but does not reset the grown g.  ``k_lagrange_direct`` is
+the system of ``schroeder.solve_xy_system`` under e_m -> C(k, m): there
+y = (1 + x)^k, so g^(k) = 1 + x for every integer k.  For a
 composition I of length p, the coefficient of S^I in the t-series is the sum
 over the codes a of plane trees with p nodes (letter sum p-1, every proper
 prefix of length j summing to at least j) of
@@ -33,8 +33,9 @@ the prefixes, ``g_t`` appends every last part to them, and
 ``delta_coefficient`` walks only the path of its own composition, about
 p^3 / 6 products for p parts.  Since g^(t) = sum_{m>=0} S_m (g^(t))^{tm},
 the t-prime series h^(t) = sum_{n>=1} S_n (g^(t))^{t(n-1)} is g^(t) under
-the word map S_m w -> S_{m+1} w, 1 -> S_1, with no walk of its own.
-Specializing t to -1 gives free cumulants.
+the word map S_m w -> S_{m+1} w, 1 -> S_1, with no walk of its own, and
+``prime_series`` reads h off g by it.  Specializing t to -1 gives free
+cumulants.
 """
 
 from __future__ import annotations
@@ -43,13 +44,14 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
+from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT, Ring,
                         binomial_polynomial)
 from .combinat import tree_code_coefficient, tree_code_prefix_sums, with_last_part
 from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, check_order,
-                   compose, frozen_component, graded_power, inverse_component,
+                   compose, frozen_component, graded_power, lagrange_step,
                    lagrange_transform, negate_alphabet, phi_k, right_divide,
                    series_inverse, series_mul, sigma1, unit_series)
+from .schroeder import solve_xy_system
 
 
 # The Lagrange series as grown so far: its read-only components and the
@@ -74,7 +76,7 @@ def solve_g(order: int) -> NcsfSeries:
     check_order(order)
     while len(_g) <= order:
         n = len(_g)
-        _g.append(frozen_component(_lagrange_component(_g, 1, n, _g_powers), n))
+        _g.append(frozen_component(lagrange_step(_g, n, _g_powers, 1, 0), n))
     return NcsfSeries._of(INT_RING, tuple(_g[: order + 1]))
 
 
@@ -113,16 +115,24 @@ def gessel_gamma(order: int) -> NcsfSeries:
 def prime_series(order: int) -> tuple[NcsfSeries, NcsfSeries]:
     """The series h = 1 - g^{-1} of prime parking functions and eta = h S_1^{-1}.
 
-    h_n counts plane trees whose rightmost root subtree is a leaf.
+    h_n counts plane trees whose rightmost root subtree is a leaf.  h is g
+    under the word map of ``h_t`` at t = 1, with no inverse.
     """
-    g = solve_g(order + 1)
-    h_full = unit_series(INT_RING, order + 1) - series_inverse(g)
+    h_full = _raised_first_part(INT_RING, solve_g(order).components)
     eta = annihilate(h_full, 1)
     return h_full.truncate(order), eta
 
 
+def _raised_first_part(ring: Ring, g) -> NcsfSeries:
+    """The components ``g`` of degree 0..n under the word map
+    S_m w -> S_{m+1} w, 1 -> S_1, a series through degree n + 1."""
+    return NcsfSeries(ring, [{}] + [{(w[0] + 1,) + w[1:] if w else (1,): c
+                                     for w, c in comp.items()} for comp in g])
+
+
 def eta_identities(order: int) -> dict[str, bool]:
-    """Check gamma = g*eta, eta*(sigma_1 - 1) = h and eta = g^{-1}*gamma."""
+    """Check gamma = g*eta, eta*(sigma_1 - 1) = h and eta = g^{-1}*gamma,
+    for the h and eta that ``prime_series`` reads off g by a word map."""
     g = solve_g(order)
     h, eta = prime_series(order)
     gamma = geode(order)
@@ -179,26 +189,12 @@ def substitute_t(u: NcsfSeries, inner: PolyT) -> NcsfSeries:
 
 
 def k_lagrange_direct(k: int, order: int) -> NcsfSeries:
-    """Solve w = 1 + sum_m S_m w^{k m} degree by degree (k may be negative),
-    where b is w for k >= 0 and w^{-1}, grown one degree behind w, for k < 0
-    (see ``_lagrange_component``)."""
-    check_order(order)
-    comps: list[dict] = [{(): 1}]
-    base = comps if k >= 0 else [{(): 1}]
-    memo: dict = {}
-    for n in range(1, order + 1):
-        if k < 0 and n > 1:
-            base.append(inverse_component(comps, base, n - 1, 0))
-        comps.append(_lagrange_component(base, k, n, memo))
-    return NcsfSeries(INT_RING, comps)
-
-
-def _lagrange_component(base: list, k: int, n: int, memo: dict) -> dict:
-    """w_n = sum_m S_m (b^{|k| m})_{n-m} from ``graded_power``; reads b only
-    through degree n - 1."""
-    # the words of S_m w^{km} begin with m, so the terms never collide
-    return {(m,) + w: c for m in range(1, n + 1)
-            for w, c in graded_power(base, abs(k) * m, n - m, memo, 1, 0).items()}
+    """Solve w = 1 + sum_m S_m w^{k m} for any integer k: the system of
+    ``schroeder.solve_xy_system`` with c_m = C(k, m), the t-series factor
+    C(t, m) at t = k, has y = (1 + x)^k, so w = 1 + x."""
+    x = solve_xy_system(order, INT_RING,
+                        lambda m: int(binomial_polynomial(1, m).evaluate(k))).x
+    return NcsfSeries(INT_RING, ({(): 1},) + x[1:])
 
 
 def k_lagrange_by_phi(k: int, order: int) -> NcsfSeries:
@@ -265,9 +261,7 @@ def h_t(order: int) -> NcsfSeries:
     g^(t) = sum_{m>=0} S_m (g^(t))^{tm}, it is g^(t) through degree
     order - 1 under the word map S_m w -> S_{m+1} w, 1 -> S_1.
     """
-    g = g_t(order - 1).components if order else ()
-    return NcsfSeries(POLYT_RING, [{}] + [{(w[0] + 1,) + w[1:] if w else (1,): c
-                                           for w, c in comp.items()} for comp in g])
+    return _raised_first_part(POLYT_RING, g_t(order - 1).components if order else ())
 
 
 def eta_t(order: int) -> NcsfSeries:

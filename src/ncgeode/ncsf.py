@@ -20,17 +20,17 @@ signed (-1)^(|D|+1).  ``_descent_transform`` computes each of them.
 Every series records the degree through which it is exact; operations derive
 the output truncation from the inputs and raise rather than silently truncate.
 
-Powers have two kernels.  ``graded_power`` reads the degree-d component of
-u^m off the components of u through degree d, so a fixed-point solver can
-call it while u grows: ``lagrange.k_lagrange_direct`` (and so ``solve_g``),
-``lagrange.gessel_gamma`` and ``schroeder.solve_xy_system`` do, over the
-integers and over ``EPoly``, multiplying coefficients by ``*``.  Chained
-``series_mul`` products stay where they serve as a check or cost less
-memory: ``series_power`` is the repeated-product reference of the tests,
-``compose``, behind both defining-equation checks, exercises the product
-kernel on truncations (each power only through the degrees its term reads),
-and ``series_power_binomial`` would gain little on ``graded_power`` while
-its memo held every (u-1)^j.
+Powers have two kernels.  ``graded_power`` reads the degree-d component of u^m
+off the components of u through degree d, so a fixed-point solver can call it
+while u grows, in any ring.  ``lagrange_step`` sums S_m u^m on it:
+``lagrange.solve_g`` grows g by that step, and ``schroeder.solve_xy_system``
+(behind ``lagrange.k_lagrange_direct`` too) its x.  Chained ``series_mul``
+products stay where they serve as a check or cost less memory:
+``series_power`` is the repeated-product reference of the tests, ``compose``,
+behind both defining-equation checks, exercises the product kernel on
+truncations (each power only through the degrees its term reads), and
+``series_power_binomial`` would gain little on ``graded_power`` while its memo
+held every (u-1)^j.
 
 Annihilation and ``phi_k`` send each output word back to exactly one input
 word, so they filter the S components directly; annihilation reaches the R
@@ -243,19 +243,12 @@ def series_inverse(u: NcsfSeries) -> NcsfSeries:
         raise ValueError("series inverse requires constant term 1")
     inv = [{(): u.ring.one}]
     for n in range(1, u.order + 1):
-        inv.append(inverse_component(u.components, inv, n, u.ring.zero))
+        # v_n = -sum_{i=1..n} u_i v_{n-i}, less cancelled words: it feeds v_{>n}
+        comp: dict = {}
+        for i in range(1, n + 1):
+            _conv_into(comp, u.components[i], inv[n - i], u.ring.zero)
+        inv.append({w: -c for w, c in comp.items() if c})
     return NcsfSeries(u.ring, inv)
-
-
-def inverse_component(comps, inv, n: int, zero) -> dict:
-    """Degree-``n`` component v_n = -sum_{i=1..n} u_i v_{n-i} of the inverse
-    of ``comps`` (constant term 1) from its components ``inv`` of degree < n;
-    reads ``comps`` only through degree n, so both may still be growing."""
-    comp: dict = {}
-    for i in range(1, n + 1):
-        _conv_into(comp, comps[i], inv[n - i], zero)
-    # cancelled words are dropped here, since the inverse feeds later degrees
-    return {w: -c for w, c in comp.items() if c}
 
 
 def series_power(u: NcsfSeries, k: int) -> NcsfSeries:
@@ -290,9 +283,9 @@ def graded_power(comps, m: int, d: int, memo: dict, one, zero) -> dict:
     Reads only the components of degree <= d, so ``comps`` may still be
     growing.  ``memo`` keeps the (m, d) components already computed; the
     caller decides how long it lives.  ``one`` and ``zero`` are the units of
-    the coefficient ring.  The Lagrange-type solvers and the e-series
-    system use it; the module docstring lists the code that keeps chained
-    products, and why.
+    the coefficient ring.  ``lagrange_step``, the x/y system's y and
+    ``lagrange.gessel_gamma`` use it; the module docstring lists the code
+    that keeps chained products, and why.
     """
     if m == 0:
         return {(): one} if d == 0 else {}
@@ -306,6 +299,14 @@ def graded_power(comps, m: int, d: int, memo: dict, one, zero) -> dict:
                            comps[j], zero)
         memo[key] = acc
     return acc
+
+
+def lagrange_step(comps, n: int, memo: dict, one, zero) -> dict:
+    """Degree-``n`` component of sum_{m>=1} S_m u^m off ``graded_power``;
+    reads u only below degree n, so a solver can call it while u grows."""
+    # the words of S_m u^m begin with m, so the terms never collide
+    return {(m,) + w: c for m in range(1, n + 1)
+            for w, c in graded_power(comps, m, n - m, memo, one, zero).items()}
 
 
 def series_power_binomial(u: NcsfSeries, p: PolyT) -> NcsfSeries:

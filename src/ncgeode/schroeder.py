@@ -21,10 +21,13 @@ Setting S0 = 1 deletes a letter, which commutes with concatenation, and the
 e_n are scalars, so the projection is an algebra morphism.  It sends X to
 the solution x of x = sum S_n y^n, y = 1 + sum e_n x^n, and G to
 g^[e] = 1 + x.  ``solve_xy_system`` solves the projected system on the
-2^(n-1) compositions of each degree.  The lifted one grows with the little
-Schroeder numbers; ``tests/oracles.py`` keeps it as the reference over tree
-codes, and ``verify`` checks its displayed low-degree tables against the
-tree enumeration below.
+2^(n-1) compositions of each degree, for any c_n in place of e_n.  Under
+e_n -> C(k, n) the alphabet is k equal letters, y = (1 + x)^k and g^[e]
+becomes g^(k), which ``lagrange.k_lagrange_direct`` reads off for every
+integer k.  The lifted system grows with the little Schroeder numbers;
+``tests/oracles.py`` keeps it as the reference over tree codes, and
+``verify`` checks its displayed low-degree tables against the tree
+enumeration below.
 
 Neither the enumeration nor the trees route parses a code.  Both read
 ``_grown_trees``, which builds every tree bottom-up with its chain lengths
@@ -44,8 +47,8 @@ from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
 
-from .coeffring import EPOLY_RING, EPoly, elementary_of_multiple
-from .ncsf import NcsfSeries, check_order, graded_power
+from .coeffring import EPOLY_RING, EPoly, Ring, elementary_of_multiple
+from .ncsf import NcsfSeries, check_order, graded_power, lagrange_step
 from .combinat import (_root_children, nonzero_letters, tree_code_coefficient,
                        tree_code_prefix_sums, with_last_part)
 
@@ -168,21 +171,30 @@ def right_branch_partition(code: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class SystemState(namedtuple("SystemState", "order x y")):
-    """The e-series system through ``order``: per degree, each composition
-    of x and y maps to its ``EPoly``."""
+    """The system through ``order``: per degree, each composition of x and
+    y maps to its coefficient."""
 
     __slots__ = ()
 
 
-def solve_xy_system(order: int) -> SystemState:
-    """Solve x = sum S_m y^m, y = 1 + sum e_m x^m degree by degree.
+def elementary(m: int) -> EPoly:
+    """The generator e_m, the c_m of the e-series system."""
+    return EPoly({(m,): 1})
 
-    x_n = sum_m S_m (y^m)_{n-m} needs y below degree n, and y_n = sum_m e_m
-    (x^m)_n needs x through degree n, so the two interleave.  Both powers
-    come off ``graded_power`` with the ``EPoly`` product.
+
+def solve_xy_system(order: int, ring: Ring, c) -> SystemState:
+    """Solve x = sum S_m y^m, y = 1 + sum c_m x^m degree by degree over
+    ``ring``, with c_m = c(m) for m >= 1.
+
+    x_n = sum_m S_m (y^m)_{n-m} (``lagrange_step``) needs y below degree n,
+    and y_n = sum_m c_m (x^m)_n needs x through degree n, so the two
+    interleave; both powers come off ``graded_power``.  With c_m = e_m,
+    1 + x is g^[e]; with c_m = C(k, m) over the integers, y = (1 + x)^k,
+    so 1 + x is g^(k) for every integer k, and no power exceeds the degree.
     """
     check_order(order)
-    one, zero = EPoly.one(), EPoly()
+    one, zero = ring.one, ring.zero
+    coeffs = [c(m) for m in range(1, order + 1)]
     x: list[dict] = [{}]
     y: list[dict] = [{(): one}]
     # a power's component of degree d reads only components through d, which
@@ -190,13 +202,13 @@ def solve_xy_system(order: int) -> SystemState:
     y_memo: dict = {}
     x_memo: dict = {}
     for n in range(1, order + 1):
-        x.append({(m,) + w: c for m in range(1, n + 1)
-                  for w, c in graded_power(y, m, n - m, y_memo, one, zero).items()})
+        x.append(lagrange_step(y, n, y_memo, one, zero))
         yn: dict = {}
-        for m in range(1, n + 1):
-            em = EPoly({(m,): 1})
-            for w, c in graded_power(x, m, n, x_memo, one, zero).items():
-                yn[w] = yn.get(w, zero) + c * em
+        for m, cm in enumerate(coeffs[:n], 1):
+            # C(k, m) vanishes for m > k >= 0, and that power is never read
+            if cm:
+                for w, coeff in graded_power(x, m, n, x_memo, one, zero).items():
+                    yn[w] = yn.get(w, zero) + coeff * cm
         y.append(yn)
     return SystemState(order, *(tuple(map(MappingProxyType, comps)) for comps in (x, y)))
 
@@ -238,7 +250,8 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
         prefix_sums = gamma_e(order - 1).components if order else ()
         return NcsfSeries(EPOLY_RING, with_last_part(prefix_sums, order, {(): EPoly.one()}))
     if route == "system":
-        return NcsfSeries(EPOLY_RING, ({(): EPoly.one()},) + solve_xy_system(order).x[1:])
+        x = solve_xy_system(order, EPOLY_RING, elementary).x
+        return NcsfSeries(EPOLY_RING, ({(): EPoly.one()},) + x[1:])
     if route == "trees":
         comps = [{(): EPoly.one()}]
         for n in range(1, order + 1):

@@ -23,8 +23,8 @@ from .lagrange import (delta_coefficient, divisibility_check, eta_identities,
                        solve_g, specialize_t, theta_t, theta_k_by_transform)
 from .ncsf import (NcsfSeries, annihilate, compose, convert_basis, sigma1,
                    unit_series)
-from .schroeder import (_partition_counts, enumerate_prime_schroeder, g_e,
-                        gamma_e, prime_trees_with_chains, solve_xy_system,
+from .schroeder import (_partition_counts, elementary, enumerate_prime_schroeder,
+                        g_e, gamma_e, prime_trees_with_chains, solve_xy_system,
                         trees_with_chains)
 
 SUITES = ("all", "paper", "identities", "oeis")
@@ -183,7 +183,7 @@ def system_tables_hold(y_table, x_table, g3_table) -> bool:
             out[key] = out.get(key, EPoly()) + coeff
         return out
 
-    state = solve_xy_system(max(*y_table, *x_table, 3))
+    state = solve_xy_system(max(*y_table, *x_table, 3), EPOLY_RING, elementary)
     return (all(y_table[n] == _partition_counts(Counter(trees_with_chains(n)))
                 and state.y[n] == projected(y_table[n]) for n in y_table)
             and all(x_table[n] == _partition_counts(Counter(

@@ -6,8 +6,9 @@ letter, the Lagrange series counted off enumerated trees, tree weights read
 off parsed codes, the inverse bijections of ``combinat``, the tree-code
 sum of one composition, a DP of its own beside the prefix walk, the
 bivariate ribbon specialization, the general linear word map ``map_words``,
-the termwise annihilation rules of the S, R and L bases, and the lifted
-e-series system over tree codes.
+the k-Lagrange series by powers of w (or of its inverse) up to |k| times
+the degree, the termwise annihilation rules of the S, R and L bases, and the
+lifted e-series system over tree codes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ncgeode.coeffring import EPOLY_RING, EPoly, INT_RING, Ring
 from ncgeode.combinat import (_is_tree_code, _root_children, iter_lukasiewicz,
                               nonzero_letters)
 from ncgeode.gfseries import PowerSeries
-from ncgeode.ncsf import NcsfSeries, check_order
+from ncgeode.ncsf import NcsfSeries, _conv_into, check_order, graded_power
 from ncgeode.schroeder import (_arity, _partition_counts, right_branch_partition,
                                root_children)
 
@@ -69,6 +70,27 @@ def g_from_trees(order: int) -> NcsfSeries:
             word = nonzero_letters(code)
             comp[word] = comp.get(word, 0) + 1
         comps.append(comp)
+    return NcsfSeries(INT_RING, comps)
+
+
+def k_lagrange_by_powers(k: int, order: int) -> NcsfSeries:
+    """Solve w = 1 + sum_m S_m w^{k m} degree by degree with the powers
+    b^{|k| m} of ``ncsf.graded_power``, where b is w for k >= 0 and w^{-1},
+    grown one degree behind w, for k < 0.  The powers reach |k| times the
+    order, one frame of the power kernel per factor."""
+    check_order(order)
+    comps: list[dict] = [{(): 1}]
+    base = comps if k >= 0 else [{(): 1}]
+    memo: dict = {}
+    for n in range(1, order + 1):
+        if k < 0 and n > 1:
+            # v_{n-1} = -sum_i w_i v_{n-1-i} reads w only below degree n
+            inv: dict = {}
+            for i in range(1, n):
+                _conv_into(inv, comps[i], base[n - 1 - i], 0)
+            base.append({w: -c for w, c in inv.items() if c})
+        comps.append({(m,) + w: c for m in range(1, n + 1)
+                      for w, c in graded_power(base, abs(k) * m, n - m, memo, 1, 0).items()})
     return NcsfSeries(INT_RING, comps)
 
 

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from ncgeode import lagrange, verify
-from ncgeode.cli import DIRECT_MAX_POWER, _refuse_order, count_trees, main
+from ncgeode.cli import _refuse_order, count_trees, main
 from ncgeode.coeffring import INT_RING
 from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import g_t, geode, solve_g
@@ -245,18 +245,20 @@ def test_series_commands_refuse_huge_orders(capsys, argv, power):
 
 
 @pytest.mark.parametrize("k, degree", [(3000, 2), (-251, 2), (501, 1)])
-def test_klagrange_direct_refuses_huge_powers(capsys, k, degree):
-    # each factor of the power is one frame of the power kernel
-    code = main(["klagrange", "--k", str(k), "--degree", str(degree),
-                 "--route", "direct"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"powers up to {abs(k) * degree}, more than the limit" in captured.err
+def test_klagrange_direct_matches_delta_at_huge_k(capsys, k, degree):
+    # the direct route takes no power above the degree, whatever k is
+    outputs = []
+    for route in ("direct", "delta"):
+        assert main(["klagrange", "--k", str(k), "--degree", str(degree),
+                     "--route", route]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
 
 
 def test_klagrange_direct_reaches_the_power_limit(capsys):
-    k = -(DIRECT_MAX_POWER // 2)
+    k = -250
     assert main(["klagrange", "--k", str(k), "--degree", "2",
                  "--route", "direct"]) == 0
     # g^(k)_2 = S_2 + k S^{11}

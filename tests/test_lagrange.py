@@ -14,13 +14,13 @@ from ncgeode.lagrange import (delta_coefficient, divisibility_check,
                               prime_series, solve_g, specialize_t,
                               substitute_t, theta_k_by_transform, theta_t)
 from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate,
-                          right_divide, series_mul, series_power, sigma1,
-                          unit_series)
+                          right_divide, series_inverse, series_mul, series_power,
+                          sigma1, unit_series)
 from ncgeode.schroeder import g_e, solve_xy_system
 from ncgeode import fixtures as fx
 from ncgeode import lagrange
-from oracles import (g_from_trees, generator, lukasiewicz_root_children,
-                     tree_code_sum, zero_series)
+from oracles import (g_from_trees, generator, k_lagrange_by_powers,
+                     lukasiewicz_root_children, tree_code_sum, zero_series)
 
 
 def test_g_low_degrees():
@@ -93,6 +93,13 @@ def test_prime_series_low_degrees():
     assert h.component(2) == {(2,): 1}
     assert h.component(3) == {(3,): 1, (2, 1): 1}
     assert eta.component(2) == {(2,): 1}
+
+
+def test_prime_series_is_one_minus_the_inverse_of_g():
+    # h is read off g by the word map S_m w -> S_{m+1} w, 1 -> S_1
+    for order in (0, 13):
+        h = unit_series(INT_RING, order + 1) - series_inverse(solve_g(order + 1))
+        assert prime_series(order) == (h.truncate(order), annihilate(h, 1)), order
 
 
 def test_prime_series_counts_trees_with_leaf_last_subtree():
@@ -173,7 +180,7 @@ def test_solve_g_shares_the_grown_components():
     lambda: free_cumulants(-1),
     lambda: g_e(-1, "system"),
     lambda: g_e(-1, "trees"),
-    lambda: solve_xy_system(-1),
+    lambda: solve_xy_system(-1, INT_RING, int),
     lambda: unit_series(INT_RING, -1),
     lambda: sigma1(INT_RING, -1),
 ], ids=["solve_g", "k_lagrange_by_phi", "truncate", "k_lagrange_direct",
@@ -213,7 +220,7 @@ def test_k_lagrange_routes_agree():
 
 
 def test_k_lagrange_direct_matches_t_series_at_every_level():
-    # k < 0 takes its powers from the inverse grown alongside w
+    # every k, negative too, solves the one system with y = (1 + x)^k
     gt = g_t(6)
     for k in range(-3, 4):
         assert k_lagrange_direct(k, 6) == specialize_t(gt, k), k
@@ -221,6 +228,27 @@ def test_k_lagrange_direct_matches_t_series_at_every_level():
 
 def test_zero_level_is_sigma1():
     assert k_lagrange_direct(0, 6) == sigma1(INT_RING, 6)
+
+
+@pytest.mark.parametrize("k", range(-6, 9))
+def test_k_lagrange_direct_matches_the_power_oracle(k):
+    # the oracle takes powers of w, or of its inverse for k < 0, up to |k|
+    # times the degree; the system takes none above the degree
+    assert k_lagrange_direct(k, 8) == k_lagrange_by_powers(k, 8)
+
+
+@pytest.mark.parametrize("k, order", [(1500, 1), (3000, 2), (-2000, 2)])
+def test_k_lagrange_direct_at_huge_levels(k, order):
+    # powers up to |k| times the order would take one frame per factor,
+    # past the default recursion limit
+    assert k_lagrange_direct(k, order) == specialize_t(g_t(order), k)
+
+
+def test_system_with_binomial_coefficients_over_polyt_is_g_t():
+    # c_m = C(t, m) makes y = (1 + x)^t, so 1 + x is g^(t) as polynomials in
+    # t; the prefix walk of g_t shares no code with the system
+    x = solve_xy_system(9, POLYT_RING, lambda m: binomial_polynomial(1, m)).x
+    assert NcsfSeries(POLYT_RING, ({(): POLYT_ONE},) + x[1:]) == g_t(9)
 
 
 def test_free_cumulants():

@@ -4,11 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from ncgeode.coeffring import EPoly, epoly_evaluate
+from ncgeode.coeffring import EPOLY_RING, EPoly, epoly_evaluate
 from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import free_cumulant_routes, solve_g
 from ncgeode.ncsf import annihilate
-from ncgeode.schroeder import (SystemState, delta_e_coefficient,
+from ncgeode.schroeder import (SystemState, delta_e_coefficient, elementary,
                                enumerate_prime_schroeder, enumerate_schroeder,
                                g_e, gamma_e, prime_trees_with_chains,
                                right_branch_partition, root_children,
@@ -165,7 +165,7 @@ def test_system_check_fails_on_each_printed_typo(name, table, degree):
 
 
 def test_cached_system_state_is_read_only():
-    state = solve_xy_system(3)
+    state = solve_xy_system(3, EPOLY_RING, elementary)
     with pytest.raises(TypeError):
         state.x[1][(1,)] = EPoly()
     with pytest.raises(AttributeError):
@@ -199,7 +199,7 @@ def test_system_is_the_projection_of_the_lifted_system():
     # setting the placeholder to 1 is an algebra morphism, so it carries the
     # lifted solution over tree codes onto the solution over compositions
     lifted = lifted_xy_system(7)
-    state = solve_xy_system(7)
+    state = solve_xy_system(7, EPOLY_RING, elementary)
     assert state.order == 7 and len(state.x) == len(state.y) == 8
     assert state.y[0] == {(): EPoly.one()} and state.x[0] == {}
     for n in range(8):
