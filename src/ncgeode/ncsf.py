@@ -25,12 +25,11 @@ off the components of u through degree d, so a fixed-point solver can call it
 while u grows, in any ring.  ``lagrange_step`` sums S_m u^m on it:
 ``lagrange.solve_g`` grows g by that step, and ``schroeder.solve_xy_system``
 (behind ``lagrange.k_lagrange_direct`` too) its x.  Chained ``series_mul``
-products stay where they serve as a check or cost less memory:
-``series_power`` is the repeated-product reference of the tests, ``compose``,
+products stay where they serve as a check or cost less memory: ``compose``,
 behind both defining-equation checks, exercises the product kernel on
 truncations (each power only through the degrees its term reads), and
 ``series_power_binomial`` would gain little on ``graded_power`` while its memo
-held every (u-1)^j.
+held every (u-1)^j.  The repeated-product ``series_power`` is a test oracle.
 
 Annihilation and ``phi_k`` send each output word back to exactly one input
 word, so they filter the S components directly; annihilation reaches the R
@@ -251,16 +250,6 @@ def series_inverse(u: NcsfSeries) -> NcsfSeries:
     return NcsfSeries(u.ring, inv)
 
 
-def series_power(u: NcsfSeries, k: int) -> NcsfSeries:
-    if k == 0:
-        return unit_series(u.ring, u.order)
-    base = u if k > 0 else series_inverse(u)
-    out = base
-    for _ in range(abs(k) - 1):
-        out = series_mul(out, base)
-    return out
-
-
 def compose(a: NcsfSeries, b: NcsfSeries) -> NcsfSeries:
     """sum_n a_n b^n, a_n the degree-n component of ``a``, through the lower
     order; a_n b^n reads b^n only through degree order - n, so each power
@@ -314,7 +303,7 @@ def series_power_binomial(u: NcsfSeries, p: PolyT) -> NcsfSeries:
 
     Requires constant term 1; the sum is finite per degree because (u-1)^j
     has valuation at least j.  At a nonnegative integer constant p this
-    agrees with series_power.
+    agrees with the repeated product.
     """
     if u.components[0] != {(): u.ring.one}:
         raise ValueError("binomial power requires constant term 1")

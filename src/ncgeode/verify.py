@@ -45,6 +45,15 @@ class Report:
     def add(self, name, passed, detail="", deviation=None):
         self.checks.append(Check(name, bool(passed), detail, deviation))
 
+    def table(self, name, series: NcsfSeries, table: dict, through: int, deviation=None):
+        """Compare the components of ``series`` with a displayed table through
+        degree ``through``; the detail names the first degree that differs."""
+        bad = next((n for n, expected in table.items()
+                    if n <= through and series.component(n) != expected), None)
+        detail = "" if bad is None else \
+            f"degree {bad}: expected {table[bad]}, got {series.component(bad)}"
+        self.add(name, bad is None, detail, deviation)
+
     def lines(self) -> list[str]:
         out = []
         for c in self.checks:
@@ -60,16 +69,6 @@ class Report:
         return out
 
 
-def _series_matches_table(series: NcsfSeries, table: dict, max_degree: int) -> tuple[bool, str]:
-    for n, expected in table.items():
-        if n > max_degree:
-            continue
-        actual = series.component(n)
-        if actual != expected:
-            return False, f"degree {n}: expected {expected}, got {actual}"
-    return True, ""
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -78,13 +77,9 @@ def paper_suite(degree: int) -> Report:
     rep = Report("paper")
     d = degree
 
-    g = solve_g(max(d, 3))
-    ok, why = _series_matches_table(g, fx.G_LOW, 3)
-    rep.add("lagrange-series-low-degrees", ok, why)
-
+    rep.table("lagrange-series-low-degrees", solve_g(max(d, 3)), fx.G_LOW, 3)
     gamma = geode(max(d, 4))
-    ok, why = _series_matches_table(gamma, fx.GAMMA_LOW, 3)
-    rep.add("geode-low-degrees", ok, why)
+    rep.table("geode-low-degrees", gamma, fx.GAMMA_LOW, 3)
 
     gamma3 = gamma.truncate(3)
     g3r = convert_basis(gamma3, "R").component(3)
@@ -93,23 +88,15 @@ def paper_suite(degree: int) -> Report:
     rep.add("geode-3-elementary-basis", g3l == fx.GAMMA3_LAMBDA, f"got {g3l}")
 
     dmax = min(d, 4)
-    gt = g_t(max(dmax, 4))
-    ok, why = _series_matches_table(gt, fx.G_T_TABLE, dmax)
-    rep.add("table-g-t", ok, why)
-
-    gmt = gamma_t(max(dmax, 4))
-    ok, why = _series_matches_table(gmt, fx.GAMMA_T_TABLE, dmax)
-    rep.add("table-gamma-t", ok, why)
-
+    rep.table("table-g-t", g_t(4), fx.G_T_TABLE, dmax)
+    rep.table("table-gamma-t", gamma_t(4), fx.GAMMA_T_TABLE, dmax)
     for name, maker, table in (("theta", theta_t, fx.THETA_T_TABLE),
                                ("h", h_t, fx.H_T_TABLE), ("eta", eta_t, fx.ETA_T_TABLE)):
-        series = maker(max(dmax, 4))
-        ok, why = _series_matches_table(series, {n: t for n, t in table.items() if n <= 3}, dmax)
-        rep.add(f"table-{name}-t-low", ok, why)
+        series = maker(4)
+        rep.table(f"table-{name}-t-low", series, table, min(dmax, 3))
         if dmax >= 4:
-            ok, why = _series_matches_table(series, {4: table[4]}, 4)
-            rep.add(f"table-{name}-t-4", ok, why,
-                    deviation=fx.DOCUMENTED_DEVIATIONS[f"table-{name}-t-4"])
+            rep.table(f"table-{name}-t-4", series, {4: table[4]}, 4,
+                      fx.DOCUMENTED_DEVIATIONS[f"table-{name}-t-4"])
 
     rep.add("delta-coefficient-211",
             delta_coefficient((2, 1, 1)) == fx.DELTA_211,
@@ -117,16 +104,10 @@ def paper_suite(degree: int) -> Report:
     rep.add("delta-coefficient-1111",
             delta_coefficient((1, 1, 1, 1)) == fx.DELTA_1111)
 
-    ge = g_e(max(dmax, 4))
-    ok, why = _series_matches_table(ge, fx.G_E_TABLE, dmax)
-    rep.add("table-e-lagrange", ok, why)
-    gme = gamma_e(max(dmax, 4))
-    ok, why = _series_matches_table(gme, fx.GAMMA_E_TABLE, dmax)
-    rep.add("table-e-geode", ok, why)
-
-    K = specialize_t(g_t(3), -1)
-    ok, why = _series_matches_table(K, fx.FREE_CUMULANTS_LOW, 3)
-    rep.add("free-cumulants-low-degrees", ok, why)
+    rep.table("table-e-lagrange", g_e(4), fx.G_E_TABLE, dmax)
+    rep.table("table-e-geode", gamma_e(4), fx.GAMMA_E_TABLE, dmax)
+    rep.table("free-cumulants-low-degrees", specialize_t(g_t(3), -1),
+              fx.FREE_CUMULANTS_LOW, 3)
 
     rep.add("system-solution-low-degrees", system_tables_hold(
         fx.SYSTEM_Y_TABLE, fx.SYSTEM_X_TABLE, fx.SYSTEM_G3_TABLE))
@@ -257,14 +238,10 @@ def identities_suite(degree: int) -> Report:
     # conjugation/sign identity, specific to the Lagrange series
     gl = convert_basis(solve_g(min(d, 7)), "L")
     gr = convert_basis(solve_g(min(d, 7)), "R")
-    sign_ok = True
-    for n in range(min(d, 7) + 1):
-        for I in compositions(n):
-            lhs = gl.component(n).get(I, 0)
-            rhs = gr.component(n).get(conjugate(I), 0)
-            if lhs != (-1) ** (n - len(I)) * rhs:
-                sign_ok = False
-    rep.add("sign-conjugation-identity-on-g", sign_ok)
+    rep.add("sign-conjugation-identity-on-g", all(
+        gl.component(n).get(I, 0)
+        == (-1) ** (n - len(I)) * gr.component(n).get(conjugate(I), 0)
+        for n in range(min(d, 7) + 1) for I in compositions(n)))
     return rep
 
 
@@ -273,39 +250,20 @@ def oeis_suite(degree: int) -> Report:
     rep = Report("oeis")
     d = degree
 
-    nmax = min(d, 10)
-    g = solve_g(nmax)
-    cat = specialize_ncsf(g, "catalan")
-    ok, idx = prefix_check(cat, fx.A000108_CATALAN[: nmax + 1])
-    rep.add("catalan-coefficient-sums", ok, f"first mismatch at {idx}")
-    ok, idx = prefix_check(closed_form("catalan", nmax), fx.A000108_CATALAN[: nmax + 1])
-    rep.add("catalan-closed-form", ok, f"first mismatch at {idx}")
-
-    ns = min(d, 7)
-    gam = geode(ns)
-    ok, idx = prefix_check(specialize_ncsf(gam, "coeff-sum"),
-                           fx.A071724_GEODE_SUMS[: ns + 1])
-    rep.add("geode-coefficient-sums", ok, f"first mismatch at {idx}")
-    ok, idx = prefix_check(closed_form("geode", ns), fx.A071724_GEODE_SUMS[: ns + 1])
-    rep.add("geode-closed-form", ok, f"first mismatch at {idx}")
-
-    nr = min(d, 9)
-    gam_r = geode(nr)
-    ok, idx = prefix_check(specialize_ncsf(gam_r, "ribbon-u"),
-                           fx.A239204_RIBBON_SUMS[: nr + 1])
-    rep.add("ribbon-sum-series-route", ok, f"first mismatch at {idx}")
-    ok, idx = prefix_check(closed_form("ribbon-sum", nr),
-                           fx.A239204_RIBBON_SUMS[: nr + 1])
-    rep.add("ribbon-sum-closed-form", ok, f"first mismatch at {idx}")
-
-    nl = min(d, 10)
-    gam_l = geode(nl)
-    ok, idx = prefix_check(specialize_ncsf(gam_l, "lambda-abs"),
-                           fx.A238112_LAMBDA_SUMS[: nl + 1])
-    rep.add("lambda-sum-series-route", ok, f"first mismatch at {idx}")
-    ok, idx = prefix_check(closed_form("lambda-sum", nl),
-                           fx.A238112_LAMBDA_SUMS[: nl + 1])
-    rep.add("lambda-sum-closed-form", ok, f"first mismatch at {idx}")
+    for series_name, closed_name, series, spec, form, cap, prefix in (
+            ("catalan-coefficient-sums", "catalan-closed-form",
+             solve_g, "catalan", "catalan", 10, fx.A000108_CATALAN),
+            ("geode-coefficient-sums", "geode-closed-form",
+             geode, "coeff-sum", "geode", 7, fx.A071724_GEODE_SUMS),
+            ("ribbon-sum-series-route", "ribbon-sum-closed-form",
+             geode, "ribbon-u", "ribbon-sum", 9, fx.A239204_RIBBON_SUMS),
+            ("lambda-sum-series-route", "lambda-sum-closed-form",
+             geode, "lambda-abs", "lambda-sum", 10, fx.A238112_LAMBDA_SUMS)):
+        n = min(d, cap)
+        ok, idx = prefix_check(specialize_ncsf(series(n), spec), prefix[: n + 1])
+        rep.add(series_name, ok, f"first mismatch at {idx}")
+        ok, idx = prefix_check(closed_form(form, n), prefix[: n + 1])
+        rep.add(closed_name, ok, f"first mismatch at {idx}")
 
     counts_ok = all(len(enumerate_prime_schroeder(n)) == c
                     for n, c in fx.PRIME_SCHROEDER_COUNTS.items() if n <= d)
@@ -328,15 +286,12 @@ def oeis_suite(degree: int) -> Report:
 
 
 def run_suite(suite: str, degree: int) -> Report:
-    if suite == "paper":
-        return paper_suite(degree)
-    if suite == "identities":
-        return identities_suite(degree)
-    if suite == "oeis":
-        return oeis_suite(degree)
-    if suite == "all":
-        rep = Report("all")
-        for name in ("paper", "identities", "oeis"):
-            rep.checks.extend(run_suite(name, degree).checks)
-        return rep
-    raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    """One suite, or for ``all`` every suite in turn."""
+    # looked up per call, so a suite function patched on the module is the one run
+    suites = {"paper": paper_suite, "identities": identities_suite, "oeis": oeis_suite}
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    rep = Report(suite)
+    for name in suites if suite == "all" else (suite,):
+        rep.checks.extend(suites[name](degree).checks)
+    return rep

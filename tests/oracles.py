@@ -4,8 +4,9 @@ Each one is an independent, slower route to something the package computes
 another way: plane tree and Schroeder codes checked and split letter by
 letter, the Lagrange series counted off enumerated trees, tree weights read
 off parsed codes, the inverse bijections of ``combinat``, the tree-code
-sum of one composition, a DP of its own beside the prefix walk, the
-bivariate ribbon specialization, the general linear word map ``map_words``,
+sum of one composition, a DP of its own beside the prefix walk, the integer
+power of a series by chained products (``series_power``), the bivariate
+ribbon specialization, the general linear word map ``map_words``,
 the k-Lagrange series by powers of w (or of its inverse) up to |k| times
 the degree, the termwise annihilation rules of the S, R and L bases, and the
 lifted e-series system over tree codes.
@@ -23,7 +24,8 @@ from ncgeode.coeffring import EPOLY_RING, EPoly, INT_RING, Ring
 from ncgeode.combinat import (_is_tree_code, _root_children, iter_lukasiewicz,
                               nonzero_letters)
 from ncgeode.gfseries import PowerSeries
-from ncgeode.ncsf import NcsfSeries, _conv_into, check_order, graded_power
+from ncgeode.ncsf import (NcsfSeries, _conv_into, check_order, graded_power,
+                          series_inverse, series_mul, unit_series)
 from ncgeode.schroeder import (_arity, _partition_counts, right_branch_partition,
                                root_children)
 
@@ -157,6 +159,17 @@ def generator(ring: Ring, n: int, order: int | None = None) -> NcsfSeries:
     comps = [{} for _ in range(order + 1)]
     comps[n][(n,)] = ring.one
     return NcsfSeries(ring, comps)
+
+
+def series_power(u: NcsfSeries, k: int) -> NcsfSeries:
+    """u^k as |k| chained products of u, or of its inverse for k < 0."""
+    if k == 0:
+        return unit_series(u.ring, u.order)
+    base = u if k > 0 else series_inverse(u)
+    out = base
+    for _ in range(abs(k) - 1):
+        out = series_mul(out, base)
+    return out
 
 
 def ribbon_ux(series: NcsfSeries) -> PowerSeries:

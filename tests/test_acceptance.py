@@ -21,7 +21,7 @@ from ncgeode.lagrange import (divisibility_check, eta_identities, eta_t,
 from ncgeode.ncsf import (annihilate, convert_basis, series_mul, sigma1,
                           unit_series)
 from ncgeode.schroeder import enumerate_prime_schroeder, g_e, gamma_e
-from oracles import decrement_last_part, drop_last_part
+from oracles import decrement_last_part, drop_last_part, series_power
 
 
 def _done(n, label):
@@ -239,7 +239,7 @@ def test_criterion_11_property_suites():
                 (-1) ** (n - len(I)) * in_r.component(n).get(conjugate(I), 0)
 
     # binomial powers at nonnegative integer constants
-    from ncgeode.ncsf import series_power, series_power_binomial
+    from ncgeode.ncsf import series_power_binomial
     from ncgeode.coeffring import POLYT_RING
     gt6 = solve_g(6).map_coefficients(lambda c: PolyT((c,)), POLYT_RING)
     for k in range(5):

@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from ncgeode import lagrange, verify
+from ncgeode import fixtures as fx, lagrange, verify
 from ncgeode.cli import _refuse_order, count_trees, main
-from ncgeode.coeffring import INT_RING
+from ncgeode.coeffring import INT_RING, PolyT
 from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import g_t, geode, solve_g
 from ncgeode.ncsf import NcsfSeries, NotDivisibleError, sigma1, unit_series
@@ -399,6 +399,25 @@ def test_verify_catches_a_wrong_free_cumulant(capsys, monkeypatch, degree):
     assert "[FAIL] free-cumulant-defining-equation" in out
     assert "[FAIL] free-cumulant-route-agreement" in out
     assert out.count("[FAIL]") == 2
+
+
+def test_verify_reports_the_first_table_and_prefix_mismatch(capsys, monkeypatch):
+    table = dict(fx.G_T_TABLE)
+    table[2] = {(2,): PolyT((1,)), (1, 1): PolyT((0, 2))}
+    monkeypatch.setattr(fx, "G_T_TABLE", table)
+    catalan = list(fx.A000108_CATALAN)
+    catalan[5] += 1
+    monkeypatch.setattr(fx, "A000108_CATALAN", catalan)
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--degree", "5")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == [
+        "[FAIL] table-g-t  (degree 2: expected {(2,): PolyT(['1']), "
+        "(1, 1): PolyT(['0', '2'])}, got {(2,): PolyT(['1']), (1, 1): PolyT(['0', '1'])})",
+        "[FAIL] catalan-coefficient-sums  (first mismatch at 5)",
+        "[FAIL] catalan-closed-form  (first mismatch at 5)",
+    ]
+    assert out.rstrip().splitlines()[-1] == "overall: FAIL (56/59 checks)"
 
 
 def test_verify_reports_a_failed_division(capsys, monkeypatch):

@@ -59,6 +59,7 @@ CASES = {
     "expand_gessel_int_6.txt": ["expand", "--series", "gessel", "--degree", "6"],
     "klagrange_direct_m2_5.txt": ["klagrange", "--k", "-2", "--degree", "5",
                                   "--route", "direct"],
+    "verify_all_3.txt": ["verify", "--suite", "all", "--degree", "3"],
     "verify_all_6.txt": ["verify", "--suite", "all", "--degree", "6"],
 }
 

@@ -14,13 +14,14 @@ from ncgeode.lagrange import (delta_coefficient, divisibility_check,
                               prime_series, solve_g, specialize_t,
                               substitute_t, theta_k_by_transform, theta_t)
 from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate,
-                          right_divide, series_inverse, series_mul, series_power,
-                          sigma1, unit_series)
+                          right_divide, series_inverse, series_mul, sigma1,
+                          unit_series)
 from ncgeode.schroeder import g_e, solve_xy_system
 from ncgeode import fixtures as fx
 from ncgeode import lagrange
-from oracles import (g_from_trees, generator, k_lagrange_by_powers,
-                     lukasiewicz_root_children, tree_code_sum, zero_series)
+from oracles import (g_from_trees, generator, k_lagrange_by_powers, map_words,
+                     lukasiewicz_root_children, series_power, tree_code_sum,
+                     zero_series)
 
 
 def test_g_low_degrees():
@@ -353,6 +354,16 @@ def test_h_t_reduces_to_prime_series():
     h, eta = prime_series(8)
     assert specialize_t(h_t(8), 1) == h
     assert specialize_t(eta_t(8), 1) == eta
+
+
+def test_eta_is_the_geode_with_its_first_part_raised():
+    # the word map S_m w -> S_{m+1} w, 1 -> 1 sends gamma to eta and
+    # gamma^(t) to eta^(t), with no annihilation
+    def raised(word):
+        return (((word[0] + 1,) + word[1:] if word else (), 1),)
+    for n in range(1, 11):
+        assert prime_series(n)[1] == map_words(geode(n - 1), raised, n), n
+        assert eta_t(n) == map_words(gamma_t(n - 1), raised, n), n
 
 
 def test_h_t_at_two_matches_integer_power_formula():

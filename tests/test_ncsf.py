@@ -11,10 +11,9 @@ from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, TruncationError,
                           annihilate, convert_basis,
                           lagrange_transform, negate_alphabet, phi_k,
                           right_divide, series_inverse, series_mul,
-                          series_power, series_power_binomial, sigma1,
-                          unit_series)
+                          series_power_binomial, sigma1, unit_series)
 from ncgeode.schroeder import g_e
-from oracles import decrement_last_part, drop_last_part, zero_series
+from oracles import decrement_last_part, drop_last_part, series_power, zero_series
 
 
 def s_series(terms, order, ring=INT_RING):

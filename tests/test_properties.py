@@ -18,10 +18,10 @@ from ncgeode.lagrange import delta_coefficient, gamma_t
 from ncgeode.render import polyt_str
 from ncgeode.ncsf import (NcsfSeries, annihilate, convert_basis, graded_power,
                           lagrange_transform, negate_alphabet, phi_k,
-                          series_mul, series_power)
+                          series_mul)
 from ncgeode.schroeder import delta_e_coefficient, gamma_e
 from oracles import (decrement_last_part, drop_last_part,
-                     map_words, tree_code_sum)
+                     map_words, series_power, tree_code_sum)
 
 COEFF = st.integers(-3, 3)
 
