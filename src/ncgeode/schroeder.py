@@ -30,14 +30,15 @@ integer k.  The lifted system grows with the little Schroeder numbers;
 enumeration below.
 
 Neither the enumeration nor the trees route parses a code.  Both read
-``_grown_trees``, which builds every tree bottom-up with its chain lengths
-from the smaller trees of ``trees_with_chains``.  A tree with root label r
-over the subtrees t_0, ..., t_r keeps all chains of t_0, ..., t_{r-1} and
-the chains of t_r except its root chain, which grows by one (a leaf t_r
-starts a new chain of length 1 at the root).  A prime tree is root r, then
-r subtrees, then the final leaf; its weight is e_mu for the chains of its r
-subtrees, and the route adds up one ``EPoly`` per word from the counts of
-the partitions mu, through ``_partition_counts``.
+``_grown_trees``, which grows trees bottom-up from classes of smaller trees
+in ``_tree_table``: root label r over t_0, ..., t_r keeps every chain of the
+subtrees, and t_r's root chain grows by one (a leaf starts one of length
+1).  The enumeration writes a leaf as the letter 0, so each class is one
+tree and its code; the trees route writes it as no letter, so a class is a
+word and chain tuple counting its trees, 3^(n-1) classes of size n (seen
+through 10), and it builds no code.  A prime tree is root r, r subtrees,
+then the final leaf; the route weighs it e_mu for the chains of its r
+subtrees, one ``EPoly`` per word through ``_partition_counts``.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, Ring, elementary_of_multiple
 from .ncsf import NcsfSeries, check_order, graded_power, lagrange_step
-from .combinat import (_root_children, nonzero_letters, tree_code_coefficient,
-                       tree_code_prefix_sums, with_last_part)
+from .combinat import (_root_children, tree_code_coefficient, tree_code_prefix_sums,
+                       with_last_part)
 
 
 def _arity(letter: int) -> int:
@@ -64,7 +65,7 @@ def enumerate_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("size must be nonnegative")
     if n == 0:
         return ((0,),)
-    return _sorted_codes(_grown_trees(n, prime=False))
+    return _sorted_codes(_grown_trees(n, (0,), prime=False))
 
 
 def _weak_compositions(total: int, parts: int):
@@ -78,7 +79,7 @@ def _weak_compositions(total: int, parts: int):
 
 
 def _sorted_codes(trees) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted((code for code, _ in trees), reverse=True))
+    return tuple(sorted((code for code, _, _ in trees), reverse=True))
 
 
 def enumerate_prime_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
@@ -86,10 +87,9 @@ def enumerate_prime_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
     decreasing lexicographic order."""
     if n < 1:
         raise ValueError("size must be at least 1")
-    return _sorted_codes(prime_trees_with_chains(n))
+    return _sorted_codes(_grown_trees(n, (0,), prime=True))
 
 
-@lru_cache(maxsize=None)
 def trees_with_chains(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Every Schroeder tree of size n as (code, chain lengths).
 
@@ -99,42 +99,51 @@ def trees_with_chains(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], 
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if n == 0:
-        return (((0,), ()),)
-    return tuple(_grown_trees(n, prime=False))
+    grown = _grown_trees(n, (0,), prime=False) if n else _tree_table(0, (0,))
+    return tuple((code, chains) for code, chains, _ in grown)
 
 
 def prime_trees_with_chains(n: int):
     """Yield (code, chain lengths) for every prime Schroeder tree of size
     n >= 1: root r, then r subtrees, then the final leaf, whose chain of
     length 1 through the root comes last."""
-    return _grown_trees(n, prime=True)
+    return ((code, chains) for code, chains, _ in _grown_trees(n, (0,), prime=True))
 
 
-def _grown_trees(n: int, prime: bool):
-    """Yield (code, chains) for the trees of size n >= 1 with root label r
-    over r + 1 subtrees; a prime tree's last subtree is the leaf.
+@lru_cache(maxsize=None)
+def _tree_table(n: int, leaf: tuple[int, ...]) -> tuple:
+    """The trees of size n as (letters, chains, count) classes, a leaf
+    written as ``leaf``.  With (0,) a class is one tree; with () it is all
+    trees of one word and chain tuple (merging codes would only cost)."""
+    if n == 0:
+        return ((leaf, (), 1),)
+    if leaf:
+        return tuple(_grown_trees(n, leaf, prime=False))
+    classes = Counter()
+    for letters, chains, count in _grown_trees(n, leaf, prime=False):
+        classes[letters, chains] += count
+    return tuple((letters, chains, count) for (letters, chains), count in classes.items())
 
-    The last subtree's root chain grows by one (a leaf starts a chain of
-    length 1) and the other chains of the subtrees carry over unchanged.
-    """
-    leaf = trees_with_chains(0)
+
+def _grown_trees(n: int, leaf: tuple[int, ...], prime: bool):
+    """Yield (letters, chains, count) for the trees of size n >= 1 with root
+    label r over r + 1 subtrees, each a class of ``_tree_table``; a prime
+    tree's last subtree is the leaf.  The letters are r and the subtrees',
+    the count the product of theirs.  The last subtree's root chain grows by
+    one (a leaf starts a chain of length 1), and the first r subtrees are
+    joined once for all choices of the last."""
     for root in range(1, n + 1):
         for split in _weak_compositions(n - root, root if prime else root + 1):
-            subtrees = [trees_with_chains(s) for s in split]
-            if prime:
-                subtrees.append(leaf)
-            for kids in product(*subtrees):
-                code, chains = (root,), ()
-                for kid_code, kid_chains in kids:
-                    code += kid_code
+            *firsts, last = [_tree_table(s, leaf) for s in split + ((0,) if prime else ())]
+            last = [(w, c[:-1] + (c[-1] + 1,) if c else (1,), k) for w, c, k in last]
+            for kids in product(*firsts):
+                letters, chains, count = (root,), (), 1
+                for kid_letters, kid_chains, kid_count in kids:
+                    letters += kid_letters
                     chains += kid_chains
-                # kid_chains is the last subtree's, its root chain at the end
-                if kid_chains:
-                    chains = chains[:-1] + (chains[-1] + 1,)
-                else:
-                    chains += (1,)
-                yield code, chains
+                    count *= kid_count
+                for kid_letters, kid_chains, kid_count in last:
+                    yield letters + kid_letters, chains + kid_chains, count * kid_count
 
 
 def root_children(code: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -213,12 +222,11 @@ def solve_xy_system(order: int, ring: Ring, c) -> SystemState:
     return SystemState(order, *(tuple(map(MappingProxyType, comps)) for comps in (x, y)))
 
 
-def _partition_counts(pairs: Counter) -> dict:
-    """Sum e_mu over counted (word, chain lengths) pairs: per word, an
-    ``EPoly`` of the counts of the partitions mu, each distinct chain tuple
-    sorted once."""
+def _partition_counts(classes) -> dict:
+    """Sum e_mu over (word, chain lengths, count) triples: per word, an
+    ``EPoly`` of the counts of the partitions mu."""
     weights: dict = {}
-    for (word, chains), k in pairs.items():
+    for word, chains, k in classes:
         counts = weights.setdefault(word, {})
         mu = tuple(sorted(chains, reverse=True))
         counts[mu] = counts.get(mu, 0) + k
@@ -242,7 +250,8 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
 
     The delta route is ``delta_e_coefficient`` for every composition at
     once: it appends every last part to the prefix sums of
-    ``gamma_e(order - 1)``, as ``lagrange.g_t`` does over t.
+    ``gamma_e(order - 1)``, as ``lagrange.g_t`` does over t.  The trees
+    route counts prime trees by class (``_tree_table``), building no code.
     """
     check_order(order)
     if route == "delta":
@@ -256,9 +265,8 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
         comps = [{(): EPoly.one()}]
         for n in range(1, order + 1):
             # a prime tree weighs the chains of all but its root
-            comps.append(_partition_counts(Counter(
-                (nonzero_letters(code), chains[:-1])
-                for code, chains in prime_trees_with_chains(n))))
+            comps.append(_partition_counts(
+                (word, chains[:-1], k) for word, chains, k in _grown_trees(n, (), prime=True)))
         return NcsfSeries(EPOLY_RING, comps)
     raise ValueError(f"unknown route {route!r}")
 

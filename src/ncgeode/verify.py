@@ -7,7 +7,7 @@ the note; it only fails if the derived value itself cannot be reproduced.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from . import fixtures as fx
 from .coeffring import EPOLY_RING, INT_RING, EPoly, epoly_evaluate
@@ -155,7 +155,7 @@ def system_tables_hold(y_table, x_table, g3_table) -> bool:
     """
     def prime_trees(n):
         # the last chain of a prime tree is its root's, and is not weighed
-        return [(code, chains[:-1]) for code, chains in prime_trees_with_chains(n)]
+        return [(code, chains[:-1], 1) for code, chains in prime_trees_with_chains(n)]
 
     def projected(table):
         out: dict = {}
@@ -165,12 +165,14 @@ def system_tables_hold(y_table, x_table, g3_table) -> bool:
         return out
 
     state = solve_xy_system(max(*y_table, *x_table, 3), EPOLY_RING, elementary)
-    return (all(y_table[n] == _partition_counts(Counter(trees_with_chains(n)))
+    # each tree is a class of its own, counted once
+    return (all(y_table[n] == _partition_counts(
+                (code, chains, 1) for code, chains in trees_with_chains(n))
                 and state.y[n] == projected(y_table[n]) for n in y_table)
-            and all(x_table[n] == _partition_counts(Counter(
-                (code[:-1], chains) for code, chains in prime_trees(n)))
+            and all(x_table[n] == _partition_counts(
+                (code[:-1], chains, k) for code, chains, k in prime_trees(n))
                 and state.x[n] == projected(x_table[n]) for n in x_table)
-            and g3_table == _partition_counts(Counter(prime_trees(3)))
+            and g3_table == _partition_counts(prime_trees(3))
             and state.x[3] == projected(g3_table))
 
 
@@ -226,7 +228,7 @@ def identities_suite(degree: int) -> Report:
     de = min(d, 6)
     rep.add("e-lagrange-route-agreement",
             g_e(de, "delta") == g_e(de, "system") == g_e(de, "trees"))
-    # the trees route enumerates prime trees and never runs the prefix walk
+    # the trees route counts prime trees by class and never runs the prefix walk
     ke = min(d, 4) + 3
     trees = g_e(ke, "trees")
     rep.add("e-geode-corolla-independence",

@@ -2,9 +2,11 @@
 
 Each one is an independent, slower route to something the package computes
 another way: plane tree and Schroeder codes checked and split letter by
-letter, the Lagrange series counted off enumerated trees, tree weights read
-off parsed codes, the inverse bijections of ``combinat``, the tree-code
-sum of one composition, a DP of its own beside the prefix walk, the integer
+letter, the Lagrange series counted off enumerated trees, the e-Lagrange
+series summed one prime tree at a time over the enumeration's chain tuples
+(where the package counts classes of trees), tree weights read off parsed
+codes, the inverse bijections of ``combinat``, the tree-code sum of one
+composition, a DP of its own beside the prefix walk, the integer
 power of a series by chained products (``series_power``), the bivariate
 ribbon specialization, the general linear word map ``map_words``,
 the k-Lagrange series by powers of w (or of its inverse) up to |k| times
@@ -14,9 +16,10 @@ lifted e-series system over tree codes.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import repeat
 from operator import add
 from types import MappingProxyType
 
@@ -26,8 +29,8 @@ from ncgeode.combinat import (_is_tree_code, _root_children, iter_lukasiewicz,
 from ncgeode.gfseries import PowerSeries
 from ncgeode.ncsf import (NcsfSeries, _conv_into, check_order, graded_power,
                           series_inverse, series_mul, unit_series)
-from ncgeode.schroeder import (_arity, _partition_counts, right_branch_partition,
-                               root_children)
+from ncgeode.schroeder import (_arity, _partition_counts, prime_trees_with_chains,
+                               right_branch_partition, root_children)
 
 
 def _plane_arity(letter: int) -> int:
@@ -131,6 +134,18 @@ def tree_code_sum(comp: tuple[int, ...], factor, one, zero):
                 new[s + a] = new[s + a] + v * factors[a]
         vec = new
     return vec[n]
+
+
+def g_e_by_prime_trees(order: int) -> NcsfSeries:
+    """The e-Lagrange series one prime tree at a time: each prime tree of
+    size n adds e_mu, for the chains below its root, to its word (the
+    nonzero letters of its code)."""
+    comps = [{(): EPoly.one()}]
+    for n in range(1, order + 1):
+        comps.append(_partition_counts(
+            (nonzero_letters(code), chains[:-1], 1)
+            for code, chains in prime_trees_with_chains(n)))
+    return NcsfSeries(EPOLY_RING, comps)
 
 
 def tree_weight(code: tuple[int, ...]) -> EPoly:
@@ -313,7 +328,7 @@ def chain_monomials(comp: Mapping) -> dict:
 def projected(comp: Mapping) -> dict:
     """A component of ``LiftedState`` with the placeholder letter set to 1:
     zeros deleted, words merged and their monomials added up."""
-    return _partition_counts(Counter(zip(map(nonzero_letters, comp), comp.values())))
+    return _partition_counts(zip(map(nonzero_letters, comp), comp.values(), repeat(1)))
 
 
 def project_placeholder(graded) -> NcsfSeries:

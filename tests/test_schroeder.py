@@ -8,16 +8,16 @@ from ncgeode.coeffring import EPOLY_RING, EPoly, epoly_evaluate
 from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import free_cumulant_routes, solve_g
 from ncgeode.ncsf import annihilate
-from ncgeode.schroeder import (SystemState, delta_e_coefficient, elementary,
-                               enumerate_prime_schroeder, enumerate_schroeder,
+from ncgeode.schroeder import (SystemState, _grown_trees, _tree_table, delta_e_coefficient,
+                               elementary, enumerate_prime_schroeder, enumerate_schroeder,
                                g_e, gamma_e, prime_trees_with_chains,
                                right_branch_partition, root_children,
                                solve_xy_system, trees_with_chains)
 from ncgeode.verify import system_tables_hold
 from ncgeode import fixtures as fx
-from oracles import (LiftedState, chain_monomials, is_lukasiewicz, is_schroeder_code,
-                     lifted_xy_system, lukasiewicz_root_children, prime_tree_weight,
-                     project_placeholder, projected, tree_weight)
+from oracles import (LiftedState, chain_monomials, g_e_by_prime_trees, is_lukasiewicz,
+                     is_schroeder_code, lifted_xy_system, lukasiewicz_root_children,
+                     prime_tree_weight, project_placeholder, projected, tree_weight)
 
 LITTLE_SCHROEDER = [1, 3, 11, 45, 197, 903]
 
@@ -249,6 +249,33 @@ def test_g_e_system_route_agrees_at_degree_9():
 
 def test_g_e_system_route_agrees_at_degree_10():
     assert g_e(10, "system") == g_e(10, "delta")
+
+
+def test_g_e_trees_route_equals_the_per_tree_sum():
+    # the route counts classes of trees; the oracle adds up one tree at a time
+    assert g_e(8, "trees") == g_e_by_prime_trees(8)
+    assert g_e(10, "trees") == g_e(10, "system")
+
+
+def test_tree_classes_count_every_tree():
+    little = [1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049]
+    for n, count in enumerate(little):
+        assert sum(k for _, _, k in _tree_table(n, ())) == count, n
+    # the prime trees of size n are counted by the large Schroeder number r_(n-1)
+    large = fx.A006318_LARGE_SCHROEDER + [8558, 41586]
+    for n, count in enumerate(large, 1):
+        assert sum(k for _, _, k in _grown_trees(n, (), prime=True)) == count, n
+
+
+def test_trees_route_builds_no_codes():
+    _tree_table.cache_clear()
+    g_e(9, "trees")
+    info = _tree_table.cache_info()
+    # nine tables are cached, and they are the class tables of sizes 0 to 8
+    assert info.currsize == 9
+    for n in range(9):
+        _tree_table(n, ())
+    assert _tree_table.cache_info().misses == info.misses
 
 
 def test_projection_refuses_collided_words():
