@@ -16,6 +16,7 @@ about p^3 / 6 ring products for p parts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -38,23 +39,20 @@ def compositions(n: int) -> list[tuple[int, ...]]:
 
     The descent set {i_1, i_1+i_2, ...} of a composition is read as a binary
     number with position 1 most significant, so (n) comes first and
-    (1,1,...,1) last.  There are 2^(n-1) compositions for n >= 1.
+    (1,1,...,1) last.  There are 2^(n-1) compositions for n >= 1: (n), then
+    (m,) + w for w in compositions(n - m), m = n-1 down to 1, built once.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return list(_compositions(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _compositions(n: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
-        return [()]
-    out = []
-    for mask in range(1 << (n - 1)):
-        comp = []
-        last = 0
-        for i in range(1, n):
-            if mask & (1 << (n - 1 - i)):
-                comp.append(i - last)
-                last = i
-        comp.append(n - last)
-        out.append(tuple(comp))
-    return out
+        return ((),)
+    return tuple(itertools.chain(((n,),), *(map((m,).__add__, _compositions(n - m))
+                                            for m in range(n - 1, 0, -1))))
 
 
 def descent_mask(comp: tuple[int, ...]) -> int:

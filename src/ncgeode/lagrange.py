@@ -10,10 +10,11 @@ also obtained by annihilating g with any S_k^{-1}.
 
 Replacing the exponent m by k*m gives the k-Lagrange series; its coefficients
 are polynomials in k, which turns k into a formal indeterminate t.
-``solve_g`` grows g by the step ``ncsf.lagrange_step``, keeping its
-components and the memo of its powers for the life of the process, so each
-order costs only its new degrees; ``solve_g.cache_clear()`` empties the
-per-order cache but does not reset the grown g.  ``k_lagrange_direct`` is
+``solve_g`` grows g by the step ``ncsf.lagrange_step``, keeping its rows
+(``ncsf``'s descent-mask layout), their read-only dict views and the memo
+of its powers, rows too, for the life of the process, so each order costs
+only its new degrees; ``solve_g.cache_clear()`` empties the per-order cache
+but does not reset the grown g.  ``k_lagrange_direct`` is
 the system of ``schroeder.solve_xy_system`` under e_m -> C(k, m): there
 y = (1 + x)^k, so g^(k) = 1 + x for every integer k.  For a
 composition I of length p, the coefficient of S^I in the t-series is the sum
@@ -48,17 +49,18 @@ from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT, Ring
                         binomial_polynomial)
 from .combinat import tree_code_coefficient, tree_code_prefix_sums, with_last_part
 from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, check_order,
-                   compose, frozen_component, graded_power, lagrange_step,
-                   lagrange_transform, negate_alphabet, phi_k, right_divide,
-                   series_inverse, series_mul, sigma1, unit_series)
+                   compose, graded_power, lagrange_step, lagrange_transform,
+                   left_letters, negate_alphabet, phi_k, right_divide,
+                   row_component, series_inverse, series_mul, sigma1, unit_series)
 from .schroeder import solve_xy_system
 
 
-# The Lagrange series as grown so far: its read-only components and the
-# graded_power memo of its powers.  A memo entry of degree d reads only the
-# components of degree <= d, so it stays valid as g grows; both live as long
-# as the process.
-_g: list[Mapping] = [frozen_component({(): 1}, 0)]
+# The Lagrange series as grown so far: its rows, their read-only components
+# and the graded_power memo of its powers (rows too).  A memo entry of degree
+# d reads only the rows of degree <= d, so it stays valid as g grows; all
+# three live as long as the process.
+_g_rows: list[list] = [[1]]
+_g: list[Mapping] = [row_component([1], 0)]
 _g_powers: dict = {}
 
 
@@ -66,22 +68,24 @@ _g_powers: dict = {}
 def solve_g(order: int) -> NcsfSeries:
     """Solve the defining equation of the Lagrange series over the integers.
 
-    g grows: its components and the memo of its powers are kept for the life
-    of the process, so ``solve_g(16)`` after ``solve_g(15)`` computes only
-    degree 16.  Each component is checked and frozen once, when it is grown,
-    and every returned series shares the read-only components, so no caller
-    can change the grown state.  ``cache_clear`` empties only the per-order
-    cache, not the grown state.
+    g grows: its rows, their read-only components and the memo of its
+    powers are kept for the life of the process, so ``solve_g(16)`` after
+    ``solve_g(15)`` computes only degree 16.  Each row is read into its
+    component once, when it is grown, and every returned series shares the
+    read-only components, so no caller can change the grown state.
+    ``cache_clear`` empties only the per-order cache, not the grown state.
     """
     check_order(order)
     while len(_g) <= order:
         n = len(_g)
-        _g.append(frozen_component(lagrange_step(_g, n, _g_powers, 1, 0), n))
+        _g_rows.append(lagrange_step(_g_rows, n, _g_powers, 1, 0))
+        _g.append(row_component(_g_rows[n], n))
     return NcsfSeries._of(INT_RING, tuple(_g[: order + 1]))
 
 
 def geode(order: int, k: int = 1) -> NcsfSeries:
     """The geode, computed as g_{n+k} S_k^{-1}; independent of k."""
+    check_order(order)
     if k < 1:
         raise ValueError("corolla size k must be positive")
     return annihilate(solve_g(order + k), k)
@@ -89,6 +93,7 @@ def geode(order: int, k: int = 1) -> NcsfSeries:
 
 def geode_by_division(order: int) -> NcsfSeries:
     """The geode as the exact right quotient (g - 1) / (sigma_1 - 1)."""
+    check_order(order)
     g = solve_g(order + 1)
     one = unit_series(INT_RING, order + 1)
     return right_divide(g - one, sigma1(INT_RING, order + 1) - one)
@@ -101,15 +106,16 @@ def gessel_gamma(order: int) -> NcsfSeries:
     g through ``order`` leaves every power (g^j)_d with j + d <= order - 1
     in the memo of the grown g, so the powers are read from there."""
     solve_g(order)
-    comps: list[dict] = [{(): 1}]
+
+    def block(n: int, m: int) -> list:
+        # the row of -(1 + g + ... + g^{m-1})_{n-m}, which S_m multiplies
+        return [-sum(slots) for slots in
+                zip(*(graded_power(_g_rows, j, n - m, _g_powers, 1, 0) for j in range(m)))]
+
+    comps = [_g[0]]
     for n in range(1, order + 1):
-        comp: dict = {}
-        for m in range(1, n + 1):
-            for j in range(m):
-                for w, c in graded_power(_g, j, n - m, _g_powers, 1, 0).items():
-                    comp[(m,) + w] = comp.get((m,) + w, 0) - c
-        comps.append(comp)
-    return series_inverse(NcsfSeries(INT_RING, comps))
+        comps.append(row_component(left_letters(n, lambda m: block(n, m)), n))
+    return series_inverse(NcsfSeries._of(INT_RING, tuple(comps)))
 
 
 def prime_series(order: int) -> tuple[NcsfSeries, NcsfSeries]:
@@ -236,6 +242,7 @@ def gamma_t(order: int) -> NcsfSeries:
 
 def theta_t(order: int) -> NcsfSeries:
     """The step quotient (g^(t) - 1) / (g^(t-1) - 1) between hierarchy levels."""
+    check_order(order)
     g = g_t(order + 1)
     g_prev = substitute_t(g, PolyT((-1, 1)))
     one = unit_series(POLYT_RING, order + 1)
@@ -266,6 +273,7 @@ def h_t(order: int) -> NcsfSeries:
 
 def eta_t(order: int) -> NcsfSeries:
     """The t-analogue of eta: h^(t) S_1^{-1}."""
+    check_order(order)
     return annihilate(h_t(order + 1), 1)
 
 

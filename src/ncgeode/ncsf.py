@@ -22,14 +22,18 @@ the output truncation from the inputs and raise rather than silently truncate.
 
 Powers have two kernels.  ``graded_power`` reads the degree-d component of u^m
 off the components of u through degree d, so a fixed-point solver can call it
-while u grows, in any ring.  ``lagrange_step`` sums S_m u^m on it:
+while u grows, in any ring.  It works on rows, degree n >= 1 being 2^(n-1)
+slots indexed by ``combinat.descent_mask`` (degree 0 one slot), where a
+product is a block update.  ``lagrange_step`` sums S_m u^m on it:
 ``lagrange.solve_g`` grows g by that step, and ``schroeder.solve_xy_system``
-(behind ``lagrange.k_lagrange_direct`` too) its x.  Chained ``series_mul``
-products stay where they serve as a check or cost less memory: ``compose``,
-behind both defining-equation checks, exercises the product kernel on
-truncations (each power only through the degrees its term reads), and
-``series_power_binomial`` would gain little on ``graded_power`` while its memo
-held every (u-1)^j.  The repeated-product ``series_power`` is a test oracle.
+(behind ``lagrange.k_lagrange_direct`` too) its x.  ``series_mul``,
+``series_inverse``, ``compose``, ``right_divide`` and ``lagrange_transform``
+stay on dicts of words, through ``_conv_into``.  Chained products stay where
+they serve as a check or cost less memory: ``compose``, behind both
+defining-equation checks, exercises the product kernel on truncations (each
+power only through the degrees its term reads), and ``series_power_binomial``
+would gain little on ``graded_power`` while its memo held every (u-1)^j.
+The repeated-product ``series_power`` is a test oracle.
 
 Annihilation and ``phi_k`` send each output word back to exactly one input
 word, so they filter the S components directly; annihilation reaches the R
@@ -44,7 +48,7 @@ from operator import add, neg, sub
 from types import MappingProxyType
 
 from .coeffring import PolyT, POLYT_ONE, RINGS, Ring
-from .combinat import compositions, descent_mask
+from .combinat import compositions
 
 BASES = ("S", "R", "L")
 
@@ -74,8 +78,8 @@ class NcsfSeries:
 
     @classmethod
     def _of(cls, ring: Ring, components: tuple, basis: str = "S") -> "NcsfSeries":
-        """The series over a tuple of components that ``frozen_component``
-        already checked: they are shared, not copied or checked again."""
+        """The series over a tuple of read-only components already checked
+        (``frozen_component``, ``row_component``): shared, not copied."""
         series = object.__new__(cls)
         series._fill(ring, components, basis)
         return series
@@ -266,36 +270,75 @@ def compose(a: NcsfSeries, b: NcsfSeries) -> NcsfSeries:
     return NcsfSeries(b.ring, acc)
 
 
-def graded_power(comps, m: int, d: int, memo: dict, one, zero) -> dict:
-    """Degree-``d`` component of the m-th power of the graded series ``comps``.
+def row_component(row: list, n: int) -> Mapping:
+    """The read-only component of the row ``row`` of degree ``n``, less zeros."""
+    return MappingProxyType({w: c for w, c in zip(compositions(n), row) if c})
 
-    Reads only the components of degree <= d, so ``comps`` may still be
-    growing.  ``memo`` keeps the (m, d) components already computed; the
-    caller decides how long it lives.  ``one`` and ``zero`` are the units of
-    the coefficient ring.  ``lagrange_step``, the x/y system's y and
-    ``lagrange.gessel_gamma`` use it; the module docstring lists the code
-    that keeps chained products, and why.
+
+def _row_conv_into(target: list, a: list, da: int, b: list, db: int, one) -> None:
+    """Add the product of the rows ``a`` and ``b``, of degrees ``da`` and
+    ``db``, into the row ``target``.  The bit 2^(db-1) is the descent
+    between the factors: the word i of ``a`` before all of ``b`` is the
+    block of 2^(db-1) slots from (i << db) | 2^(db-1), and all of ``a``
+    before the word i of ``b`` every 2^db-th slot from 2^(db-1) | i; the
+    loop runs over the shorter row.  A zero slot of ``a`` is never
+    multiplied, and a degree-0 factor equal to ``one`` adds the other row."""
+    if not (da and db):
+        scalar, row = (a[0], b) if not da else (b[0], a)
+        if scalar:
+            target[:] = (map(add, target, row) if scalar == one else
+                         [t + c * scalar if c else t for t, c in zip(target, row)])
+        return
+    size = 1 << (db - 1)
+    if len(a) <= size:
+        for i, ca in enumerate(a):
+            if ca:
+                lo = (i << db) | size
+                target[lo:lo + size] = [t + ca * c for t, c in zip(target[lo:lo + size], b)]
+    else:
+        for i, cb in enumerate(b):
+            if cb:
+                cells = slice(size | i, None, 1 << db)
+                target[cells] = [t + c * cb if c else t for t, c in zip(target[cells], a)]
+
+
+def graded_power(rows, m: int, d: int, memo: dict, one, zero) -> list:
+    """Degree-``d`` row of the m-th power of the graded series ``rows``.
+
+    Reads only the rows of degree <= d, so ``rows`` may still be growing.
+    ``memo`` keeps the (m, d) rows already computed; the caller decides how
+    long it lives.  The first power is ``rows`` itself, not a copy.  ``one``
+    and ``zero`` are the units of the coefficient ring.  ``lagrange_step``,
+    the x/y system's y and ``lagrange.gessel_gamma`` use it.
     """
     if m == 0:
-        return {(): one} if d == 0 else {}
+        return [one] if d == 0 else [zero] * (1 << (d - 1))
+    if m == 1:
+        return rows[d]
     key = (m, d)
     acc = memo.get(key)
     if acc is None:
-        acc = {}
+        acc = [zero] * (1 << (d - 1) if d else 1)
         for j in range(d + 1):
-            if comps[j]:
-                _conv_into(acc, graded_power(comps, m - 1, d - j, memo, one, zero),
-                           comps[j], zero)
+            _row_conv_into(acc, graded_power(rows, m - 1, d - j, memo, one, zero), d - j,
+                           rows[j], j, one)
         memo[key] = acc
     return acc
 
 
-def lagrange_step(comps, n: int, memo: dict, one, zero) -> dict:
-    """Degree-``n`` component of sum_{m>=1} S_m u^m off ``graded_power``;
-    reads u only below degree n, so a solver can call it while u grows."""
-    # the words of S_m u^m begin with m, so the terms never collide
-    return {(m,) + w: c for m in range(1, n + 1)
-            for w, c in graded_power(comps, m, n - m, memo, one, zero).items()}
+def left_letters(n: int, block) -> list:
+    """Degree-``n`` row of sum_{m=1..n} S_m v_m, ``block(m)`` the row of v_m
+    (degree n - m): in mask order, v_n, ..., v_1 end to end."""
+    row: list = []
+    for m in range(n, 0, -1):
+        row += block(m)
+    return row
+
+
+def lagrange_step(rows, n: int, memo: dict, one, zero) -> list:
+    """Degree-``n`` row of sum_{m>=1} S_m u^m off ``graded_power``; reads
+    u only below degree n, so a solver can call it while u grows."""
+    return left_letters(n, lambda m: graded_power(rows, m, n - m, memo, one, zero))
 
 
 def series_power_binomial(u: NcsfSeries, p: PolyT) -> NcsfSeries:
@@ -357,9 +400,7 @@ def _descent_transform(u: NcsfSeries, basis: str, butterfly,
     out = list(u.components[:1])
     for n in range(1, u.order + 1):
         size = 1 << (n - 1)
-        slots = [zero] * size
-        for word, coeff in u.components[n].items():
-            slots[descent_mask(word)] = coeff
+        slots = [u.components[n].get(w, zero) for w in compositions(n)]
         half = 1
         while half < size:
             for lo in range(0, size, 2 * half):
@@ -368,8 +409,8 @@ def _descent_transform(u: NcsfSeries, basis: str, butterfly,
             half *= 2
         if negate_odd and n % 2:
             slots = map(neg, slots)
-        out.append(dict(zip(compositions(n), slots)))
-    return NcsfSeries(u.ring, out, basis)
+        out.append(row_component(slots, n))
+    return NcsfSeries._of(u.ring, tuple(out), basis)
 
 
 # the slots a lack the descent position of the pass, the slots b have it

@@ -46,10 +46,9 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import product
-from types import MappingProxyType
 
 from .coeffring import EPOLY_RING, EPoly, Ring, elementary_of_multiple
-from .ncsf import NcsfSeries, check_order, graded_power, lagrange_step
+from .ncsf import NcsfSeries, check_order, graded_power, lagrange_step, row_component
 from .combinat import (_root_children, tree_code_coefficient, tree_code_prefix_sums,
                        with_last_part)
 
@@ -204,22 +203,23 @@ def solve_xy_system(order: int, ring: Ring, c) -> SystemState:
     check_order(order)
     one, zero = ring.one, ring.zero
     coeffs = [c(m) for m in range(1, order + 1)]
-    x: list[dict] = [{}]
-    y: list[dict] = [{(): one}]
-    # a power's component of degree d reads only components through d, which
-    # are final by then, so the memos serve every later degree too
+    x: list[list] = [[zero]]
+    y: list[list] = [[one]]
+    # a power's row of degree d reads only rows through d, which are final
+    # by then, so the memos serve every later degree too
     y_memo: dict = {}
     x_memo: dict = {}
     for n in range(1, order + 1):
         x.append(lagrange_step(y, n, y_memo, one, zero))
-        yn: dict = {}
+        yn = [zero] * len(x[n])
         for m, cm in enumerate(coeffs[:n], 1):
             # C(k, m) vanishes for m > k >= 0, and that power is never read
             if cm:
-                for w, coeff in graded_power(x, m, n, x_memo, one, zero).items():
-                    yn[w] = yn.get(w, zero) + coeff * cm
+                yn = [t + coeff * cm if coeff else t
+                      for t, coeff in zip(yn, graded_power(x, m, n, x_memo, one, zero))]
         y.append(yn)
-    return SystemState(order, *(tuple(map(MappingProxyType, comps)) for comps in (x, y)))
+    return SystemState(order, *(tuple(map(row_component, rows, range(order + 1)))
+                                for rows in (x, y)))
 
 
 def _partition_counts(classes) -> dict:

@@ -3,13 +3,13 @@
 Each one is an independent, slower route to something the package computes
 another way: plane tree and Schroeder codes checked and split letter by
 letter, the Lagrange series counted off enumerated trees, the e-Lagrange
-series summed one prime tree at a time over the enumeration's chain tuples
-(where the package counts classes of trees), tree weights read off parsed
-codes, the inverse bijections of ``combinat``, the tree-code sum of one
-composition, a DP of its own beside the prefix walk, the integer
+series summed one prime tree at a time over the weights of its parsed codes
+(where the package counts classes of trees by their chains), tree weights
+read off parsed codes, the inverse bijections of ``combinat``, the tree-code
+sum of one composition, a DP of its own beside the prefix walk, the integer
 power of a series by chained products (``series_power``), the bivariate
-ribbon specialization, the general linear word map ``map_words``,
-the k-Lagrange series by powers of w (or of its inverse) up to |k| times
+ribbon specialization, the general linear word map ``map_words``, the
+k-Lagrange series by dict powers of w (or of its inverse) up to |k| times
 the degree, the termwise annihilation rules of the S, R and L bases, and the
 lifted e-series system over tree codes.
 """
@@ -27,9 +27,9 @@ from ncgeode.coeffring import EPOLY_RING, EPoly, INT_RING, Ring
 from ncgeode.combinat import (_is_tree_code, _root_children, iter_lukasiewicz,
                               nonzero_letters)
 from ncgeode.gfseries import PowerSeries
-from ncgeode.ncsf import (NcsfSeries, _conv_into, check_order, graded_power,
-                          series_inverse, series_mul, unit_series)
-from ncgeode.schroeder import (_arity, _partition_counts, prime_trees_with_chains,
+from ncgeode.ncsf import (NcsfSeries, _conv_into, check_order, series_inverse,
+                          series_mul, unit_series)
+from ncgeode.schroeder import (_arity, _partition_counts, enumerate_prime_schroeder,
                                right_branch_partition, root_children)
 
 
@@ -80,13 +80,26 @@ def g_from_trees(order: int) -> NcsfSeries:
 
 def k_lagrange_by_powers(k: int, order: int) -> NcsfSeries:
     """Solve w = 1 + sum_m S_m w^{k m} degree by degree with the powers
-    b^{|k| m} of ``ncsf.graded_power``, where b is w for k >= 0 and w^{-1},
-    grown one degree behind w, for k < 0.  The powers reach |k| times the
-    order, one frame of the power kernel per factor."""
+    b^{|k| m}, where b is w for k >= 0 and w^{-1}, grown one degree behind
+    w, for k < 0.  The powers are dicts of words multiplied by a loop of
+    their own, not the row kernel ``ncsf.graded_power``; they reach |k|
+    times the order, one frame per factor."""
     check_order(order)
     comps: list[dict] = [{(): 1}]
     base = comps if k >= 0 else [{(): 1}]
     memo: dict = {}
+
+    def power(m: int, d: int) -> dict:
+        # (b^m)_d = sum_j (b^{m-1})_{d-j} b_j reads b only through degree d
+        if m == 0:
+            return {(): 1} if d == 0 else {}
+        if (m, d) not in memo:
+            acc: dict = {}
+            for j in range(d + 1):
+                _conv_into(acc, power(m - 1, d - j), base[j], 0)
+            memo[m, d] = acc
+        return memo[m, d]
+
     for n in range(1, order + 1):
         if k < 0 and n > 1:
             # v_{n-1} = -sum_i w_i v_{n-1-i} reads w only below degree n
@@ -95,7 +108,7 @@ def k_lagrange_by_powers(k: int, order: int) -> NcsfSeries:
                 _conv_into(inv, comps[i], base[n - 1 - i], 0)
             base.append({w: -c for w, c in inv.items() if c})
         comps.append({(m,) + w: c for m in range(1, n + 1)
-                      for w, c in graded_power(base, abs(k) * m, n - m, memo, 1, 0).items()})
+                      for w, c in power(abs(k) * m, n - m).items()})
     return NcsfSeries(INT_RING, comps)
 
 
@@ -138,13 +151,17 @@ def tree_code_sum(comp: tuple[int, ...], factor, one, zero):
 
 def g_e_by_prime_trees(order: int) -> NcsfSeries:
     """The e-Lagrange series one prime tree at a time: each prime tree of
-    size n adds e_mu, for the chains below its root, to its word (the
-    nonzero letters of its code)."""
+    size n adds ``prime_tree_weight`` of its code, read off the parsed code
+    by ``root_children`` and ``right_branch_partition``, to its word (the
+    nonzero letters of the code).  No chain tuple of the bottom-up growth
+    is read."""
     comps = [{(): EPoly.one()}]
     for n in range(1, order + 1):
-        comps.append(_partition_counts(
-            (nonzero_letters(code), chains[:-1], 1)
-            for code, chains in prime_trees_with_chains(n)))
+        comp: dict = {}
+        for code in enumerate_prime_schroeder(n):
+            word = nonzero_letters(code)
+            comp[word] = comp.get(word, EPoly()) + prime_tree_weight(code)
+        comps.append(comp)
     return NcsfSeries(EPOLY_RING, comps)
 
 

@@ -27,12 +27,15 @@ def test_compositions_order_matches_display_convention():
 
 
 def test_compositions_count_and_masks():
-    for n in range(1, 9):
+    # the first-part recursion puts each composition at its own descent mask
+    for n in range(1, 13):
         comps = compositions(n)
         assert len(comps) == 2 ** (n - 1)
-        assert len(set(comps)) == len(comps)
-        assert [descent_mask(c) for c in comps] == \
-            sorted(descent_mask(c) for c in comps)
+        assert all(sum(c) == n and min(c) >= 1 for c in comps)
+        assert [descent_mask(c) for c in comps] == list(range(len(comps)))
+    # each call returns a list of its own
+    compositions(3).clear()
+    assert compositions(3) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
 
 
 def test_coarsenings():

@@ -143,7 +143,9 @@ def test_cached_series_are_read_only():
 
 
 def test_grown_g_is_the_same_in_any_request_order(monkeypatch):
-    # start from an ungrown g, whatever earlier tests asked for
+    # start from an ungrown g, whatever earlier tests asked for: its rows,
+    # their components and the memo of its powers
+    monkeypatch.setattr(lagrange, "_g_rows", [[1]])
     monkeypatch.setattr(lagrange, "_g", [{(): 1}])
     monkeypatch.setattr(lagrange, "_g_powers", {})
     solve_g.cache_clear()
@@ -157,7 +159,8 @@ def test_grown_g_is_the_same_in_any_request_order(monkeypatch):
             with pytest.raises(TypeError):
                 g.components[n][(n,)] = 7
             # g grew to the highest order asked for, and was never rebuilt
-            assert len(lagrange._g) == max(orders[: orders.index(n) + 1]) + 1
+            grown = max(orders[: orders.index(n) + 1]) + 1
+            assert len(lagrange._g) == len(lagrange._g_rows) == grown
         solve_g.cache_clear()
         for n in orders:
             assert solve_g(n) == k_lagrange_direct(1, n)
@@ -184,9 +187,14 @@ def test_solve_g_shares_the_grown_components():
     lambda: solve_xy_system(-1, INT_RING, int),
     lambda: unit_series(INT_RING, -1),
     lambda: sigma1(INT_RING, -1),
+    lambda: geode(-1),
+    lambda: geode_by_division(-1),
+    lambda: eta_t(-1),
+    lambda: theta_t(-1),
 ], ids=["solve_g", "k_lagrange_by_phi", "truncate", "k_lagrange_direct",
         "gessel_gamma", "free_cumulants", "g_e_system", "g_e_trees",
-        "solve_xy_system", "unit_series", "sigma1"])
+        "solve_xy_system", "unit_series", "sigma1", "geode", "geode_by_division",
+        "eta_t", "theta_t"])
 def test_negative_orders_are_refused(call):
     # no series is exact through a negative degree
     with pytest.raises(ValueError, match="order must be nonnegative"):

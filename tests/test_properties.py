@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from ncgeode.coeffring import (INT_RING, POLYT_ONE, POLYT_RING, EPoly, PolyT,
                                binomial_polynomial, elementary_of_multiple,
                                fraction_to_str)
-from ncgeode.combinat import coarsenings, compositions
+from ncgeode.combinat import coarsenings, compositions, descent_mask
 from ncgeode.gfseries import PowerSeries
 from ncgeode.lagrange import delta_coefficient, gamma_t
 from ncgeode.render import polyt_str
@@ -72,12 +72,22 @@ def test_basis_round_trip(u, basis):
 @SETTINGS
 @given(ONE_SERIES)
 def test_graded_power_matches_series_power(u):
+    # the kernel reads rows: degree d has 2^(d-1) slots (one at d = 0), the
+    # word w in the slot descent_mask(w)
+    rows = []
+    for d, comp in enumerate(u.components):
+        row = [0] * (1 << (d - 1) if d else 1)
+        for w, c in comp.items():
+            row[descent_mask(w)] = c
+        rows.append(row)
     memo: dict = {}
     for m in range(4):
         power = series_power(u, m)
         for d in range(u.order + 1):
-            comp = graded_power(u.components, m, d, memo, 1, 0)
-            assert {w: c for w, c in comp.items() if c} == power.components[d]
+            row = graded_power(rows, m, d, memo, 1, 0)
+            assert len(row) == len(rows[d])
+            assert {w: row[descent_mask(w)] for w in power.components[d]} == power.components[d]
+            assert sum(map(bool, row)) == len(power.components[d])
 
 
 @st.composite
