@@ -66,10 +66,6 @@ def descent_mask(comp: tuple[int, ...]) -> int:
     return mask
 
 
-def composition_sort_key(comp: tuple[int, ...]) -> tuple[int, int]:
-    return (sum(comp), descent_mask(comp))
-
-
 def coarsenings(comp: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All compositions obtained by summing adjacent blocks of ``comp``.
 
@@ -236,21 +232,12 @@ def tree_code_prefix_sums(n: int, factor, one, zero, along=None) -> list[dict]:
 def tree_code_coefficient(comp: tuple[int, ...], factor, one, zero):
     """The tree-code sum at the composition ``comp`` alone.  Its last part
     has no factor, so for comp = (J, x) it is the prefix sum at J, read off
-    the walk along J (J = () for the empty word); ``with_last_part`` reads
-    the whole series the same way."""
+    the walk along J (J = () for the empty word); ``ncsf.with_last_part``
+    reads the whole series the same way."""
     if any(i < 1 for i in comp):
         raise ValueError(f"not a composition: {comp}")
     J = comp[:-1]
     return tree_code_prefix_sums(sum(J), factor, one, zero, along=J)[sum(J)].get(J, zero)
-
-
-def with_last_part(prefix_sums, order: int, constant: dict) -> list[dict]:
-    """Components through ``order`` whose coefficient at (I, x) is
-    ``prefix_sums[|I|][I]`` for every last part x >= 1, after the degree-0
-    component ``constant``: the series of tree-code sums read off
-    ``tree_code_prefix_sums``."""
-    return [constant] + [{I + (d - e,): c for e in range(d) for I, c in prefix_sums[e].items()}
-                         for d in range(1, order + 1)]
 
 
 def nonzero_letters(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,10 +11,10 @@ also obtained by annihilating g with any S_k^{-1}.
 Replacing the exponent m by k*m gives the k-Lagrange series; its coefficients
 are polynomials in k, which turns k into a formal indeterminate t.
 ``solve_g`` grows g by the step ``ncsf.lagrange_step``, keeping its rows
-(``ncsf``'s descent-mask layout), their read-only dict views and the memo
-of its powers, rows too, for the life of the process, so each order costs
-only its new degrees; ``solve_g.cache_clear()`` empties the per-order cache
-but does not reset the grown g.  ``k_lagrange_direct`` is
+(``ncsf``'s descent-mask layout), which every returned series shares, and
+the memo of its powers, rows too, for the life of the process, so each
+order costs only its new degrees; ``solve_g.cache_clear()`` empties the
+per-order cache but does not reset the grown g.  ``k_lagrange_direct`` is
 the system of ``schroeder.solve_xy_system`` under e_m -> C(k, m): there
 y = (1 + x)^k, so g^(k) = 1 + x for every integer k.  For a
 composition I of length p, the coefficient of S^I in the t-series is the sum
@@ -41,26 +41,23 @@ cumulants.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT, Ring,
+from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
                         binomial_polynomial)
-from .combinat import tree_code_coefficient, tree_code_prefix_sums, with_last_part
+from .combinat import tree_code_coefficient, tree_code_prefix_sums
 from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, check_order,
                    compose, graded_power, lagrange_step, lagrange_transform,
                    left_letters, negate_alphabet, phi_k, right_divide,
-                   row_component, series_inverse, series_mul, sigma1, unit_series)
+                   series_inverse, series_mul, sigma1, unit_series, with_last_part)
 from .schroeder import solve_xy_system
 
 
-# The Lagrange series as grown so far: its rows, their read-only components
-# and the graded_power memo of its powers (rows too).  A memo entry of degree
-# d reads only the rows of degree <= d, so it stays valid as g grows; all
-# three live as long as the process.
-_g_rows: list[list] = [[1]]
-_g: list[Mapping] = [row_component([1], 0)]
+# The Lagrange series as grown so far, rows that every returned series
+# shares, and the graded_power memo of its powers: an entry of degree d reads
+# only rows of degree <= d, so it stays valid as g grows.
+_g_rows: list[tuple] = [(1,)]
 _g_powers: dict = {}
 
 
@@ -68,19 +65,16 @@ _g_powers: dict = {}
 def solve_g(order: int) -> NcsfSeries:
     """Solve the defining equation of the Lagrange series over the integers.
 
-    g grows: its rows, their read-only components and the memo of its
-    powers are kept for the life of the process, so ``solve_g(16)`` after
-    ``solve_g(15)`` computes only degree 16.  Each row is read into its
-    component once, when it is grown, and every returned series shares the
-    read-only components, so no caller can change the grown state.
-    ``cache_clear`` empties only the per-order cache, not the grown state.
+    g grows: its rows and the memo of its powers are kept for the life of
+    the process, so ``solve_g(16)`` after ``solve_g(15)`` computes only
+    degree 16.  Every returned series shares the grown rows, which are
+    tuples, so no caller can change the grown state.  ``cache_clear``
+    empties only the per-order cache, not the grown state.
     """
     check_order(order)
-    while len(_g) <= order:
-        n = len(_g)
-        _g_rows.append(lagrange_step(_g_rows, n, _g_powers, 1, 0))
-        _g.append(row_component(_g_rows[n], n))
-    return NcsfSeries._of(INT_RING, tuple(_g[: order + 1]))
+    while len(_g_rows) <= order:
+        _g_rows.append(tuple(lagrange_step(_g_rows, len(_g_rows), _g_powers, 1, 0)))
+    return NcsfSeries._of(INT_RING, _g_rows[: order + 1])
 
 
 def geode(order: int, k: int = 1) -> NcsfSeries:
@@ -112,10 +106,8 @@ def gessel_gamma(order: int) -> NcsfSeries:
         return [-sum(slots) for slots in
                 zip(*(graded_power(_g_rows, j, n - m, _g_powers, 1, 0) for j in range(m)))]
 
-    comps = [_g[0]]
-    for n in range(1, order + 1):
-        comps.append(row_component(left_letters(n, lambda m: block(n, m)), n))
-    return series_inverse(NcsfSeries._of(INT_RING, tuple(comps)))
+    rows = [(1,)] + [left_letters(n, lambda m: block(n, m)) for n in range(1, order + 1)]
+    return series_inverse(NcsfSeries._of(INT_RING, rows))
 
 
 def prime_series(order: int) -> tuple[NcsfSeries, NcsfSeries]:
@@ -124,16 +116,18 @@ def prime_series(order: int) -> tuple[NcsfSeries, NcsfSeries]:
     h_n counts plane trees whose rightmost root subtree is a leaf.  h is g
     under the word map of ``h_t`` at t = 1, with no inverse.
     """
-    h_full = _raised_first_part(INT_RING, solve_g(order).components)
+    h_full = _raised_first_part(solve_g(order))
     eta = annihilate(h_full, 1)
     return h_full.truncate(order), eta
 
 
-def _raised_first_part(ring: Ring, g) -> NcsfSeries:
-    """The components ``g`` of degree 0..n under the word map
-    S_m w -> S_{m+1} w, 1 -> S_1, a series through degree n + 1."""
-    return NcsfSeries(ring, [{}] + [{(w[0] + 1,) + w[1:] if w else (1,): c
-                                     for w, c in comp.items()} for comp in g])
+def _raised_first_part(g: NcsfSeries) -> NcsfSeries:
+    """``g`` of order n under the word map S_m w -> S_{m+1} w, 1 -> S_1, a
+    series through degree n + 1.  The map keeps descent masks, so row d + 1
+    is row d of g, then zeros for the words starting with S_1 (none at d = 0)."""
+    zero = g.ring.zero
+    return NcsfSeries._of(g.ring, [(zero,)] + [row + (zero,) * len(row) if d else row
+                                               for d, row in enumerate(g._rows)])
 
 
 def eta_identities(order: int) -> dict[str, bool]:
@@ -173,8 +167,7 @@ def g_t(order: int) -> NcsfSeries:
     """The t-Lagrange series over polynomials in t: g^(t) - 1 = gamma^(t)
     (sigma_1 - 1), so the coefficient of S^(I, x) is that of S^I in
     ``gamma_t(order - 1)``."""
-    prefix_sums = gamma_t(order - 1).components if order else ()
-    return NcsfSeries(POLYT_RING, with_last_part(prefix_sums, order, {(): POLYT_ONE}))
+    return with_last_part(gamma_t(order - 1)) if order else unit_series(POLYT_RING, 0)
 
 
 def specialize_t(u: NcsfSeries, value) -> NcsfSeries:
@@ -200,7 +193,7 @@ def k_lagrange_direct(k: int, order: int) -> NcsfSeries:
     C(t, m) at t = k, has y = (1 + x)^k, so w = 1 + x."""
     x = solve_xy_system(order, INT_RING,
                         lambda m: int(binomial_polynomial(1, m).evaluate(k))).x
-    return NcsfSeries(INT_RING, ({(): 1},) + x[1:])
+    return unit_series(INT_RING, order) + x
 
 
 def k_lagrange_by_phi(k: int, order: int) -> NcsfSeries:
@@ -268,7 +261,7 @@ def h_t(order: int) -> NcsfSeries:
     g^(t) = sum_{m>=0} S_m (g^(t))^{tm}, it is g^(t) through degree
     order - 1 under the word map S_m w -> S_{m+1} w, 1 -> S_1.
     """
-    return _raised_first_part(POLYT_RING, g_t(order - 1).components if order else ())
+    return _raised_first_part(g_t(order - 1)) if order else NcsfSeries(POLYT_RING, [{}])
 
 
 def eta_t(order: int) -> NcsfSeries:

@@ -1,13 +1,20 @@
 """Truncated series in the graded free algebra on generators S_1, S_2, ...
 
-A homogeneous component of degree n is a sparse map from compositions of n
-(tuples of positive integers) to coefficients in an exact ring.  The product
-is concatenation of compositions extended bilinearly, so a series with unit
+A homogeneous component of degree n maps compositions of n (tuples of
+positive integers) to coefficients in an exact ring.  The product is
+concatenation of compositions extended bilinearly, so a series with unit
 constant term is invertible degree by degree.
 
+A composition of n is a descent set D in {1, ..., n-1}, so a series stores
+the component of degree n >= 1 as a row: a tuple of 2^(n-1) slots indexed by
+``combinat.descent_mask``, in the order of ``compositions(n)``, with
+``ring.zero`` for an absent word; degree 0 is one slot.  Only this module
+reads the layout: ``component`` and ``components`` are read-only views of
+the rows, and ``NcsfSeries(ring, comps, basis)`` reads dicts of words.
+
 Three bases are supported.  S is the computational basis; the ribbon basis R
-and the elementary basis L exist as views.  A composition of n is a descent
-set D in {1, ..., n-1}; with s, r and l the coefficients in the three bases,
+and the elementary basis L exist as views.  With s, r and l the coefficients
+in the three bases,
 
     r[D] = sum of s[D'] over D' containing D   (S^I = sum of R_J, J coarser),
     s[D] = sum of (-1)^(|D'| - |D|) r[D'] over D' containing D,
@@ -20,35 +27,24 @@ signed (-1)^(|D|+1).  ``_descent_transform`` computes each of them.
 Every series records the degree through which it is exact; operations derive
 the output truncation from the inputs and raise rather than silently truncate.
 
-Powers have two kernels.  ``graded_power`` reads the degree-d component of u^m
-off the components of u through degree d, so a fixed-point solver can call it
-while u grows, in any ring.  It works on rows, degree n >= 1 being 2^(n-1)
-slots indexed by ``combinat.descent_mask`` (degree 0 one slot), where a
-product is a block update.  ``lagrange_step`` sums S_m u^m on it:
-``lagrange.solve_g`` grows g by that step, and ``schroeder.solve_xy_system``
-(behind ``lagrange.k_lagrange_direct`` too) its x.  ``series_mul``,
-``series_inverse``, ``compose``, ``right_divide`` and ``lagrange_transform``
-stay on dicts of words, through ``_conv_into``.  Chained products stay where
-they serve as a check or cost less memory: ``compose``, behind both
-defining-equation checks, exercises the product kernel on truncations (each
-power only through the degrees its term reads), and ``series_power_binomial``
-would gain little on ``graded_power`` while its memo held every (u-1)^j.
-The repeated-product ``series_power`` is a test oracle.
-
-Annihilation and ``phi_k`` send each output word back to exactly one input
-word, so they filter the S components directly; annihilation reaches the R
-and L bases through ``convert_basis``, so it is one operator in every basis.
-``lagrange_transform`` multiplies out the images of the letters of each word.
+Every product is the block update ``_row_conv_into``.  ``graded_power`` reads
+the degree-d row of u^m off the rows of u through degree d, so a fixed-point
+solver (``lagrange_step``) can call it while u grows.  ``compose``, behind
+both defining-equation checks, chains ``series_mul`` on truncations instead,
+and so does ``series_power_binomial``, which would gain little on a memo.
+Annihilation, right division by S_1 and ``phi_k`` send each output word back
+to one input word, so they read slots off the rows; annihilation reaches the
+R and L bases through ``convert_basis``, one operator in every basis.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from operator import add, neg, sub
-from types import MappingProxyType
+from collections.abc import ItemsView, Mapping, ValuesView
+from itertools import compress, repeat
+from operator import add, itemgetter, neg, sub
 
 from .coeffring import PolyT, POLYT_ONE, RINGS, Ring
-from .combinat import compositions
+from .combinat import _compositions, descent_mask
 
 BASES = ("S", "R", "L")
 
@@ -61,34 +57,89 @@ class NotDivisibleError(ValueError):
     """Right division left a residual term not ending in the divisor part."""
 
 
+def _size(n: int) -> int:
+    return 1 << (n - 1) if n else 1
+
+
+def _negated(row) -> tuple:
+    # a zero slot keeps its object: negating a zero PolyT would build another
+    return tuple(-c if c else c for c in row)
+
+
+class _Component(Mapping):
+    """Read-only word -> coefficient view of the row of degree ``n``: zero
+    slots absent, words in ``compositions(n)`` order."""
+
+    __slots__ = ("_row", "_n")
+
+    def __init__(self, row: tuple, n: int):
+        self._row, self._n = row, n
+
+    def __getitem__(self, word):
+        if (isinstance(word, tuple) and all(isinstance(p, int) and p > 0 for p in word)
+                and sum(word) == self._n and (coeff := self._row[descent_mask(word)])):
+            return coeff
+        raise KeyError(word)
+
+    def __iter__(self):
+        return compress(_compositions(self._n), self._row)
+
+    def __len__(self) -> int:
+        return sum(map(bool, self._row))
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return filter(itemgetter(1), zip(_compositions(self._mapping._n), self._mapping._row))
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return filter(None, self._mapping._row)
+
+
+def _row_of(comp: Mapping, n: int, zero) -> tuple:
+    """The row of a map of words of degree ``n``, ``zero`` for an absent
+    word; a key that is not a composition of ``n`` raises ``ValueError``."""
+    words = _compositions(n)
+    if sum(map(comp.__contains__, words)) != len(comp):
+        bad = next(iter(set(comp).difference(words)))
+        raise ValueError(f"word {bad} in the component of degree {n}")
+    return tuple(map(comp.get, words, repeat(zero)))
+
+
 class NcsfSeries:
     """Graded truncated element of the free algebra, tagged with a basis.
 
-    A series is immutable: ``components`` is a tuple of read-only mappings,
-    so the series that the caches hand out cannot be changed by a caller.
-    """
+    A series is immutable: its rows are tuples and its components read-only
+    views, so the series that the caches hand out cannot be changed."""
 
-    __slots__ = ("ring", "basis", "components")
+    __slots__ = ("ring", "basis", "_rows")
 
     def __init__(self, ring: Ring, components, basis: str = "S"):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        self._fill(ring, tuple(frozen_component(comp, degree)
-                               for degree, comp in enumerate(components)), basis)
+        self._fill(ring, [_row_of(c, n, ring.zero) for n, c in enumerate(components)], basis)
 
     @classmethod
-    def _of(cls, ring: Ring, components: tuple, basis: str = "S") -> "NcsfSeries":
-        """The series over a tuple of read-only components already checked
-        (``frozen_component``, ``row_component``): shared, not copied."""
+    def _of(cls, ring: Ring, rows, basis: str = "S") -> "NcsfSeries":
+        """The series over rows of the layout; a tuple is shared, not copied."""
         series = object.__new__(cls)
-        series._fill(ring, components, basis)
+        series._fill(ring, rows, basis)
         return series
 
-    def _fill(self, ring: Ring, components: tuple, basis: str):
-        _set = object.__setattr__
-        _set(self, "ring", ring)
-        _set(self, "basis", basis)
-        _set(self, "components", components)
+    def _fill(self, ring: Ring, rows, basis: str):
+        for name, value in ("ring", ring), ("basis", basis), ("_rows", tuple(map(tuple, rows))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"NcsfSeries is immutable; cannot set {name!r}")
@@ -98,12 +149,16 @@ class NcsfSeries:
 
     def __reduce__(self):
         # the ring goes by name, so a copy shares the descriptor in RINGS
-        return _series_of, (self.ring.name, [c.copy() for c in self.components],
-                            self.basis)
+        return _series_of, (self.ring.name, self._rows, self.basis)
 
     @property
     def order(self) -> int:
-        return len(self.components) - 1
+        return len(self._rows) - 1
+
+    @property
+    def components(self) -> tuple:
+        """The read-only components of degree 0..order."""
+        return tuple(map(_Component, self._rows, range(len(self._rows))))
 
     def component(self, n: int) -> Mapping:
         if n < 0:
@@ -111,7 +166,7 @@ class NcsfSeries:
         if n > self.order:
             raise TruncationError(f"series exact through degree {self.order}, "
                                   f"component {n} requested")
-        return self.components[n]
+        return _Component(self._rows[n], n)
 
     def coefficient(self, word: tuple[int, ...]):
         """The coefficient of a composition; a part below 1 raises
@@ -125,41 +180,33 @@ class NcsfSeries:
         if order > self.order:
             raise TruncationError(f"series exact through degree {self.order}, "
                                   f"truncation {order} requested")
-        return NcsfSeries._of(self.ring, self.components[: order + 1], self.basis)
+        return NcsfSeries._of(self.ring, self._rows[: order + 1], self.basis)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NcsfSeries):
             return NotImplemented
         return (self.ring.name == other.ring.name and self.basis == other.basis
-                and self.order == other.order
-                and self.components == other.components)
+                and self._rows == other._rows)
 
     def __add__(self, other) -> "NcsfSeries":
         self._check_compatible(other)
-        order = min(self.order, other.order)
-        out = []
-        for n in range(order + 1):
-            comp = self.components[n].copy()
-            for w, c in other.components[n].items():
-                comp[w] = comp.get(w, self.ring.zero) + c
-            out.append(comp)
-        return NcsfSeries(self.ring, out, self.basis)
+        return NcsfSeries._of(self.ring, [map(add, a, b) for a, b in zip(self._rows, other._rows)],
+                              self.basis)
 
     def __neg__(self) -> "NcsfSeries":
-        out = [{w: -c for w, c in comp.items()} for comp in self.components]
-        return NcsfSeries(self.ring, out, self.basis)
+        return NcsfSeries._of(self.ring, map(_negated, self._rows), self.basis)
 
     def __sub__(self, other) -> "NcsfSeries":
         return self + (-other)
 
     def scale(self, c) -> "NcsfSeries":
-        out = [{w: v * c for w, v in comp.items()} for comp in self.components]
-        return NcsfSeries(self.ring, out, self.basis)
+        return self.map_coefficients(lambda v: v * c)
 
     def map_coefficients(self, fn, ring: Ring | None = None) -> "NcsfSeries":
         ring = ring or self.ring
-        out = [{w: fn(c) for w, c in comp.items()} for comp in self.components]
-        return NcsfSeries(ring, out, self.basis)
+        zero = ring.zero
+        return NcsfSeries._of(ring, [[fn(c) if c else zero for c in row]
+                                     for row in self._rows], self.basis)
 
     def _check_compatible(self, other):
         if self.ring.name != other.ring.name:
@@ -173,49 +220,30 @@ class NcsfSeries:
                 f"order={self.order}, terms={nterms})")
 
 
-def frozen_component(comp: Mapping, degree: int) -> Mapping:
-    """A read-only copy of ``comp`` without its zero coefficients; a word
-    of another degree than ``degree`` raises ``ValueError``."""
-    clean = {}
-    for word, coeff in comp.items():
-        if sum(word) != degree:
-            raise ValueError(f"word {word} in the component of degree {degree}")
-        if coeff:
-            clean[word] = coeff
-    return MappingProxyType(clean)
-
-
 def check_order(order: int) -> None:
     """Refuse a negative truncation order: no series is exact through it."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
 
 
-def _series_of(ring_name: str, components, basis: str) -> NcsfSeries:
-    return NcsfSeries(RINGS[ring_name], components, basis)
+def _series_of(ring_name: str, rows, basis: str) -> NcsfSeries:
+    return NcsfSeries._of(RINGS[ring_name], rows, basis)
+
+
+def _zero_rows(zero, order: int) -> list[list]:
+    return [[zero] * _size(n) for n in range(order + 1)]
 
 
 def unit_series(ring: Ring, order: int) -> NcsfSeries:
     check_order(order)
-    comps = [{(): ring.one}] + [{} for _ in range(order)]
-    return NcsfSeries(ring, comps)
+    return NcsfSeries._of(ring, [(ring.one,)] + _zero_rows(ring.zero, order)[1:])
 
 
 def sigma1(ring: Ring, order: int) -> NcsfSeries:
     """The sum 1 + S_1 + S_2 + ... truncated at ``order``."""
     check_order(order)
-    comps = [{(): ring.one}]
-    for n in range(1, order + 1):
-        comps.append({(n,): ring.one})
-    return NcsfSeries(ring, comps)
-
-
-def _conv_into(target: dict, a: dict, b: dict, zero):
-    """Add the word convolution of two components into ``target``."""
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            target[w] = target.get(w, zero) + ca * cb
+    # S_n is the word (n), slot 0 of its row
+    return NcsfSeries._of(ring, [[ring.one] + row[1:] for row in _zero_rows(ring.zero, order)])
 
 
 def series_mul(u: NcsfSeries, v: NcsfSeries) -> NcsfSeries:
@@ -223,35 +251,29 @@ def series_mul(u: NcsfSeries, v: NcsfSeries) -> NcsfSeries:
     u._check_compatible(v)
     if u.basis != "S":
         raise ValueError("products are computed in the S basis")
-    order = min(u.order, v.order)
-    zero = u.ring.zero
-    out = [dict() for _ in range(order + 1)]
-    for da in range(order + 1):
-        ca = u.components[da]
-        if not ca:
-            continue
+    order, one = min(u.order, v.order), u.ring.one
+    out = _zero_rows(u.ring.zero, order)
+    for da, a in enumerate(u._rows[: order + 1]):
         for db in range(order + 1 - da):
-            cb = v.components[db]
-            if not cb:
-                continue
-            _conv_into(out[da + db], ca, cb, zero)
-    return NcsfSeries(u.ring, out)
+            _row_conv_into(out[da + db], a, da, v._rows[db], db, one)
+    return NcsfSeries._of(u.ring, out)
 
 
 def series_inverse(u: NcsfSeries) -> NcsfSeries:
     """Two-sided inverse of a series with constant term 1."""
     if u.basis != "S":
         raise ValueError("inversion is computed in the S basis")
-    if u.components[0] != {(): u.ring.one}:
+    one, zero = u.ring.one, u.ring.zero
+    if u._rows[0] != (one,):
         raise ValueError("series inverse requires constant term 1")
-    inv = [{(): u.ring.one}]
+    inv = [(one,)]
     for n in range(1, u.order + 1):
-        # v_n = -sum_{i=1..n} u_i v_{n-i}, less cancelled words: it feeds v_{>n}
-        comp: dict = {}
+        # v_n = -sum_{i=1..n} u_i v_{n-i}
+        acc = [zero] * _size(n)
         for i in range(1, n + 1):
-            _conv_into(comp, u.components[i], inv[n - i], u.ring.zero)
-        inv.append({w: -c for w, c in comp.items() if c})
-    return NcsfSeries(u.ring, inv)
+            _row_conv_into(acc, u._rows[i], i, inv[n - i], n - i, one)
+        inv.append(_negated(acc))
+    return NcsfSeries._of(u.ring, inv)
 
 
 def compose(a: NcsfSeries, b: NcsfSeries) -> NcsfSeries:
@@ -259,23 +281,18 @@ def compose(a: NcsfSeries, b: NcsfSeries) -> NcsfSeries:
     order; a_n b^n reads b^n only through degree order - n, so each power
     is a ``series_mul`` of truncations."""
     a._check_compatible(b)
-    order = min(a.order, b.order)
-    acc = [dict() for _ in range(order + 1)]
+    order, one = min(a.order, b.order), b.ring.one
+    acc = _zero_rows(b.ring.zero, order)
     power = unit_series(b.ring, order)
     for n in range(order + 1):
         if n:
             power = series_mul(power, b.truncate(order - n))
-        for j, comp in enumerate(power.components):
-            _conv_into(acc[n + j], a.components[n], comp, b.ring.zero)
-    return NcsfSeries(b.ring, acc)
+        for j, row in enumerate(power._rows):
+            _row_conv_into(acc[n + j], a._rows[n], n, row, j, one)
+    return NcsfSeries._of(b.ring, acc)
 
 
-def row_component(row: list, n: int) -> Mapping:
-    """The read-only component of the row ``row`` of degree ``n``, less zeros."""
-    return MappingProxyType({w: c for w, c in zip(compositions(n), row) if c})
-
-
-def _row_conv_into(target: list, a: list, da: int, b: list, db: int, one) -> None:
+def _row_conv_into(target: list, a, da: int, b, db: int, one) -> None:
     """Add the product of the rows ``a`` and ``b``, of degrees ``da`` and
     ``db``, into the row ``target``.  The bit 2^(db-1) is the descent
     between the factors: the word i of ``a`` before all of ``b`` is the
@@ -302,7 +319,7 @@ def _row_conv_into(target: list, a: list, da: int, b: list, db: int, one) -> Non
                 target[cells] = [t + c * cb if c else t for t, c in zip(target[cells], a)]
 
 
-def graded_power(rows, m: int, d: int, memo: dict, one, zero) -> list:
+def graded_power(rows, m: int, d: int, memo: dict, one, zero):
     """Degree-``d`` row of the m-th power of the graded series ``rows``.
 
     Reads only the rows of degree <= d, so ``rows`` may still be growing.
@@ -318,7 +335,7 @@ def graded_power(rows, m: int, d: int, memo: dict, one, zero) -> list:
     key = (m, d)
     acc = memo.get(key)
     if acc is None:
-        acc = [zero] * (1 << (d - 1) if d else 1)
+        acc = [zero] * _size(d)
         for j in range(d + 1):
             _row_conv_into(acc, graded_power(rows, m - 1, d - j, memo, one, zero), d - j,
                            rows[j], j, one)
@@ -348,12 +365,11 @@ def series_power_binomial(u: NcsfSeries, p: PolyT) -> NcsfSeries:
     has valuation at least j.  At a nonnegative integer constant p this
     agrees with the repeated product.
     """
-    if u.components[0] != {(): u.ring.one}:
+    if u._rows[0] != (u.ring.one,):
         raise ValueError("binomial power requires constant term 1")
-    w = u - unit_series(u.ring, u.order)
-    out = unit_series(u.ring, u.order)
+    out = wj = unit_series(u.ring, u.order)
+    w = u - out
     binom = POLYT_ONE
-    wj = unit_series(u.ring, u.order)
     for j in range(1, u.order + 1):
         binom = (binom * (p - (j - 1))).scale_div(j)
         wj = series_mul(wj, w)
@@ -368,9 +384,11 @@ def annihilate(u: NcsfSeries, n: int) -> NcsfSeries:
     """Right annihilation by S_n^{-1}; the grading drops by n.
 
     In the S basis a word ending in the part n loses that part and any other
-    word dies.  Each output word then has exactly one preimage, so the
-    degree-d component is read off the degree-(d + n) component directly.
-    A series in the R or L basis is annihilated in S and converted back.
+    word dies.  The word of mask a and degree d >= 1 followed by the part n
+    has the mask (a << n) | 2^(n-1), so the degree-d row is every 2^n-th
+    slot of the degree-(d + n) row from 2^(n-1); at degree 0 it is the slot
+    of S_n.  A series in the R or L basis is annihilated in S and converted
+    back.
     """
     if n < 1:
         raise ValueError("annihilation index must be positive")
@@ -378,9 +396,21 @@ def annihilate(u: NcsfSeries, n: int) -> NcsfSeries:
         raise TruncationError("series too short for this annihilation")
     if u.basis != "S":
         return convert_basis(annihilate(convert_basis(u, "S"), n), u.basis)
-    # a word of degree d + n >= 1 is never empty
-    return NcsfSeries(u.ring, [{w[:-1]: c for w, c in comp.items() if w[-1] == n}
-                               for comp in u.components[n:]])
+    rows = u._rows[n:]
+    step = 1 << n
+    return NcsfSeries._of(u.ring, [rows[0][:1]] + [row[step >> 1::step] for row in rows[1:]])
+
+
+def with_last_part(gamma: NcsfSeries) -> NcsfSeries:
+    """1 + gamma (sigma_1 - 1), one degree beyond ``gamma``: (I, x) has the
+    coefficient of I for every last part x.  In the row of degree d, S_d is
+    slot 0 and the words of last part x < d the slots ``annihilate`` reads."""
+    rows = [(gamma.ring.one,)]
+    for d in range(1, gamma.order + 2):
+        rows.append([gamma._rows[0][0]] * _size(d))
+        for x in range(1, d):
+            rows[d][1 << (x - 1)::1 << x] = gamma._rows[d - x]
+    return NcsfSeries._of(gamma.ring, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -390,27 +420,20 @@ def _descent_transform(u: NcsfSeries, basis: str, butterfly,
                        negate_odd: bool = False) -> NcsfSeries:
     """The linear map acting on each descent position by ``butterfly``.
 
-    A component of degree n >= 1 is laid out as 2^(n-1) slots indexed by
-    ``descent_mask``, in the order of ``compositions(n)``.  Each of the n-1
-    passes (Yates) maps the slices (a, b) of slots without and with one
-    descent position to ``butterfly(a, b)``.  With ``negate_odd``, odd
-    degrees then change sign.  Degree 0 passes through unchanged.
+    Each of the n-1 passes (Yates) over the row of degree n >= 1 maps the
+    slices (a, b) of slots without and with one descent position to
+    ``butterfly(a, b)``.  With ``negate_odd``, odd degrees then change sign.
+    Degree 0 passes through unchanged.
     """
-    zero = u.ring.zero
-    out = list(u.components[:1])
+    out = [u._rows[0]]
     for n in range(1, u.order + 1):
-        size = 1 << (n - 1)
-        slots = [u.components[n].get(w, zero) for w in compositions(n)]
-        half = 1
-        while half < size:
-            for lo in range(0, size, 2 * half):
+        slots = list(u._rows[n])
+        for half in (1 << p for p in range(n - 1)):
+            for lo in range(0, len(slots), 2 * half):
                 mid, hi = lo + half, lo + 2 * half
                 slots[lo:mid], slots[mid:hi] = butterfly(slots[lo:mid], slots[mid:hi])
-            half *= 2
-        if negate_odd and n % 2:
-            slots = map(neg, slots)
-        out.append(row_component(slots, n))
-    return NcsfSeries._of(u.ring, tuple(out), basis)
+        out.append(_negated(slots) if negate_odd and n % 2 else slots)
+    return NcsfSeries._of(u.ring, out, basis)
 
 
 # the slots a lack the descent position of the pass, the slots b have it
@@ -452,36 +475,41 @@ def phi_k(u: NcsfSeries, k: int) -> NcsfSeries:
         raise ValueError("phi_k acts on the S basis")
     if k < 1:
         raise ValueError("k must be positive")
-    # each output word has one preimage, in the component of k times its degree
-    return NcsfSeries(u.ring, [{tuple(p // k for p in w): c for w, c in comp.items()
-                                if not any(p % k for p in w)}
-                               for comp in u.components[::k]])
+    # each output word w has one preimage, k w in degree k |w|: the descent
+    # bit b of the mask of w is the bit k b + k - 1 of the mask of k w
+    rows, slots = u._rows[::k], [0]
+    out = [rows[0]]
+    for d in range(1, len(rows)):
+        out.append([rows[d][i] for i in slots])
+        slots += [i | 1 << (k * d - 1) for i in slots]
+    return NcsfSeries._of(u.ring, out)
 
 
 def lagrange_transform(g: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
     """The morphism S_n -> g_n applied to ``u`` (degrees are preserved).
 
-    ``g`` must be exact at least through the order of ``u``.
+    ``g`` must be exact at least through the order of ``u``.  The words
+    S_m w of a row of degree n are the block of the row of w, so the image
+    of the row is the sum over m of g_m times the image of that block.
     """
     if u.basis != "S" or g.basis != "S":
         raise ValueError("the transform acts on the S basis")
     if g.order < u.order:
         raise TruncationError("transform series shorter than the argument")
-    zero = u.ring.zero
-    out = []
-    for comp in u.components:
-        acc: dict = {}
-        for word, coeff in comp.items():
-            # coeff times the product of the images g_n of the letters n
-            product = {(): coeff}
-            for letter in word:
-                nxt: dict = {}
-                _conv_into(nxt, product, g.components[letter], zero)
-                product = nxt
-            for w, c in product.items():
-                acc[w] = acc.get(w, zero) + c
-        out.append(acc)
-    return NcsfSeries(u.ring, out)
+
+    def image(row, n: int):
+        if not n:
+            return row
+        acc = [u.ring.zero] * _size(n)
+        for m in range(1, n + 1):
+            # the words S_m w, w of degree n - m: slot 0 at m = n, else a block
+            lo = _size(n - m) if m < n else 0
+            block = row[lo:lo + _size(n - m)]
+            if any(block):
+                _row_conv_into(acc, g._rows[m], m, image(block, n - m), n - m, u.ring.one)
+        return acc
+
+    return NcsfSeries._of(u.ring, map(image, u._rows, range(len(u._rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -492,34 +520,33 @@ def right_divide(v: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
     lowest term S_1.
 
     The degree-n equation theta_{n-1} u_1 = v_n - sum_{m>=2} theta_{n-m} u_m
-    determines theta triangularly; dividing by u_1 = S_1 strips a final
-    part 1 from every residual word.  A residual word not ending in 1 means
-    v is not right-divisible by u and NotDivisibleError is raised.
+    determines theta triangularly; dividing by u_1 = S_1 keeps the odd slots
+    of the residual row, the words ending in 1 (at degree 1 its one slot).
+    A nonzero even slot means v is not right-divisible by u and
+    NotDivisibleError is raised.
     """
     v._check_compatible(u)
     if v.basis != "S":
         raise ValueError("right division is computed in the S basis")
-    if v.components[0] or u.components[0]:
+    ring = v.ring
+    if v._rows[0][0] or u._rows[0][0]:
         raise ValueError("right division requires zero constant terms")
     if min(v.order, u.order) < 1:
         raise TruncationError("right division needs at least degree 1")
-    ring = v.ring
-    if u.components[1] != {(1,): ring.one}:
+    if u._rows[1] != (ring.one,):
         raise ValueError("divisor must start with S_1")
     order = min(v.order, u.order)
-    minus_u = [{w: -c for w, c in comp.items()} for comp in u.components[: order + 1]]
-    theta: list[dict] = []
+    minus_u = (-u)._rows
+    theta: list = []
     for n in range(1, order + 1):
-        residual = v.components[n].copy()
+        residual = list(v._rows[n])
         for m in range(2, n + 1):
-            _conv_into(residual, theta[n - m], minus_u[m], ring.zero)
-        comp = {}
-        for word, coeff in residual.items():
-            if not coeff:
-                continue
-            if not word or word[-1] != 1:
-                raise NotDivisibleError(
-                    f"residual term {word} at degree {n} does not end in 1")
-            comp[word[:-1]] = coeff
-        theta.append(comp)
-    return NcsfSeries(ring, theta)
+            _row_conv_into(residual, theta[n - m], n - m, minus_u[m], m, ring.one)
+        if n > 1:
+            for i in range(0, len(residual), 2):
+                if residual[i]:
+                    raise NotDivisibleError(f"residual term {_compositions(n)[i]} at "
+                                            f"degree {n} does not end in 1")
+            residual = residual[1::2]
+        theta.append(residual)
+    return NcsfSeries._of(ring, theta)

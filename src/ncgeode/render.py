@@ -8,7 +8,6 @@ coefficients prefixed, e.g. "gamma_3 = 3S_3 + 3S^{21} + 2S^{12} + S^{111}".
 from __future__ import annotations
 
 from .coeffring import POLYT_ONE, EPoly, PolyT, RINGS, fraction_to_str
-from .combinat import composition_sort_key
 from .ncsf import NcsfSeries
 
 
@@ -108,12 +107,12 @@ def coeff_prefix(coeff, ring_name: str) -> str:
     raise ValueError(f"unknown ring {ring_name!r}")
 
 
-def component_str(comp: dict, basis: str, ring_name: str) -> str:
+def component_str(comp, basis: str, ring_name: str) -> str:
     if not comp:
         return "0"
     terms = []
-    for w in sorted(comp, key=composition_sort_key):
-        prefix = coeff_prefix(comp[w], ring_name)
+    for w, c in comp.items():
+        prefix = coeff_prefix(c, ring_name)
         terms.append(prefix + composition_str(w, basis) if w else
                      (prefix if prefix not in ("", "-") else prefix + "1"))
     return _join_signed(terms, " + ", " - ")
@@ -130,8 +129,7 @@ def series_to_json_dict(series: NcsfSeries, name: str) -> dict:
     ring = series.ring
     components = []
     for n, comp in enumerate(series.components):
-        terms = [{"composition": list(w), "coeff": ring.to_json(c)}
-                 for w, c in sorted(comp.items(), key=lambda kv: composition_sort_key(kv[0]))]
+        terms = [{"composition": list(w), "coeff": ring.to_json(c)} for w, c in comp.items()]
         components.append({"degree": n, "terms": terms})
     return {"series": name, "ring": ring.name, "basis": series.basis,
             "truncation": series.order, "components": components}

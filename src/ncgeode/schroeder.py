@@ -48,9 +48,9 @@ from functools import lru_cache
 from itertools import product
 
 from .coeffring import EPOLY_RING, EPoly, Ring, elementary_of_multiple
-from .ncsf import NcsfSeries, check_order, graded_power, lagrange_step, row_component
-from .combinat import (_root_children, tree_code_coefficient, tree_code_prefix_sums,
-                       with_last_part)
+from .ncsf import (NcsfSeries, check_order, graded_power, lagrange_step, unit_series,
+                   with_last_part)
+from .combinat import _root_children, tree_code_coefficient, tree_code_prefix_sums
 
 
 def _arity(letter: int) -> int:
@@ -178,11 +178,8 @@ def right_branch_partition(code: tuple[int, ...]) -> tuple[int, ...]:
 #   x = sum_{n>=1} S_n y^n,   y = 1 + sum_{n>=1} e_n x^n.
 
 
-class SystemState(namedtuple("SystemState", "order x y")):
-    """The system through ``order``: per degree, each composition of x and
-    y maps to its coefficient."""
-
-    __slots__ = ()
+# the system through ``order``: x and y as series
+SystemState = namedtuple("SystemState", "order x y")
 
 
 def elementary(m: int) -> EPoly:
@@ -218,8 +215,7 @@ def solve_xy_system(order: int, ring: Ring, c) -> SystemState:
                 yn = [t + coeff * cm if coeff else t
                       for t, coeff in zip(yn, graded_power(x, m, n, x_memo, one, zero))]
         y.append(yn)
-    return SystemState(order, *(tuple(map(row_component, rows, range(order + 1)))
-                                for rows in (x, y)))
+    return SystemState(order, NcsfSeries._of(ring, x), NcsfSeries._of(ring, y))
 
 
 def _partition_counts(classes) -> dict:
@@ -256,11 +252,9 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
     check_order(order)
     if route == "delta":
         # g^[e] - 1 = gamma^[e] (sigma_1 - 1): the last part has no factor
-        prefix_sums = gamma_e(order - 1).components if order else ()
-        return NcsfSeries(EPOLY_RING, with_last_part(prefix_sums, order, {(): EPoly.one()}))
+        return with_last_part(gamma_e(order - 1)) if order else unit_series(EPOLY_RING, 0)
     if route == "system":
-        x = solve_xy_system(order, EPOLY_RING, elementary).x
-        return NcsfSeries(EPOLY_RING, ({(): EPoly.one()},) + x[1:])
+        return unit_series(EPOLY_RING, order) + solve_xy_system(order, EPOLY_RING, elementary).x
     if route == "trees":
         comps = [{(): EPoly.one()}]
         for n in range(1, order + 1):

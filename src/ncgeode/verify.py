@@ -168,12 +168,12 @@ def system_tables_hold(y_table, x_table, g3_table) -> bool:
     # each tree is a class of its own, counted once
     return (all(y_table[n] == _partition_counts(
                 (code, chains, 1) for code, chains in trees_with_chains(n))
-                and state.y[n] == projected(y_table[n]) for n in y_table)
+                and state.y.component(n) == projected(y_table[n]) for n in y_table)
             and all(x_table[n] == _partition_counts(
                 (code[:-1], chains, k) for code, chains, k in prime_trees(n))
-                and state.x[n] == projected(x_table[n]) for n in x_table)
+                and state.x.component(n) == projected(x_table[n]) for n in x_table)
             and g3_table == _partition_counts(prime_trees(3))
-            and state.x[3] == projected(g3_table))
+            and state.x.component(3) == projected(g3_table))
 
 
 def identities_suite(degree: int) -> Report:

@@ -9,6 +9,8 @@ read off parsed codes, the inverse bijections of ``combinat``, the tree-code
 sum of one composition, a DP of its own beside the prefix walk, the integer
 power of a series by chained products (``series_power``), the bivariate
 ribbon specialization, the general linear word map ``map_words``, the
+product, inverse and right division of series word by word on dicts
+(``conv_into``), where the package updates blocks of descent-mask rows, the
 k-Lagrange series by dict powers of w (or of its inverse) up to |k| times
 the degree, the termwise annihilation rules of the S, R and L bases, and the
 lifted e-series system over tree codes.
@@ -27,7 +29,7 @@ from ncgeode.coeffring import EPOLY_RING, EPoly, INT_RING, Ring
 from ncgeode.combinat import (_is_tree_code, _root_children, iter_lukasiewicz,
                               nonzero_letters)
 from ncgeode.gfseries import PowerSeries
-from ncgeode.ncsf import (NcsfSeries, _conv_into, check_order, series_inverse,
+from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, check_order, series_inverse,
                           series_mul, unit_series)
 from ncgeode.schroeder import (_arity, _partition_counts, enumerate_prime_schroeder,
                                right_branch_partition, root_children)
@@ -66,6 +68,59 @@ def noncrossing_to_ndpf(blocks) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def conv_into(target: dict, a: Mapping, b: Mapping, zero):
+    """Add the word convolution of two components into ``target``: every
+    word of ``a`` concatenated with every word of ``b``."""
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            w = wa + wb
+            target[w] = target.get(w, zero) + ca * cb
+
+
+def mul_by_words(u: NcsfSeries, v: NcsfSeries) -> NcsfSeries:
+    """The product of two S-basis series, word by word."""
+    order = min(u.order, v.order)
+    out = [dict() for _ in range(order + 1)]
+    for da in range(order + 1):
+        for db in range(order + 1 - da):
+            conv_into(out[da + db], u.component(da), v.component(db), u.ring.zero)
+    return NcsfSeries(u.ring, out)
+
+
+def inverse_by_words(u: NcsfSeries) -> NcsfSeries:
+    """The inverse of a series with constant term 1, word by word:
+    v_n = -sum_{i=1..n} u_i v_{n-i}."""
+    inv = [{(): u.ring.one}]
+    for n in range(1, u.order + 1):
+        comp: dict = {}
+        for i in range(1, n + 1):
+            conv_into(comp, u.component(i), inv[n - i], u.ring.zero)
+        inv.append({w: -c for w, c in comp.items()})
+    return NcsfSeries(u.ring, inv)
+
+
+def right_divide_by_words(v: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
+    """theta with theta * u = v, for u = S_1 + (terms of degree >= 2),
+    word by word: each residual word loses its final part 1, and a residual
+    word ending otherwise raises ``NotDivisibleError``."""
+    order = min(v.order, u.order)
+    minus_u = [{w: -c for w, c in u.component(m).items()} for m in range(order + 1)]
+    theta: list[dict] = []
+    for n in range(1, order + 1):
+        residual = dict(v.component(n))
+        for m in range(2, n + 1):
+            conv_into(residual, theta[n - m], minus_u[m], v.ring.zero)
+        comp = {}
+        for word, coeff in residual.items():
+            if not coeff:
+                continue
+            if word[-1] != 1:
+                raise NotDivisibleError(f"residual term {word} does not end in 1")
+            comp[word[:-1]] = coeff
+        theta.append(comp)
+    return NcsfSeries(v.ring, theta)
+
+
 def g_from_trees(order: int) -> NcsfSeries:
     """The Lagrange series g by enumerating plane tree codes."""
     comps: list[dict] = []
@@ -96,7 +151,7 @@ def k_lagrange_by_powers(k: int, order: int) -> NcsfSeries:
         if (m, d) not in memo:
             acc: dict = {}
             for j in range(d + 1):
-                _conv_into(acc, power(m - 1, d - j), base[j], 0)
+                conv_into(acc, power(m - 1, d - j), base[j], 0)
             memo[m, d] = acc
         return memo[m, d]
 
@@ -105,7 +160,7 @@ def k_lagrange_by_powers(k: int, order: int) -> NcsfSeries:
             # v_{n-1} = -sum_i w_i v_{n-1-i} reads w only below degree n
             inv: dict = {}
             for i in range(1, n):
-                _conv_into(inv, comps[i], base[n - 1 - i], 0)
+                conv_into(inv, comps[i], base[n - 1 - i], 0)
             base.append({w: -c for w, c in inv.items() if c})
         comps.append({(m,) + w: c for m in range(1, n + 1)
                       for w, c in power(abs(k) * m, n - m).items()})

@@ -374,7 +374,7 @@ def test_usage_errors_exit_2(capsys):
 
 def perturbed(series, degree):
     """``series`` with the coefficient of S_degree raised by one."""
-    comps = [c.copy() for c in series.components]
+    comps = [dict(c) for c in series.components]
     comps[degree][(degree,)] = comps[degree].get((degree,), 0) + 1
     return NcsfSeries(series.ring, comps)
 

@@ -143,10 +143,9 @@ def test_cached_series_are_read_only():
 
 
 def test_grown_g_is_the_same_in_any_request_order(monkeypatch):
-    # start from an ungrown g, whatever earlier tests asked for: its rows,
-    # their components and the memo of its powers
-    monkeypatch.setattr(lagrange, "_g_rows", [[1]])
-    monkeypatch.setattr(lagrange, "_g", [{(): 1}])
+    # start from an ungrown g, whatever earlier tests asked for: its rows
+    # and the memo of its powers
+    monkeypatch.setattr(lagrange, "_g_rows", [(1,)])
     monkeypatch.setattr(lagrange, "_g_powers", {})
     solve_g.cache_clear()
     trees = g_from_trees(8)
@@ -160,7 +159,7 @@ def test_grown_g_is_the_same_in_any_request_order(monkeypatch):
                 g.components[n][(n,)] = 7
             # g grew to the highest order asked for, and was never rebuilt
             grown = max(orders[: orders.index(n) + 1]) + 1
-            assert len(lagrange._g) == len(lagrange._g_rows) == grown
+            assert len(lagrange._g_rows) == grown
         solve_g.cache_clear()
         for n in orders:
             assert solve_g(n) == k_lagrange_direct(1, n)
@@ -169,10 +168,16 @@ def test_grown_g_is_the_same_in_any_request_order(monkeypatch):
 
 
 def test_solve_g_shares_the_grown_components():
-    # every order, and every truncation of it, hands out the grown
-    # components themselves rather than a copy
-    assert solve_g(12).components[5] is solve_g(14).components[5]
-    assert solve_g(14).truncate(12).components[5] is solve_g(12).components[5]
+    # every order, and every truncation of it, hands out the grown rows
+    # themselves rather than a copy, and g is kept once: lagrange holds its
+    # rows as tuples and no per-degree dict of words
+    g = solve_g(14)
+    assert all(row is grown for row, grown in zip(g._rows, lagrange._g_rows))
+    assert solve_g(12)._rows[5] is g._rows[5] is g.truncate(12)._rows[5]
+    assert all(type(row) is tuple for row in lagrange._g_rows)
+    stores = [value for name, value in vars(lagrange).items()
+              if name.startswith("_g") and not callable(value)]
+    assert stores == [lagrange._g_rows, lagrange._g_powers]
 
 
 @pytest.mark.parametrize("call", [
@@ -257,7 +262,7 @@ def test_system_with_binomial_coefficients_over_polyt_is_g_t():
     # c_m = C(t, m) makes y = (1 + x)^t, so 1 + x is g^(t) as polynomials in
     # t; the prefix walk of g_t shares no code with the system
     x = solve_xy_system(9, POLYT_RING, lambda m: binomial_polynomial(1, m)).x
-    assert NcsfSeries(POLYT_RING, ({(): POLYT_ONE},) + x[1:]) == g_t(9)
+    assert unit_series(POLYT_RING, 9) + x == g_t(9)
 
 
 def test_free_cumulants():

@@ -285,9 +285,11 @@ def test_right_divide_requires_divisor_starting_with_s1(divisor):
 
 
 def test_word_of_wrong_degree_is_rejected():
-    # a ValueError rather than an assert, so the check survives python -O
-    with pytest.raises(ValueError):
-        NcsfSeries(INT_RING, [{}, {(2,): 1}])
+    # a ValueError rather than an assert, so the check survives python -O;
+    # a word with a part below 1 is no composition, so it has no slot either
+    for comps in ([{}, {(2,): 1}], [{}, {}, {(0, 2): 1}], [{}, {}, {}, {(4, -1): 1}]):
+        with pytest.raises(ValueError, match="in the component of degree"):
+            NcsfSeries(INT_RING, comps)
 
 
 def test_truncation_errors_are_loud():
@@ -324,3 +326,21 @@ def test_series_copy_and_pickle_round_trip(make, how):
     assert back.ring is u.ring and back.basis == u.basis
     with pytest.raises(TypeError):
         back.components[1][(1,)] = 7
+
+
+def test_component_view_contract():
+    # a view over one row: nonzero words only, in compositions order,
+    # read-only, and equal to the dict of its items
+    assert len(sigma1(INT_RING, 6).component(6)) == 1
+    assert sigma1(INT_RING, 6).component(6) == {(6,): 1}
+    comp = solve_g(6).component(6)
+    assert len(comp) == 32
+    with pytest.raises(TypeError):
+        comp[(6,)] = 7
+    for word in [(1, 5), (7,), (), (0, 6), (6, 0), (3, -1, 4), [6]]:
+        assert sigma1(INT_RING, 6).component(6).get(word, 0) == 0
+    assert list(comp) == compositions(6)
+    assert list(comp.values()) == [comp[w] for w in compositions(6)]
+    items = dict(comp.items())
+    assert comp == items and items == comp and comp != {**items, (6,): 0}
+    assert repr(comp) == repr(items)

@@ -18,10 +18,12 @@ from ncgeode.lagrange import delta_coefficient, gamma_t
 from ncgeode.render import polyt_str
 from ncgeode.ncsf import (NcsfSeries, annihilate, convert_basis, graded_power,
                           lagrange_transform, negate_alphabet, phi_k,
-                          series_mul)
+                          right_divide, series_inverse, series_mul, sigma1,
+                          unit_series)
 from ncgeode.schroeder import delta_e_coefficient, gamma_e
-from oracles import (decrement_last_part, drop_last_part,
-                     map_words, series_power, tree_code_sum)
+from oracles import (decrement_last_part, drop_last_part, inverse_by_words,
+                     map_words, mul_by_words, right_divide_by_words,
+                     series_power, tree_code_sum)
 
 COEFF = st.integers(-3, 3)
 
@@ -133,6 +135,48 @@ def test_elementary_annihilation_matches_termwise_rule_at_one(u):
 @given(st.integers(1, 4), st.integers(0, 7).flatmap(lambda order: sparse_series(order, "S")))
 def test_phi_k_matches_word_map(k, u):
     assert phi_k(u, k) == phi_k_by_word_map(u, k)
+
+
+def kernel_input(order):
+    """Dense with zero slots, sparse with empty components, or sigma_1 - 1,
+    whose rows of degree >= 1 hold one nonzero slot each."""
+    return st.one_of(series(order), sparse_series(order, "S"),
+                     st.just(sigma1(INT_RING, order) - unit_series(INT_RING, order)))
+
+
+def with_low_terms(u, *low):
+    """``u`` with its components of degree below len(low) replaced by ``low``."""
+    return NcsfSeries(INT_RING, [*low, *u.components[len(low):]])
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the type of the ``ValueError`` it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@SETTINGS
+@given(ORDER.flatmap(lambda order: st.tuples(kernel_input(order), kernel_input(order))),
+       st.integers(1, 3))
+def test_row_kernels_match_word_by_word_oracles(uv, k):
+    u, v = uv
+    assert series_mul(u, v) == mul_by_words(u, v)
+    unit = with_low_terms(u, {(): 1})
+    assert series_inverse(unit) == inverse_by_words(unit)
+    assert phi_k(u, k) == phi_k_by_word_map(u, k)
+    if u.order >= k:
+        assert annihilate(u, k) == drop_last_part(u, k)
+    if u.order >= 1:
+        divisor = with_low_terms(v, {}, {(1,): 1})
+        # a quotient that exists, then a dividend that is mostly not divisible
+        product = series_mul(u, divisor)
+        assert right_divide(product, divisor) == right_divide_by_words(product, divisor) \
+            == u.truncate(u.order - 1)
+        dividend = with_low_terms(u, {})
+        assert outcome(right_divide, dividend, divisor) == \
+            outcome(right_divide_by_words, dividend, divisor)
 
 
 def elementary_letter(n, sign=1):

@@ -167,7 +167,7 @@ def test_system_check_fails_on_each_printed_typo(name, table, degree):
 def test_cached_system_state_is_read_only():
     state = solve_xy_system(3, EPOLY_RING, elementary)
     with pytest.raises(TypeError):
-        state.x[1][(1,)] = EPoly()
+        state.x.component(1)[(1,)] = EPoly()
     with pytest.raises(AttributeError):
         state.x = ()
     assert g_e(3, "system") == g_e(3, "trees")
@@ -200,11 +200,11 @@ def test_system_is_the_projection_of_the_lifted_system():
     # lifted solution over tree codes onto the solution over compositions
     lifted = lifted_xy_system(7)
     state = solve_xy_system(7, EPOLY_RING, elementary)
-    assert state.order == 7 and len(state.x) == len(state.y) == 8
-    assert state.y[0] == {(): EPoly.one()} and state.x[0] == {}
+    assert state.order == state.x.order == state.y.order == 7
+    assert state.y.component(0) == {(): EPoly.one()} and state.x.component(0) == {}
     for n in range(8):
-        assert state.x[n] == projected(lifted.x[n]), n
-        assert state.y[n] == projected(lifted.y[n]), n
+        assert state.x.component(n) == projected(lifted.x[n]), n
+        assert state.y.component(n) == projected(lifted.y[n]), n
 
 
 def test_system_y_equals_tree_enumeration():
