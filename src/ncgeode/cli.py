@@ -204,6 +204,11 @@ def _emit_items(head: dict, items, line, fmt, out):
 
 
 def cmd_trees(args, out) -> int:
+    # a flag the kind does not read is refused, not ignored
+    flag, value = ("--n", args.n) if args.kind == "pqr" else ("--shape", args.shape)
+    if value is not None:
+        print(f"{flag} is not read by --kind {args.kind}", file=sys.stderr)
+        return 2
     if args.kind == "pqr":
         if args.shape is None:
             print("--shape is required for pqr", file=sys.stderr)

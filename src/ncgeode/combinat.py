@@ -142,30 +142,50 @@ def _root_children(code: tuple[int, ...], arity, family: str) -> list[tuple[int,
     return children
 
 
-def iter_lukasiewicz(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield all plane tree codes of size n in decreasing lexicographic order.
+def iter_tree_codes(n: int, arity, need: int = 1) -> Iterator[tuple[int, ...]]:
+    """Yield the codes of every forest of ``need`` trees with letter sum n,
+    in decreasing lexicographic order: the one odometer of every family,
+    whose letters x >= 1 head nodes of arity(x) >= 1 children.
 
-    An odometer: the largest completion of a prefix gives its next letter
-    all of the remaining sum and zeros after it.  The next code lowers by one
-    the last letter that can drop while its proper prefix still sums to at
-    least its length, and completes that prefix again.
+    The largest completion of a prefix gives its next letter all of the
+    remaining sum and closes the subtrees still to read with leaves.  The
+    next code pops letters, getting back the remaining sum and that count,
+    to the last letter that can drop by one (one above 1, or a 1 whose leaf
+    leaves a subtree to read), drops it and completes again.
     """
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    code: list[int] = []
+    if n < 0 or need < 1:
+        raise ValueError("size must be nonnegative, and a forest needs a tree")
+    code, left = [], n
     while True:
-        code.append(n - sum(code))
-        code.extend([0] * (n + 1 - len(code)))
+        if left:
+            code.append(left)
+            need += arity(left) - 1
+        code.extend([0] * need)
         yield tuple(code)
-        # the final letter is 0; the prefix through i sums to n - tail
-        i, tail = n - 1, 0
-        while i >= 0 and not (code[i] and n - tail >= i + 2):
-            tail += code[i]
-            i -= 1
-        if i < 0:
-            return
-        del code[i + 1:]
-        code[i] -= 1
+        left = need = 0
+        while True:
+            if not code:
+                return
+            x = code.pop()
+            if not x:
+                need += 1
+                continue
+            left += x
+            need += 1 - arity(x)
+            if x > 1 or need > 1:
+                break
+        code.append(x - 1)
+        left -= x - 1
+        need += arity(x - 1) - 1
+
+
+def _plane_arity(letter: int) -> int:
+    return letter
+
+
+def iter_lukasiewicz(n: int) -> Iterator[tuple[int, ...]]:
+    """The plane tree codes of size n, off the odometer ``iter_tree_codes``."""
+    return iter_tree_codes(n, _plane_arity)
 
 
 def enumerate_lukasiewicz(n: int) -> list[tuple[int, ...]]:

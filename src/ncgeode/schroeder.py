@@ -29,16 +29,16 @@ integer k.  The lifted system grows with the little Schroeder numbers;
 ``verify`` checks its displayed low-degree tables against the tree
 enumeration below.
 
-Neither the enumeration nor the trees route parses a code.  Both read
-``_grown_trees``, which grows trees bottom-up from classes of smaller trees
-in ``_tree_table``: root label r over t_0, ..., t_r keeps every chain of the
-subtrees, and t_r's root chain grows by one (a leaf starts one of length
-1).  The enumeration writes a leaf as the letter 0, so each class is one
-tree and its code; the trees route writes it as no letter, so a class is a
-word and chain tuple counting its trees, 3^(n-1) classes of size n (seen
-through 10), and it builds no code.  A prime tree is root r, r subtrees,
-then the final leaf; the route weighs it e_mu for the chains of its r
-subtrees, one ``EPoly`` per word through ``_partition_counts``.
+The enumeration reads the odometer ``combinat.iter_tree_codes`` with the
+Schroeder arity; a prime tree is root r, a forest of r trees, then the
+final leaf.  The trees route builds no code: ``_grown_trees`` grows trees
+bottom-up from the classes of ``_tree_table``, each a word and chain tuple
+with the count of its trees, 3^(n-1) classes of size n (seen through 10).
+Root label r over t_0, ..., t_r keeps every chain of the subtrees, and
+t_r's root chain grows by one (a leaf starts one of length 1).  A prime
+tree weighs e_mu for the chains of its r subtrees, one ``EPoly`` per word
+through ``_partition_counts``.  ``verify`` and the tests weigh enumerated
+codes by ``right_branch_partition``, sharing no code with the route.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from itertools import product
 from .coeffring import EPOLY_RING, EPoly, Ring, elementary_of_multiple
 from .ncsf import (NcsfSeries, check_order, graded_power, lagrange_step, unit_series,
                    with_last_part)
-from .combinat import _root_children, tree_code_coefficient, tree_code_prefix_sums
+from .combinat import (_root_children, iter_tree_codes, tree_code_coefficient,
+                       tree_code_prefix_sums)
 
 
 def _arity(letter: int) -> int:
@@ -60,11 +61,17 @@ def _arity(letter: int) -> int:
 def enumerate_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
     """Codes of all Schroeder trees of size n, in decreasing lexicographic
     order; a leaf alone is the unique tree of size 0."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    if n == 0:
-        return ((0,),)
-    return _sorted_codes(_grown_trees(n, (0,), prime=False))
+    return tuple(iter_tree_codes(n, _arity))
+
+
+def enumerate_prime_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
+    """Schroeder trees whose root's rightmost subtree is a leaf, in
+    decreasing lexicographic order: root r, a forest of r trees of size
+    n - r, then the final leaf, for r = n down to 1."""
+    if n < 1:
+        raise ValueError("size must be at least 1")
+    return tuple((root, *forest, 0) for root in range(n, 0, -1)
+                 for forest in iter_tree_codes(n - root, _arity, root))
 
 
 def _weak_compositions(total: int, parts: int):
@@ -77,54 +84,19 @@ def _weak_compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _sorted_codes(trees) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted((code for code, _, _ in trees), reverse=True))
-
-
-def enumerate_prime_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
-    """Schroeder trees whose root's rightmost subtree is a leaf, in
-    decreasing lexicographic order."""
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    return _sorted_codes(_grown_trees(n, (0,), prime=True))
-
-
-def trees_with_chains(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Every Schroeder tree of size n as (code, chain lengths).
-
-    The chain lengths are the parts of ``right_branch_partition``, unsorted,
-    with the chain through the root last; a leaf has none.  Trees are built
-    bottom-up from their children (see ``_grown_trees``).
-    """
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    grown = _grown_trees(n, (0,), prime=False) if n else _tree_table(0, (0,))
-    return tuple((code, chains) for code, chains, _ in grown)
-
-
-def prime_trees_with_chains(n: int):
-    """Yield (code, chain lengths) for every prime Schroeder tree of size
-    n >= 1: root r, then r subtrees, then the final leaf, whose chain of
-    length 1 through the root comes last."""
-    return ((code, chains) for code, chains, _ in _grown_trees(n, (0,), prime=True))
-
-
 @lru_cache(maxsize=None)
-def _tree_table(n: int, leaf: tuple[int, ...]) -> tuple:
-    """The trees of size n as (letters, chains, count) classes, a leaf
-    written as ``leaf``.  With (0,) a class is one tree; with () it is all
-    trees of one word and chain tuple (merging codes would only cost)."""
+def _tree_table(n: int) -> tuple:
+    """The trees of size n as (letters, chains, count) classes: all trees of
+    one word, their nonzero letters, and one chain tuple."""
     if n == 0:
-        return ((leaf, (), 1),)
-    if leaf:
-        return tuple(_grown_trees(n, leaf, prime=False))
+        return (((), (), 1),)
     classes = Counter()
-    for letters, chains, count in _grown_trees(n, leaf, prime=False):
+    for letters, chains, count in _grown_trees(n, prime=False):
         classes[letters, chains] += count
     return tuple((letters, chains, count) for (letters, chains), count in classes.items())
 
 
-def _grown_trees(n: int, leaf: tuple[int, ...], prime: bool):
+def _grown_trees(n: int, prime: bool):
     """Yield (letters, chains, count) for the trees of size n >= 1 with root
     label r over r + 1 subtrees, each a class of ``_tree_table``; a prime
     tree's last subtree is the leaf.  The letters are r and the subtrees',
@@ -133,7 +105,7 @@ def _grown_trees(n: int, leaf: tuple[int, ...], prime: bool):
     joined once for all choices of the last."""
     for root in range(1, n + 1):
         for split in _weak_compositions(n - root, root if prime else root + 1):
-            *firsts, last = [_tree_table(s, leaf) for s in split + ((0,) if prime else ())]
+            *firsts, last = [_tree_table(s) for s in split + ((0,) if prime else ())]
             last = [(w, c[:-1] + (c[-1] + 1,) if c else (1,), k) for w, c, k in last]
             for kids in product(*firsts):
                 letters, chains, count = (root,), (), 1
@@ -260,7 +232,7 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
         for n in range(1, order + 1):
             # a prime tree weighs the chains of all but its root
             comps.append(_partition_counts(
-                (word, chains[:-1], k) for word, chains, k in _grown_trees(n, (), prime=True)))
+                (word, chains[:-1], k) for word, chains, k in _grown_trees(n, prime=True)))
         return NcsfSeries(EPOLY_RING, comps)
     raise ValueError(f"unknown route {route!r}")
 

@@ -24,8 +24,8 @@ from .lagrange import (delta_coefficient, divisibility_check, eta_identities,
 from .ncsf import (NcsfSeries, annihilate, compose, convert_basis, sigma1,
                    unit_series)
 from .schroeder import (_partition_counts, elementary, enumerate_prime_schroeder,
-                        g_e, gamma_e, prime_trees_with_chains, solve_xy_system,
-                        trees_with_chains)
+                        enumerate_schroeder, g_e, gamma_e, right_branch_partition,
+                        solve_xy_system)
 
 SUITES = ("all", "paper", "identities", "oeis")
 
@@ -149,13 +149,14 @@ def system_tables_hold(y_table, x_table, g3_table) -> bool:
 
     Y_n is every Schroeder tree of size n with its chain monomial and G_n
     every prime tree, weighed by the chains below its root; an X word is a G
-    word without its final leaf.  All three are read off the tree
-    enumeration.  With the placeholder set to 1, Y must give the y of
-    ``solve_xy_system``, and X and G its x.
+    word without its final leaf.  All three are read off the enumerated
+    codes, each weighed by ``right_branch_partition``.  With the placeholder
+    set to 1, Y must give the y of ``solve_xy_system``, and X and G its x.
     """
     def prime_trees(n):
-        # the last chain of a prime tree is its root's, and is not weighed
-        return [(code, chains[:-1], 1) for code, chains in prime_trees_with_chains(n)]
+        # the root's chain, a part 1 and so the last part, is not weighed
+        return [(code, right_branch_partition(code)[:-1], 1)
+                for code in enumerate_prime_schroeder(n)]
 
     def projected(table):
         out: dict = {}
@@ -167,7 +168,7 @@ def system_tables_hold(y_table, x_table, g3_table) -> bool:
     state = solve_xy_system(max(*y_table, *x_table, 3), EPOLY_RING, elementary)
     # each tree is a class of its own, counted once
     return (all(y_table[n] == _partition_counts(
-                (code, chains, 1) for code, chains in trees_with_chains(n))
+                (code, right_branch_partition(code), 1) for code in enumerate_schroeder(n))
                 and state.y.component(n) == projected(y_table[n]) for n in y_table)
             and all(x_table[n] == _partition_counts(
                 (code[:-1], chains, k) for code, chains, k in prime_trees(n))

@@ -26,17 +26,13 @@ from operator import add
 from types import MappingProxyType
 
 from ncgeode.coeffring import EPOLY_RING, EPoly, INT_RING, Ring
-from ncgeode.combinat import (_is_tree_code, _root_children, iter_lukasiewicz,
-                              nonzero_letters)
+from ncgeode.combinat import (_is_tree_code, _plane_arity, _root_children,
+                              iter_lukasiewicz, nonzero_letters)
 from ncgeode.gfseries import PowerSeries
 from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, check_order, series_inverse,
                           series_mul, unit_series)
 from ncgeode.schroeder import (_arity, _partition_counts, enumerate_prime_schroeder,
                                right_branch_partition, root_children)
-
-
-def _plane_arity(letter: int) -> int:
-    return letter
 
 
 def is_lukasiewicz(word: tuple[int, ...]) -> bool:
@@ -208,8 +204,8 @@ def g_e_by_prime_trees(order: int) -> NcsfSeries:
     """The e-Lagrange series one prime tree at a time: each prime tree of
     size n adds ``prime_tree_weight`` of its code, read off the parsed code
     by ``root_children`` and ``right_branch_partition``, to its word (the
-    nonzero letters of the code).  No chain tuple of the bottom-up growth
-    is read."""
+    nonzero letters of the code).  The codes come off the odometer, so no
+    class of the trees route's bottom-up growth is read."""
     comps = [{(): EPoly.one()}]
     for n in range(1, order + 1):
         comp: dict = {}

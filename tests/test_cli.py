@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from ncgeode import fixtures as fx, lagrange, verify
 from ncgeode.cli import _refuse_order, count_trees, main
 from ncgeode.coeffring import INT_RING, PolyT
-from ncgeode.combinat import enumerate_lukasiewicz
+from ncgeode.combinat import _plane_arity, enumerate_lukasiewicz, iter_tree_codes
 from ncgeode.lagrange import g_t, geode, solve_g
 from ncgeode.ncsf import NcsfSeries, NotDivisibleError, sigma1, unit_series
 from ncgeode.render import series_from_json, series_to_json_dict
-from ncgeode.schroeder import enumerate_prime_schroeder, enumerate_schroeder, g_e
+from ncgeode.schroeder import _arity, enumerate_prime_schroeder, enumerate_schroeder, g_e
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +289,23 @@ def test_tree_counts_match_enumerations():
                                   ("prime-schroeder", enumerate_prime_schroeder)):
         for n in range(kind == "prime-schroeder", 9):
             assert count_trees(kind, n) == len(enumerate_codes(n)), (kind, n)
+    # each family counted straight off the odometer, storing no code
+    def count(n, arity, need=1):
+        return sum(1 for _ in iter_tree_codes(n, arity, need))
+
+    for n in range(13):
+        assert count(n, _plane_arity) == count_trees("lukasiewicz", n), n
+    for n in range(10):
+        assert count(n, _arity) == count_trees("schroeder", n), n
+    for n in range(1, 10):
+        # root r, a forest of r trees, then the final leaf
+        assert sum(count(n - r, _arity, r) for r in range(1, n + 1)) \
+            == count_trees("prime-schroeder", n), n
+    # plane forests of r trees with n edges: r C(2n + r, n) / (2n + r)
+    for r in range(1, 5):
+        for n in range(9):
+            assert count(n, _plane_arity, r) \
+                == r * math.comb(2 * n + r, n) // (2 * n + r), (r, n)
 
 
 def test_trees_json(capsys):
@@ -370,6 +388,15 @@ def test_usage_errors_exit_2(capsys):
     code = main(["trees", "--kind", "prime-schroeder", "--n", "0"])
     assert "at least 1" in capsys.readouterr().err
     assert code == 2
+    # a flag that the kind does not read is refused, not ignored
+    for argv, flag in ((["trees", "--kind", "schroeder", "--n", "3", "--shape", "1,2"],
+                        "--shape"),
+                       (["trees", "--kind", "pqr", "--shape", "2", "--n", "5"], "--n")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert f"{flag} is not read by" in captured.err, argv
 
 
 def perturbed(series, degree):

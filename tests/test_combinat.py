@@ -5,16 +5,16 @@ import pytest
 
 from ncgeode.coeffring import (EPoly, POLYT_ONE, PolyT, binomial_polynomial,
                                elementary_of_multiple)
-from ncgeode.combinat import (catalan, coarsenings, code_to_dyck, code_to_ndpf,
-                              compositions, conjugate,
+from ncgeode.combinat import (_plane_arity, _subtree_end, catalan, coarsenings,
+                              code_to_dyck, code_to_ndpf, compositions, conjugate,
                               count_parking_quasi_ribbons, descent_mask,
                               enumerate_lukasiewicz, is_ndpf, iter_lukasiewicz,
-                              ndpf_to_noncrossing, nonzero_letters,
+                              iter_tree_codes, ndpf_to_noncrossing, nonzero_letters,
                               parking_quasi_ribbons, plane_tree_codes_with_nodes,
                               remove_last_corolla, shift_words, trailing_zeros,
                               tree_code_prefix_sums)
 from ncgeode.lagrange import delta_coefficient, gamma_t
-from ncgeode.schroeder import delta_e_coefficient, gamma_e
+from ncgeode.schroeder import _arity, delta_e_coefficient, gamma_e
 from oracles import (is_lukasiewicz, lukasiewicz_root_children, ndpf_to_code,
                      noncrossing_to_ndpf, tree_code_sum)
 
@@ -76,6 +76,25 @@ def test_lukasiewicz_validity_and_order():
         codes = enumerate_lukasiewicz(n)
         assert all(is_lukasiewicz(c) for c in codes)
         assert codes == sorted(codes, reverse=True)
+
+
+@pytest.mark.parametrize("arity", [_plane_arity, _arity], ids=["plane", "schroeder"])
+def test_tree_code_forests_are_trees_in_decreasing_order(arity):
+    for need in range(1, 4):
+        for n in range(6):
+            forests = list(iter_tree_codes(n, arity, need))
+            assert forests == sorted(set(forests), reverse=True), (need, n)
+            for code in forests:
+                assert sum(code) == n
+                end = 0
+                for _ in range(need):
+                    end = _subtree_end(code, end, arity)
+                    assert end is not None, code
+                assert end == len(code), code
+    with pytest.raises(ValueError):
+        next(iter_tree_codes(2, arity, 0))
+    with pytest.raises(ValueError):
+        next(iter_tree_codes(-1, arity))
 
 
 def tree_code_sum_by_enumeration(comp, factor, one, zero):

@@ -10,9 +10,8 @@ from ncgeode.lagrange import free_cumulant_routes, solve_g
 from ncgeode.ncsf import annihilate
 from ncgeode.schroeder import (SystemState, _grown_trees, _tree_table, delta_e_coefficient,
                                elementary, enumerate_prime_schroeder, enumerate_schroeder,
-                               g_e, gamma_e, prime_trees_with_chains,
-                               right_branch_partition, root_children,
-                               solve_xy_system, trees_with_chains)
+                               g_e, gamma_e, right_branch_partition, root_children,
+                               solve_xy_system)
 from ncgeode.verify import system_tables_hold
 from ncgeode import fixtures as fx
 from oracles import (LiftedState, chain_monomials, g_e_by_prime_trees, is_lukasiewicz,
@@ -57,22 +56,6 @@ def test_prime_schroeder_matches_filter_definition():
     for n in range(1, 9):
         assert enumerate_prime_schroeder(n) == tuple(
             code for code in enumerate_schroeder(n) if root_children(code)[-1] == (0,)), n
-
-
-def test_tree_chains_match_right_branch_partition():
-    for n in range(0, 9):
-        trees = trees_with_chains(n)
-        assert sorted(code for code, _ in trees) == sorted(enumerate_schroeder(n)), n
-        for code, chains in trees:
-            assert tuple(sorted(chains, reverse=True)) == right_branch_partition(code)
-
-
-def test_prime_tree_chains_give_prime_tree_weights():
-    for n in range(1, 9):
-        for code, chains in prime_trees_with_chains(n):
-            # the last chain is the root's, of length 1, and is not weighed
-            assert chains[-1] == 1
-            assert EPoly({chains[:-1]: 1}) == prime_tree_weight(code)
 
 
 def test_root_children():
@@ -260,11 +243,11 @@ def test_g_e_trees_route_equals_the_per_tree_sum():
 def test_tree_classes_count_every_tree():
     little = [1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049]
     for n, count in enumerate(little):
-        assert sum(k for _, _, k in _tree_table(n, ())) == count, n
+        assert sum(k for _, _, k in _tree_table(n)) == count, n
     # the prime trees of size n are counted by the large Schroeder number r_(n-1)
     large = fx.A006318_LARGE_SCHROEDER + [8558, 41586]
     for n, count in enumerate(large, 1):
-        assert sum(k for _, _, k in _grown_trees(n, (), prime=True)) == count, n
+        assert sum(k for _, _, k in _grown_trees(n, prime=True)) == count, n
 
 
 def test_trees_route_builds_no_codes():
@@ -274,8 +257,17 @@ def test_trees_route_builds_no_codes():
     # nine tables are cached, and they are the class tables of sizes 0 to 8
     assert info.currsize == 9
     for n in range(9):
-        _tree_table(n, ())
+        _tree_table(n)
     assert _tree_table.cache_info().misses == info.misses
+
+
+def test_enumerations_build_no_tree_classes():
+    # the codes come off the odometer, not off the class table of the trees route
+    _tree_table.cache_clear()
+    for n in range(1, 9):
+        enumerate_schroeder(n)
+        enumerate_prime_schroeder(n)
+    assert _tree_table.cache_info().currsize == 0
 
 
 def test_projection_refuses_collided_words():
