@@ -8,10 +8,9 @@ Lukasiewicz condition).  All tree operations here are word rewrites.
 The one walk over a tree code, ``_subtree_end``, takes the letter arity of
 its tree family; ``schroeder`` splits its codes with it.
 Sums over plane tree codes weighted by a composition are a DP over the
-running letter sum, ``tree_code_prefix_sums``: one walk over the trie of
-prefixes, either every prefix through n, for a whole series, or the path of
-one composition, for a single coefficient (``tree_code_coefficient``), at
-about p^3 / 6 ring products for p parts.
+running letter sum, one ``_letter_step`` per letter: a walk of every prefix
+writes a whole series as descent-mask rows, and ``tree_code_coefficient``
+loops along one composition for a single coefficient.
 """
 
 from __future__ import annotations
@@ -64,6 +63,15 @@ def descent_mask(comp: tuple[int, ...]) -> int:
         s += p
         mask |= 1 << (n - 1 - s)
     return mask
+
+
+def _size(n: int) -> int:
+    """The slots of a row of degree n, one per descent mask (one at n = 0)."""
+    return 1 << (n - 1) if n else 1
+
+
+def _zero_rows(zero, order: int) -> list[list]:
+    return [[zero] * _size(n) for n in range(order + 1)]
 
 
 def coarsenings(comp: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -199,65 +207,65 @@ def plane_tree_codes_with_nodes(p: int) -> list[tuple[int, ...]]:
     return enumerate_lukasiewicz(p - 1)
 
 
-def tree_code_prefix_sums(n: int, factor, one, zero, along=None) -> list[dict]:
+def _letter_step(vec: list, j: int, cap: int, f: list, zero) -> list:
+    """The DP vector after a letter of factors ``f`` on the vector ``vec``
+    of a prefix of length j, capped below the letter sum ``cap``."""
+    new = [zero] * cap
+    # vec[s] with s >= j is all that a prefix of length j keeps
+    for s in range(j, min(len(vec), cap)):
+        v = vec[s]
+        if not v:
+            continue
+        if s > j:
+            new[s] = new[s] + v          # letter 0, whose factor is one
+        for a in range(max(j + 1 - s, 1), cap - s):
+            new[s + a] = new[s + a] + v * f[a]
+    return new
+
+
+def tree_code_prefix_sums(n: int, factor, one, zero) -> list[list]:
     """For every composition (I, x) with |I| <= n, the sum over the codes
     a of plane trees with len(I) + 1 nodes of factor(a_1, i_1) ...
     factor(a_p, i_p), p = len(I); the last code letter is zero and, like
     x, has no factor, so the sum is the same for every x.
 
-    The Lukasiewicz condition only bounds the running letter sum, so the
-    sum is a DP over it: entry s of the vector after j letters sums the
-    prefixes of letter sum s >= j.  One depth-first walk over a trie of
-    prefixes I returns entry len(I) of the vector at I as
-    ``sums[|I|][I]``; a child I + (x,) applies one letter to its parent's
-    vector, and at length j the sum is capped at j plus the number of parts
-    after I of the longest composition the walk visits through I.  The
-    trie holds every prefix through n, or, if ``along`` is a composition of
-    n, only the prefixes of ``along``: that walk is one path of len(along)
-    steps, about len(along)^3 / 6 ring products, with factor tables for
-    its own parts and letters through len(along).
-    ``factor(0, i)`` must be ``one``.  A prefix whose vector is zero is
-    left out, with every prefix below it: their sums are zero.
+    Entry s of the DP vector after j letters sums the prefixes of letter
+    sum s >= j.  A depth-first walk over the prefixes I through n writes
+    entry len(I) of the vector at I into slot ``descent_mask(I)`` of row
+    |I|; a child I + (x,) takes one letter step from its parent's vector,
+    capped at j plus the parts left after I in the longest composition
+    through I.  ``factor(0, i)`` must be ``one``.  A prefix whose vector
+    is zero is not walked below: its slot and theirs keep ``zero``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    parts, letters = (range(1, n + 1), n) if along is None else (set(along), len(along))
-    tables = {i: [factor(a, i) for a in range(letters + 1)] for i in parts}
-    sums: list[dict] = [{} for _ in range(n + 1)]
+    tables = {i: [factor(a, i) for a in range(n + 1)] for i in range(1, n + 1)}
+    rows = _zero_rows(zero, n)
 
-    def walk(prefix, total, vec):
-        j = len(prefix)
-        sums[total][prefix] = vec[j]
-        for x in range(1, n - total + 1) if along is None else along[j:j + 1]:
-            f = tables[x]
-            more = n - total - x if along is None else len(along) - j - 1
-            cap = j + 2 + more
-            new = [zero] * cap
-            # vec[s] with s >= j is all that a prefix of length j keeps
-            for s in range(j, min(len(vec), cap)):
-                v = vec[s]
-                if not v:
-                    continue
-                if s > j:
-                    new[s] = new[s] + v          # letter 0, whose factor is one
-                for a in range(max(j + 1 - s, 1), cap - s):
-                    new[s + a] = new[s + a] + v * f[a]
+    def walk(j, total, mask, vec):
+        rows[total][mask] = vec[j]
+        for x in range(1, n - total + 1):
+            new = _letter_step(vec, j, n - total - x + j + 2, tables[x], zero)
             if any(new):
-                walk(prefix + (x,), total + x, new)
+                # the descent |I| joins those of I, if I is not empty
+                walk(j + 1, total + x, (mask << x) | 1 << (x - 1) if j else 0, new)
 
-    walk((), 0, [one])
-    return sums
+    walk(0, 0, 0, [one])
+    return rows
 
 
 def tree_code_coefficient(comp: tuple[int, ...], factor, one, zero):
-    """The tree-code sum at the composition ``comp`` alone.  Its last part
-    has no factor, so for comp = (J, x) it is the prefix sum at J, read off
-    the walk along J (J = () for the empty word); ``ncsf.with_last_part``
-    reads the whole series the same way."""
+    """The tree-code sum at ``comp`` = (J, x) alone, the prefix sum at J: a
+    loop of letter steps along J, with factor tables for the parts of J and
+    letters through len(J), about len(J)^3 / 6 ring products."""
     if any(i < 1 for i in comp):
         raise ValueError(f"not a composition: {comp}")
     J = comp[:-1]
-    return tree_code_prefix_sums(sum(J), factor, one, zero, along=J)[sum(J)].get(J, zero)
+    tables = {i: [factor(a, i) for a in range(len(J) + 1)] for i in set(J)}
+    vec = [one]
+    for j, x in enumerate(J):
+        vec = _letter_step(vec, j, len(J) + 1, tables[x], zero)
+    return vec[len(J)]
 
 
 def nonzero_letters(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -191,17 +191,13 @@ def specialize_ncsf(u: NcsfSeries, name: str) -> PowerSeries:
         _require_ring(u, INT_RING, name)
         if u.components[0] != {(): 1}:
             raise ValueError("ribbon-u expects a series with constant term 1")
-        coeffs = [Fraction(1)]
-        for comp in u.components[1:]:
-            # every word has at least one part, so the u-polynomial is
-            # exactly divisible by u
-            coeffs.append(sum(Fraction(c) * 2 ** (len(w) - 1)
-                              for w, c in comp.items()))
-        return PowerSeries.univariate(coeffs)
+        # every word has a part, so u divides the u-polynomial exactly
+        return PowerSeries.univariate([1] + [sum(c * 2 ** (len(w) - 1) for w, c in comp.items())
+                                             for comp in u.components[1:]])
     if name == "lambda-abs":
         _require_ring(u, INT_RING, name)
         return PowerSeries.univariate([
-            sum(Fraction(c) * 2 ** (sum(w) - len(w)) for w, c in comp.items())
+            sum(c * 2 ** (sum(w) - len(w)) for w, c in comp.items())
             for comp in u.components])
     if name == "zq":
         _require_ring(u, EPOLY_RING, name)

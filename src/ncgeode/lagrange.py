@@ -23,16 +23,15 @@ prefix of length j summing to at least j) of
 
     C(t*i_1, a_1) C(t*i_2, a_2) ... C(t*i_{p-1}, a_{p-1}),
 
-the last code letter being always zero.  No code is listed: since the
-condition on a code only involves its running letter sum, a DP carries,
-letter by letter, the summed products of all admissible prefixes with each
-prefix sum s, once for all compositions (``combinat.tree_code_prefix_sums``):
-compositions with a common prefix share its DP vector, and since the last
-part carries no factor, S^(I, x) has the same coefficient for every x >= 1,
-which is the coefficient of S^I in the t-geode.  So ``gamma_t`` is read off
-the prefixes, ``g_t`` appends every last part to them, and
-``delta_coefficient`` walks only the path of its own composition, about
-p^3 / 6 products for p parts.  Since g^(t) = sum_{m>=0} S_m (g^(t))^{tm},
+the last code letter being always zero.  No code is listed: the condition
+on a code only involves its running letter sum, so a DP carries, letter by
+letter, the summed products of the admissible prefixes with each prefix sum
+s (``combinat.tree_code_prefix_sums``), and compositions with a common
+prefix share its DP vector.  The last part has no factor, so S^(I, x) has
+the coefficient of S^I in the t-geode for every x >= 1: ``gamma_t`` wraps
+the walk's descent-mask rows, ``g_t`` appends every last part to them, and
+``delta_coefficient`` loops along its own composition, about p^3 / 6
+products for p parts.  Since g^(t) = sum_{m>=0} S_m (g^(t))^{tm},
 the t-prime series h^(t) = sum_{n>=1} S_n (g^(t))^{t(n-1)} is g^(t) under
 the word map S_m w -> S_{m+1} w, 1 -> S_1, with no walk of its own, and
 ``prime_series`` reads h off g by it.  Specializing t to -1 gives free
@@ -151,8 +150,8 @@ def eta_identities(order: int) -> dict[str, bool]:
 @lru_cache(maxsize=None)
 def delta_coefficient(comp: tuple[int, ...]) -> PolyT:
     """Coefficient of S^I in the t-Lagrange series as a polynomial in t,
-    read off the prefix walk along I alone (``combinat.tree_code_coefficient``):
-    about p^3 / 6 products of polynomials for p parts, where the whole
+    a loop along I alone (``combinat.tree_code_coefficient``): about
+    p^3 / 6 products of polynomials for p parts, where the whole
     ``gamma_t`` walk would visit 2^(|I| - i_last) prefixes.  A word with a
     part below 1 raises ``ValueError``."""
     return tree_code_coefficient(comp, _binomial, POLYT_ONE, POLYT_ZERO)
@@ -167,6 +166,7 @@ def g_t(order: int) -> NcsfSeries:
     """The t-Lagrange series over polynomials in t: g^(t) - 1 = gamma^(t)
     (sigma_1 - 1), so the coefficient of S^(I, x) is that of S^I in
     ``gamma_t(order - 1)``."""
+    check_order(order)
     return with_last_part(gamma_t(order - 1)) if order else unit_series(POLYT_RING, 0)
 
 
@@ -224,13 +224,12 @@ def free_cumulant_equation_holds(order: int) -> bool:
 
 @lru_cache(maxsize=None)
 def gamma_t(order: int) -> NcsfSeries:
-    """The t-geode (g^(t) - 1) / (sigma_1 - 1).
-
-    The last part of a word of g^(t) carries no factor, so the coefficient
-    of S^I in gamma^(t) is the prefix sum at I of the tree-code walk, read
-    off without building g^(t + 1) or annihilating it.
-    """
-    return NcsfSeries(POLYT_RING, tree_code_prefix_sums(order, _binomial, POLYT_ONE, POLYT_ZERO))
+    """The t-geode (g^(t) - 1) / (sigma_1 - 1): the last part of a word of
+    g^(t) has no factor, so its rows are the prefix sums of the tree-code
+    walk, read off without building g^(t + 1) or annihilating it."""
+    check_order(order)
+    return NcsfSeries._of(POLYT_RING,
+                          tree_code_prefix_sums(order, _binomial, POLYT_ONE, POLYT_ZERO))
 
 
 def theta_t(order: int) -> NcsfSeries:
@@ -261,6 +260,7 @@ def h_t(order: int) -> NcsfSeries:
     g^(t) = sum_{m>=0} S_m (g^(t))^{tm}, it is g^(t) through degree
     order - 1 under the word map S_m w -> S_{m+1} w, 1 -> S_1.
     """
+    check_order(order)
     return _raised_first_part(g_t(order - 1)) if order else NcsfSeries(POLYT_RING, [{}])
 
 

@@ -6,11 +6,13 @@ concatenation of compositions extended bilinearly, so a series with unit
 constant term is invertible degree by degree.
 
 A composition of n is a descent set D in {1, ..., n-1}, so a series stores
-the component of degree n >= 1 as a row: a tuple of 2^(n-1) slots indexed by
-``combinat.descent_mask``, in the order of ``compositions(n)``, with
-``ring.zero`` for an absent word; degree 0 is one slot.  Only this module
-reads the layout: ``component`` and ``components`` are read-only views of
-the rows, and ``NcsfSeries(ring, comps, basis)`` reads dicts of words.
+the component of degree n >= 1 as a row of 2^(n-1) slots, one slot at degree
+0, in the layout that ``combinat.descent_mask`` defines (the order of
+``compositions(n)``), with ``ring.zero`` for an absent word.  ``NcsfSeries._of``
+wraps rows written here, by ``lagrange.solve_g``, ``gessel_gamma`` and
+``_raised_first_part``, ``schroeder.solve_xy_system`` and the tree-code walk
+``combinat.tree_code_prefix_sums``.  ``NcsfSeries(ring, comps, basis)``
+reads dicts of words, and ``component`` and ``components`` are read-only views.
 
 Three bases are supported.  S is the computational basis; the ribbon basis R
 and the elementary basis L exist as views.  With s, r and l the coefficients
@@ -44,7 +46,7 @@ from itertools import compress, repeat
 from operator import add, itemgetter, neg, sub
 
 from .coeffring import PolyT, POLYT_ONE, RINGS, Ring
-from .combinat import _compositions, descent_mask
+from .combinat import _compositions, _size, _zero_rows, descent_mask
 
 BASES = ("S", "R", "L")
 
@@ -55,10 +57,6 @@ class TruncationError(ValueError):
 
 class NotDivisibleError(ValueError):
     """Right division left a residual term not ending in the divisor part."""
-
-
-def _size(n: int) -> int:
-    return 1 << (n - 1) if n else 1
 
 
 def _negated(row) -> tuple:
@@ -228,10 +226,6 @@ def check_order(order: int) -> None:
 
 def _series_of(ring_name: str, rows, basis: str) -> NcsfSeries:
     return NcsfSeries._of(RINGS[ring_name], rows, basis)
-
-
-def _zero_rows(zero, order: int) -> list[list]:
-    return [[zero] * _size(n) for n in range(order + 1)]
 
 
 def unit_series(ring: Ring, order: int) -> NcsfSeries:

@@ -208,7 +208,7 @@ def _partition_counts(classes) -> dict:
 def delta_e_coefficient(comp: tuple[int, ...]) -> EPoly:
     """Coefficient of S^I in the e-Lagrange series: the sum, over the codes
     a of plane trees with len(I) nodes, of the products e_{a_1}(i_1 A) ...
-    e_{a_{p-1}}(i_{p-1} A), read off the prefix walk along I alone, as
+    e_{a_{p-1}}(i_{p-1} A), a loop along I alone, as
     ``lagrange.delta_coefficient`` is, without building ``gamma_e``."""
     return tree_code_coefficient(comp, elementary_of_multiple, EPoly.one(), EPoly())
 
@@ -240,6 +240,7 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
 @lru_cache(maxsize=None)
 def gamma_e(order: int) -> NcsfSeries:
     """The e-geode g^[e] S_1^{-1}: its coefficient at I is the prefix sum
-    at I of the tree-code walk, read off directly."""
-    return NcsfSeries(EPOLY_RING, tree_code_prefix_sums(
-        order, elementary_of_multiple, EPoly.one(), EPoly()))
+    at I of the tree-code walk, whose rows are read off directly."""
+    check_order(order)
+    return NcsfSeries._of(EPOLY_RING, tree_code_prefix_sums(
+        order, elementary_of_multiple, EPOLY_RING.one, EPOLY_RING.zero))

@@ -177,8 +177,9 @@ def tree_code_sum(comp: tuple[int, ...], factor, one, zero):
 
     This is the sum for one composition, a loop of its own.
     ``tree_code_prefix_sums`` runs the same DP for all compositions at
-    once, sharing each prefix, or along the path of one composition, which
-    is how ``delta_coefficient`` costs what this oracle costs.
+    once, sharing each prefix, and ``tree_code_coefficient`` along one
+    composition, which is how ``delta_coefficient`` costs what this oracle
+    costs.
     """
     n = len(comp) - 1
     if n <= 0:

@@ -12,7 +12,7 @@ from ncgeode.combinat import (_plane_arity, _subtree_end, catalan, coarsenings,
                               iter_tree_codes, ndpf_to_noncrossing, nonzero_letters,
                               parking_quasi_ribbons, plane_tree_codes_with_nodes,
                               remove_last_corolla, shift_words, trailing_zeros,
-                              tree_code_prefix_sums)
+                              tree_code_coefficient, tree_code_prefix_sums)
 from ncgeode.lagrange import delta_coefficient, gamma_t
 from ncgeode.schroeder import _arity, delta_e_coefficient, gamma_e
 from oracles import (is_lukasiewicz, lukasiewicz_root_children, ndpf_to_code,
@@ -133,12 +133,12 @@ def test_tree_code_prefix_sums_match_each_composition(ring):
         factor, one, zero = lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT()
     else:
         factor, one, zero = elementary_of_multiple, EPoly.one(), EPoly()
-    sums = tree_code_prefix_sums(9, factor, one, zero)
-    assert [sorted(comp) for comp in sums] == [sorted(compositions(e)) for e in range(10)]
+    rows = tree_code_prefix_sums(9, factor, one, zero)
+    assert [len(row) for row in rows] == [len(compositions(e)) for e in range(10)]
     for n in range(1, 11):
         for comp in compositions(n):
             single = tree_code_sum(comp, factor, one, zero)
-            assert sums[n - comp[-1]][comp[:-1]] == single, comp
+            assert rows[n - comp[-1]][descent_mask(comp[:-1])] == single, comp
 
 
 @pytest.mark.parametrize("single", [delta_coefficient, delta_e_coefficient])
@@ -161,30 +161,40 @@ def test_single_coefficients_walk_only_their_path():
         comp, lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT())
 
 
-@pytest.mark.parametrize("along", [(20, 20, 20), (10,) * 5, (3, 1, 3, 2)])
-def test_tree_code_prefix_sums_along_one_composition(along):
+@pytest.mark.parametrize("J", [(20, 20, 20), (10,) * 5, (3, 1, 3, 2)])
+def test_tree_code_coefficient_walks_one_path(J):
     # the cap follows the path and the tables hold only its parts, so the
-    # walk asks for len(set(along)) * (len(along) + 1) factors at most
+    # loop asks for len(set(J)) * (len(J) + 1) factors at most
     calls = Counter()
 
     def factor(a, i):
         calls[a, i] += 1
         return binomial_polynomial(i, a)
 
-    n = sum(along)
-    sums = tree_code_prefix_sums(n, factor, POLYT_ONE, PolyT(), along=along)
-    assert sum(calls.values()) <= len(set(along)) * (len(along) + 1)
-    assert [I for comp in sums for I in comp] == [along[:j] for j in range(len(along) + 1)]
-    assert sums[n][along] == tree_code_sum(
-        along + (1,), lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT())
+    coeff = tree_code_coefficient(J + (1,), factor, POLYT_ONE, PolyT())
+    assert sum(calls.values()) <= len(set(J)) * (len(J) + 1)
+    assert coeff == tree_code_sum(
+        J + (1,), lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT())
+
+
+@pytest.mark.parametrize("ring", ["polyt", "epoly"])
+def test_tree_code_prefix_sums_cut_to_a_lower_degree(ring):
+    # the rows of degree <= k do not depend on how far beyond k the walk goes
+    if ring == "polyt":
+        factor, one, zero = lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT()
+    else:
+        factor, one, zero = elementary_of_multiple, EPoly.one(), EPoly()
+    rows = tree_code_prefix_sums(9, factor, one, zero)
+    for k in range(10):
+        assert tree_code_prefix_sums(k, factor, one, zero) == rows[:k + 1], k
 
 
 def test_tree_code_prefix_sums_count_plane_trees():
-    sums = tree_code_prefix_sums(7, lambda a, i: 1, 1, 0)
-    for e, comp in enumerate(sums):
-        assert comp and all(c == catalan(len(I)) for I, c in comp.items()), e
-    assert tree_code_prefix_sums(0, lambda a, i: 1, 1, 0) == [{(): 1}]
-    assert tree_code_prefix_sums(1, lambda a, i: 1, 1, 0) == [{(): 1}, {(1,): 1}]
+    rows = tree_code_prefix_sums(7, lambda a, i: 1, 1, 0)
+    for e, row in enumerate(rows):
+        assert row == [catalan(len(I)) for I in compositions(e)], e
+    assert tree_code_prefix_sums(0, lambda a, i: 1, 1, 0) == [[1]]
+    assert tree_code_prefix_sums(1, lambda a, i: 1, 1, 0) == [[1], [1]]
     with pytest.raises(ValueError):
         tree_code_prefix_sums(-1, lambda a, i: 1, 1, 0)
 
@@ -193,7 +203,7 @@ def test_tree_code_prefix_sums_prune_vanishing_prefixes():
     # a factor that vanishes off a = 0 leaves no prefix of length 1, since
     # the first letter of a code is at least 1
     dead = tree_code_prefix_sums(4, lambda a, i: int(a == 0), 1, 0)
-    assert dead == [{(): 1}, {}, {}, {}, {}]
+    assert dead == [[1], [0], [0, 0], [0] * 4, [0] * 8]
 
 
 def test_plane_tree_codes_with_nodes():

@@ -16,7 +16,7 @@ from ncgeode.lagrange import (delta_coefficient, divisibility_check,
 from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate,
                           right_divide, series_inverse, series_mul, sigma1,
                           unit_series)
-from ncgeode.schroeder import g_e, solve_xy_system
+from ncgeode.schroeder import g_e, gamma_e, solve_xy_system
 from ncgeode import fixtures as fx
 from ncgeode import lagrange
 from oracles import (g_from_trees, generator, k_lagrange_by_powers, map_words,
@@ -196,10 +196,14 @@ def test_solve_g_shares_the_grown_components():
     lambda: geode_by_division(-1),
     lambda: eta_t(-1),
     lambda: theta_t(-1),
+    lambda: g_t(-1),
+    lambda: gamma_t(-1),
+    lambda: h_t(-1),
+    lambda: gamma_e(-1),
 ], ids=["solve_g", "k_lagrange_by_phi", "truncate", "k_lagrange_direct",
         "gessel_gamma", "free_cumulants", "g_e_system", "g_e_trees",
         "solve_xy_system", "unit_series", "sigma1", "geode", "geode_by_division",
-        "eta_t", "theta_t"])
+        "eta_t", "theta_t", "g_t", "gamma_t", "h_t", "gamma_e"])
 def test_negative_orders_are_refused(call):
     # no series is exact through a negative degree
     with pytest.raises(ValueError, match="order must be nonnegative"):
