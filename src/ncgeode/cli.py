@@ -11,10 +11,10 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from itertools import islice
 
-from .combinat import (catalan, count_parking_quasi_ribbons,
-                       enumerate_lukasiewicz, large_schroeder,
-                       parking_quasi_ribbons)
+from .combinat import (_plane_arity, catalan, count_parking_quasi_ribbons,
+                       iter_tree_codes, large_schroeder, parking_quasi_ribbons)
 from .gfseries import specialize_ncsf
 from .lagrange import (eta_t, g_t, gamma_t, geode, gessel_gamma, h_t,
                        k_lagrange_by_phi, k_lagrange_direct, prime_series,
@@ -22,8 +22,7 @@ from .lagrange import (eta_t, g_t, gamma_t, geode, gessel_gamma, h_t,
 from .ncsf import convert_basis
 from .render import (biseries_to_json_dict, series_to_json_dict,
                      series_to_text, uniseries_to_json_dict, word_str)
-from .schroeder import (enumerate_prime_schroeder, enumerate_schroeder, g_e,
-                        gamma_e)
+from .schroeder import _arity, enumerate_prime_schroeder, g_e, gamma_e
 from .verify import SUITES, run_suite
 
 
@@ -31,6 +30,8 @@ from .verify import SUITES, run_suite
 MAX_ITEMS = 10**6
 # counting the fillings costs time quadratic in the letter count of the shape
 PQR_MAX_LETTERS = 2000
+# items per json.dumps: one item per call doubles the CPU, all in one holds them all
+JSON_CHUNK = 1024
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -184,23 +185,20 @@ def count_trees(kind: str, n: int) -> int:
     return large_schroeder(n - 1)
 
 
-def _codes_for(kind, n):
-    if kind == "lukasiewicz":
-        return enumerate_lukasiewicz(n)
-    if kind == "schroeder":
-        return list(enumerate_schroeder(n))
-    return list(enumerate_prime_schroeder(n))
-
-
-def _emit_items(head: dict, items, line, fmt, out):
-    """Print ``items`` as one JSON object after the keys of ``head``, or one
-    ``line`` each, then their count."""
+def _emit_items(head: dict, items, count: int, line, fmt, out):
+    """Print the ``count`` items as they come: one JSON object after the keys
+    of ``head``, ``JSON_CHUNK`` items per ``json.dumps``, or one ``line`` each."""
     if fmt == "json":
-        print(json.dumps({**head, "count": len(items), "items": items}), file=out)
+        items = iter(items)
+        chunks = iter(lambda: json.dumps(list(islice(items, JSON_CHUNK)))[1:-1], "")
+        out.write(json.dumps({**head, "count": count, "items": []})[:-2])
+        for i, chunk in enumerate(chunks):
+            out.write(", " * bool(i) + chunk)
+        print("]}", file=out)
     else:
         for item in items:
             print(line(item), file=out)
-        print(f"count: {len(items)}", file=out)
+        print(f"count: {count}", file=out)
 
 
 def cmd_trees(args, out) -> int:
@@ -224,7 +222,7 @@ def cmd_trees(args, out) -> int:
                   f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
             return 2
         _emit_items({"kind": "pqr", "shape": args.shape}, parking_quasi_ribbons(args.shape),
-                    lambda f: "|".join(map(word_str, f)), args.format, out)
+                    count, lambda f: "|".join(map(word_str, f)), args.format, out)
         return 0
     if args.n is None:
         print("--n is required for tree enumerations", file=sys.stderr)
@@ -237,8 +235,9 @@ def cmd_trees(args, out) -> int:
         print(f"--kind {args.kind} --n {args.n} has {count} trees, "
               f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
         return 2
-    _emit_items({"kind": args.kind, "n": args.n}, _codes_for(args.kind, args.n),
-                word_str, args.format, out)
+    codes = (enumerate_prime_schroeder(args.n) if args.kind == "prime-schroeder" else
+             iter_tree_codes(args.n, _plane_arity if args.kind == "lukasiewicz" else _arity))
+    _emit_items({"kind": args.kind, "n": args.n}, codes, count, word_str, args.format, out)
     return 0
 
 

@@ -48,8 +48,9 @@ from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
 from .combinat import tree_code_coefficient, tree_code_prefix_sums
 from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, check_order,
                    compose, graded_power, lagrange_step, lagrange_transform,
-                   left_letters, negate_alphabet, phi_k, right_divide,
-                   series_inverse, series_mul, sigma1, unit_series, with_last_part)
+                   left_letters, negate_alphabet, phi_k, raise_first_part,
+                   right_divide, series_inverse, series_mul, sigma1, unit_series,
+                   with_last_part)
 from .schroeder import solve_xy_system
 
 
@@ -115,18 +116,9 @@ def prime_series(order: int) -> tuple[NcsfSeries, NcsfSeries]:
     h_n counts plane trees whose rightmost root subtree is a leaf.  h is g
     under the word map of ``h_t`` at t = 1, with no inverse.
     """
-    h_full = _raised_first_part(solve_g(order))
+    h_full = raise_first_part(solve_g(order))
     eta = annihilate(h_full, 1)
     return h_full.truncate(order), eta
-
-
-def _raised_first_part(g: NcsfSeries) -> NcsfSeries:
-    """``g`` of order n under the word map S_m w -> S_{m+1} w, 1 -> S_1, a
-    series through degree n + 1.  The map keeps descent masks, so row d + 1
-    is row d of g, then zeros for the words starting with S_1 (none at d = 0)."""
-    zero = g.ring.zero
-    return NcsfSeries._of(g.ring, [(zero,)] + [row + (zero,) * len(row) if d else row
-                                               for d, row in enumerate(g._rows)])
 
 
 def eta_identities(order: int) -> dict[str, bool]:
@@ -233,12 +225,13 @@ def gamma_t(order: int) -> NcsfSeries:
 
 
 def theta_t(order: int) -> NcsfSeries:
-    """The step quotient (g^(t) - 1) / (g^(t-1) - 1) between hierarchy levels."""
-    check_order(order)
-    g = g_t(order + 1)
-    g_prev = substitute_t(g, PolyT((-1, 1)))
-    one = unit_series(POLYT_RING, order + 1)
-    return right_divide(g - one, g_prev - one)
+    """The step quotient (g^(t) - 1) / (g^(t-1) - 1) = gamma^(t) (gamma^(t-1))^{-1}:
+    g^(s) - 1 = gamma^(s) (sigma_1 - 1) at every level, t -> t - 1 acts
+    coefficientwise, so it commutes with the product by the integer series
+    sigma_1 - 1, and sigma_1 - 1 cancels on the right, as the free algebra
+    has no zero divisors; gamma^(t-1) has constant term 1, so it inverts."""
+    gamma = gamma_t(order)
+    return series_mul(gamma, series_inverse(substitute_t(gamma, PolyT((-1, 1)))))
 
 
 def theta_k_by_transform(k: int, order: int) -> NcsfSeries:
@@ -261,7 +254,7 @@ def h_t(order: int) -> NcsfSeries:
     order - 1 under the word map S_m w -> S_{m+1} w, 1 -> S_1.
     """
     check_order(order)
-    return _raised_first_part(g_t(order - 1)) if order else NcsfSeries(POLYT_RING, [{}])
+    return raise_first_part(g_t(order - 1)) if order else NcsfSeries(POLYT_RING, [{}])
 
 
 def eta_t(order: int) -> NcsfSeries:
@@ -272,16 +265,15 @@ def eta_t(order: int) -> NcsfSeries:
 
 def divisibility_check(k_max: int, order: int) -> list[dict]:
     """For k = 1..k_max, divide g^(k) - 1 by g^(k-1) - 1 and inspect the
-    quotient for nonnegative integer coefficients.  A level whose division
-    leaves a remainder reports ``divides`` False and no quotient."""
+    quotient for nonnegative integer coefficients; ``k_lagrange_direct``
+    solves each level once.  A level whose division leaves a remainder
+    reports ``divides`` False and no quotient."""
+    one = unit_series(INT_RING, order + 1)
+    levels = [k_lagrange_direct(k, order + 1) - one for k in range(k_max + 1)]
     reports = []
-    gt = g_t(order + 1)
     for k in range(1, k_max + 1):
-        gk = specialize_t(gt, k)
-        gk_prev = specialize_t(gt, k - 1)
-        one = unit_series(INT_RING, order + 1)
         try:
-            quotient = right_divide(gk - one, gk_prev - one)
+            quotient = right_divide(levels[k], levels[k - 1])
         except NotDivisibleError:
             quotient = None
         nonneg = quotient is not None and all(
@@ -289,4 +281,3 @@ def divisibility_check(k_max: int, order: int) -> list[dict]:
         reports.append({"k": k, "order": order, "divides": quotient is not None,
                         "nonnegative": nonneg, "quotient": quotient})
     return reports
-

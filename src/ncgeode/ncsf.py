@@ -8,9 +8,9 @@ constant term is invertible degree by degree.
 A composition of n is a descent set D in {1, ..., n-1}, so a series stores
 the component of degree n >= 1 as a row of 2^(n-1) slots, one slot at degree
 0, in the layout that ``combinat.descent_mask`` defines (the order of
-``compositions(n)``), with ``ring.zero`` for an absent word.  ``NcsfSeries._of``
-wraps rows written here, by ``lagrange.solve_g``, ``gessel_gamma`` and
-``_raised_first_part``, ``schroeder.solve_xy_system`` and the tree-code walk
+``compositions(n)``), with ``ring.zero`` for an absent word.  Only this module
+reads rows; ``NcsfSeries._of`` wraps those written here, by ``lagrange.solve_g``
+and ``gessel_gamma``, ``schroeder.solve_xy_system`` and the tree-code walk
 ``combinat.tree_code_prefix_sums``.  ``NcsfSeries(ring, comps, basis)``
 reads dicts of words, and ``component`` and ``components`` are read-only views.
 
@@ -31,12 +31,12 @@ the output truncation from the inputs and raise rather than silently truncate.
 
 Every product is the block update ``_row_conv_into``.  ``graded_power`` reads
 the degree-d row of u^m off the rows of u through degree d, so a fixed-point
-solver (``lagrange_step``) can call it while u grows.  ``compose``, behind
-both defining-equation checks, chains ``series_mul`` on truncations instead,
-and so does ``series_power_binomial``, which would gain little on a memo.
-Annihilation, right division by S_1 and ``phi_k`` send each output word back
-to one input word, so they read slots off the rows; annihilation reaches the
-R and L bases through ``convert_basis``, one operator in every basis.
+solver (``lagrange_step``) can call it while u grows; ``compose`` reads its
+powers there too.  ``series_power_binomial`` chains ``series_mul``, as a memo
+would gain it little.  Annihilation, right division by S_1, ``phi_k`` and the
+first-part map ``raise_first_part`` send each output word back to at most one
+input word, so they read slots off the rows; annihilation reaches the R and L
+bases through ``convert_basis``, one operator in every basis.
 """
 
 from __future__ import annotations
@@ -272,17 +272,17 @@ def series_inverse(u: NcsfSeries) -> NcsfSeries:
 
 def compose(a: NcsfSeries, b: NcsfSeries) -> NcsfSeries:
     """sum_n a_n b^n, a_n the degree-n component of ``a``, through the lower
-    order; a_n b^n reads b^n only through degree order - n, so each power
-    is a ``series_mul`` of truncations."""
+    order; the rows of b^n come off ``graded_power`` with one memo."""
     a._check_compatible(b)
-    order, one = min(a.order, b.order), b.ring.one
-    acc = _zero_rows(b.ring.zero, order)
-    power = unit_series(b.ring, order)
+    if b.basis != "S":
+        raise ValueError("composition is computed in the S basis")
+    order, one, zero = min(a.order, b.order), b.ring.one, b.ring.zero
+    acc = _zero_rows(zero, order)
+    memo: dict = {}
     for n in range(order + 1):
-        if n:
-            power = series_mul(power, b.truncate(order - n))
-        for j, row in enumerate(power._rows):
-            _row_conv_into(acc[n + j], a._rows[n], n, row, j, one)
+        for j in range(order + 1 - n):
+            _row_conv_into(acc[n + j], a._rows[n], n,
+                           graded_power(b._rows, n, j, memo, one, zero), j, one)
     return NcsfSeries._of(b.ring, acc)
 
 
@@ -405,6 +405,15 @@ def with_last_part(gamma: NcsfSeries) -> NcsfSeries:
         for x in range(1, d):
             rows[d][1 << (x - 1)::1 << x] = gamma._rows[d - x]
     return NcsfSeries._of(gamma.ring, rows)
+
+
+def raise_first_part(g: NcsfSeries) -> NcsfSeries:
+    """``g`` of order n under the word map S_m w -> S_{m+1} w, 1 -> S_1, a
+    series through degree n + 1.  The map keeps descent masks, so row d + 1
+    is row d of g, then zeros for the words starting with S_1 (none at d = 0)."""
+    zero = g.ring.zero
+    return NcsfSeries._of(g.ring, [(zero,)] + [row + (zero,) * len(row) if d else row
+                                               for d, row in enumerate(g._rows)])
 
 
 # ---------------------------------------------------------------------------

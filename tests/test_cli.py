@@ -4,13 +4,14 @@ import time
 
 import pytest
 
-from ncgeode import fixtures as fx, lagrange, verify
+from ncgeode import cli, fixtures as fx, lagrange, verify
 from ncgeode.cli import _refuse_order, count_trees, main
 from ncgeode.coeffring import INT_RING, PolyT
-from ncgeode.combinat import _plane_arity, enumerate_lukasiewicz, iter_tree_codes
+from ncgeode.combinat import (_plane_arity, enumerate_lukasiewicz, iter_tree_codes,
+                              parking_quasi_ribbons)
 from ncgeode.lagrange import g_t, geode, solve_g
 from ncgeode.ncsf import NcsfSeries, NotDivisibleError, sigma1, unit_series
-from ncgeode.render import series_from_json, series_to_json_dict
+from ncgeode.render import series_from_json, series_to_json_dict, word_str
 from ncgeode.schroeder import _arity, enumerate_prime_schroeder, enumerate_schroeder, g_e
 
 
@@ -316,6 +317,36 @@ def test_trees_json(capsys):
     assert data["items"] == [[2, 0, 0], [1, 1, 0]]
 
 
+def _listed_output(head: dict, items: list, line, fmt: str) -> str:
+    """What ``trees`` printed when it built the whole list first."""
+    if fmt == "json":
+        return json.dumps({**head, "count": len(items), "items": items}) + "\n"
+    return "".join(f"{line(item)}\n" for item in items) + f"count: {len(items)}\n"
+
+
+@pytest.mark.parametrize("chunk", [cli.JSON_CHUNK, 2])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_trees_streamed_output_equals_the_listed_output(capsys, monkeypatch, fmt, chunk):
+    # a small chunk joins many json.dumps pieces, as n = 10 does at full size
+    monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+    listings = {"lukasiewicz": enumerate_lukasiewicz, "schroeder": enumerate_schroeder,
+                "prime-schroeder": enumerate_prime_schroeder}
+    for kind, listing in listings.items():
+        for n in range(1 if kind == "prime-schroeder" else 0, 7):
+            code, out = run_cli(capsys, "trees", "--kind", kind, "--n", str(n),
+                                "--format", fmt)
+            assert code == 0
+            assert out == _listed_output({"kind": kind, "n": n}, list(listing(n)),
+                                         word_str, fmt), (kind, n)
+    for shape in ((1,), (3, 1), (1, 10), (2, 2, 2)):
+        code, out = run_cli(capsys, "trees", "--kind", "pqr", "--shape",
+                            ",".join(map(str, shape)), "--format", fmt)
+        assert code == 0
+        assert out == _listed_output({"kind": "pqr", "shape": shape},
+                                     parking_quasi_ribbons(shape),
+                                     lambda f: "|".join(map(word_str, f)), fmt), shape
+
+
 def test_specialize_coeff_sum(capsys):
     code, out = run_cli(capsys, "specialize", "--map", "coeff-sum",
                         "--series", "gamma", "--order", "7")
@@ -449,8 +480,8 @@ def test_verify_reports_the_first_table_and_prefix_mismatch(capsys, monkeypatch)
 
 def test_verify_reports_a_failed_division(capsys, monkeypatch):
     # an integer divisor other than sigma_1 - 1 is one of the levels k >= 2
-    # of divisibility_check; the geode's division by sigma_1 - 1 and the
-    # step quotients over polynomials in t still divide
+    # of divisibility_check; the geode's division by sigma_1 - 1 still
+    # divides, and the step quotient theta^(t) is a ratio of geodes, no division
     real = lagrange.right_divide
 
     def refuse_levels_above_1(v, u):

@@ -342,6 +342,29 @@ def test_theta_t_tables():
         assert tht.component(n) == expected
 
 
+def _theta_by_division(n: int) -> NcsfSeries:
+    """The definition (g^(t) - 1) / (g^(t-1) - 1), by right division."""
+    g = g_t(n + 1)
+    one = unit_series(POLYT_RING, n + 1)
+    return right_divide(g - one, substitute_t(g, PolyT((-1, 1))) - one)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_theta_t_is_the_right_quotient_of_the_levels(n):
+    assert theta_t(n) == _theta_by_division(n)
+
+
+def test_theta_t_hands_right_divide_no_t_series(monkeypatch):
+    expected = _theta_by_division(5)
+
+    def integers_only(v, u):
+        assert v.ring is INT_RING and u.ring is INT_RING, "a series over polynomials in t"
+        return right_divide(v, u)
+
+    monkeypatch.setattr(lagrange, "right_divide", integers_only)
+    assert theta_t(5) == expected
+
+
 def test_theta_t_at_one_is_geode():
     assert specialize_t(theta_t(4), 1) == geode(4)
 

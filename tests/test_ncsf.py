@@ -8,12 +8,13 @@ from ncgeode.coeffring import INT_RING, POLYT_RING, PolyT
 from ncgeode.combinat import compositions
 from ncgeode.lagrange import g_t, solve_g
 from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, TruncationError,
-                          annihilate, convert_basis,
+                          annihilate, compose, convert_basis,
                           lagrange_transform, negate_alphabet, phi_k,
                           right_divide, series_inverse, series_mul,
                           series_power_binomial, sigma1, unit_series)
 from ncgeode.schroeder import g_e
-from oracles import decrement_last_part, drop_last_part, series_power, zero_series
+from oracles import (decrement_last_part, drop_last_part, mul_by_words, series_power,
+                     zero_series)
 
 
 def s_series(terms, order, ring=INT_RING):
@@ -344,3 +345,25 @@ def test_component_view_contract():
     items = dict(comp.items())
     assert comp == items and items == comp and comp != {**items, (6,): 0}
     assert repr(comp) == repr(items)
+
+
+@pytest.mark.parametrize("ring", [INT_RING, POLYT_RING])
+def test_compose_against_powers_by_words(ring):
+    # sum_n a_n b^n with b^n by chained products and a_n b^n word by word;
+    # b has a constant term, so every power reaches every degree
+    rng = random.Random(41)
+    for _ in range(4):
+        order_a, order_b = rng.sample(range(1, 7), 2)
+        a, b = (random_series(rng, order, constant=rng.choice([0, 1, 2]))
+                for order in (order_a, order_b))
+        if ring is POLYT_RING:
+            a, b = (u.map_coefficients(lambda c: PolyT((rng.randint(-2, 2), c)), ring)
+                    for u in (a, b))
+        order = min(order_a, order_b)
+        expected = zero_series(ring, order)
+        for n in range(order + 1):
+            a_n = NcsfSeries(ring, [a.component(d) if d == n else {} for d in range(order + 1)])
+            expected = expected + mul_by_words(a_n, series_power(b.truncate(order), n))
+        assert compose(a, b) == expected, (order_a, order_b)
+    with pytest.raises(ValueError):
+        compose(convert_basis(a, "R"), convert_basis(b, "R"))
