@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .combinat import (_plane_arity, catalan, count_parking_quasi_ribbons,
-                       iter_tree_codes, large_schroeder, parking_quasi_ribbons)
+                       iter_parking_quasi_ribbons, iter_tree_codes, large_schroeder)
 from .gfseries import specialize_ncsf
 from .lagrange import (eta_t, g_t, gamma_t, geode, gessel_gamma, h_t,
                        k_lagrange_by_phi, k_lagrange_direct, prime_series,
@@ -221,8 +221,9 @@ def cmd_trees(args, out) -> int:
             print(f"shape {','.join(map(str, args.shape))} has {count} fillings, "
                   f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
             return 2
-        _emit_items({"kind": "pqr", "shape": args.shape}, parking_quasi_ribbons(args.shape),
-                    count, lambda f: "|".join(map(word_str, f)), args.format, out)
+        _emit_items({"kind": "pqr", "shape": args.shape},
+                    iter_parking_quasi_ribbons(args.shape), count,
+                    lambda f: "|".join(map(word_str, f)), args.format, out)
         return 0
     if args.n is None:
         print("--n is required for tree enumerations", file=sys.stderr)

@@ -8,7 +8,11 @@ Four rings appear as series coefficients:
     stored as a tuple ``num`` of integer numerators over one positive common
     denominator ``den`` with ``gcd(den, *num) == 1`` and no trailing zero
     numerator, so each polynomial has one form; its ``coeffs``, a tuple of
-    ``Fraction``s, is a view derived from ``num`` and ``den`` on access,
+    ``Fraction``s, is a view derived from ``num`` and ``den`` on access.
+    A polynomial with integer coefficients packs into one int, its value
+    at t = 2^B (Kronecker substitution), so a sum or product is one int
+    operation; ``PolyT.from_packed`` reads the int back, which is exact
+    while every coefficient lies in [-2^(B - 1), 2^(B - 1)),
   * ``EPoly`` -- integer combinations of commuting generators e_1, e_2, ...
     whose monomials e_{l1} e_{l2} ... are indexed by integer partitions.
 
@@ -66,6 +70,28 @@ class PolyT:
         object.__setattr__(out, "num", tuple(num))
         object.__setattr__(out, "den", den)
         return out
+
+    @classmethod
+    def from_packed(cls, value: int, bits: int, den: int) -> "PolyT":
+        """The polynomial num / den whose numerators, evaluated at
+        t = 2^bits, give ``value``: its balanced base-2^bits digits, each
+        read in [-2^(bits - 1), 2^(bits - 1)).  This undoes the packing
+        (Kronecker substitution) of every polynomial whose numerators lie
+        in that range, and only of those.  A width below 2 has digits
+        that cannot spell 1, so it raises ``ValueError``."""
+        if bits < 2:
+            raise ValueError(f"packed digits need at least 2 bits, got {bits}")
+        mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+        num = []
+        while value:
+            d = value & mask
+            value >>= bits
+            if d >= half:
+                # a negative digit borrows one from the digits above it
+                d -= full
+                value += 1
+            num.append(d)
+        return cls._of(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PolyT is immutable; cannot set {name!r}")

@@ -10,7 +10,8 @@ its tree family; ``schroeder`` splits its codes with it.
 Sums over plane tree codes weighted by a composition are a DP over the
 running letter sum, one ``_letter_step`` per letter: a walk of every prefix
 writes a whole series as descent-mask rows, and ``tree_code_coefficient``
-loops along one composition for a single coefficient.
+loops along one composition for a single coefficient.  Both read the factor
+of a letter a after the letter sum s from a table row indexed by s.
 """
 
 from __future__ import annotations
@@ -207,9 +208,10 @@ def plane_tree_codes_with_nodes(p: int) -> list[tuple[int, ...]]:
     return enumerate_lukasiewicz(p - 1)
 
 
-def _letter_step(vec: list, j: int, cap: int, f: list, zero) -> list:
-    """The DP vector after a letter of factors ``f`` on the vector ``vec``
-    of a prefix of length j, capped below the letter sum ``cap``."""
+def _letter_step(vec: list, j: int, cap: int, f, zero) -> list:
+    """The DP vector after a letter of table ``f`` on the vector ``vec``
+    of a prefix of length j, capped below the letter sum ``cap``: entry s
+    of ``vec`` reaches entry s + a through the factor f[s][a]."""
     new = [zero] * cap
     # vec[s] with s >= j is all that a prefix of length j keeps
     for s in range(j, min(len(vec), cap)):
@@ -218,28 +220,34 @@ def _letter_step(vec: list, j: int, cap: int, f: list, zero) -> list:
             continue
         if s > j:
             new[s] = new[s] + v          # letter 0, whose factor is one
+        fs = f[s]
         for a in range(max(j + 1 - s, 1), cap - s):
-            new[s + a] = new[s + a] + v * f[a]
+            new[s + a] = new[s + a] + v * fs[a]
     return new
 
 
-def tree_code_prefix_sums(n: int, factor, one, zero) -> list[list]:
+def tree_code_prefix_sums(n: int, table, one, zero) -> list[list]:
     """For every composition (I, x) with |I| <= n, the sum over the codes
-    a of plane trees with len(I) + 1 nodes of factor(a_1, i_1) ...
-    factor(a_p, i_p), p = len(I); the last code letter is zero and, like
-    x, has no factor, so the sum is the same for every x.
+    a of plane trees with len(I) + 1 nodes of the products of the factors
+    of the letters a_1, ..., a_p, p = len(I); the last code letter is zero
+    and, like x, has no factor, so the sum is the same for every x.
 
     Entry s of the DP vector after j letters sums the prefixes of letter
-    sum s >= j.  A depth-first walk over the prefixes I through n writes
-    entry len(I) of the vector at I into slot ``descent_mask(I)`` of row
-    |I|; a child I + (x,) takes one letter step from its parent's vector,
-    capped at j plus the parts left after I in the longest composition
-    through I.  ``factor(0, i)`` must be ``one``.  A prefix whose vector
-    is zero is not walked below: its slot and theirs keep ``zero``.
+    sum s >= j.  ``table(i, size)`` gives the factors of a letter of part
+    i, indexed by s and then by the letter a, for s + a < size: a letter
+    step adds vec[s] * table[s][a] into entry s + a, and table[s][0] must
+    be ``one``.  A factor that does not read s repeats one row for every
+    s; the t-series reads s to keep its packed ints integral.  A
+    depth-first walk over the prefixes I through n writes entry len(I) of
+    the vector at I into slot ``descent_mask(I)`` of row |I|; a child
+    I + (x,) takes one letter step from its parent's vector, capped at j
+    plus the parts left after I in the longest composition through I.  A
+    prefix whose vector is zero is not walked below: its slot and theirs
+    keep ``zero``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    tables = {i: [factor(a, i) for a in range(n + 1)] for i in range(1, n + 1)}
+    tables = {i: table(i, n + 1) for i in range(1, n + 1)}
     rows = _zero_rows(zero, n)
 
     def walk(j, total, mask, vec):
@@ -254,14 +262,18 @@ def tree_code_prefix_sums(n: int, factor, one, zero) -> list[list]:
     return rows
 
 
-def tree_code_coefficient(comp: tuple[int, ...], factor, one, zero):
-    """The tree-code sum at ``comp`` = (J, x) alone, the prefix sum at J: a
-    loop of letter steps along J, with factor tables for the parts of J and
-    letters through len(J), about len(J)^3 / 6 ring products."""
+def check_composition(comp: tuple[int, ...]) -> None:
     if any(i < 1 for i in comp):
         raise ValueError(f"not a composition: {comp}")
+
+
+def tree_code_coefficient(comp: tuple[int, ...], table, one, zero):
+    """The tree-code sum at ``comp`` = (J, x) alone, the prefix sum at J: a
+    loop of letter steps along J, with the tables of the parts of J for
+    sums and letters through len(J), about len(J)^3 / 6 ring products."""
+    check_composition(comp)
     J = comp[:-1]
-    tables = {i: [factor(a, i) for a in range(len(J) + 1)] for i in set(J)}
+    tables = {i: table(i, len(J) + 1) for i in set(J)}
     vec = [one]
     for j, x in enumerate(J):
         vec = _letter_step(vec, j, len(J) + 1, tables[x], zero)
@@ -375,8 +387,8 @@ def _segment_starts(shape: tuple[int, ...]) -> set[int]:
     return starts
 
 
-def parking_quasi_ribbons(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """All parking quasi-ribbon fillings of the given segment shape.
+def iter_parking_quasi_ribbons(shape: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield every parking quasi-ribbon filling of the given segment shape.
 
     A filling is a sequence of segments of the prescribed sizes, weakly
     increasing within each segment, with a strict increase from the last
@@ -384,12 +396,11 @@ def parking_quasi_ribbons(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...],
     content w satisfies the parking condition w_i <= i.  The concatenated
     word is weakly increasing, so it is its own sorted content and the
     parking condition bounds the letter at position i (from 0) by i + 1.
-    Fillings are produced in lexicographic order of their concatenated
-    word, by an odometer over the words within these bounds.
+    Fillings come in lexicographic order of their concatenated word, from
+    an odometer over the words within these bounds that holds one word.
     """
     starts = _segment_starts(shape)
     n = sum(shape)
-    results = []
     word: list[int] = []
     while True:
         # the smallest completion; the lower bound of each letter is at most
@@ -398,13 +409,18 @@ def parking_quasi_ribbons(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...],
             pos = len(word)
             word.append((word[-1] if word else 0) + (1 if pos in starts else 0))
         it = iter(word)
-        results.append(tuple(tuple(next(it) for _ in range(size)) for size in shape))
+        yield tuple(tuple(next(it) for _ in range(size)) for size in shape)
         # raise the last letter still below its bound
         while word and word[-1] == len(word):
             word.pop()
         if not word:
-            return results
+            return
         word[-1] += 1
+
+
+def parking_quasi_ribbons(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """The list of ``iter_parking_quasi_ribbons(shape)``."""
+    return list(iter_parking_quasi_ribbons(shape))
 
 
 def count_parking_quasi_ribbons(shape: tuple[int, ...]) -> int:

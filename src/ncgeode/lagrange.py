@@ -31,21 +31,26 @@ prefix share its DP vector.  The last part has no factor, so S^(I, x) has
 the coefficient of S^I in the t-geode for every x >= 1: ``gamma_t`` wraps
 the walk's descent-mask rows, ``g_t`` appends every last part to them, and
 ``delta_coefficient`` loops along its own composition, about p^3 / 6
-products for p parts.  Since g^(t) = sum_{m>=0} S_m (g^(t))^{tm},
-the t-prime series h^(t) = sum_{n>=1} S_n (g^(t))^{t(n-1)} is g^(t) under
-the word map S_m w -> S_{m+1} w, 1 -> S_1, with no walk of its own, and
+products for p parts.  Neither multiplies polynomials: the walk runs over
+ints that pack each polynomial at t = 2^B (Kronecker substitution), entry s
+of a DP vector scaled by s! so that every factor is an integer polynomial;
+``gamma_t`` states the scaling and the bound that fixes B.
+
+Since g^(t) = sum_{m>=0} S_m (g^(t))^{tm}, the t-prime series
+h^(t) = sum_{n>=1} S_n (g^(t))^{t(n-1)} is g^(t) under the word map
+S_m w -> S_{m+1} w, 1 -> S_1, with no walk of its own, and
 ``prime_series`` reads h off g by it.  Specializing t to -1 gives free
 cumulants.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
-                        binomial_polynomial)
-from .combinat import tree_code_coefficient, tree_code_prefix_sums
+from .coeffring import INT_RING, POLYT_RING, POLYT_ZERO, PolyT
+from .combinat import check_composition, tree_code_coefficient, tree_code_prefix_sums
 from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, check_order,
                    compose, graded_power, lagrange_step, lagrange_transform,
                    left_letters, negate_alphabet, phi_k, raise_first_part,
@@ -139,18 +144,41 @@ def eta_identities(order: int) -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 # the t-hierarchy
 
+def _packed_bits(n: int) -> int:
+    """The digit width B of a packed walk through n: every coefficient it
+    meets is at most n! 4^n in absolute value (``gamma_t``), a balanced
+    digit of B = bit_length(n! 4^n) + 1 bits."""
+    return (math.factorial(n) << 2 * n).bit_length() + 1
+
+
+def _packed_table(bits: int):
+    """The tree-code table of C(t i, a) over ints packed at t = 2^bits,
+    for DP entries scaled by s!: F_i[s][a] = C(s + a, a) a! C(t i, a),
+    with a! C(t i, a) = prod_{r < a} (i t - r), since s! a! C(s + a, a)
+    = (s + a)!.  Row s stops where s + a reaches ``size``."""
+    t = 1 << bits
+
+    def table(i: int, size: int) -> list:
+        falling = [1]
+        for r in range(size - 1):
+            falling.append(falling[-1] * (i * t - r))
+        return [[math.comb(s + a, a) * p for a, p in enumerate(falling[:size - s])]
+                for s in range(size)]
+    return table
+
+
 @lru_cache(maxsize=None)
 def delta_coefficient(comp: tuple[int, ...]) -> PolyT:
     """Coefficient of S^I in the t-Lagrange series as a polynomial in t,
     a loop along I alone (``combinat.tree_code_coefficient``): about
-    p^3 / 6 products of polynomials for p parts, where the whole
-    ``gamma_t`` walk would visit 2^(|I| - i_last) prefixes.  A word with a
-    part below 1 raises ``ValueError``."""
-    return tree_code_coefficient(comp, _binomial, POLYT_ONE, POLYT_ZERO)
-
-
-def _binomial(a: int, i: int) -> PolyT:
-    return binomial_polynomial(i, a)
+    p^3 / 6 products of ints packed as in ``gamma_t``, with n = |I|, for
+    p parts, where the whole ``gamma_t`` walk would visit 2^(|I| - i_last)
+    prefixes.  Its one value, (p - 1)! times the coefficient, is unpacked
+    once.  A word with a part below 1 raises ``ValueError``."""
+    check_composition(comp)
+    bits = _packed_bits(sum(comp))
+    value = tree_code_coefficient(comp, _packed_table(bits), 1, 0)
+    return PolyT.from_packed(value, bits, math.factorial(len(comp[:-1])))
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +212,7 @@ def k_lagrange_direct(k: int, order: int) -> NcsfSeries:
     ``schroeder.solve_xy_system`` with c_m = C(k, m), the t-series factor
     C(t, m) at t = k, has y = (1 + x)^k, so w = 1 + x."""
     x = solve_xy_system(order, INT_RING,
-                        lambda m: int(binomial_polynomial(1, m).evaluate(k))).x
+                        lambda m: math.prod(range(k, k - m, -1)) // math.factorial(m)).x
     return unit_series(INT_RING, order) + x
 
 
@@ -218,10 +246,28 @@ def free_cumulant_equation_holds(order: int) -> bool:
 def gamma_t(order: int) -> NcsfSeries:
     """The t-geode (g^(t) - 1) / (sigma_1 - 1): the last part of a word of
     g^(t) has no factor, so its rows are the prefix sums of the tree-code
-    walk, read off without building g^(t + 1) or annihilating it."""
+    walk, read off without building g^(t + 1) or annihilating it.
+
+    The walk runs over ints that pack polynomials in t at t = 2^B
+    (``_packed_table``), one big-int product per letter and entry.  Entry
+    s of a DP vector holds s! times its sum, so every table entry is an
+    integer polynomial, and the slot of a prefix of j parts unpacks once,
+    over the denominator j!.  B is fixed before the walk by a bound
+    (``_packed_bits(n)``, n = order): the absolute coefficients of
+    a! C(t i, a) = prod_{r<a} (i t - r) sum to i (i + 1) ... (i + a - 1)
+    = a! C(i + a - 1, a), so those of an entry s at a prefix of size m sum
+    to at most s! [x^s] (1 - x)^(-m) = s! C(m + s - 1, s), which is at most
+    n! C(2n - 1, n) <= n! 4^n for s, m <= n; the partial sums and products
+    of a step sum some of the same terms, so they obey the same bound.
+    """
     check_order(order)
-    return NcsfSeries._of(POLYT_RING,
-                          tree_code_prefix_sums(order, _binomial, POLYT_ONE, POLYT_ZERO))
+    bits = _packed_bits(order)
+    rows = tree_code_prefix_sums(order, _packed_table(bits), 1, 0)
+    dens = [math.factorial(j) for j in range(order + 1)]
+    # a prefix of degree d >= 1 has one part more than descents
+    return NcsfSeries._of(POLYT_RING, (
+        (PolyT.from_packed(v, bits, dens[d and mask.bit_count() + 1]) if v else POLYT_ZERO
+         for mask, v in enumerate(row)) for d, row in enumerate(rows)))
 
 
 def theta_t(order: int) -> NcsfSeries:

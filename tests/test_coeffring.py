@@ -43,6 +43,24 @@ def test_polyt_compose_shift():
     assert shifted == PolyT([4, -7, 3])
 
 
+def test_polyt_from_packed_reads_balanced_digits():
+    # the value at t = 2^bits of integer numerators in [-2^(bits-1), 2^(bits-1))
+    # reads back to them, over any denominator
+    bits = 5
+    digits = (-16, -15, -9, -1, 0, 1, 7, 15)
+    for num in product(digits, repeat=3):
+        value = sum(c << (bits * k) for k, c in enumerate(num))
+        assert PolyT.from_packed(value, bits, 6) == PolyT([Fraction(c, 6) for c in num]), num
+    wide = [-(1 << 69), (1 << 69) - 1, 0, -1, 1 << 68]
+    value = sum(c << (70 * k) for k, c in enumerate(wide))
+    assert PolyT.from_packed(value, 70, 1).num == tuple(wide)
+    assert PolyT.from_packed(0, bits, 24) == PolyT()
+    # a numerator out of range is read as another polynomial
+    assert PolyT.from_packed(16, bits, 1) == PolyT([-16, 1])
+    with pytest.raises(ValueError, match="at least 2 bits"):
+        PolyT.from_packed(1, 1, 1)
+
+
 def test_binomial_polynomial_examples():
     assert binomial_polynomial(2, 2) == PolyT([0, -1, 2])   # 2t^2 - t
     assert binomial_polynomial(1, 0) == PolyT([1])

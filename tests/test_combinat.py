@@ -9,14 +9,17 @@ from ncgeode.combinat import (_plane_arity, _subtree_end, catalan, coarsenings,
                               code_to_dyck, code_to_ndpf, compositions, conjugate,
                               count_parking_quasi_ribbons, descent_mask,
                               enumerate_lukasiewicz, is_ndpf, iter_lukasiewicz,
-                              iter_tree_codes, ndpf_to_noncrossing, nonzero_letters,
+                              iter_parking_quasi_ribbons, iter_tree_codes,
+                              ndpf_to_noncrossing, nonzero_letters,
                               parking_quasi_ribbons, plane_tree_codes_with_nodes,
                               remove_last_corolla, shift_words, trailing_zeros,
                               tree_code_coefficient, tree_code_prefix_sums)
+from ncgeode import combinat, lagrange
 from ncgeode.lagrange import delta_coefficient, gamma_t
 from ncgeode.schroeder import _arity, delta_e_coefficient, gamma_e
-from oracles import (is_lukasiewicz, lukasiewicz_root_children, ndpf_to_code,
-                     noncrossing_to_ndpf, tree_code_sum)
+from oracles import (constant_table, is_lukasiewicz, lukasiewicz_root_children,
+                     ndpf_to_code, noncrossing_to_ndpf, polyt_binomial_table,
+                     tree_code_sum)
 
 
 def test_compositions_order_matches_display_convention():
@@ -133,7 +136,7 @@ def test_tree_code_prefix_sums_match_each_composition(ring):
         factor, one, zero = lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT()
     else:
         factor, one, zero = elementary_of_multiple, EPoly.one(), EPoly()
-    rows = tree_code_prefix_sums(9, factor, one, zero)
+    rows = tree_code_prefix_sums(9, constant_table(factor), one, zero)
     assert [len(row) for row in rows] == [len(compositions(e)) for e in range(10)]
     for n in range(1, 11):
         for comp in compositions(n):
@@ -171,7 +174,7 @@ def test_tree_code_coefficient_walks_one_path(J):
         calls[a, i] += 1
         return binomial_polynomial(i, a)
 
-    coeff = tree_code_coefficient(J + (1,), factor, POLYT_ONE, PolyT())
+    coeff = tree_code_coefficient(J + (1,), constant_table(factor), POLYT_ONE, PolyT())
     assert sum(calls.values()) <= len(set(J)) * (len(J) + 1)
     assert coeff == tree_code_sum(
         J + (1,), lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT())
@@ -181,28 +184,50 @@ def test_tree_code_coefficient_walks_one_path(J):
 def test_tree_code_prefix_sums_cut_to_a_lower_degree(ring):
     # the rows of degree <= k do not depend on how far beyond k the walk goes
     if ring == "polyt":
-        factor, one, zero = lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT()
+        table, one, zero = polyt_binomial_table, POLYT_ONE, PolyT()
     else:
-        factor, one, zero = elementary_of_multiple, EPoly.one(), EPoly()
-    rows = tree_code_prefix_sums(9, factor, one, zero)
+        table, one, zero = constant_table(elementary_of_multiple), EPoly.one(), EPoly()
+    rows = tree_code_prefix_sums(9, table, one, zero)
     for k in range(10):
-        assert tree_code_prefix_sums(k, factor, one, zero) == rows[:k + 1], k
+        assert tree_code_prefix_sums(k, table, one, zero) == rows[:k + 1], k
+
+
+def test_packed_walk_digits_stay_below_half_the_width(monkeypatch):
+    # the walk through 10 at four times the width reads every polynomial it
+    # meets exactly; each table entry and each entry of a DP vector must
+    # then have coefficients below 2^(B - 1), B the width the bound gives
+    n, bits = 10, lagrange._packed_bits(10)
+    wide = 4 * bits
+    table = lagrange._packed_table(wide)
+    seen = [v for i in range(1, n + 1) for row in table(i, n + 1) for v in row]
+    step = combinat._letter_step
+
+    def recorded_step(*args):
+        new = step(*args)
+        seen.extend(new)
+        return new
+
+    monkeypatch.setattr(combinat, "_letter_step", recorded_step)
+    tree_code_prefix_sums(n, table, 1, 0)
+    largest = max(abs(d) for v in seen for d in PolyT.from_packed(v, wide, 1).num)
+    assert 1 << (bits // 2) < largest < 1 << (bits - 1)
 
 
 def test_tree_code_prefix_sums_count_plane_trees():
-    rows = tree_code_prefix_sums(7, lambda a, i: 1, 1, 0)
+    ones = constant_table(lambda a, i: 1)
+    rows = tree_code_prefix_sums(7, ones, 1, 0)
     for e, row in enumerate(rows):
         assert row == [catalan(len(I)) for I in compositions(e)], e
-    assert tree_code_prefix_sums(0, lambda a, i: 1, 1, 0) == [[1]]
-    assert tree_code_prefix_sums(1, lambda a, i: 1, 1, 0) == [[1], [1]]
+    assert tree_code_prefix_sums(0, ones, 1, 0) == [[1]]
+    assert tree_code_prefix_sums(1, ones, 1, 0) == [[1], [1]]
     with pytest.raises(ValueError):
-        tree_code_prefix_sums(-1, lambda a, i: 1, 1, 0)
+        tree_code_prefix_sums(-1, ones, 1, 0)
 
 
 def test_tree_code_prefix_sums_prune_vanishing_prefixes():
     # a factor that vanishes off a = 0 leaves no prefix of length 1, since
     # the first letter of a code is at least 1
-    dead = tree_code_prefix_sums(4, lambda a, i: int(a == 0), 1, 0)
+    dead = tree_code_prefix_sums(4, constant_table(lambda a, i: int(a == 0)), 1, 0)
     assert dead == [[1], [0], [0, 0], [0] * 4, [0] * 8]
 
 
@@ -341,6 +366,18 @@ def test_parking_quasi_ribbons_match_filter_definition():
     for n in range(1, 6):
         for shape in compositions(n):
             assert parking_quasi_ribbons(shape) == _pqr_by_filter(shape), shape
+
+
+def test_parking_quasi_ribbons_stream_from_one_word():
+    # the generator yields each filling as the odometer reaches it: the
+    # first fillings of (9, 9, 9), which has 17,055,399,281,284, come at once
+    fillings = iter_parking_quasi_ribbons((9, 9, 9))
+    assert next(fillings) == ((1,) * 9, (2,) * 9, (3,) * 9)
+    assert next(fillings) == ((1,) * 9, (2,) * 9, (3,) * 8 + (4,))
+    for shape in ((1,), (3, 1), (2, 2, 2), (1, 5)):
+        assert list(iter_parking_quasi_ribbons(shape)) == parking_quasi_ribbons(shape)
+    with pytest.raises(ValueError):
+        next(iter_parking_quasi_ribbons((2, 0)))
 
 
 def test_pqr_count_matches_enumeration():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from ncgeode.coeffring import (INT_RING, POLYT_ONE, POLYT_RING, POLYT_ZERO, PolyT,
                                binomial_polynomial)
 from ncgeode.combinat import (catalan, compositions, iter_lukasiewicz,
-                              nonzero_letters, shift_words, trailing_zeros)
+                              nonzero_letters, shift_words, trailing_zeros,
+                              tree_code_coefficient, tree_code_prefix_sums)
 from ncgeode.lagrange import (delta_coefficient, divisibility_check,
                               eta_identities, eta_t, free_cumulant_equation_holds,
                               free_cumulant_routes, free_cumulants, g_t, gamma_t,
@@ -20,8 +22,8 @@ from ncgeode.schroeder import g_e, gamma_e, solve_xy_system
 from ncgeode import fixtures as fx
 from ncgeode import lagrange
 from oracles import (g_from_trees, generator, k_lagrange_by_powers, map_words,
-                     lukasiewicz_root_children, series_power, tree_code_sum,
-                     zero_series)
+                     lukasiewicz_root_children, polyt_binomial_table, series_power,
+                     tree_code_sum, zero_series)
 
 
 def test_g_low_degrees():
@@ -124,6 +126,41 @@ def test_delta_coefficient_examples():
     assert delta_coefficient((2, 1, 1)) == fx.DELTA_211
     assert delta_coefficient((5,)) == PolyT([1])
     assert delta_coefficient((1, 1, 1, 1)) == fx.DELTA_1111
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_packed_gamma_t_is_the_walk_over_polyt_tables(n):
+    # every slot of the packed walk, unpacked over j!, equals the same walk
+    # over PolyT tables built from binomial_polynomial
+    rows = tree_code_prefix_sums(n, polyt_binomial_table, POLYT_ONE, POLYT_ZERO)
+    assert gamma_t.__wrapped__(n) == NcsfSeries._of(POLYT_RING, rows)
+
+
+def test_packed_delta_coefficient_is_the_polyt_path():
+    # random compositions through degree 30, each cut taken with odds 1/2
+    rng = random.Random(28)
+    words = [(2,) + (1,) * 38, (30,), (1,) * 30, (29, 1), (1, 29)]
+    for _ in range(24):
+        n = rng.randint(1, 30)
+        cuts = [c for c in range(1, n) if rng.random() < 0.5]
+        words.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [n])))
+    for comp in words:
+        expected = tree_code_coefficient(comp, polyt_binomial_table, POLYT_ONE, POLYT_ZERO)
+        assert delta_coefficient.__wrapped__(comp) == expected, comp
+    assert delta_coefficient.__wrapped__(()) == POLYT_ONE
+
+
+def test_packed_walks_multiply_no_polynomials(monkeypatch):
+    # binomial_polynomial multiplies PolyT, so an emptied cache refuses it too
+    def refuse(*args):
+        raise AssertionError("a PolyT product in the packed walk")
+    monkeypatch.setattr(PolyT, "__mul__", refuse)
+    monkeypatch.setattr(PolyT, "__rmul__", refuse)
+    binomial_polynomial.cache_clear()
+    assert gamma_t.__wrapped__(9).order == 9
+    assert delta_coefficient.__wrapped__((2, 1, 1)) == fx.DELTA_211
+    with pytest.raises(AssertionError, match="PolyT product"):
+        binomial_polynomial(2, 3)
 
 
 def test_g_t_at_one_is_g_through_degree_10():
