@@ -6,7 +6,7 @@ from .coeffring import (EPoly, PolyT, binomial_polynomial,
                         elementary_of_multiple, epoly_evaluate,
                         EPOLY_RING, INT_RING, POLYT_RING)
 from .ncsf import (NcsfSeries, annihilate, convert_basis, lagrange_transform,
-                   negate_alphabet, phi_k, right_divide, series_inverse,
+                   negate_alphabet, phi_k, right_divide, right_quotient, series_inverse,
                    series_mul, series_power_binomial, sigma1, unit_series)
 from .lagrange import (delta_coefficient, divisibility_check, eta_identities,
                        eta_t, free_cumulants, g_t, gamma_t, geode,
@@ -22,7 +22,7 @@ __all__ = [
     "EPoly", "PolyT", "binomial_polynomial", "elementary_of_multiple",
     "epoly_evaluate", "EPOLY_RING", "INT_RING", "POLYT_RING",
     "NcsfSeries", "annihilate", "convert_basis", "lagrange_transform",
-    "negate_alphabet", "phi_k", "right_divide", "series_inverse",
+    "negate_alphabet", "phi_k", "right_divide", "right_quotient", "series_inverse",
     "series_mul", "series_power_binomial", "sigma1", "unit_series",
     "delta_coefficient", "divisibility_check", "eta_identities", "eta_t",
     "free_cumulants", "g_t", "gamma_t", "geode", "geode_by_division",

@@ -22,7 +22,7 @@ from .lagrange import (eta_t, g_t, gamma_t, geode, gessel_gamma, h_t,
 from .ncsf import convert_basis
 from .render import (biseries_to_json_dict, series_to_json_dict,
                      series_to_text, uniseries_to_json_dict, word_str)
-from .schroeder import _arity, enumerate_prime_schroeder, g_e, gamma_e
+from .schroeder import _arity, g_e, gamma_e, iter_prime_schroeder
 from .verify import SUITES, run_suite
 
 
@@ -236,7 +236,7 @@ def cmd_trees(args, out) -> int:
         print(f"--kind {args.kind} --n {args.n} has {count} trees, "
               f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
         return 2
-    codes = (enumerate_prime_schroeder(args.n) if args.kind == "prime-schroeder" else
+    codes = (iter_prime_schroeder(args.n) if args.kind == "prime-schroeder" else
              iter_tree_codes(args.n, _plane_arity if args.kind == "lukasiewicz" else _arity))
     _emit_items({"kind": args.kind, "n": args.n}, codes, count, word_str, args.format, out)
     return 0

@@ -196,13 +196,6 @@ class PolyT:
             qpow *= q
         return Fraction(acc * q, self.den * qpow)
 
-    def compose(self, inner: "PolyT") -> "PolyT":
-        """Substitute ``inner`` for t."""
-        acc = POLYT_ZERO
-        for c in reversed(self.num):
-            acc = acc * inner + c
-        return PolyT._of(list(acc.num), acc.den * self.den)
-
     def __repr__(self) -> str:
         return f"PolyT({[str(c) for c in self.coeffs]})"
 

@@ -32,9 +32,11 @@ the coefficient of S^I in the t-geode for every x >= 1: ``gamma_t`` wraps
 the walk's descent-mask rows, ``g_t`` appends every last part to them, and
 ``delta_coefficient`` loops along its own composition, about p^3 / 6
 products for p parts.  Neither multiplies polynomials: the walk runs over
-ints that pack each polynomial at t = 2^B (Kronecker substitution), entry s
-of a DP vector scaled by s! so that every factor is an integer polynomial;
-``gamma_t`` states the scaling and the bound that fixes B.
+ints that pack each polynomial at x = 2^B (Kronecker substitution), entry s
+of a DP vector scaled by s! so that every factor is an integer polynomial,
+with B = bit_length(n! 4^n) + 1 through n (``gamma_t`` gives the bound).
+At x = 2^B - 1, with B = bit_length(n! 8^n) + 1, it packs gamma^(t - 1),
+and ``theta_t`` is one right quotient of the two walks.
 
 Since g^(t) = sum_{m>=0} S_m (g^(t))^{tm}, the t-prime series
 h^(t) = sum_{n>=1} S_n (g^(t))^{t(n-1)} is g^(t) under the word map
@@ -46,7 +48,6 @@ cumulants.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import INT_RING, POLYT_RING, POLYT_ZERO, PolyT
@@ -54,8 +55,8 @@ from .combinat import check_composition, tree_code_coefficient, tree_code_prefix
 from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, check_order,
                    compose, graded_power, lagrange_step, lagrange_transform,
                    left_letters, negate_alphabet, phi_k, raise_first_part,
-                   right_divide, series_inverse, series_mul, sigma1, unit_series,
-                   with_last_part)
+                   right_divide, right_quotient, series_inverse, series_mul, sigma1,
+                   unit_series, with_last_part)
 from .schroeder import solve_xy_system
 
 
@@ -144,27 +145,22 @@ def eta_identities(order: int) -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 # the t-hierarchy
 
-def _packed_bits(n: int) -> int:
-    """The digit width B of a packed walk through n: every coefficient it
-    meets is at most n! 4^n in absolute value (``gamma_t``), a balanced
-    digit of B = bit_length(n! 4^n) + 1 bits."""
-    return (math.factorial(n) << 2 * n).bit_length() + 1
-
-
-def _packed_table(bits: int):
-    """The tree-code table of C(t i, a) over ints packed at t = 2^bits,
-    for DP entries scaled by s!: F_i[s][a] = C(s + a, a) a! C(t i, a),
-    with a! C(t i, a) = prod_{r < a} (i t - r), since s! a! C(s + a, a)
-    = (s + a)!.  Row s stops where s + a reaches ``size``."""
-    t = 1 << bits
+def _packed_table(n: int, shift: int):
+    """The digit width B of a walk through n and its tree-code table
+    F_i[s][a] = C(s + a, a) prod_{r < a} (i x - r) at x = 2^B - shift, for
+    DP entries scaled by s! (s! a! C(s + a, a) = (s + a)!), row s stopping
+    where s + a reaches ``size``; p(2^B - 1) is p(t - 1) read at t = 2^B.
+    B is bit_length(n! 4^n 2^(shift n)) + 1, by the bound of ``gamma_t``."""
+    bits = (math.factorial(n) << (2 + shift) * n).bit_length() + 1
+    x = (1 << bits) - shift
 
     def table(i: int, size: int) -> list:
         falling = [1]
         for r in range(size - 1):
-            falling.append(falling[-1] * (i * t - r))
+            falling.append(falling[-1] * (i * x - r))
         return [[math.comb(s + a, a) * p for a, p in enumerate(falling[:size - s])]
                 for s in range(size)]
-    return table
+    return bits, table
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +172,8 @@ def delta_coefficient(comp: tuple[int, ...]) -> PolyT:
     prefixes.  Its one value, (p - 1)! times the coefficient, is unpacked
     once.  A word with a part below 1 raises ``ValueError``."""
     check_composition(comp)
-    bits = _packed_bits(sum(comp))
-    value = tree_code_coefficient(comp, _packed_table(bits), 1, 0)
+    bits, table = _packed_table(sum(comp), 0)
+    value = tree_code_coefficient(comp, table, 1, 0)
     return PolyT.from_packed(value, bits, math.factorial(len(comp[:-1])))
 
 
@@ -194,17 +190,10 @@ def specialize_t(u: NcsfSeries, value) -> NcsfSeries:
     """Evaluate every polynomial coefficient at an integer value of t."""
     def ev(p):
         val = p.evaluate(value)
-        if isinstance(val, Fraction):
-            if val.denominator != 1:
-                raise ValueError(f"non-integer specialization {val} at t={value}")
-            val = int(val)
-        return val
+        if val.denominator != 1:
+            raise ValueError(f"non-integer specialization {val} at t={value}")
+        return int(val)
     return u.map_coefficients(ev, INT_RING)
-
-
-def substitute_t(u: NcsfSeries, inner: PolyT) -> NcsfSeries:
-    """Apply the ring endomorphism t -> inner(t) to every coefficient."""
-    return u.map_coefficients(lambda p: p.compose(inner), POLYT_RING)
 
 
 def k_lagrange_direct(k: int, order: int) -> NcsfSeries:
@@ -218,6 +207,7 @@ def k_lagrange_direct(k: int, order: int) -> NcsfSeries:
 
 def k_lagrange_by_phi(k: int, order: int) -> NcsfSeries:
     """The k-Lagrange series as phi_k applied to g computed through k*order."""
+    check_order(order)
     if k < 1:
         raise ValueError("phi route requires k >= 1")
     return phi_k(solve_g(k * order), k)
@@ -248,21 +238,26 @@ def gamma_t(order: int) -> NcsfSeries:
     g^(t) has no factor, so its rows are the prefix sums of the tree-code
     walk, read off without building g^(t + 1) or annihilating it.
 
-    The walk runs over ints that pack polynomials in t at t = 2^B
-    (``_packed_table``), one big-int product per letter and entry.  Entry
-    s of a DP vector holds s! times its sum, so every table entry is an
-    integer polynomial, and the slot of a prefix of j parts unpacks once,
-    over the denominator j!.  B is fixed before the walk by a bound
-    (``_packed_bits(n)``, n = order): the absolute coefficients of
-    a! C(t i, a) = prod_{r<a} (i t - r) sum to i (i + 1) ... (i + a - 1)
-    = a! C(i + a - 1, a), so those of an entry s at a prefix of size m sum
-    to at most s! [x^s] (1 - x)^(-m) = s! C(m + s - 1, s), which is at most
-    n! C(2n - 1, n) <= n! 4^n for s, m <= n; the partial sums and products
-    of a step sum some of the same terms, so they obey the same bound.
+    The walk runs over ints that pack polynomials in t at x = 2^B
+    (``_packed_table``), one big-int product per letter and entry; at
+    x = 2^B - 1 it packs gamma^(t - 1) (shift 1).  Entry s of a DP vector
+    holds s! times its sum, so every table entry is an integer polynomial,
+    and the slot of a prefix of j parts unpacks once, over j!.  B is fixed
+    before the walk by a bound, n = order: the absolute coefficients of
+    prod_{r<a} (i (t - shift) - r) sum to a! C((1 + shift) i + a - 1, a), so
+    those of an entry s at a prefix of size m sum to at most
+    s! [x^s] (1 - x)^(-(1 + shift) m) <= n! C((2 + shift) n - 1, n), which
+    is at most n! 4^n at shift 0 and n! 8^n at shift 1; the partial sums
+    and products of a step sum some of the same terms, so they obey it too.
     """
+    return _packed_geode(order, 0)
+
+
+def _packed_geode(order: int, shift: int) -> NcsfSeries:
+    """gamma^(t - shift) through ``order``, off the walk of ``_packed_table``."""
     check_order(order)
-    bits = _packed_bits(order)
-    rows = tree_code_prefix_sums(order, _packed_table(bits), 1, 0)
+    bits, table = _packed_table(order, shift)
+    rows = tree_code_prefix_sums(order, table, 1, 0)
     dens = [math.factorial(j) for j in range(order + 1)]
     # a prefix of degree d >= 1 has one part more than descents
     return NcsfSeries._of(POLYT_RING, (
@@ -271,13 +266,12 @@ def gamma_t(order: int) -> NcsfSeries:
 
 
 def theta_t(order: int) -> NcsfSeries:
-    """The step quotient (g^(t) - 1) / (g^(t-1) - 1) = gamma^(t) (gamma^(t-1))^{-1}:
-    g^(s) - 1 = gamma^(s) (sigma_1 - 1) at every level, t -> t - 1 acts
-    coefficientwise, so it commutes with the product by the integer series
-    sigma_1 - 1, and sigma_1 - 1 cancels on the right, as the free algebra
-    has no zero divisors; gamma^(t-1) has constant term 1, so it inverts."""
-    gamma = gamma_t(order)
-    return series_mul(gamma, series_inverse(substitute_t(gamma, PolyT((-1, 1)))))
+    """The step quotient (g^(t) - 1) / (g^(t-1) - 1), the w with
+    w gamma^(t-1) = gamma^(t), as g^(s) - 1 = gamma^(s) (sigma_1 - 1) at
+    every level and the free algebra has no zero divisors: one triangular
+    solve (``right_quotient``) by gamma^(t-1), the walk of ``gamma_t`` at
+    x = 2^B - 1 with digits of bit_length(n! 8^n) + 1 bits, n = order."""
+    return right_quotient(gamma_t(order), _packed_geode(order, 1))
 
 
 def theta_k_by_transform(k: int, order: int) -> NcsfSeries:
@@ -314,6 +308,7 @@ def divisibility_check(k_max: int, order: int) -> list[dict]:
     quotient for nonnegative integer coefficients; ``k_lagrange_direct``
     solves each level once.  A level whose division leaves a remainder
     reports ``divides`` False and no quotient."""
+    check_order(order)
     one = unit_series(INT_RING, order + 1)
     levels = [k_lagrange_direct(k, order + 1) - one for k in range(k_max + 1)]
     reports = []

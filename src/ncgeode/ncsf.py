@@ -29,8 +29,9 @@ signed (-1)^(|D|+1).  ``_descent_transform`` computes each of them.
 Every series records the degree through which it is exact; operations derive
 the output truncation from the inputs and raise rather than silently truncate.
 
-Every product is the block update ``_row_conv_into``.  ``graded_power`` reads
-the degree-d row of u^m off the rows of u through degree d, so a fixed-point
+Every product, and each step of ``right_quotient`` (whose quotient of 1 is the
+inverse), is the block update ``_row_conv_into``.  ``graded_power`` reads the
+degree-d row of u^m off the rows of u through degree d, so a fixed-point
 solver (``lagrange_step``) can call it while u grows; ``compose`` reads its
 powers there too.  ``series_power_binomial`` chains ``series_mul``, as a memo
 would gain it little.  Annihilation, right division by S_1, ``phi_k`` and the
@@ -254,20 +255,25 @@ def series_mul(u: NcsfSeries, v: NcsfSeries) -> NcsfSeries:
 
 
 def series_inverse(u: NcsfSeries) -> NcsfSeries:
-    """Two-sided inverse of a series with constant term 1."""
+    """Two-sided inverse of a series with constant term 1: the right quotient of 1 by it."""
+    return right_quotient(unit_series(u.ring, u.order), u)
+
+
+def right_quotient(v: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
+    """The w with w u = v, for u with constant term 1, through the lower
+    order: w_n = v_n - sum_{i>=1} w_{n-i} u_i, one degree after another."""
+    v._check_compatible(u)
     if u.basis != "S":
-        raise ValueError("inversion is computed in the S basis")
-    one, zero = u.ring.one, u.ring.zero
-    if u._rows[0] != (one,):
-        raise ValueError("series inverse requires constant term 1")
-    inv = [(one,)]
-    for n in range(1, u.order + 1):
-        # v_n = -sum_{i=1..n} u_i v_{n-i}
-        acc = [zero] * _size(n)
+        raise ValueError("right quotients are computed in the S basis")
+    if u._rows[0] != (u.ring.one,):
+        raise ValueError("right quotient requires a divisor with constant term 1")
+    minus_u, w = (-u)._rows, []
+    for n in range(min(v.order, u.order) + 1):
+        acc = list(v._rows[n])
         for i in range(1, n + 1):
-            _row_conv_into(acc, u._rows[i], i, inv[n - i], n - i, one)
-        inv.append(_negated(acc))
-    return NcsfSeries._of(u.ring, inv)
+            _row_conv_into(acc, w[n - i], n - i, minus_u[i], i, u.ring.one)
+        w.append(acc)
+    return NcsfSeries._of(u.ring, w)
 
 
 def compose(a: NcsfSeries, b: NcsfSeries) -> NcsfSeries:

@@ -64,14 +64,19 @@ def enumerate_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(iter_tree_codes(n, _arity))
 
 
-def enumerate_prime_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
-    """Schroeder trees whose root's rightmost subtree is a leaf, in
-    decreasing lexicographic order: root r, a forest of r trees of size
-    n - r, then the final leaf, for r = n down to 1."""
+def iter_prime_schroeder(n: int):
+    """Schroeder trees whose root's rightmost subtree is a leaf, one at a time
+    in decreasing lexicographic order: root r, a forest of r trees of size
+    n - r, then the final leaf, for r = n down to 1; n < 1 raises at the call."""
     if n < 1:
         raise ValueError("size must be at least 1")
-    return tuple((root, *forest, 0) for root in range(n, 0, -1)
-                 for forest in iter_tree_codes(n - root, _arity, root))
+    return ((root, *forest, 0) for root in range(n, 0, -1)
+            for forest in iter_tree_codes(n - root, _arity, root))
+
+
+def enumerate_prime_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
+    """The codes of ``iter_prime_schroeder`` as one tuple."""
+    return tuple(iter_prime_schroeder(n))
 
 
 def _weak_compositions(total: int, parts: int):

@@ -8,14 +8,15 @@ series summed one prime tree at a time over the weights of its parsed codes
 read off parsed codes, the inverse bijections of ``combinat``, the tree-code
 sum of one composition, a DP of its own beside the prefix walk, the walk's
 table of a factor that ignores the letter sum (``C(t i, a)`` as ``PolyT``,
-the reference of the packed t-walk), the integer power of a series by
-chained products (``series_power``), the bivariate ribbon specialization,
-the general linear word map ``map_words``, the product, inverse and right
-division of series word by word on dicts (``conv_into``), where the package
-updates blocks of descent-mask rows, the k-Lagrange series by dict powers
-of w (or of its inverse) up to |k| times the degree, the termwise
-annihilation rules of the S, R and L bases, and the lifted e-series system
-over tree codes.
+the reference of the packed t-walk), the shift t -> t - 1 of a t-series by
+Horner's rule (``shift_t``, the reference of the walk at 2^B - 1), the
+integer power of a series by chained products (``series_power``), the
+bivariate ribbon specialization, the general linear word map ``map_words``,
+the product, inverse and right division of series word by word on dicts
+(``conv_into``), where the package updates blocks of descent-mask rows, the
+k-Lagrange series by dict powers of w (or of its inverse) up to |k| times the
+degree, the termwise annihilation rules of the S, R and L bases, and the
+lifted e-series system over tree codes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import repeat
 from operator import add
 from types import MappingProxyType
 
-from ncgeode.coeffring import EPOLY_RING, EPoly, INT_RING, Ring, binomial_polynomial
+from ncgeode.coeffring import EPOLY_RING, EPoly, INT_RING, PolyT, Ring, binomial_polynomial
 from ncgeode.combinat import (_is_tree_code, _plane_arity, _root_children,
                               iter_lukasiewicz, nonzero_letters)
 from ncgeode.gfseries import PowerSeries
@@ -215,6 +216,18 @@ def constant_table(factor):
 # C(t i, a) as PolyT, built from ``binomial_polynomial``: the walk over
 # these tables is the reference for the packed t-walk
 polyt_binomial_table = constant_table(lambda a, i: binomial_polynomial(i, a))
+
+
+def shift_t(u: NcsfSeries) -> NcsfSeries:
+    """``u`` under t -> t - 1, each coefficient by Horner's rule over PolyT."""
+    t_minus_1 = PolyT((-1, 1))
+
+    def shifted(p: PolyT) -> PolyT:
+        acc = PolyT()
+        for c in reversed(p.coeffs):
+            acc = acc * t_minus_1 + c
+        return acc
+    return u.map_coefficients(shifted)
 
 
 def g_e_by_prime_trees(order: int) -> NcsfSeries:

@@ -36,13 +36,6 @@ def test_polyt_normalization():
     assert PolyT([Fraction(1, 2)]).scale_div(Fraction(1, 2)) == PolyT([1])
 
 
-def test_polyt_compose_shift():
-    p = PolyT([0, -1, 3])  # 3t^2 - t
-    shifted = p.compose(PolyT([-1, 1]))
-    assert shifted.evaluate(5) == p.evaluate(4)
-    assert shifted == PolyT([4, -7, 3])
-
-
 def test_polyt_from_packed_reads_balanced_digits():
     # the value at t = 2^bits of integer numerators in [-2^(bits-1), 2^(bits-1))
     # reads back to them, over any denominator

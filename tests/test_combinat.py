@@ -193,13 +193,12 @@ def test_tree_code_prefix_sums_cut_to_a_lower_degree(ring):
 
 
 def test_packed_walk_digits_stay_below_half_the_width(monkeypatch):
-    # the walk through 10 at four times the width reads every polynomial it
-    # meets exactly; each table entry and each entry of a DP vector must
-    # then have coefficients below 2^(B - 1), B the width the bound gives
-    n, bits = 10, lagrange._packed_bits(10)
-    wide = 4 * bits
-    table = lagrange._packed_table(wide)
-    seen = [v for i in range(1, n + 1) for row in table(i, n + 1) for v in row]
+    # the walk through 10 at more than four times the width (the table of a
+    # walk through 40) reads every polynomial it meets exactly, at x = 2^B
+    # and at the shifted x = 2^B - 1; each table entry and each entry of a
+    # DP vector must then have coefficients below 2^(B - 1), B the width
+    # the bound gives for that shift
+    n, seen = 10, []
     step = combinat._letter_step
 
     def recorded_step(*args):
@@ -208,9 +207,14 @@ def test_packed_walk_digits_stay_below_half_the_width(monkeypatch):
         return new
 
     monkeypatch.setattr(combinat, "_letter_step", recorded_step)
-    tree_code_prefix_sums(n, table, 1, 0)
-    largest = max(abs(d) for v in seen for d in PolyT.from_packed(v, wide, 1).num)
-    assert 1 << (bits // 2) < largest < 1 << (bits - 1)
+    for shift in (0, 1):
+        bits, _ = lagrange._packed_table(n, shift)
+        wide, table = lagrange._packed_table(4 * n, shift)
+        assert wide > 4 * bits
+        seen[:] = [v for i in range(1, n + 1) for row in table(i, n + 1) for v in row]
+        tree_code_prefix_sums(n, table, 1, 0)
+        largest = max(abs(d) for v in seen for d in PolyT.from_packed(v, wide, 1).num)
+        assert 1 << (bits // 2) < largest < 1 << (bits - 1), shift
 
 
 def test_tree_code_prefix_sums_count_plane_trees():

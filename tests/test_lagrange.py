@@ -14,7 +14,7 @@ from ncgeode.lagrange import (delta_coefficient, divisibility_check,
                               geode, geode_by_division, gessel_gamma, h_t,
                               k_lagrange_by_phi, k_lagrange_direct,
                               prime_series, solve_g, specialize_t,
-                              substitute_t, theta_k_by_transform, theta_t)
+                              theta_k_by_transform, theta_t)
 from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate,
                           right_divide, series_inverse, series_mul, sigma1,
                           unit_series)
@@ -23,7 +23,7 @@ from ncgeode import fixtures as fx
 from ncgeode import lagrange
 from oracles import (g_from_trees, generator, k_lagrange_by_powers, map_words,
                      lukasiewicz_root_children, polyt_binomial_table, series_power,
-                     tree_code_sum, zero_series)
+                     shift_t, tree_code_sum, zero_series)
 
 
 def test_g_low_degrees():
@@ -219,7 +219,7 @@ def test_solve_g_shares_the_grown_components():
 
 @pytest.mark.parametrize("call", [
     lambda: solve_g(-1),
-    lambda: k_lagrange_by_phi(1, -1),
+    lambda: k_lagrange_by_phi(2, -1),
     lambda: solve_g(3).truncate(-1),
     lambda: k_lagrange_direct(2, -3),
     lambda: gessel_gamma(-1),
@@ -237,13 +237,16 @@ def test_solve_g_shares_the_grown_components():
     lambda: gamma_t(-1),
     lambda: h_t(-1),
     lambda: gamma_e(-1),
+    lambda: divisibility_check(2, -1),
 ], ids=["solve_g", "k_lagrange_by_phi", "truncate", "k_lagrange_direct",
         "gessel_gamma", "free_cumulants", "g_e_system", "g_e_trees",
         "solve_xy_system", "unit_series", "sigma1", "geode", "geode_by_division",
-        "eta_t", "theta_t", "g_t", "gamma_t", "h_t", "gamma_e"])
+        "eta_t", "theta_t", "g_t", "gamma_t", "h_t", "gamma_e", "divisibility_check"])
 def test_negative_orders_are_refused(call):
-    # no series is exact through a negative degree
-    with pytest.raises(ValueError, match="order must be nonnegative"):
+    # no series is exact through a negative degree; the refusal names the
+    # order the caller gave (k_lagrange_direct is called with -3), not a
+    # multiple of it or a degree derived from it
+    with pytest.raises(ValueError, match=r"order must be nonnegative, got -[13]$"):
         call()
 
 
@@ -383,7 +386,7 @@ def _theta_by_division(n: int) -> NcsfSeries:
     """The definition (g^(t) - 1) / (g^(t-1) - 1), by right division."""
     g = g_t(n + 1)
     one = unit_series(POLYT_RING, n + 1)
-    return right_divide(g - one, substitute_t(g, PolyT((-1, 1))) - one)
+    return right_divide(g - one, shift_t(g) - one)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -392,13 +395,15 @@ def test_theta_t_is_the_right_quotient_of_the_levels(n):
 
 
 def test_theta_t_hands_right_divide_no_t_series(monkeypatch):
+    # theta^(t) is one right quotient of two walks: no product, inverse or
+    # right division by a series over polynomials in t
     expected = _theta_by_division(5)
 
-    def integers_only(v, u):
-        assert v.ring is INT_RING and u.ring is INT_RING, "a series over polynomials in t"
-        return right_divide(v, u)
+    def refuse(*args):
+        raise AssertionError("theta_t called a product, inverse or right division")
 
-    monkeypatch.setattr(lagrange, "right_divide", integers_only)
+    for name in ("right_divide", "series_mul", "series_inverse"):
+        monkeypatch.setattr(lagrange, name, refuse)
     assert theta_t(5) == expected
 
 
@@ -410,12 +415,6 @@ def test_theta_matches_lagrange_transform_route():
     tht = theta_t(5)
     for k in (2, 3):
         assert specialize_t(tht, k) == theta_k_by_transform(k, 5)
-
-
-def test_substitute_t():
-    gt = g_t(3)
-    shifted = substitute_t(gt, PolyT([-1, 1]))
-    assert specialize_t(shifted, 3) == specialize_t(gt, 2)
 
 
 def test_h_t_and_eta_t_tables():

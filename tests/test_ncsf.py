@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from ncgeode.lagrange import g_t, solve_g
 from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, TruncationError,
                           annihilate, compose, convert_basis,
                           lagrange_transform, negate_alphabet, phi_k,
-                          right_divide, series_inverse, series_mul,
+                          right_divide, right_quotient, series_inverse, series_mul,
                           series_power_binomial, sigma1, unit_series)
 from ncgeode.schroeder import g_e
 from oracles import (decrement_last_part, drop_last_part, mul_by_words, series_power,
@@ -91,6 +92,30 @@ def test_inverse_of_sigma1_is_signed_elementary():
     ln = convert_basis(
         NcsfSeries(INT_RING, [{}, {}, {}, {(3,): 1}], "L"), "S")
     assert {w: -c for w, c in ln.component(3).items()} == v.component(3)
+
+
+@pytest.mark.parametrize("ring", [INT_RING, POLYT_RING], ids=["int", "polyt"])
+def test_right_quotient_undoes_the_word_product(ring):
+    # w u = v has the one solution w for a divisor u with constant term 1
+    rng = random.Random(29)
+
+    def rand(order, constant):
+        u = random_series(rng, order, constant)
+        if ring is POLYT_RING:
+            u = u.map_coefficients(lambda c: PolyT((c, rng.randint(-2, 2), Fraction(1, 3))),
+                                   POLYT_RING)
+        return u
+
+    for order in range(6):
+        w, v = rand(order, 2), rand(order, 0)
+        u = unit_series(ring, order) + rand(order, 0)
+        assert right_quotient(mul_by_words(w, u), u) == w
+        assert mul_by_words(right_quotient(v, u), u) == v
+    with pytest.raises(ValueError, match="constant term 1"):
+        right_quotient(w, w)
+    r = convert_basis(u, "R")
+    with pytest.raises(ValueError, match="S basis"):
+        right_quotient(r, r)
 
 
 def test_inverse_requires_unit_constant():

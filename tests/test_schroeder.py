@@ -10,8 +10,8 @@ from ncgeode.lagrange import free_cumulant_routes, solve_g
 from ncgeode.ncsf import annihilate
 from ncgeode.schroeder import (SystemState, _grown_trees, _tree_table, delta_e_coefficient,
                                elementary, enumerate_prime_schroeder, enumerate_schroeder,
-                               g_e, gamma_e, right_branch_partition, root_children,
-                               solve_xy_system)
+                               g_e, gamma_e, iter_prime_schroeder, right_branch_partition,
+                               root_children, solve_xy_system)
 from ncgeode.verify import system_tables_hold
 from ncgeode import fixtures as fx
 from oracles import (LiftedState, chain_monomials, g_e_by_prime_trees, is_lukasiewicz,
@@ -50,6 +50,15 @@ def test_prime_schroeder_counts_and_codes():
     assert [len(enumerate_prime_schroeder(n)) for n in range(1, 6)] == \
         [fx.PRIME_SCHROEDER_COUNTS[n] for n in range(1, 6)]
     assert set(enumerate_prime_schroeder(3)) == set(fx.PRIME_SCHROEDER_3_CODES)
+
+
+def test_prime_schroeder_codes_stream_one_at_a_time():
+    # the first of the r_39 (about 10^27) prime trees of size 40 comes at once
+    assert next(iter_prime_schroeder(40)) == (40,) + (0,) * 41
+    assert tuple(iter_prime_schroeder(6)) == enumerate_prime_schroeder(6)
+    # a size below 1 is refused at the call, before any code is asked for
+    with pytest.raises(ValueError, match="at least 1"):
+        iter_prime_schroeder(0)
 
 
 def test_prime_schroeder_matches_filter_definition():
