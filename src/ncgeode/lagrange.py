@@ -12,9 +12,9 @@ Replacing the exponent m by k*m gives the k-Lagrange series; its coefficients
 are polynomials in k, which turns k into a formal indeterminate t.
 ``solve_g`` grows g by the step ``ncsf.lagrange_step``, keeping its rows
 (``ncsf``'s descent-mask layout), which every returned series shares, and
-the memo of its powers, rows too, for the life of the process, so each
-order costs only its new degrees; ``solve_g.cache_clear()`` empties the
-per-order cache but does not reset the grown g.  ``k_lagrange_direct`` is
+the memo of its powers for the life of the process: a lower order is a
+slice and a higher one costs only its new degrees, the policy by which
+``ncsf.longest`` serves ``g_t`` and ``gamma_t``.  ``k_lagrange_direct`` is
 the system of ``schroeder.solve_xy_system`` under e_m -> C(k, m): there
 y = (1 + x)^k, so g^(k) = 1 + x for every integer k.  For a
 composition I of length p, the coefficient of S^I in the t-series is the sum
@@ -54,7 +54,7 @@ from .coeffring import INT_RING, POLYT_RING, POLYT_ZERO, PolyT
 from .combinat import check_composition, tree_code_coefficient, tree_code_prefix_sums
 from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, check_order,
                    compose, graded_power, lagrange_step, lagrange_transform,
-                   left_letters, negate_alphabet, phi_k, raise_first_part,
+                   left_letters, longest, negate_alphabet, phi_k, raise_first_part,
                    right_divide, right_quotient, series_inverse, series_mul, sigma1,
                    unit_series, with_last_part)
 from .schroeder import solve_xy_system
@@ -72,8 +72,9 @@ def solve_g(order: int) -> NcsfSeries:
     """Solve the defining equation of the Lagrange series over the integers.
 
     g grows: its rows and the memo of its powers are kept for the life of
-    the process, so ``solve_g(16)`` after ``solve_g(15)`` computes only
-    degree 16.  Every returned series shares the grown rows, which are
+    the process, a lower order is a slice of the rows and ``solve_g(16)``
+    after ``solve_g(15)`` computes only degree 16, as ``ncsf.longest``
+    keeps a series.  Every returned series shares the grown rows, which are
     tuples, so no caller can change the grown state.  ``cache_clear``
     empties only the per-order cache, not the grown state.
     """
@@ -177,12 +178,11 @@ def delta_coefficient(comp: tuple[int, ...]) -> PolyT:
     return PolyT.from_packed(value, bits, math.factorial(len(comp[:-1])))
 
 
-@lru_cache(maxsize=None)
+@longest
 def g_t(order: int) -> NcsfSeries:
     """The t-Lagrange series over polynomials in t: g^(t) - 1 = gamma^(t)
     (sigma_1 - 1), so the coefficient of S^(I, x) is that of S^I in
     ``gamma_t(order - 1)``."""
-    check_order(order)
     return with_last_part(gamma_t(order - 1)) if order else unit_series(POLYT_RING, 0)
 
 
@@ -232,7 +232,7 @@ def free_cumulant_equation_holds(order: int) -> bool:
     return compose(free_cumulants(order), sig) == sig
 
 
-@lru_cache(maxsize=None)
+@longest
 def gamma_t(order: int) -> NcsfSeries:
     """The t-geode (g^(t) - 1) / (sigma_1 - 1): the last part of a word of
     g^(t) has no factor, so its rows are the prefix sums of the tree-code
@@ -249,13 +249,13 @@ def gamma_t(order: int) -> NcsfSeries:
     s! [x^s] (1 - x)^(-(1 + shift) m) <= n! C((2 + shift) n - 1, n), which
     is at most n! 4^n at shift 0 and n! 8^n at shift 1; the partial sums
     and products of a step sum some of the same terms, so they obey it too.
+    A prefix sum does not depend on n, so the longest walk serves every order.
     """
     return _packed_geode(order, 0)
 
 
 def _packed_geode(order: int, shift: int) -> NcsfSeries:
     """gamma^(t - shift) through ``order``, off the walk of ``_packed_table``."""
-    check_order(order)
     bits, table = _packed_table(order, shift)
     rows = tree_code_prefix_sums(order, table, 1, 0)
     dens = [math.factorial(j) for j in range(order + 1)]

@@ -29,12 +29,13 @@ signed (-1)^(|D|+1).  ``_descent_transform`` computes each of them.
 Every series records the degree through which it is exact; operations derive
 the output truncation from the inputs and raise rather than silently truncate.
 
-Every product, and each step of ``right_quotient`` (whose quotient of 1 is the
-inverse), is the block update ``_row_conv_into``.  ``graded_power`` reads the
-degree-d row of u^m off the rows of u through degree d, so a fixed-point
-solver (``lagrange_step``) can call it while u grows; ``compose`` reads its
-powers there too.  ``series_power_binomial`` chains ``series_mul``, as a memo
-would gain it little.  Annihilation, right division by S_1, ``phi_k`` and the
+Every product, and each step of ``_right_solve``, the triangular solve of
+``right_quotient`` (whose quotient of 1 is the inverse) and ``right_divide``,
+is the block update ``_row_conv_into``.  ``graded_power`` reads the degree-d
+row of u^m off the rows of u through degree d, so a fixed-point solver
+(``lagrange_step``) can call it while u grows; ``compose`` reads its powers
+there too.  ``series_power_binomial`` chains ``series_mul``, as a memo would
+gain it little.  Annihilation, right division by S_1, ``phi_k`` and the
 first-part map ``raise_first_part`` send each output word back to at most one
 input word, so they read slots off the rows; annihilation reaches the R and L
 bases through ``convert_basis``, one operator in every basis.
@@ -43,6 +44,7 @@ bases through ``convert_basis``, one operator in every basis.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
+from functools import wraps
 from itertools import compress, repeat
 from operator import add, itemgetter, neg, sub
 
@@ -229,6 +231,21 @@ def _series_of(ring_name: str, rows, basis: str) -> NcsfSeries:
     return NcsfSeries._of(RINGS[ring_name], rows, basis)
 
 
+def longest(build):
+    """Cache ``build(order)`` by the longest series built: a lower order is
+    its truncation, a higher one builds anew and replaces it, and a negative
+    one is refused.  ``cache_clear`` drops it; ``__wrapped__`` is ``build``."""
+    @wraps(build)
+    def series(order: int) -> NcsfSeries:
+        check_order(order)
+        if series.kept is None or series.kept.order < order:
+            series.kept = build(order)
+        return series.kept.truncate(order)
+    series.cache_clear = lambda: setattr(series, "kept", None)
+    series.cache_clear()
+    return series
+
+
 def unit_series(ring: Ring, order: int) -> NcsfSeries:
     check_order(order)
     return NcsfSeries._of(ring, [(ring.one,)] + _zero_rows(ring.zero, order)[1:])
@@ -267,11 +284,25 @@ def right_quotient(v: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
         raise ValueError("right quotients are computed in the S basis")
     if u._rows[0] != (u.ring.one,):
         raise ValueError("right quotient requires a divisor with constant term 1")
+    return _right_solve(v, u, 0)
+
+
+def _right_solve(v: NcsfSeries, u: NcsfSeries, d: int) -> NcsfSeries:
+    """The triangular solve of w u = v by the lead word u_d of u, 1 at
+    d = 0 and S_1 at d = 1: w_{n-d} = (v_n - sum_{i>d} w_{n-i} u_i) / u_d.
+    Dividing by S_1 keeps the odd slots, the words ending in 1 (at degree 1
+    its one slot); a nonzero even slot raises ``NotDivisibleError``."""
     minus_u, w = (-u)._rows, []
-    for n in range(min(v.order, u.order) + 1):
+    for n in range(d, min(v.order, u.order) + 1):
         acc = list(v._rows[n])
-        for i in range(1, n + 1):
+        for i in range(d + 1, n + 1):
             _row_conv_into(acc, w[n - i], n - i, minus_u[i], i, u.ring.one)
+        if d and n > 1:
+            for i in range(0, len(acc), 2):
+                if acc[i]:
+                    raise NotDivisibleError(f"residual term {_compositions(n)[i]} at "
+                                            f"degree {n} does not end in 1")
+            acc = acc[1::2]
         w.append(acc)
     return NcsfSeries._of(u.ring, w)
 
@@ -525,37 +556,15 @@ def lagrange_transform(g: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
 # exact right division
 
 def right_divide(v: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
-    """Solve theta * u = v exactly, for u with zero constant term and
-    lowest term S_1.
-
-    The degree-n equation theta_{n-1} u_1 = v_n - sum_{m>=2} theta_{n-m} u_m
-    determines theta triangularly; dividing by u_1 = S_1 keeps the odd slots
-    of the residual row, the words ending in 1 (at degree 1 its one slot).
-    A nonzero even slot means v is not right-divisible by u and
-    NotDivisibleError is raised.
-    """
+    """Solve theta * u = v exactly (``_right_solve``), for u with zero
+    constant term and lowest term S_1; a remainder raises NotDivisibleError."""
     v._check_compatible(u)
     if v.basis != "S":
         raise ValueError("right division is computed in the S basis")
-    ring = v.ring
     if v._rows[0][0] or u._rows[0][0]:
         raise ValueError("right division requires zero constant terms")
     if min(v.order, u.order) < 1:
         raise TruncationError("right division needs at least degree 1")
-    if u._rows[1] != (ring.one,):
+    if u._rows[1] != (v.ring.one,):
         raise ValueError("divisor must start with S_1")
-    order = min(v.order, u.order)
-    minus_u = (-u)._rows
-    theta: list = []
-    for n in range(1, order + 1):
-        residual = list(v._rows[n])
-        for m in range(2, n + 1):
-            _row_conv_into(residual, theta[n - m], n - m, minus_u[m], m, ring.one)
-        if n > 1:
-            for i in range(0, len(residual), 2):
-                if residual[i]:
-                    raise NotDivisibleError(f"residual term {_compositions(n)[i]} at "
-                                            f"degree {n} does not end in 1")
-            residual = residual[1::2]
-        theta.append(residual)
-    return NcsfSeries._of(ring, theta)
+    return _right_solve(v, u, 1)

@@ -169,7 +169,7 @@ def series_from_json(data: dict) -> NcsfSeries:
                 raise ValueError(f"two terms on the composition {word}")
             try:
                 value = ring.from_json(coeff)
-            except (KeyError, TypeError):
+            except (KeyError, TypeError, ZeroDivisionError):
                 raise ValueError(f"bad {ring_name} coefficient {coeff!r}") from None
             comps[degree][tuple(word)] = value
     return NcsfSeries(ring, comps, basis)

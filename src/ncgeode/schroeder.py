@@ -48,8 +48,8 @@ from functools import lru_cache
 from itertools import product
 
 from .coeffring import EPOLY_RING, EPoly, Ring, elementary_of_multiple
-from .ncsf import (NcsfSeries, check_order, graded_power, lagrange_step, unit_series,
-                   with_last_part)
+from .ncsf import (NcsfSeries, check_order, graded_power, lagrange_step, longest,
+                   unit_series, with_last_part)
 from .combinat import (_root_children, iter_tree_codes, tree_code_coefficient,
                        tree_code_prefix_sums)
 
@@ -248,10 +248,9 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
     raise ValueError(f"unknown route {route!r}")
 
 
-@lru_cache(maxsize=None)
+@longest
 def gamma_e(order: int) -> NcsfSeries:
     """The e-geode g^[e] S_1^{-1}: its coefficient at I is the prefix sum
     at I of the tree-code walk, whose rows are read off directly."""
-    check_order(order)
     return NcsfSeries._of(EPOLY_RING, tree_code_prefix_sums(
         order, _elementary_table, EPOLY_RING.one, EPOLY_RING.zero))

@@ -121,6 +121,8 @@ def _with_terms(data, degree, *terms):
                  "bad polyt coefficient", id="polyt-float-entry"),
     pytest.param(lambda d: _with_terms({**d, "ring": "polyt"}, 2, ([2], "12")),
                  "bad polyt coefficient", id="polyt-coeff-not-a-list"),
+    pytest.param(lambda d: _with_terms({**d, "ring": "polyt"}, 2, ([2], ["1/0"])),
+                 "bad polyt coefficient", id="polyt-zero-denominator"),
     pytest.param(lambda d: _with_terms({**d, "ring": "epoly"}, 2,
                                        ([2], [{"partition": [1], "coeff": 2.5}])),
                  "bad epoly coefficient", id="epoly-float-coeff"),
@@ -419,6 +421,16 @@ def test_usage_errors_exit_2(capsys):
     code = main(["trees", "--kind", "prime-schroeder", "--n", "0"])
     assert "at least 1" in capsys.readouterr().err
     assert code == 2
+    for argv, message in (
+            (["klagrange", "--route", "phi", "--k", "0", "--degree", "3"],
+             "the phi route needs k >= 1"),
+            (["trees", "--kind", "pqr"], "--shape is required for pqr"),
+            (["specialize", "--series", "ge", "--map", "catalan", "--order", "3"],
+             "catalan applies to integer series (g or gamma)")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == "" and message in captured.err, argv
     # a flag that the kind does not read is refused, not ignored
     for argv, flag in ((["trees", "--kind", "schroeder", "--n", "3", "--shape", "1,2"],
                         "--shape"),

@@ -14,7 +14,7 @@ from ncgeode.combinat import (_plane_arity, _subtree_end, catalan, coarsenings,
                               parking_quasi_ribbons, plane_tree_codes_with_nodes,
                               remove_last_corolla, shift_words, trailing_zeros,
                               tree_code_coefficient, tree_code_prefix_sums)
-from ncgeode import combinat, lagrange
+from ncgeode import combinat, lagrange, schroeder
 from ncgeode.lagrange import delta_coefficient, gamma_t
 from ncgeode.schroeder import _arity, delta_e_coefficient, gamma_e
 from oracles import (constant_table, is_lukasiewicz, lukasiewicz_root_children,
@@ -151,13 +151,20 @@ def test_single_coefficients_refuse_words_that_are_not_compositions(single, word
         single(word)
 
 
-def test_single_coefficients_walk_only_their_path():
+def test_single_coefficients_walk_only_their_path(monkeypatch):
     # neither the whole t-geode nor the whole e-geode is read or built
+    def refuse(*args):
+        raise AssertionError("a whole prefix walk")
+    monkeypatch.setattr(lagrange, "tree_code_prefix_sums", refuse)
+    monkeypatch.setattr(schroeder, "tree_code_prefix_sums", refuse)
     comp = (2,) + (1,) * 10
-    for single, whole in ((delta_coefficient, gamma_t), (delta_e_coefficient, gamma_e)):
-        before = whole.cache_info()
-        single.__wrapped__(comp)
-        assert whole.cache_info() == before, single.__name__
+    assert delta_coefficient.__wrapped__(comp) == tree_code_sum(
+        comp, lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT())
+    assert delta_e_coefficient.__wrapped__(comp) == tree_code_sum(
+        comp, elementary_of_multiple, EPoly.one(), EPoly())
+    gamma_t.cache_clear()
+    with pytest.raises(AssertionError, match="whole prefix walk"):
+        gamma_t(2)
     # degree 30: the whole walk would visit 2^28 prefixes
     comp = (2,) + (1,) * 28
     assert delta_coefficient(comp) == tree_code_sum(

@@ -54,6 +54,10 @@ CASES = {
                                           "--series", "gamma", "--order", "10"],
     "specialize_ge_zq_5.txt": ["specialize", "--map", "zq", "--series", "ge",
                                "--order", "5"],
+    "specialize_g_catalan_json_5.txt": ["specialize", "--map", "catalan", "--series", "g",
+                                        "--order", "5", "--format", "json"],
+    "specialize_ge_zq_json_4.txt": ["specialize", "--map", "zq", "--series", "ge",
+                                    "--order", "4", "--format", "json"],
     "expand_g_json_3.txt": ["expand", "--series", "g", "--degree", "3",
                             "--format", "json"],
     "expand_gessel_int_6.txt": ["expand", "--series", "gessel", "--degree", "6"],

@@ -20,7 +20,7 @@ from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate,
                           unit_series)
 from ncgeode.schroeder import g_e, gamma_e, solve_xy_system
 from ncgeode import fixtures as fx
-from ncgeode import lagrange
+from ncgeode import lagrange, schroeder
 from oracles import (g_from_trees, generator, k_lagrange_by_powers, map_words,
                      lukasiewicz_root_children, polyt_binomial_table, series_power,
                      shift_t, tree_code_sum, zero_series)
@@ -161,6 +161,39 @@ def test_packed_walks_multiply_no_polynomials(monkeypatch):
     assert delta_coefficient.__wrapped__((2, 1, 1)) == fx.DELTA_211
     with pytest.raises(AssertionError, match="PolyT product"):
         binomial_polynomial(2, 3)
+
+
+def test_one_walk_serves_every_lower_order(monkeypatch):
+    # a walk through n holds every lower order: after the geode through 8,
+    # every series read off that walk is its truncation, and a higher order
+    # walks exactly once; each equals the series built with empty caches
+    walks = []
+
+    def counted(walk):
+        return lambda n, *rest: walks.append(n) or walk(n, *rest)
+
+    for module in lagrange, schroeder:
+        monkeypatch.setattr(module, "tree_code_prefix_sums",
+                            counted(module.tree_code_prefix_sums))
+    families = (((gamma_t, g_t), [(gamma_t, 8), (g_t, 9), (h_t, 10), (eta_t, 9)]),
+                ((gamma_e,), [(gamma_e, 8), (lambda k: g_e(k, "delta"), 9)]))
+
+    def cleared(caches):
+        for cache in caches:
+            cache.cache_clear()
+
+    for caches, reads in families:
+        for series, top in reads:
+            for k in range(top + 3):
+                cleared(caches)
+                fresh = series(k)
+                cleared(caches)
+                caches[0](8)
+                walks.clear()
+                assert series(k) == fresh, (series, k)
+                # the geode through k - top + 8 is walked only above 8
+                assert walks == ([k - top + 8] if k > top else []), (series, k)
+    assert gamma_t(5) == gamma_t.__wrapped__(5) and gamma_e(5) == gamma_e.__wrapped__(5)
 
 
 def test_g_t_at_one_is_g_through_degree_10():
