@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands: expand, klagrange, eseries, trees, specialize, verify.
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Everything is
-controlled by flags; output is deterministic for identical invocations.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 output cut
+short by the reader.  Flags control everything; equal invocations print equal output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from itertools import islice
@@ -32,6 +33,10 @@ MAX_ITEMS = 10**6
 PQR_MAX_LETTERS = 2000
 # items per json.dumps: one item per call doubles the CPU, all in one holds them all
 JSON_CHUNK = 1024
+
+
+class Refused(Exception):
+    """A refused request: ``main`` prints the message to stderr and exits 2."""
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -63,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="expand a named series")
+    p.set_defaults(run=cmd_expand)
     p.add_argument("--series", required=True,
                    choices=("g", "gamma", "h", "eta", "gessel"))
     p.add_argument("--degree", type=_nonnegative, required=True)
@@ -71,17 +77,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("klagrange", help="expand the k-Lagrange series")
+    p.set_defaults(run=cmd_klagrange)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--degree", type=_nonnegative, required=True)
     p.add_argument("--route", choices=("direct", "phi", "delta"), default="delta")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("eseries", help="expand the e-Lagrange series or e-geode")
+    p.set_defaults(run=cmd_eseries)
     p.add_argument("--series", choices=("g", "gamma"), required=True)
     p.add_argument("--degree", type=_nonnegative, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("trees", help="enumerate tree codes or ribbon fillings")
+    p.set_defaults(run=cmd_trees)
     p.add_argument("--kind", required=True,
                    choices=("lukasiewicz", "schroeder", "prime-schroeder", "pqr"))
     p.add_argument("--n", type=_nonnegative)
@@ -89,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("specialize", help="apply a generating-function specialization")
+    p.set_defaults(run=cmd_specialize)
     p.add_argument("--map", required=True, dest="map_name",
                    choices=("catalan", "coeff-sum", "ribbon-u", "lambda-abs", "zq"))
     p.add_argument("--series", choices=("g", "gamma", "ge"), required=True)
@@ -96,21 +106,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify", help="run the verification suites")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--degree", type=_nonnegative, default=6)
     return parser
 
 
-def _refuse_order(order: int, request: str) -> bool:
-    """Refuse, with a message, a request that solves a series through
+def _refuse_order(order: int, request: str) -> None:
+    """Raise ``Refused`` for a request that solves a series through
     ``order`` when 2^(order+1) words exceed ``MAX_ITEMS``: a series through
     order n holds up to 2^n words, one per composition of each degree."""
     # compared by bit length, so a huge order costs no huge power of 2
-    if order + 1 < MAX_ITEMS.bit_length():
-        return False
-    print(f"{request} needs up to 2^{order + 1} words, "
-          f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
-    return True
+    if order + 1 >= MAX_ITEMS.bit_length():
+        raise Refused(f"{request} needs up to 2^{order + 1} words, "
+                      f"more than the limit of {MAX_ITEMS}")
 
 
 def _emit_series(series, name, fmt, out):
@@ -124,21 +133,16 @@ def _emit_series(series, name, fmt, out):
 def cmd_expand(args, out) -> int:
     n = args.degree
     # the series solved reach order n + 1 at most, which holds 2^(n+1) words
-    if _refuse_order(n, f"--degree {n}"):
-        return 2
+    _refuse_order(n, f"--degree {n}")
     if args.ring == "int":
         makers = {"g": solve_g, "gamma": geode, "gessel": gessel_gamma,
                   "h": lambda d: prime_series(d)[0],
                   "eta": lambda d: prime_series(d)[1]}
-        series = makers[args.series](n)
+    elif args.series == "gessel":
+        raise Refused("the inversion-formula route is only computed over int")
     else:
-        if args.series == "gessel":
-            print("the inversion-formula route is only computed over int",
-                  file=sys.stderr)
-            return 2
         makers = {"g": g_t, "gamma": gamma_t, "h": h_t, "eta": eta_t}
-        series = makers[args.series](n)
-    series = convert_basis(series, args.basis)
+    series = convert_basis(makers[args.series](n), args.basis)
     _emit_series(series, args.series, args.format, out)
     return 0
 
@@ -146,12 +150,10 @@ def cmd_expand(args, out) -> int:
 def cmd_klagrange(args, out) -> int:
     n = args.degree
     if args.route == "phi" and args.k < 1:
-        print("the phi route needs k >= 1", file=sys.stderr)
-        return 2
+        raise Refused("the phi route needs k >= 1")
     # the phi route solves g through order k n, the others through order n
     order = args.k * n if args.route == "phi" else n
-    if _refuse_order(order, f"--route {args.route} --k {args.k} --degree {n}"):
-        return 2
+    _refuse_order(order, f"--route {args.route} --k {args.k} --degree {n}")
     if args.route == "direct":
         series = k_lagrange_direct(args.k, n)
     elif args.route == "phi":
@@ -165,8 +167,7 @@ def cmd_klagrange(args, out) -> int:
 def cmd_eseries(args, out) -> int:
     # gamma^[e] through degree n is read off the prefix walk through n, and
     # g^[e] through n appends the last parts to the walk through n - 1
-    if _refuse_order(args.degree, f"--series {args.series} --degree {args.degree}"):
-        return 2
+    _refuse_order(args.degree, f"--series {args.series} --degree {args.degree}")
     series = g_e(args.degree) if args.series == "g" else gamma_e(args.degree)
     name = "g^[e]" if args.series == "g" else "gamma^[e]"
     _emit_series(series, name, args.format, out)
@@ -205,37 +206,30 @@ def cmd_trees(args, out) -> int:
     # a flag the kind does not read is refused, not ignored
     flag, value = ("--n", args.n) if args.kind == "pqr" else ("--shape", args.shape)
     if value is not None:
-        print(f"{flag} is not read by --kind {args.kind}", file=sys.stderr)
-        return 2
+        raise Refused(f"{flag} is not read by --kind {args.kind}")
     if args.kind == "pqr":
         if args.shape is None:
-            print("--shape is required for pqr", file=sys.stderr)
-            return 2
+            raise Refused("--shape is required for pqr")
         letters = sum(args.shape)
         if letters > PQR_MAX_LETTERS:
-            print(f"shape has {letters} letters, more than the limit of "
-                  f"{PQR_MAX_LETTERS}", file=sys.stderr)
-            return 2
+            raise Refused(f"shape has {letters} letters, more than the limit of "
+                          f"{PQR_MAX_LETTERS}")
         count = count_parking_quasi_ribbons(args.shape)
         if count > MAX_ITEMS:
-            print(f"shape {','.join(map(str, args.shape))} has {count} fillings, "
-                  f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
-            return 2
+            raise Refused(f"shape {','.join(map(str, args.shape))} has {count} "
+                          f"fillings, more than the limit of {MAX_ITEMS}")
         _emit_items({"kind": "pqr", "shape": args.shape},
                     iter_parking_quasi_ribbons(args.shape), count,
                     lambda f: "|".join(map(word_str, f)), args.format, out)
         return 0
     if args.n is None:
-        print("--n is required for tree enumerations", file=sys.stderr)
-        return 2
+        raise Refused("--n is required for tree enumerations")
     if args.kind == "prime-schroeder" and args.n < 1:
-        print("prime Schroeder trees need --n of at least 1", file=sys.stderr)
-        return 2
+        raise Refused("prime Schroeder trees need --n of at least 1")
     count = count_trees(args.kind, args.n)
     if count > MAX_ITEMS:
-        print(f"--kind {args.kind} --n {args.n} has {count} trees, "
-              f"more than the limit of {MAX_ITEMS}", file=sys.stderr)
-        return 2
+        raise Refused(f"--kind {args.kind} --n {args.n} has {count} trees, "
+                      f"more than the limit of {MAX_ITEMS}")
     codes = (iter_prime_schroeder(args.n) if args.kind == "prime-schroeder" else
              iter_tree_codes(args.n, _plane_arity if args.kind == "lukasiewicz" else _arity))
     _emit_items({"kind": args.kind, "n": args.n}, codes, count, word_str, args.format, out)
@@ -246,13 +240,10 @@ def cmd_specialize(args, out) -> int:
     name = f"{args.series}:{args.map_name}"
     # the geode through order n is read off g through n + 1
     order = args.order + (args.series == "gamma")
-    if _refuse_order(order, f"--series {args.series} --order {args.order}"):
-        return 2
+    _refuse_order(order, f"--series {args.series} --order {args.order}")
     if args.map_name == "zq":
         if args.series != "ge":
-            print("zq applies to the e-Lagrange series (--series ge)",
-                  file=sys.stderr)
-            return 2
+            raise Refused("zq applies to the e-Lagrange series (--series ge)")
         series = specialize_ncsf(g_e(args.order), "zq")
         if args.format == "json":
             print(json.dumps(biseries_to_json_dict(series, name)), file=out)
@@ -261,9 +252,7 @@ def cmd_specialize(args, out) -> int:
                 print(f"z^{i} q^{j}: {c}", file=out)
         return 0
     if args.series == "ge":
-        print(f"{args.map_name} applies to integer series (g or gamma)",
-              file=sys.stderr)
-        return 2
+        raise Refused(f"{args.map_name} applies to integer series (g or gamma)")
     base = solve_g(args.order) if args.series == "g" else geode(args.order)
     series = specialize_ncsf(base, args.map_name)
     if args.format == "json":
@@ -281,18 +270,20 @@ def cmd_verify(args, out) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
-    handlers = {
-        "expand": cmd_expand,
-        "klagrange": cmd_klagrange,
-        "eseries": cmd_eseries,
-        "trees": cmd_trees,
-        "specialize": cmd_specialize,
-        "verify": cmd_verify,
-    }
-    return handlers[args.command](args, out)
+    args = build_parser().parse_args(argv)
+    try:
+        code = args.run(args, sys.stdout)
+        # a reader that closed the pipe is met here, not at the exit flush
+        sys.stdout.flush()
+        return code
+    except Refused as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the exit flush goes to /dev/null; a shell reports 141 for SIGPIPE
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -118,7 +118,10 @@ class PolyT:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # a constant equals, so hashes as, the number it holds
+        if len(self.num) > 1:
+            return hash((self.num, self.den))
+        return hash(Fraction(sum(self.num), self.den))
 
     def __add__(self, other) -> "PolyT":
         if not isinstance(other, PolyT):

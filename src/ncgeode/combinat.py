@@ -216,8 +216,6 @@ def _letter_step(vec: list, j: int, cap: int, f, zero) -> list:
     # vec[s] with s >= j is all that a prefix of length j keeps
     for s in range(j, min(len(vec), cap)):
         v = vec[s]
-        if not v:
-            continue
         if s > j:
             new[s] = new[s] + v          # letter 0, whose factor is one
         fs = f[s]
@@ -241,9 +239,7 @@ def tree_code_prefix_sums(n: int, table, one, zero) -> list[list]:
     depth-first walk over the prefixes I through n writes entry len(I) of
     the vector at I into slot ``descent_mask(I)`` of row |I|; a child
     I + (x,) takes one letter step from its parent's vector, capped at j
-    plus the parts left after I in the longest composition through I.  A
-    prefix whose vector is zero is not walked below: its slot and theirs
-    keep ``zero``.
+    plus the parts left after I in the longest composition through I.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -254,9 +250,8 @@ def tree_code_prefix_sums(n: int, table, one, zero) -> list[list]:
         rows[total][mask] = vec[j]
         for x in range(1, n - total + 1):
             new = _letter_step(vec, j, n - total - x + j + 2, tables[x], zero)
-            if any(new):
-                # the descent |I| joins those of I, if I is not empty
-                walk(j + 1, total + x, (mask << x) | 1 << (x - 1) if j else 0, new)
+            # the descent |I| joins those of I, if I is not empty
+            walk(j + 1, total + x, (mask << x) | 1 << (x - 1) if j else 0, new)
 
     walk(0, 0, 0, [one])
     return rows

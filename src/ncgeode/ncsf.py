@@ -169,10 +169,11 @@ class NcsfSeries:
                                   f"component {n} requested")
         return _Component(self._rows[n], n)
 
-    def coefficient(self, word: tuple[int, ...]):
-        """The coefficient of a composition; a part below 1 raises
-        ``ValueError``."""
-        if any(p < 1 for p in word):
+    def coefficient(self, word):
+        """The coefficient of a composition, a sequence of parts; a part that
+        is not a positive int raises ``ValueError``."""
+        word = tuple(word)
+        if not all(type(p) is int and p >= 1 for p in word):
             raise ValueError(f"not a composition: {word}")
         return self.component(sum(word)).get(word, self.ring.zero)
 

@@ -48,8 +48,8 @@ from functools import lru_cache
 from itertools import product
 
 from .coeffring import EPOLY_RING, EPoly, Ring, elementary_of_multiple
-from .ncsf import (NcsfSeries, check_order, graded_power, lagrange_step, longest,
-                   unit_series, with_last_part)
+from .ncsf import (NcsfSeries, _row_conv_into, check_order, graded_power,
+                   lagrange_step, longest, unit_series, with_last_part)
 from .combinat import (_root_children, iter_tree_codes, tree_code_coefficient,
                        tree_code_prefix_sums)
 
@@ -189,8 +189,8 @@ def solve_xy_system(order: int, ring: Ring, c) -> SystemState:
         for m, cm in enumerate(coeffs[:n], 1):
             # C(k, m) vanishes for m > k >= 0, and that power is never read
             if cm:
-                yn = [t + coeff * cm if coeff else t
-                      for t, coeff in zip(yn, graded_power(x, m, n, x_memo, one, zero))]
+                _row_conv_into(yn, [cm], 0, graded_power(x, m, n, x_memo, one, zero),
+                               n, one)
         y.append(yn)
     return SystemState(order, NcsfSeries._of(ring, x), NcsfSeries._of(ring, y))
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -271,8 +274,24 @@ def test_klagrange_direct_reaches_the_power_limit(capsys):
 
 def test_size_guard_bound():
     # 2^19 < MAX_ITEMS = 10^6 < 2^20
-    assert not _refuse_order(18, "order 18")
-    assert _refuse_order(19, "order 19")
+    _refuse_order(18, "order 18")
+    with pytest.raises(cli.Refused, match=r"^order 19 needs up to 2\^20 words"):
+        _refuse_order(19, "order 19")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_pipe_exits_141_quietly(fmt):
+    # the output, about 0.7 MB as text and 2 MB as JSON, outgrows the pipe
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen([sys.executable, "-m", "ncgeode.cli", "trees", "--kind",
+                             "lukasiewicz", "--n", "11", "--format", fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline(64)
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 @pytest.mark.parametrize("kind", ["lukasiewicz", "schroeder", "prime-schroeder"])

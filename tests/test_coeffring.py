@@ -30,6 +30,13 @@ def test_polyt_basic_ops():
     assert PolyT([1, 2, 1]).evaluate(Fraction(1, 2)) == Fraction(9, 4)
 
 
+@pytest.mark.parametrize("c", [0, 1, -3, Fraction(1, 2)])
+def test_constant_polyt_hashes_as_its_number(c):
+    # equal objects hash equal, so a set holds one of them
+    assert PolyT((c,)) == c and hash(PolyT((c,))) == hash(c)
+    assert len({c, PolyT((c,))}) == 1
+
+
 def test_polyt_normalization():
     assert PolyT([1, 0, 0]).coeffs == (Fraction(1),)
     assert PolyT([0, 0]).coeffs == ()

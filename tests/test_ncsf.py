@@ -1,13 +1,16 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from ncgeode.coeffring import INT_RING, POLYT_RING, PolyT
-from ncgeode.combinat import compositions
-from ncgeode.lagrange import g_t, solve_g
+from ncgeode.coeffring import (INT_RING, POLYT_ONE, POLYT_RING, PolyT, binomial_polynomial,
+                               elementary_of_multiple)
+from ncgeode.combinat import compositions, plane_tree_codes_with_nodes, remove_last_corolla
+from ncgeode.lagrange import (g_t, geode, k_lagrange_by_phi, solve_g,
+                              theta_k_by_transform)
 from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, TruncationError,
                           annihilate, compose, convert_basis,
                           lagrange_transform, negate_alphabet, phi_k,
@@ -318,6 +321,69 @@ def test_word_of_wrong_degree_is_rejected():
             NcsfSeries(INT_RING, comps)
 
 
+def s1():
+    return s_series({(1,): 1}, 2)
+
+
+def s1_in_r():
+    return convert_basis(s1(), "R")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: NcsfSeries(INT_RING, [{}], basis="X"), ValueError,
+                 "unknown basis 'X'", id="series-basis"),
+    pytest.param(lambda: s1() + s1().map_coefficients(lambda c: PolyT((c,)), POLYT_RING),
+                 ValueError, "ring mismatch: int vs polyt", id="ring-mismatch"),
+    pytest.param(lambda: s1() + s1_in_r(), ValueError, "basis mismatch: S vs R",
+                 id="basis-mismatch"),
+    pytest.param(lambda: series_mul(s1_in_r(), s1_in_r()), ValueError,
+                 "products are computed in the S basis", id="mul-basis"),
+    pytest.param(lambda: series_power_binomial(s1(), POLYT_ONE), ValueError,
+                 "binomial power requires constant term 1", id="power-constant"),
+    pytest.param(lambda: annihilate(s1(), 0), ValueError,
+                 "annihilation index must be positive", id="annihilate-index"),
+    pytest.param(lambda: convert_basis(s1(), "X"), ValueError, "unknown basis 'X'",
+                 id="convert-basis"),
+    pytest.param(lambda: negate_alphabet(s1_in_r()), ValueError,
+                 "alphabet negation acts on the S basis", id="negate-basis"),
+    pytest.param(lambda: phi_k(s1_in_r(), 2), ValueError, "phi_k acts on the S basis",
+                 id="phi-basis"),
+    pytest.param(lambda: phi_k(s1(), 0), ValueError, "k must be positive", id="phi-k"),
+    pytest.param(lambda: lagrange_transform(solve_g(2), s1_in_r()), ValueError,
+                 "the transform acts on the S basis", id="transform-basis"),
+    pytest.param(lambda: right_divide(s1_in_r(), s1_in_r()), ValueError,
+                 "right division is computed in the S basis", id="divide-basis"),
+    pytest.param(lambda: right_divide(solve_g(2), s1()), ValueError,
+                 "right division requires zero constant terms", id="divide-constant"),
+    pytest.param(lambda: right_divide(s_series({}, 0), s_series({}, 0)), TruncationError,
+                 "right division needs at least degree 1", id="divide-order"),
+    pytest.param(lambda: geode(3, 0), ValueError, "corolla size k must be positive",
+                 id="geode-k"),
+    pytest.param(lambda: k_lagrange_by_phi(0, 3), ValueError, "phi route requires k >= 1",
+                 id="phi-route-k"),
+    pytest.param(lambda: theta_k_by_transform(0, 3), ValueError, "k must be at least 1",
+                 id="transform-route-k"),
+    pytest.param(lambda: g_e(3, "bogus"), ValueError, "unknown route 'bogus'",
+                 id="g-e-route"),
+    pytest.param(lambda: PolyT((1,)).scale_div(0), ZeroDivisionError,
+                 "division of PolyT by zero scalar", id="scale-div-zero"),
+    pytest.param(lambda: binomial_polynomial(-1, 2), ValueError,
+                 "m and a must be nonnegative", id="binomial-polynomial"),
+    pytest.param(lambda: elementary_of_multiple(-1, 2), ValueError,
+                 "k and j must be nonnegative", id="elementary-of-multiple"),
+    pytest.param(lambda: compositions(-1), ValueError, "n must be nonnegative",
+                 id="compositions"),
+    pytest.param(lambda: plane_tree_codes_with_nodes(0), ValueError,
+                 "a tree has at least one node", id="tree-codes"),
+    pytest.param(lambda: remove_last_corolla((1, 0), 0), ValueError,
+                 "corolla size must be positive", id="remove-corolla"),
+])
+def test_refusals_raise_their_message(call, error, message):
+    # raised, not asserted, so each check also holds under python -O
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_truncation_errors_are_loud():
     u = s_series({(1,): 1}, 2)
     with pytest.raises(TruncationError):
@@ -333,11 +399,11 @@ def test_negative_degree_and_parts_are_refused():
     g = solve_g(3)
     with pytest.raises(ValueError, match="negative degree"):
         g.component(-1)
-    for word in [(-1,), (2, 0), (4, -1)]:
+    for word in [(-1,), (2, 0), (4, -1), (2.0, 1), [1, True]]:
         with pytest.raises(ValueError, match="not a composition"):
             g.coefficient(word)
     assert g.coefficient(()) == 1
-    assert g.coefficient((2, 1)) == 2
+    assert g.coefficient((2, 1)) == g.coefficient([2, 1]) == 2
 
 
 @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
