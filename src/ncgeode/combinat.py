@@ -10,8 +10,8 @@ its tree family; ``schroeder`` splits its codes with it.
 Sums over plane tree codes weighted by a composition are a DP over the
 running letter sum, one ``_letter_step`` per letter: a walk of every prefix
 writes a whole series as descent-mask rows, and ``tree_code_coefficient``
-loops along one composition for a single coefficient.  Both read the factor
-of a letter a after the letter sum s from a table row indexed by s.
+loops along one composition for a single coefficient.  Both take the factor
+of a letter a of part i as ``factor(a, i)``, read once into a row per part.
 """
 
 from __future__ import annotations
@@ -208,48 +208,45 @@ def plane_tree_codes_with_nodes(p: int) -> list[tuple[int, ...]]:
     return enumerate_lukasiewicz(p - 1)
 
 
-def _letter_step(vec: list, j: int, cap: int, f, zero) -> list:
-    """The DP vector after a letter of table ``f`` on the vector ``vec``
-    of a prefix of length j, capped below the letter sum ``cap``: entry s
-    of ``vec`` reaches entry s + a through the factor f[s][a]."""
+def _letter_step(vec: list, j: int, cap: int, f: list, zero) -> list:
+    """The DP vector after a letter of factor row ``f`` on the vector
+    ``vec`` of a prefix of length j, capped below the letter sum ``cap``:
+    entry s of ``vec`` reaches entry s + a through the factor f[a]."""
     new = [zero] * cap
     # vec[s] with s >= j is all that a prefix of length j keeps
     for s in range(j, min(len(vec), cap)):
         v = vec[s]
         if s > j:
             new[s] = new[s] + v          # letter 0, whose factor is one
-        fs = f[s]
         for a in range(max(j + 1 - s, 1), cap - s):
-            new[s + a] = new[s + a] + v * fs[a]
+            new[s + a] = new[s + a] + v * f[a]
     return new
 
 
-def tree_code_prefix_sums(n: int, table, one, zero) -> list[list]:
+def tree_code_prefix_sums(n: int, factor, one, zero) -> list[list]:
     """For every composition (I, x) with |I| <= n, the sum over the codes
-    a of plane trees with len(I) + 1 nodes of the products of the factors
-    of the letters a_1, ..., a_p, p = len(I); the last code letter is zero
-    and, like x, has no factor, so the sum is the same for every x.
+    a of plane trees with len(I) + 1 nodes of the products
+    factor(a_1, i_1) ... factor(a_p, i_p), p = len(I); the last code letter
+    is zero and, like x, has no factor, so the sum is the same for every x.
 
     Entry s of the DP vector after j letters sums the prefixes of letter
-    sum s >= j.  ``table(i, size)`` gives the factors of a letter of part
-    i, indexed by s and then by the letter a, for s + a < size: a letter
-    step adds vec[s] * table[s][a] into entry s + a, and table[s][0] must
-    be ``one``.  A factor that does not read s repeats one row for every
-    s; the t-series reads s to keep its packed ints integral.  A
-    depth-first walk over the prefixes I through n writes entry len(I) of
-    the vector at I into slot ``descent_mask(I)`` of row |I|; a child
-    I + (x,) takes one letter step from its parent's vector, capped at j
-    plus the parts left after I in the longest composition through I.
+    sum s >= j, and a letter a of part i adds vec[s] * factor(a, i) into
+    entry s + a; factor(0, i) must be ``one``.  The factors are read once,
+    a row of letters 0..n per part.  A depth-first walk over the prefixes
+    I through n writes entry len(I) of the vector at I into slot
+    ``descent_mask(I)`` of row |I|; a child I + (x,) takes one letter step
+    from its parent's vector, capped at j plus the parts left after I in
+    the longest composition through I.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    tables = {i: table(i, n + 1) for i in range(1, n + 1)}
+    factors = {i: [factor(a, i) for a in range(n + 1)] for i in range(1, n + 1)}
     rows = _zero_rows(zero, n)
 
     def walk(j, total, mask, vec):
         rows[total][mask] = vec[j]
         for x in range(1, n - total + 1):
-            new = _letter_step(vec, j, n - total - x + j + 2, tables[x], zero)
+            new = _letter_step(vec, j, n - total - x + j + 2, factors[x], zero)
             # the descent |I| joins those of I, if I is not empty
             walk(j + 1, total + x, (mask << x) | 1 << (x - 1) if j else 0, new)
 
@@ -262,16 +259,16 @@ def check_composition(comp: tuple[int, ...]) -> None:
         raise ValueError(f"not a composition: {comp}")
 
 
-def tree_code_coefficient(comp: tuple[int, ...], table, one, zero):
+def tree_code_coefficient(comp: tuple[int, ...], factor, one, zero):
     """The tree-code sum at ``comp`` = (J, x) alone, the prefix sum at J: a
-    loop of letter steps along J, with the tables of the parts of J for
-    sums and letters through len(J), about len(J)^3 / 6 ring products."""
+    loop of letter steps along J, with factor rows of letters through
+    len(J) for the parts of J only, about len(J)^3 / 6 ring products."""
     check_composition(comp)
     J = comp[:-1]
-    tables = {i: table(i, len(J) + 1) for i in set(J)}
+    factors = {i: [factor(a, i) for a in range(len(J) + 1)] for i in set(J)}
     vec = [one]
     for j, x in enumerate(J):
-        vec = _letter_step(vec, j, len(J) + 1, tables[x], zero)
+        vec = _letter_step(vec, j, len(J) + 1, factors[x], zero)
     return vec[len(J)]
 
 

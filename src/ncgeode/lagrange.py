@@ -32,8 +32,9 @@ the coefficient of S^I in the t-geode for every x >= 1: ``gamma_t`` wraps
 the walk's descent-mask rows, ``g_t`` appends every last part to them, and
 ``delta_coefficient`` loops along its own composition, about p^3 / 6
 products for p parts.  Neither multiplies polynomials: the walk runs over
-ints that pack each polynomial at x = 2^B (Kronecker substitution), entry s
-of a DP vector scaled by s! so that every factor is an integer polynomial,
+the integer values at t = x = 2^B, where every factor C(x i, a) is an
+integer, and the finished slot of a prefix of j parts, times j!, packs an
+integer polynomial (Kronecker substitution) that its base-2^B digits spell,
 with B = bit_length(n! 4^n) + 1 through n (``gamma_t`` gives the bound).
 At x = 2^B - 1, with B = bit_length(n! 8^n) + 1, it packs gamma^(t - 1),
 and ``theta_t`` is one right quotient of the two walks.
@@ -147,35 +148,27 @@ def eta_identities(order: int) -> dict[str, bool]:
 # the t-hierarchy
 
 def _packed_table(n: int, shift: int):
-    """The digit width B of a walk through n and its tree-code table
-    F_i[s][a] = C(s + a, a) prod_{r < a} (i x - r) at x = 2^B - shift, for
-    DP entries scaled by s! (s! a! C(s + a, a) = (s + a)!), row s stopping
-    where s + a reaches ``size``; p(2^B - 1) is p(t - 1) read at t = 2^B.
-    B is bit_length(n! 4^n 2^(shift n)) + 1, by the bound of ``gamma_t``."""
+    """The digit width B of a walk through n and its tree-code factor
+    C(i x, a) at x = 2^B - shift, the integer value of C(t i, a) at t = x;
+    p(2^B - 1) is p(t - 1) read at t = 2^B.  B is
+    bit_length(n! 4^n 2^(shift n)) + 1, by the bound of ``gamma_t``."""
     bits = (math.factorial(n) << (2 + shift) * n).bit_length() + 1
     x = (1 << bits) - shift
-
-    def table(i: int, size: int) -> list:
-        falling = [1]
-        for r in range(size - 1):
-            falling.append(falling[-1] * (i * x - r))
-        return [[math.comb(s + a, a) * p for a, p in enumerate(falling[:size - s])]
-                for s in range(size)]
-    return bits, table
+    return bits, lambda a, i: math.comb(i * x, a)
 
 
 @lru_cache(maxsize=None)
 def delta_coefficient(comp: tuple[int, ...]) -> PolyT:
     """Coefficient of S^I in the t-Lagrange series as a polynomial in t,
     a loop along I alone (``combinat.tree_code_coefficient``): about
-    p^3 / 6 products of ints packed as in ``gamma_t``, with n = |I|, for
-    p parts, where the whole ``gamma_t`` walk would visit 2^(|I| - i_last)
-    prefixes.  Its one value, (p - 1)! times the coefficient, is unpacked
+    p^3 / 6 products of integer values at t = 2^B as in ``gamma_t``, with
+    n = |I|, for p parts, where the whole ``gamma_t`` walk would visit
+    2^(|I| - i_last) prefixes.  Its one value, times (p - 1)!, is unpacked
     once.  A word with a part below 1 raises ``ValueError``."""
     check_composition(comp)
-    bits, table = _packed_table(sum(comp), 0)
-    value = tree_code_coefficient(comp, table, 1, 0)
-    return PolyT.from_packed(value, bits, math.factorial(len(comp[:-1])))
+    bits, factor = _packed_table(sum(comp), 0)
+    den = math.factorial(len(comp[:-1]))
+    return PolyT.from_packed(den * tree_code_coefficient(comp, factor, 1, 0), bits, den)
 
 
 @longest
@@ -238,17 +231,19 @@ def gamma_t(order: int) -> NcsfSeries:
     g^(t) has no factor, so its rows are the prefix sums of the tree-code
     walk, read off without building g^(t + 1) or annihilating it.
 
-    The walk runs over ints that pack polynomials in t at x = 2^B
-    (``_packed_table``), one big-int product per letter and entry; at
-    x = 2^B - 1 it packs gamma^(t - 1) (shift 1).  Entry s of a DP vector
-    holds s! times its sum, so every table entry is an integer polynomial,
-    and the slot of a prefix of j parts unpacks once, over j!.  B is fixed
+    The walk runs over the integer values of polynomials in t at t = x =
+    2^B (``_packed_table``), one big-int product per letter and entry, as
+    evaluation at x is a ring map; at x = 2^B - 1 it gives gamma^(t - 1)
+    (shift 1).  The slot of a prefix of j parts holds p(x) for its sum p,
+    and j! p has integer coefficients: the slot times j! is the only value
+    that is unpacked, once, over j!.  B is fixed
     before the walk by a bound, n = order: the absolute coefficients of
-    prod_{r<a} (i (t - shift) - r) sum to a! C((1 + shift) i + a - 1, a), so
-    those of an entry s at a prefix of size m sum to at most
-    s! [x^s] (1 - x)^(-(1 + shift) m) <= n! C((2 + shift) n - 1, n), which
-    is at most n! 4^n at shift 0 and n! 8^n at shift 1; the partial sums
-    and products of a step sum some of the same terms, so they obey it too.
+    a! C(i (t - shift), a) = prod_{r<a} (i (t - shift) - r) sum to
+    a! C((1 + shift) i + a - 1, a), and j! p sums, over codes of letter
+    sum j, j! / prod a_k! times such products.  So for a prefix of size
+    m <= n those of j! p sum to at most j! [x^j] (1 - x)^(-(1 + shift) m)
+    = j! C((1 + shift) m + j - 1, j) <= n! C((2 + shift) n - 1, n), which
+    is at most n! 4^n at shift 0 and n! 8^n at shift 1.
     A prefix sum does not depend on n, so the longest walk serves every order.
     """
     return _packed_geode(order, 0)
@@ -256,13 +251,17 @@ def gamma_t(order: int) -> NcsfSeries:
 
 def _packed_geode(order: int, shift: int) -> NcsfSeries:
     """gamma^(t - shift) through ``order``, off the walk of ``_packed_table``."""
-    bits, table = _packed_table(order, shift)
-    rows = tree_code_prefix_sums(order, table, 1, 0)
+    bits, factor = _packed_table(order, shift)
+    rows = tree_code_prefix_sums(order, factor, 1, 0)
     dens = [math.factorial(j) for j in range(order + 1)]
+
+    def unpacked(v: int, j: int) -> PolyT:
+        return PolyT.from_packed(v * dens[j], bits, dens[j]) if v else POLYT_ZERO
+
     # a prefix of degree d >= 1 has one part more than descents
     return NcsfSeries._of(POLYT_RING, (
-        (PolyT.from_packed(v, bits, dens[d and mask.bit_count() + 1]) if v else POLYT_ZERO
-         for mask, v in enumerate(row)) for d, row in enumerate(rows)))
+        (unpacked(v, d and mask.bit_count() + 1) for mask, v in enumerate(row))
+        for d, row in enumerate(rows)))
 
 
 def theta_t(order: int) -> NcsfSeries:

@@ -209,19 +209,13 @@ def _partition_counts(classes) -> dict:
 # ---------------------------------------------------------------------------
 # the e-Lagrange series, three ways
 
-def _elementary_table(i: int, size: int) -> list:
-    """The factors e_a(i A), a < size, of a letter of part i in the
-    tree-code walk: one row, the same for every letter sum s."""
-    return [[elementary_of_multiple(a, i) for a in range(size)]] * size
-
-
 @lru_cache(maxsize=None)
 def delta_e_coefficient(comp: tuple[int, ...]) -> EPoly:
     """Coefficient of S^I in the e-Lagrange series: the sum, over the codes
     a of plane trees with len(I) nodes, of the products e_{a_1}(i_1 A) ...
     e_{a_{p-1}}(i_{p-1} A), a loop along I alone, as
     ``lagrange.delta_coefficient`` is, without building ``gamma_e``."""
-    return tree_code_coefficient(comp, _elementary_table, EPoly.one(), EPoly())
+    return tree_code_coefficient(comp, elementary_of_multiple, EPoly.one(), EPoly())
 
 
 def g_e(order: int, route: str = "delta") -> NcsfSeries:
@@ -253,4 +247,4 @@ def gamma_e(order: int) -> NcsfSeries:
     """The e-geode g^[e] S_1^{-1}: its coefficient at I is the prefix sum
     at I of the tree-code walk, whose rows are read off directly."""
     return NcsfSeries._of(EPOLY_RING, tree_code_prefix_sums(
-        order, _elementary_table, EPOLY_RING.one, EPOLY_RING.zero))
+        order, elementary_of_multiple, EPOLY_RING.one, EPOLY_RING.zero))

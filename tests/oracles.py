@@ -6,17 +6,17 @@ letter, the Lagrange series counted off enumerated trees, the e-Lagrange
 series summed one prime tree at a time over the weights of its parsed codes
 (where the package counts classes of trees by their chains), tree weights
 read off parsed codes, the inverse bijections of ``combinat``, the tree-code
-sum of one composition, a DP of its own beside the prefix walk, the walk's
-table of a factor that ignores the letter sum (``C(t i, a)`` as ``PolyT``,
-the reference of the packed t-walk), the shift t -> t - 1 of a t-series by
-Horner's rule (``shift_t``, the reference of the walk at 2^B - 1), the
-integer power of a series by chained products (``series_power``), the
-bivariate ribbon specialization, the general linear word map ``map_words``,
-the product, inverse and right division of series word by word on dicts
-(``conv_into``), where the package updates blocks of descent-mask rows, the
-k-Lagrange series by dict powers of w (or of its inverse) up to |k| times the
-degree, the termwise annihilation rules of the S, R and L bases, and the
-lifted e-series system over tree codes.
+sum of one composition, a DP of its own beside the prefix walk, the factor
+``C(t i, a)`` as ``PolyT`` (``polyt_binomial``, the reference of the packed
+t-walk), the shift t -> t - 1 of a t-series by Horner's rule (``shift_t``,
+the reference of the walk at 2^B - 1), the integer power of a series by
+chained products (``series_power``), the bivariate ribbon specialization,
+the general linear word map ``map_words``, the product, inverse and right
+division of series word by word on dicts (``conv_into``), where the package
+updates blocks of descent-mask rows, the k-Lagrange series by dict powers of
+w (or of its inverse) up to |k| times the degree, the termwise annihilation
+rules of the S, R and L bases, and the lifted e-series system over tree
+codes.
 """
 
 from __future__ import annotations
@@ -204,18 +204,10 @@ def tree_code_sum(comp: tuple[int, ...], factor, one, zero):
     return vec[n]
 
 
-def constant_table(factor):
-    """The tree-code walk's table of a factor(a, i) that does not read the
-    letter sum s: one row factor(0, i), ..., factor(size - 1, i), repeated
-    for every s."""
-    def table(i: int, size: int) -> list:
-        return [[factor(a, i) for a in range(size)]] * size
-    return table
-
-
-# C(t i, a) as PolyT, built from ``binomial_polynomial``: the walk over
-# these tables is the reference for the packed t-walk
-polyt_binomial_table = constant_table(lambda a, i: binomial_polynomial(i, a))
+def polyt_binomial(a: int, i: int) -> PolyT:
+    """C(t i, a) as ``PolyT``, from ``binomial_polynomial``: the walk over
+    this factor is the reference for the packed t-walk."""
+    return binomial_polynomial(i, a)
 
 
 def shift_t(u: NcsfSeries) -> NcsfSeries:

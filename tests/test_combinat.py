@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import product
+import math
 
 import pytest
 
@@ -14,11 +15,11 @@ from ncgeode.combinat import (_plane_arity, _subtree_end, catalan, coarsenings,
                               parking_quasi_ribbons, plane_tree_codes_with_nodes,
                               remove_last_corolla, shift_words, trailing_zeros,
                               tree_code_coefficient, tree_code_prefix_sums)
-from ncgeode import combinat, lagrange, schroeder
+from ncgeode import lagrange, schroeder
 from ncgeode.lagrange import delta_coefficient, gamma_t
 from ncgeode.schroeder import _arity, delta_e_coefficient, gamma_e
-from oracles import (constant_table, is_lukasiewicz, lukasiewicz_root_children,
-                     ndpf_to_code, noncrossing_to_ndpf, polyt_binomial_table,
+from oracles import (is_lukasiewicz, lukasiewicz_root_children,
+                     ndpf_to_code, noncrossing_to_ndpf, polyt_binomial,
                      tree_code_sum)
 
 
@@ -136,7 +137,7 @@ def test_tree_code_prefix_sums_match_each_composition(ring):
         factor, one, zero = lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT()
     else:
         factor, one, zero = elementary_of_multiple, EPoly.one(), EPoly()
-    rows = tree_code_prefix_sums(9, constant_table(factor), one, zero)
+    rows = tree_code_prefix_sums(9, factor, one, zero)
     assert [len(row) for row in rows] == [len(compositions(e)) for e in range(10)]
     for n in range(1, 11):
         for comp in compositions(n):
@@ -173,7 +174,7 @@ def test_single_coefficients_walk_only_their_path(monkeypatch):
 
 @pytest.mark.parametrize("J", [(20, 20, 20), (10,) * 5, (3, 1, 3, 2)])
 def test_tree_code_coefficient_walks_one_path(J):
-    # the cap follows the path and the tables hold only its parts, so the
+    # the cap follows the path and the factor rows hold only its parts, so the
     # loop asks for len(set(J)) * (len(J) + 1) factors at most
     calls = Counter()
 
@@ -181,7 +182,7 @@ def test_tree_code_coefficient_walks_one_path(J):
         calls[a, i] += 1
         return binomial_polynomial(i, a)
 
-    coeff = tree_code_coefficient(J + (1,), constant_table(factor), POLYT_ONE, PolyT())
+    coeff = tree_code_coefficient(J + (1,), factor, POLYT_ONE, PolyT())
     assert sum(calls.values()) <= len(set(J)) * (len(J) + 1)
     assert coeff == tree_code_sum(
         J + (1,), lambda a, i: binomial_polynomial(i, a), POLYT_ONE, PolyT())
@@ -191,41 +192,36 @@ def test_tree_code_coefficient_walks_one_path(J):
 def test_tree_code_prefix_sums_cut_to_a_lower_degree(ring):
     # the rows of degree <= k do not depend on how far beyond k the walk goes
     if ring == "polyt":
-        table, one, zero = polyt_binomial_table, POLYT_ONE, PolyT()
+        factor, one, zero = polyt_binomial, POLYT_ONE, PolyT()
     else:
-        table, one, zero = constant_table(elementary_of_multiple), EPoly.one(), EPoly()
-    rows = tree_code_prefix_sums(9, table, one, zero)
+        factor, one, zero = elementary_of_multiple, EPoly.one(), EPoly()
+    rows = tree_code_prefix_sums(9, factor, one, zero)
     for k in range(10):
-        assert tree_code_prefix_sums(k, table, one, zero) == rows[:k + 1], k
+        assert tree_code_prefix_sums(k, factor, one, zero) == rows[:k + 1], k
 
 
-def test_packed_walk_digits_stay_below_half_the_width(monkeypatch):
-    # the walk through 10 at more than four times the width (the table of a
-    # walk through 40) reads every polynomial it meets exactly, at x = 2^B
-    # and at the shifted x = 2^B - 1; each table entry and each entry of a
-    # DP vector must then have coefficients below 2^(B - 1), B the width
-    # the bound gives for that shift
-    n, seen = 10, []
-    step = combinat._letter_step
-
-    def recorded_step(*args):
-        new = step(*args)
-        seen.extend(new)
-        return new
-
-    monkeypatch.setattr(combinat, "_letter_step", recorded_step)
+def test_packed_walk_digits_stay_below_half_the_width():
+    # the walk through 10 at more than four times the width (the factor of
+    # a walk through 40) reads every finished slot exactly, at x = 2^B and
+    # at the shifted x = 2^B - 1; the slot of a prefix of j parts, times
+    # j!, is all that is unpacked and must then have coefficients below
+    # 2^(B - 1), B the width the bound gives for that shift
+    n = 10
     for shift in (0, 1):
         bits, _ = lagrange._packed_table(n, shift)
-        wide, table = lagrange._packed_table(4 * n, shift)
+        wide, factor = lagrange._packed_table(4 * n, shift)
         assert wide > 4 * bits
-        seen[:] = [v for i in range(1, n + 1) for row in table(i, n + 1) for v in row]
-        tree_code_prefix_sums(n, table, 1, 0)
-        largest = max(abs(d) for v in seen for d in PolyT.from_packed(v, wide, 1).num)
+        rows = tree_code_prefix_sums(n, factor, 1, 0)
+        largest = max(abs(d) for e, row in enumerate(rows) for mask, v in enumerate(row)
+                      for d in PolyT.from_packed(
+                          v * math.factorial(e and mask.bit_count() + 1), wide, 1).num)
         assert 1 << (bits // 2) < largest < 1 << (bits - 1), shift
 
 
 def test_tree_code_prefix_sums_count_plane_trees():
-    ones = constant_table(lambda a, i: 1)
+    def ones(a, i):
+        return 1
+
     rows = tree_code_prefix_sums(7, ones, 1, 0)
     for e, row in enumerate(rows):
         assert row == [catalan(len(I)) for I in compositions(e)], e
@@ -238,7 +234,7 @@ def test_tree_code_prefix_sums_count_plane_trees():
 def test_tree_code_prefix_sums_prune_vanishing_prefixes():
     # a factor that vanishes off a = 0 leaves no prefix of length 1, since
     # the first letter of a code is at least 1
-    dead = tree_code_prefix_sums(4, constant_table(lambda a, i: int(a == 0)), 1, 0)
+    dead = tree_code_prefix_sums(4, lambda a, i: int(a == 0), 1, 0)
     assert dead == [[1], [0], [0, 0], [0] * 4, [0] * 8]
 
 

@@ -22,7 +22,7 @@ from ncgeode.schroeder import g_e, gamma_e, solve_xy_system
 from ncgeode import fixtures as fx
 from ncgeode import lagrange, schroeder
 from oracles import (g_from_trees, generator, k_lagrange_by_powers, map_words,
-                     lukasiewicz_root_children, polyt_binomial_table, series_power,
+                     lukasiewicz_root_children, polyt_binomial, series_power,
                      shift_t, tree_code_sum, zero_series)
 
 
@@ -130,9 +130,9 @@ def test_delta_coefficient_examples():
 
 @pytest.mark.parametrize("n", range(11))
 def test_packed_gamma_t_is_the_walk_over_polyt_tables(n):
-    # every slot of the packed walk, unpacked over j!, equals the same walk
-    # over PolyT tables built from binomial_polynomial
-    rows = tree_code_prefix_sums(n, polyt_binomial_table, POLYT_ONE, POLYT_ZERO)
+    # every slot of the packed walk, times j! and unpacked over j!, equals
+    # the same walk over the PolyT factor built from binomial_polynomial
+    rows = tree_code_prefix_sums(n, polyt_binomial, POLYT_ONE, POLYT_ZERO)
     assert gamma_t.__wrapped__(n) == NcsfSeries._of(POLYT_RING, rows)
 
 
@@ -145,7 +145,7 @@ def test_packed_delta_coefficient_is_the_polyt_path():
         cuts = [c for c in range(1, n) if rng.random() < 0.5]
         words.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [n])))
     for comp in words:
-        expected = tree_code_coefficient(comp, polyt_binomial_table, POLYT_ONE, POLYT_ZERO)
+        expected = tree_code_coefficient(comp, polyt_binomial, POLYT_ONE, POLYT_ZERO)
         assert delta_coefficient.__wrapped__(comp) == expected, comp
     assert delta_coefficient.__wrapped__(()) == POLYT_ONE
 
