@@ -380,26 +380,10 @@ def elementary_of_multiple(k: int, j: int) -> EPoly:
     """
     if k < 0 or j < 0:
         raise ValueError("k and j must be nonnegative")
-    if k == 0:
-        return EPoly.one()
-    if j == 0:
-        return EPoly()
-    terms = {}
-    for mu in partitions_of(k, max_len=j):
-        ell = len(mu)
-        count = 1
-        for i in range(ell):
-            count *= j - i
-        # divide by the factorials of the part multiplicities
-        i = 0
-        while i < ell:
-            jn = i
-            while jn < ell and mu[jn] == mu[i]:
-                jn += 1
-            count //= math.factorial(jn - i)
-            i = jn
-        terms[mu] = count
-    return EPoly(terms)
+    # the perm(j, len(mu)) placements, over the orders of equal parts
+    return EPoly({mu: math.perm(j, len(mu))
+                  // math.prod(map(math.factorial, map(mu.count, set(mu))))
+                  for mu in partitions_of(k, max_len=j)})
 
 
 _EVAL_RULES = ("sign", "one", "q", "e1")

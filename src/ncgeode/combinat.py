@@ -98,21 +98,7 @@ def coarsenings(comp: tuple[int, ...]) -> list[tuple[int, ...]]:
 def conjugate(comp: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugate composition: complement the descent set, then reverse."""
     n = sum(comp)
-    if n == 0:
-        return ()
-    descents = set()
-    s = 0
-    for p in comp[:-1]:
-        s += p
-        descents.add(s)
-    result = []
-    last = 0
-    for i in range(1, n):
-        if i not in descents:
-            result.append(i - last)
-            last = i
-    result.append(n - last)
-    return tuple(reversed(result))
+    return _compositions(n)[descent_mask(comp) ^ (_size(n) - 1)][::-1] if n else ()
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,9 @@ the integer values at t = x = 2^B, where every factor C(x i, a) is an
 integer, and the finished slot of a prefix of j parts, times j!, packs an
 integer polynomial (Kronecker substitution) that its base-2^B digits spell,
 with B = bit_length(n! 4^n) + 1 through n (``gamma_t`` gives the bound).
-At x = 2^B - 1, with B = bit_length(n! 8^n) + 1, it packs gamma^(t - 1),
-and ``theta_t`` is one right quotient of the two walks.
+At x = 2^B - 1 the walk gives gamma^(t - 1), and ``theta_t`` is the
+integer right quotient of the two walks at its own width,
+B = bit_length(n! 16^n) + 1, unpacked by the same rule.
 
 Since g^(t) = sum_{m>=0} S_m (g^(t))^{tm}, the t-prime series
 h^(t) = sum_{n>=1} S_n (g^(t))^{t(n-1)} is g^(t) under the word map
@@ -147,14 +148,33 @@ def eta_identities(order: int) -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 # the t-hierarchy
 
-def _packed_table(n: int, shift: int):
-    """The digit width B of a walk through n and its tree-code factor
-    C(i x, a) at x = 2^B - shift, the integer value of C(t i, a) at t = x;
-    p(2^B - 1) is p(t - 1) read at t = 2^B.  B is
-    bit_length(n! 4^n 2^(shift n)) + 1, by the bound of ``gamma_t``."""
-    bits = (math.factorial(n) << (2 + shift) * n).bit_length() + 1
+def _width(n: int, base_bits: int) -> int:
+    """The digit width bit_length(n! 2^(base_bits n)) + 1 of a walk
+    through n: base_bits 2 for ``gamma_t``, 4 for ``theta_t``."""
+    return (math.factorial(n) << base_bits * n).bit_length() + 1
+
+
+def _factor(bits: int, shift: int):
+    """C(t i, a) at t = x = 2^bits - shift: the integer C(i x, a), the
+    factor of the value walk of gamma^(t - shift) read at t = 2^bits."""
     x = (1 << bits) - shift
-    return bits, lambda a, i: math.comb(i * x, a)
+    return lambda a, i: math.comb(i * x, a)
+
+
+def _unpack(v: int, bits: int, j: int) -> PolyT:
+    """The p with p(2^bits) = v in the slot of a word of j parts: j! p has
+    integer coefficients, so v times j! is unpacked over j!."""
+    den = math.factorial(j)
+    return PolyT.from_packed(v * den, bits, den) if v else POLYT_ZERO
+
+
+def _unpacked(rows, bits: int) -> NcsfSeries:
+    """The series over polynomials in t whose values at t = 2^bits the INT
+    rows hold, each slot by ``_unpack``."""
+    # a word of degree d >= 1 has one part more than descents
+    return NcsfSeries._of(POLYT_RING, (
+        (_unpack(v, bits, d and mask.bit_count() + 1) for mask, v in enumerate(row))
+        for d, row in enumerate(rows)))
 
 
 @lru_cache(maxsize=None)
@@ -166,9 +186,8 @@ def delta_coefficient(comp: tuple[int, ...]) -> PolyT:
     2^(|I| - i_last) prefixes.  Its one value, times (p - 1)!, is unpacked
     once.  A word with a part below 1 raises ``ValueError``."""
     check_composition(comp)
-    bits, factor = _packed_table(sum(comp), 0)
-    den = math.factorial(len(comp[:-1]))
-    return PolyT.from_packed(den * tree_code_coefficient(comp, factor, 1, 0), bits, den)
+    bits = _width(sum(comp), 2)
+    return _unpack(tree_code_coefficient(comp, _factor(bits, 0), 1, 0), bits, len(comp[:-1]))
 
 
 @longest
@@ -232,45 +251,52 @@ def gamma_t(order: int) -> NcsfSeries:
     walk, read off without building g^(t + 1) or annihilating it.
 
     The walk runs over the integer values of polynomials in t at t = x =
-    2^B (``_packed_table``), one big-int product per letter and entry, as
+    2^B (``_factor``), one big-int product per letter and entry, as
     evaluation at x is a ring map; at x = 2^B - 1 it gives gamma^(t - 1)
     (shift 1).  The slot of a prefix of j parts holds p(x) for its sum p,
     and j! p has integer coefficients: the slot times j! is the only value
-    that is unpacked, once, over j!.  B is fixed
-    before the walk by a bound, n = order: the absolute coefficients of
+    that is unpacked, once, over j! (``_unpacked``).  B is fixed before the
+    walk by a bound, n = order: the absolute coefficients of
     a! C(i (t - shift), a) = prod_{r<a} (i (t - shift) - r) sum to
     a! C((1 + shift) i + a - 1, a), and j! p sums, over codes of letter
     sum j, j! / prod a_k! times such products.  So for a prefix of size
-    m <= n those of j! p sum to at most j! [x^j] (1 - x)^(-(1 + shift) m)
-    = j! C((1 + shift) m + j - 1, j) <= n! C((2 + shift) n - 1, n), which
-    is at most n! 4^n at shift 0 and n! 8^n at shift 1.
+    m those of p sum to at most [x^j] (1 - x)^(-(1 + shift) m)
+    = C((1 + shift) m + j - 1, j) <= C((2 + shift) m - 1, m), which is at
+    most 4^m at shift 0 and (27/4)^m at shift 1, and those of j! p to at
+    most n! 4^n at shift 0: B = bit_length(n! 4^n) + 1.
     A prefix sum does not depend on n, so the longest walk serves every order.
     """
-    return _packed_geode(order, 0)
-
-
-def _packed_geode(order: int, shift: int) -> NcsfSeries:
-    """gamma^(t - shift) through ``order``, off the walk of ``_packed_table``."""
-    bits, factor = _packed_table(order, shift)
-    rows = tree_code_prefix_sums(order, factor, 1, 0)
-    dens = [math.factorial(j) for j in range(order + 1)]
-
-    def unpacked(v: int, j: int) -> PolyT:
-        return PolyT.from_packed(v * dens[j], bits, dens[j]) if v else POLYT_ZERO
-
-    # a prefix of degree d >= 1 has one part more than descents
-    return NcsfSeries._of(POLYT_RING, (
-        (unpacked(v, d and mask.bit_count() + 1) for mask, v in enumerate(row))
-        for d, row in enumerate(rows)))
+    bits = _width(order, 2)
+    return _unpacked(tree_code_prefix_sums(order, _factor(bits, 0), 1, 0), bits)
 
 
 def theta_t(order: int) -> NcsfSeries:
     """The step quotient (g^(t) - 1) / (g^(t-1) - 1), the w with
     w gamma^(t-1) = gamma^(t), as g^(s) - 1 = gamma^(s) (sigma_1 - 1) at
     every level and the free algebra has no zero divisors: one triangular
-    solve (``right_quotient``) by gamma^(t-1), the walk of ``gamma_t`` at
-    x = 2^B - 1 with digits of bit_length(n! 8^n) + 1 bits, n = order."""
-    return right_quotient(gamma_t(order), _packed_geode(order, 1))
+    solve (``right_quotient``) over the integers, of the walk of
+    ``gamma_t`` by the shifted walk, both at t = 2^B.  Only the quotient is
+    unpacked, by the rule of ``gamma_t``; B = bit_length(n! 16^n) + 1,
+    n = order, bounds it:
+
+    - integer numerators: the solve gives theta_w as gamma_w minus
+      sum_{w = ab, b nonempty} theta_a u_b, u = gamma^(t-1).  Parts add
+      under concatenation, so by induction j! theta_w has integer
+      coefficients for a word w of j parts;
+    - coefficient sums: each suffix degree i gives at most one split, and
+      by ``gamma_t`` the absolute coefficients of gamma_w sum to at most
+      4^m for |w| = m, and those of u_b to (27/4)^i for |b| = i.  So those
+      of theta_w sum to at most W_m = 4^m + sum_{i>=1} W_{m-i} (27/4)^i,
+      and W_m <= 16^m by induction, as 1/4 + sum_{i>=1} (27/64)^i
+      = 1/4 + 27/37 < 1;
+    - fit: those of j! theta_w, j <= m <= n, sum to at most
+      n! 16^n < 2^(B - 1), the range of a balanced digit.
+    """
+    check_order(order)
+    bits = _width(order, 4)
+    v, u = (NcsfSeries._of(INT_RING, tree_code_prefix_sums(order, _factor(bits, shift), 1, 0))
+            for shift in (0, 1))
+    return _unpacked(right_quotient(v, u)._rows, bits)
 
 
 def theta_k_by_transform(k: int, order: int) -> NcsfSeries:

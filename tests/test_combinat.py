@@ -1,10 +1,10 @@
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 import math
 
 import pytest
 
-from ncgeode.coeffring import (EPoly, POLYT_ONE, PolyT, binomial_polynomial,
+from ncgeode.coeffring import (EPoly, INT_RING, POLYT_ONE, PolyT, binomial_polynomial,
                                elementary_of_multiple)
 from ncgeode.combinat import (_plane_arity, _subtree_end, catalan, coarsenings,
                               code_to_dyck, code_to_ndpf, compositions, conjugate,
@@ -17,6 +17,7 @@ from ncgeode.combinat import (_plane_arity, _subtree_end, catalan, coarsenings,
                               tree_code_coefficient, tree_code_prefix_sums)
 from ncgeode import lagrange, schroeder
 from ncgeode.lagrange import delta_coefficient, gamma_t
+from ncgeode.ncsf import NcsfSeries, right_quotient
 from ncgeode.schroeder import _arity, delta_e_coefficient, gamma_e
 from oracles import (is_lukasiewicz, lukasiewicz_root_children,
                      ndpf_to_code, noncrossing_to_ndpf, polyt_binomial,
@@ -57,6 +58,20 @@ def test_conjugate():
     for n in range(1, 8):
         for comp in compositions(n):
             assert conjugate(conjugate(comp)) == comp
+
+
+def test_conjugate_complements_and_reverses_the_descent_set():
+    # an involution through 10 that sends (n) to 1^n, whose descent set is
+    # {n - s : s in [1, n - 1] not a descent of I}
+    def descents(comp):
+        return set(accumulate(comp[:-1]))
+
+    for n in range(1, 11):
+        assert conjugate((n,)) == (1,) * n
+        for comp in compositions(n):
+            conj = conjugate(comp)
+            assert conjugate(conj) == comp
+            assert descents(conj) == {n - s for s in range(1, n) if s not in descents(comp)}
 
 
 def test_enumerate_lukasiewicz_examples():
@@ -201,21 +216,27 @@ def test_tree_code_prefix_sums_cut_to_a_lower_degree(ring):
 
 
 def test_packed_walk_digits_stay_below_half_the_width():
-    # the walk through 10 at more than four times the width (the factor of
-    # a walk through 40) reads every finished slot exactly, at x = 2^B and
-    # at the shifted x = 2^B - 1; the slot of a prefix of j parts, times
-    # j!, is all that is unpacked and must then have coefficients below
-    # 2^(B - 1), B the width the bound gives for that shift
+    # decoded at four times the width, the walks through 10 read every
+    # finished slot exactly: gamma^(t) (shift 0) at the width of gamma_t,
+    # gamma^(t - 1) (shift 1) and theta^(t), the integer right quotient of
+    # the two, at the width of theta_t.  The slot of a word of j parts,
+    # times j!, is all that is unpacked and must then have coefficients
+    # below 2^(B - 1), B the width of the series that unpacks it
     n = 10
-    for shift in (0, 1):
-        bits, _ = lagrange._packed_table(n, shift)
-        wide, factor = lagrange._packed_table(4 * n, shift)
-        assert wide > 4 * bits
-        rows = tree_code_prefix_sums(n, factor, 1, 0)
-        largest = max(abs(d) for e, row in enumerate(rows) for mask, v in enumerate(row)
-                      for d in PolyT.from_packed(
-                          v * math.factorial(e and mask.bit_count() + 1), wide, 1).num)
-        assert 1 << (bits // 2) < largest < 1 << (bits - 1), shift
+
+    def largest(rows, wide):
+        return max(abs(d) for e, row in enumerate(rows) for mask, v in enumerate(row)
+                   for d in PolyT.from_packed(
+                       v * math.factorial(e and mask.bit_count() + 1), wide, 1).num)
+
+    gamma_bits, theta_bits = lagrange._width(n, 2), lagrange._width(n, 4)
+    for bits, shift in (gamma_bits, 0), (theta_bits, 1):
+        rows = tree_code_prefix_sums(n, lagrange._factor(4 * bits, shift), 1, 0)
+        assert 1 << (bits // 2) < largest(rows, 4 * bits) < 1 << (bits - 1), shift
+    v, u = (NcsfSeries._of(INT_RING, tree_code_prefix_sums(
+        n, lagrange._factor(4 * theta_bits, shift), 1, 0)) for shift in (0, 1))
+    quotient = right_quotient(v, u)._rows
+    assert 1 << (theta_bits // 2) < largest(quotient, 4 * theta_bits) < 1 << (theta_bits - 1)
 
 
 def test_tree_code_prefix_sums_count_plane_trees():

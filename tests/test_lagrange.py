@@ -151,13 +151,17 @@ def test_packed_delta_coefficient_is_the_polyt_path():
 
 
 def test_packed_walks_multiply_no_polynomials(monkeypatch):
-    # binomial_polynomial multiplies PolyT, so an emptied cache refuses it too
+    # the walks and theta's integer quotient run with PolyT products refused,
+    # theta^(t) by PolyT division taken before; binomial_polynomial
+    # multiplies PolyT, so an emptied cache refuses it too
     def refuse(*args):
         raise AssertionError("a PolyT product in the packed walk")
+    expected = _theta_by_division(9)
     monkeypatch.setattr(PolyT, "__mul__", refuse)
     monkeypatch.setattr(PolyT, "__rmul__", refuse)
     binomial_polynomial.cache_clear()
     assert gamma_t.__wrapped__(9).order == 9
+    assert theta_t(9) == expected
     assert delta_coefficient.__wrapped__((2, 1, 1)) == fx.DELTA_211
     with pytest.raises(AssertionError, match="PolyT product"):
         binomial_polynomial(2, 3)
@@ -422,7 +426,7 @@ def _theta_by_division(n: int) -> NcsfSeries:
     return right_divide(g - one, shift_t(g) - one)
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(11))
 def test_theta_t_is_the_right_quotient_of_the_levels(n):
     assert theta_t(n) == _theta_by_division(n)
 
@@ -442,6 +446,12 @@ def test_theta_t_hands_right_divide_no_t_series(monkeypatch):
 
 def test_theta_t_at_one_is_geode():
     assert specialize_t(theta_t(4), 1) == geode(4)
+
+
+def test_theta_t_past_the_width_of_gamma_t_is_geode_at_one():
+    # at degree 15 a digit of j! theta_w takes 72 bits, and a balanced
+    # digit at the width of gamma_t holds 71: only theta's own width reads it
+    assert specialize_t(theta_t(15), 1) == geode(15)
 
 
 def test_theta_matches_lagrange_transform_route():
