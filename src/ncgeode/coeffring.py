@@ -14,7 +14,8 @@ Four rings appear as series coefficients:
     operation; ``PolyT.from_packed`` reads the int back, which is exact
     while every coefficient lies in [-2^(B - 1), 2^(B - 1)),
   * ``EPoly`` -- integer combinations of commuting generators e_1, e_2, ...
-    whose monomials e_{l1} e_{l2} ... are indexed by integer partitions.
+    whose monomials e_{l1} e_{l2} ... are keyed by their Goedel numbers
+    p_{l1} p_{l2} ... (p_k the k-th prime) and viewed by partitions.
 
 All values are immutable after construction and all operations are pure:
 ``PolyT`` and ``EPoly`` refuse attribute assignment and ``EPoly.terms`` is a
@@ -30,6 +31,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from operator import add
 from types import MappingProxyType
 
@@ -241,45 +243,68 @@ def partitions_of(n: int, max_len: int | None = None) -> Iterator[tuple[int, ...
     yield from rec(n, n, [])
 
 
-def partition_sort_key(part: tuple[int, ...]) -> tuple:
-    return (sum(part), part)
+_PRIMES = [1, 2]
+
+
+def _prime(k: int) -> int:
+    """p_k, the k-th prime (p_1 = 2), the factor of e_k in a monomial's
+    key; p_0 = 1, the factor of an empty chain."""
+    while len(_PRIMES) <= k:
+        _PRIMES.append(next(p for p in count(_PRIMES[-1] + 1)
+                            if all(p % q for q in _PRIMES[1:])))
+    return _PRIMES[k]
+
+
+def _key(part: Iterable[int]) -> int:
+    """The Goedel number p_{l1} ... p_{lr} of the monomial e_{l1} ... e_{lr},
+    in any order of its parts; the unit monomial has key 1."""
+    return math.prod(map(_prime, part))
+
+
+@lru_cache(maxsize=None)
+def _part(key: int) -> tuple[int, ...]:
+    """The partition, weakly decreasing, whose Goedel number is ``key``."""
+    parts, k = [], 1
+    while key > 1:
+        if key % _prime(k):
+            k += 1
+        else:
+            key //= _prime(k)
+            parts.append(k)
+    return tuple(reversed(parts))
 
 
 class EPoly:
     """Integer combination of monomials in the commuting generators e_k.
 
-    A monomial e_{l1}...e_{lr} is stored under the partition key
-    (l1 >= l2 >= ... >= lr); the empty partition is the unit monomial.
-    Zero coefficients are never stored.  ``terms`` is a read-only mapping
-    and attributes cannot be set, so results may be shared: adding zero
-    returns the other operand itself.
+    A monomial e_{l1}...e_{lr} is stored under its Goedel number ``_key``,
+    injective by unique factorization, so a product of monomials is one of
+    ints.  ``terms`` is a read-only view keyed by the partitions
+    (l1 >= ... >= lr), decoded on access; the empty partition is the unit.
+    Zero coefficients are never stored and attributes cannot be set, so
+    results may be shared: adding zero returns the other operand itself.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_d",)
 
     def __init__(self, terms=None):
-        d: dict[tuple[int, ...], int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for part, c in items:
-                key = tuple(sorted(part, reverse=True))
-                if any(p < 1 for p in key):
-                    raise ValueError(f"partition parts must be positive: {part}")
-                c = int(c)
-                if not c:
-                    continue
-                new = d.get(key, 0) + c
-                if new:
-                    d[key] = new
-                else:
-                    d.pop(key, None)
-        object.__setattr__(self, "terms", MappingProxyType(d))
+        d: dict[int, int] = {}
+        for part, c in terms.items() if isinstance(terms, Mapping) else terms or ():
+            if any(p < 1 for p in part):
+                raise ValueError(f"partition parts must be positive: {part}")
+            key = _key(part)
+            new = d.get(key, 0) + int(c)
+            if new:
+                d[key] = new
+            else:
+                d.pop(key, None)
+        object.__setattr__(self, "_d", d)
 
     @classmethod
     def _of(cls, d: dict) -> "EPoly":
-        """Wrap a dict of sorted partition keys and nonzero coefficients."""
+        """Wrap a dict of monomial keys (``_key``) and nonzero coefficients."""
         out = object.__new__(cls)
-        object.__setattr__(out, "terms", MappingProxyType(d))
+        object.__setattr__(out, "_d", d)
         return out
 
     def __setattr__(self, name, value):
@@ -289,36 +314,40 @@ class EPoly:
         raise AttributeError(f"EPoly is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        return EPoly._of, (self.terms.copy(),)
+        return EPoly._of, (self._d.copy(),)
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        return MappingProxyType({_part(k): c for k, c in self._d.items()})
 
     @classmethod
     def one(cls) -> "EPoly":
-        return cls({(): 1})
+        return cls._of({1: 1})
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda kv: partition_sort_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = EPoly({(): other})
         if not isinstance(other, EPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._d == other._d
 
     def __add__(self, other) -> "EPoly":
         if not isinstance(other, EPoly):
             if not isinstance(other, int):
                 return NotImplemented
             other = EPoly({(): other})
-        if not self.terms:
+        if not self._d:
             return other
-        if not other.terms:
+        if not other._d:
             return self
-        d = self.terms.copy()
-        for k, c in other.terms.items():
+        d = self._d.copy()
+        for k, c in other._d.items():
             new = d.get(k, 0) + c
             if new:
                 d[k] = new
@@ -329,7 +358,7 @@ class EPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "EPoly":
-        return EPoly._of({k: -c for k, c in self.terms.items()})
+        return EPoly._of({k: -c for k, c in self._d.items()})
 
     def __sub__(self, other) -> "EPoly":
         if isinstance(other, int):
@@ -345,11 +374,11 @@ class EPoly:
                 return NotImplemented
             if not other:
                 return EPoly()
-            return EPoly._of({k: c * other for k, c in self.terms.items()})
-        d: dict[tuple[int, ...], int] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = _monomial_product(ka, kb)
+            return EPoly._of({k: c * other for k, c in self._d.items()})
+        d: dict[int, int] = {}
+        for ka, ca in self._d.items():
+            for kb, cb in other._d.items():
+                key = ka * kb
                 new = d.get(key, 0) + ca * cb
                 if new:
                     d[key] = new
@@ -361,12 +390,6 @@ class EPoly:
 
     def __repr__(self) -> str:
         return f"EPoly({dict(self.sorted_terms())})"
-
-
-@lru_cache(maxsize=None)
-def _monomial_product(ka: tuple[int, ...], kb: tuple[int, ...]) -> tuple[int, ...]:
-    """The partition key of the monomial e_ka e_kb: the merged parts."""
-    return tuple(sorted(ka + kb, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -403,15 +426,9 @@ def epoly_evaluate(p: EPoly, rule: str):
     if rule == "e1":
         return sum(c for part, c in p.terms.items() if all(x == 1 for x in part))
     if rule == "q":
-        out = {}
+        coeffs = [0] * (max(map(sum, p.terms), default=-1) + 1)
         for part, c in p.terms.items():
-            w = sum(part)
-            out[w] = out.get(w, 0) + c
-        if not out:
-            return PolyT()
-        coeffs = [0] * (max(out) + 1)
-        for w, c in out.items():
-            coeffs[w] = c
+            coeffs[sum(part)] += c
         return PolyT._of(coeffs, 1)
     raise ValueError(f"unknown evaluation rule {rule!r}; expected one of {_EVAL_RULES}")
 

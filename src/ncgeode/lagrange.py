@@ -14,12 +14,12 @@ are polynomials in k, which turns k into a formal indeterminate t.
 (``ncsf``'s descent-mask layout), which every returned series shares, and
 the memo of its powers for the life of the process: a lower order is a
 slice and a higher one costs only its new degrees, the policy by which
-``ncsf.longest`` serves ``g_t`` and ``gamma_t``.  ``k_lagrange_direct`` is
-the system of ``schroeder.solve_xy_system`` under e_m -> C(k, m): there
-y = (1 + x)^k, so g^(k) = 1 + x for every integer k.  For a
-composition I of length p, the coefficient of S^I in the t-series is the sum
-over the codes a of plane trees with p nodes (letter sum p-1, every proper
-prefix of length j summing to at least j) of
+``ncsf.longest`` serves ``g_t``, ``gamma_t`` and ``theta_t``.
+``k_lagrange_direct`` is the system of ``schroeder.solve_xy_system`` under
+e_m -> C(k, m): there y = (1 + x)^k, so g^(k) = 1 + x for every integer
+k.  For a composition I of length p, the coefficient of S^I in the
+t-series is the sum over the codes a of plane trees with p nodes (letter
+sum p-1, every proper prefix of length j summing to at least j) of
 
     C(t*i_1, a_1) C(t*i_2, a_2) ... C(t*i_{p-1}, a_{p-1}),
 
@@ -270,6 +270,7 @@ def gamma_t(order: int) -> NcsfSeries:
     return _unpacked(tree_code_prefix_sums(order, _factor(bits, 0), 1, 0), bits)
 
 
+@longest
 def theta_t(order: int) -> NcsfSeries:
     """The step quotient (g^(t) - 1) / (g^(t-1) - 1), the w with
     w gamma^(t-1) = gamma^(t), as g^(s) - 1 = gamma^(s) (sigma_1 - 1) at
@@ -291,8 +292,10 @@ def theta_t(order: int) -> NcsfSeries:
       = 1/4 + 27/37 < 1;
     - fit: those of j! theta_w, j <= m <= n, sum to at most
       n! 16^n < 2^(B - 1), the range of a balanced digit.
+
+    theta_w reads only words no longer than w, so the longest quotient
+    serves every order.
     """
-    check_order(order)
     bits = _width(order, 4)
     v, u = (NcsfSeries._of(INT_RING, tree_code_prefix_sums(order, _factor(bits, shift), 1, 0))
             for shift in (0, 1))

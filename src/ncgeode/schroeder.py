@@ -32,13 +32,14 @@ enumeration below.
 The enumeration reads the odometer ``combinat.iter_tree_codes`` with the
 Schroeder arity; a prime tree is root r, a forest of r trees, then the
 final leaf.  The trees route builds no code: ``_grown_trees`` grows trees
-bottom-up from the classes of ``_tree_table``, each a word and chain tuple
-with the count of its trees, 3^(n-1) classes of size n (seen through 10).
-Root label r over t_0, ..., t_r keeps every chain of the subtrees, and
-t_r's root chain grows by one (a leaf starts one of length 1).  A prime
-tree weighs e_mu for the chains of its r subtrees, one ``EPoly`` per word
-through ``_partition_counts``.  ``verify`` and the tests weigh enumerated
-codes by ``right_branch_partition``, sharing no code with the route.
+bottom-up from the classes of ``_tree_table``, each a word, its open root
+chain's length, the key (``coeffring._key``) of its closed chains and the
+count of its trees: 1, 3, 9, 26, 73, 200, 537, 1,418, 3,692 classes of
+sizes 1 to 9.  Root label r over t_0, ..., t_r closes the root chains of
+t_0, ..., t_(r-1) by int products and grows t_r's by one, so no chain
+tuple is sorted.  A prime tree weighs e_mu for its closed chains, one
+``EPoly`` per word through ``_partition_counts``.  ``verify`` and the tests
+weigh enumerated codes by ``right_branch_partition``, sharing only the key.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .coeffring import EPOLY_RING, EPoly, Ring, elementary_of_multiple
+from .coeffring import EPOLY_RING, EPoly, Ring, _prime, elementary_of_multiple
 from .ncsf import (NcsfSeries, _row_conv_into, check_order, graded_power,
                    lagrange_step, longest, unit_series, with_last_part)
 from .combinat import (_root_children, iter_tree_codes, tree_code_coefficient,
@@ -91,35 +92,38 @@ def _weak_compositions(total: int, parts: int):
 
 @lru_cache(maxsize=None)
 def _tree_table(n: int) -> tuple:
-    """The trees of size n as (letters, chains, count) classes: all trees of
-    one word, their nonzero letters, and one chain tuple."""
+    """The trees of size n as (letters, open, closed, count) classes: all
+    trees of one word, their nonzero letters, the length of the open root
+    chain and the Goedel key of the closed chains (``coeffring._key``)."""
     if n == 0:
-        return (((), (), 1),)
+        return (((), 0, 1, 1),)
     classes = Counter()
-    for letters, chains, count in _grown_trees(n, prime=False):
-        classes[letters, chains] += count
-    return tuple((letters, chains, count) for (letters, chains), count in classes.items())
+    for letters, chain, closed, count in _grown_trees(n, prime=False):
+        classes[letters, chain, closed] += count
+    return tuple((*cls, count) for cls, count in classes.items())
 
 
 def _grown_trees(n: int, prime: bool):
-    """Yield (letters, chains, count) for the trees of size n >= 1 with root
-    label r over r + 1 subtrees, each a class of ``_tree_table``; a prime
-    tree's last subtree is the leaf.  The letters are r and the subtrees',
-    the count the product of theirs.  The last subtree's root chain grows by
-    one (a leaf starts a chain of length 1), and the first r subtrees are
-    joined once for all choices of the last."""
+    """Yield (letters, open, closed, count) for the trees of size n >= 1
+    with root label r over r + 1 subtrees, each a class of ``_tree_table``;
+    a prime tree's last subtree is the leaf.  The letters are r and the
+    subtrees', the count the product of theirs.  The root chain is the last
+    subtree's grown by one (a leaf's has length 0).  The first r subtrees'
+    root chains close, multiplying each closed key by p_(open) (p_0 = 1),
+    and they are joined once for all choices of the last."""
     for root in range(1, n + 1):
         for split in _weak_compositions(n - root, root if prime else root + 1):
             *firsts, last = [_tree_table(s) for s in split + ((0,) if prime else ())]
-            last = [(w, c[:-1] + (c[-1] + 1,) if c else (1,), k) for w, c, k in last]
+            firsts = [[(w, c * _prime(chain), k) for w, chain, c, k in t] for t in firsts]
             for kids in product(*firsts):
-                letters, chains, count = (root,), (), 1
-                for kid_letters, kid_chains, kid_count in kids:
+                letters, closed, count = (root,), 1, 1
+                for kid_letters, kid_closed, kid_count in kids:
                     letters += kid_letters
-                    chains += kid_chains
+                    closed *= kid_closed
                     count *= kid_count
-                for kid_letters, kid_chains, kid_count in last:
-                    yield letters + kid_letters, chains + kid_chains, count * kid_count
+                for kid_letters, kid_open, kid_closed, kid_count in last:
+                    yield (letters + kid_letters, kid_open + 1, closed * kid_closed,
+                           count * kid_count)
 
 
 def root_children(code: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -196,14 +200,13 @@ def solve_xy_system(order: int, ring: Ring, c) -> SystemState:
 
 
 def _partition_counts(classes) -> dict:
-    """Sum e_mu over (word, chain lengths, count) triples: per word, an
-    ``EPoly`` of the counts of the partitions mu."""
+    """Sum e_mu over (word, key of mu, count) triples: per word, an ``EPoly``
+    of the counts of the monomial keys."""
     weights: dict = {}
-    for word, chains, k in classes:
+    for word, key, k in classes:
         counts = weights.setdefault(word, {})
-        mu = tuple(sorted(chains, reverse=True))
-        counts[mu] = counts.get(mu, 0) + k
-    return {word: EPoly(counts) for word, counts in weights.items()}
+        counts[key] = counts.get(key, 0) + k
+    return {word: EPoly._of(counts) for word, counts in weights.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +238,9 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
     if route == "trees":
         comps = [{(): EPoly.one()}]
         for n in range(1, order + 1):
-            # a prime tree weighs the chains of all but its root
+            # a prime tree weighs its closed chains: all but its root's
             comps.append(_partition_counts(
-                (word, chains[:-1], k) for word, chains, k in _grown_trees(n, prime=True)))
+                (word, closed, k) for word, _, closed, k in _grown_trees(n, prime=True)))
         return NcsfSeries(EPOLY_RING, comps)
     raise ValueError(f"unknown route {route!r}")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import fixtures as fx
-from .coeffring import EPOLY_RING, INT_RING, EPoly, epoly_evaluate
+from .coeffring import EPOLY_RING, INT_RING, EPoly, _key, epoly_evaluate
 from .combinat import (catalan, code_to_dyck, code_to_ndpf, compositions,
                        conjugate, enumerate_lukasiewicz, iter_lukasiewicz,
                        ndpf_to_noncrossing, nonzero_letters, parking_quasi_ribbons,
@@ -150,12 +150,13 @@ def system_tables_hold(y_table, x_table, g3_table) -> bool:
     Y_n is every Schroeder tree of size n with its chain monomial and G_n
     every prime tree, weighed by the chains below its root; an X word is a G
     word without its final leaf.  All three are read off the enumerated
-    codes, each weighed by ``right_branch_partition``.  With the placeholder
-    set to 1, Y must give the y of ``solve_xy_system``, and X and G its x.
+    codes, each weighed by ``right_branch_partition`` under the key of
+    its monomial (``coeffring._key``).  With the placeholder set to 1, Y
+    must give the y of ``solve_xy_system``, and X and G its x.
     """
     def prime_trees(n):
         # the root's chain, a part 1 and so the last part, is not weighed
-        return [(code, right_branch_partition(code)[:-1], 1)
+        return [(code, _key(right_branch_partition(code)[:-1]), 1)
                 for code in enumerate_prime_schroeder(n)]
 
     def projected(table):
@@ -168,10 +169,10 @@ def system_tables_hold(y_table, x_table, g3_table) -> bool:
     state = solve_xy_system(max(*y_table, *x_table, 3), EPOLY_RING, elementary)
     # each tree is a class of its own, counted once
     return (all(y_table[n] == _partition_counts(
-                (code, right_branch_partition(code), 1) for code in enumerate_schroeder(n))
+                (code, _key(right_branch_partition(code)), 1) for code in enumerate_schroeder(n))
                 and state.y.component(n) == projected(y_table[n]) for n in y_table)
             and all(x_table[n] == _partition_counts(
-                (code[:-1], chains, k) for code, chains, k in prime_trees(n))
+                (code[:-1], key, k) for code, key, k in prime_trees(n))
                 and state.x.component(n) == projected(x_table[n]) for n in x_table)
             and g3_table == _partition_counts(prime_trees(3))
             and state.x.component(3) == projected(g3_table))

@@ -28,7 +28,8 @@ from itertools import repeat
 from operator import add
 from types import MappingProxyType
 
-from ncgeode.coeffring import EPOLY_RING, EPoly, INT_RING, PolyT, Ring, binomial_polynomial
+from ncgeode.coeffring import (EPOLY_RING, EPoly, INT_RING, PolyT, Ring, _key,
+                               binomial_polynomial)
 from ncgeode.combinat import (_is_tree_code, _plane_arity, _root_children,
                               iter_lukasiewicz, nonzero_letters)
 from ncgeode.gfseries import PowerSeries
@@ -418,7 +419,7 @@ def chain_monomials(comp: Mapping) -> dict:
 def projected(comp: Mapping) -> dict:
     """A component of ``LiftedState`` with the placeholder letter set to 1:
     zeros deleted, words merged and their monomials added up."""
-    return _partition_counts(zip(map(nonzero_letters, comp), comp.values(), repeat(1)))
+    return _partition_counts(zip(map(nonzero_letters, comp), map(_key, comp.values()), repeat(1)))
 
 
 def project_placeholder(graded) -> NcsfSeries:

@@ -161,7 +161,7 @@ def test_packed_walks_multiply_no_polynomials(monkeypatch):
     monkeypatch.setattr(PolyT, "__rmul__", refuse)
     binomial_polynomial.cache_clear()
     assert gamma_t.__wrapped__(9).order == 9
-    assert theta_t(9) == expected
+    assert theta_t.__wrapped__(9) == expected
     assert delta_coefficient.__wrapped__((2, 1, 1)) == fx.DELTA_211
     with pytest.raises(AssertionError, match="PolyT product"):
         binomial_polynomial(2, 3)
@@ -441,7 +441,34 @@ def test_theta_t_hands_right_divide_no_t_series(monkeypatch):
 
     for name in ("right_divide", "series_mul", "series_inverse"):
         monkeypatch.setattr(lagrange, name, refuse)
-    assert theta_t(5) == expected
+    assert theta_t.__wrapped__(5) == expected
+
+
+def test_theta_t_is_served_from_its_longest_quotient(monkeypatch):
+    # a repeated or lower order runs no walk, each truncation equals a fresh
+    # quotient, and a caller cannot change the series that is kept
+    walks = []
+    walk = lagrange.tree_code_prefix_sums
+    monkeypatch.setattr(lagrange, "tree_code_prefix_sums",
+                        lambda n, *rest: walks.append(n) or walk(n, *rest))
+    theta_t.cache_clear()
+    kept = theta_t(7)
+    assert walks == [7, 7]
+    served = {k: theta_t(k) for k in (7, 6, 4, 0)}
+    assert walks == [7, 7]
+    for k, series in served.items():
+        assert series == theta_t.__wrapped__(k), k
+    with pytest.raises(TypeError):
+        kept.components[2][(2,)] = POLYT_ZERO
+    with pytest.raises(TypeError):
+        served[4].component(1)[(1,)] = POLYT_ZERO
+    with pytest.raises(AttributeError):
+        kept.components = ()
+    walks.clear()
+    assert theta_t(7) == theta_t.__wrapped__(7)
+    assert walks == [7, 7]
+    theta_t(8)
+    assert walks == [7, 7, 8, 8]
 
 
 def test_theta_t_at_one_is_geode():

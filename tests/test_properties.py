@@ -3,15 +3,18 @@ of single tree-code coefficients on random compositions, of the rings of
 ``EPoly`` and ``PolyT`` values on random small polynomials, and of
 ``PowerSeries`` products and square roots."""
 
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgeode.coeffring import (INT_RING, POLYT_ONE, POLYT_RING, EPoly, PolyT,
+from ncgeode.coeffring import (INT_RING, POLYT_ONE, POLYT_RING, EPoly, PolyT, _key, _part,
                                binomial_polynomial, elementary_of_multiple,
-                               fraction_to_str)
+                               fraction_to_str, partitions_of)
 from ncgeode.combinat import coarsenings, compositions, descent_mask
 from ncgeode.gfseries import PowerSeries
 from ncgeode.lagrange import delta_coefficient, gamma_t
@@ -257,12 +260,27 @@ def test_delta_e_coefficient_matches_whole_walk_and_oracle(comp):
 PARTITION = st.lists(st.integers(1, 3), max_size=3).map(lambda p: tuple(sorted(p, reverse=True)))
 EPOLY = st.dictionaries(PARTITION, COEFF, max_size=4).map(EPoly)
 MONOMIAL = st.builds(lambda part, c: EPoly({part: c}), PARTITION, st.integers(-3, 3))
+# partitions with parts past 20 and multiplicities past 255, which no
+# fixed-width packing of the multiplicities would hold
+WIDE_PARTITION = st.dictionaries(st.integers(1, 100), st.integers(1, 400), max_size=3).map(
+    lambda mult: tuple(sorted((p for p, m in mult.items() for _ in range(m)), reverse=True)))
+WIDE_EPOLY = st.dictionaries(WIDE_PARTITION, COEFF, max_size=3).map(EPoly)
 
 
 def product_by_double_loop(p: EPoly, q: EPoly) -> EPoly:
     """The product term by term, with no shared monomials."""
     return EPoly([(ka + kb, ca * cb)
                   for ka, ca in p.terms.items() for kb, cb in q.terms.items()])
+
+
+def product_by_merging(p: EPoly, q: EPoly) -> dict:
+    """The terms of p q, each monomial's parts merged and sorted."""
+    out: dict = {}
+    for ka, ca in p.terms.items():
+        for kb, cb in q.terms.items():
+            key = tuple(sorted(ka + kb, reverse=True))
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
 
 
 @SETTINGS
@@ -281,9 +299,10 @@ def test_epoly_ring_axioms(p, q, r):
 
 
 @SETTINGS
-@given(st.one_of(MONOMIAL, EPOLY), st.one_of(MONOMIAL, EPOLY))
+@given(st.one_of(MONOMIAL, EPOLY, WIDE_EPOLY), st.one_of(MONOMIAL, EPOLY, WIDE_EPOLY))
 def test_epoly_product_matches_double_loop(p, q):
     assert p * q == product_by_double_loop(p, q)
+    assert dict((p * q).terms) == product_by_merging(p, q)
 
 
 @SETTINGS
@@ -300,6 +319,40 @@ def test_shared_epoly_results_stay_unchanged(ka, kb, p):
     assert dict(shared.terms) == before == {tuple(sorted(ka + kb, reverse=True)): 1}
     assert dict(p.terms) == before_p
     assert EPoly({ka: 1}) * EPoly({kb: 1}) == shared
+
+
+@SETTINGS
+@given(WIDE_PARTITION)
+def test_monomial_key_decodes_to_its_partition(mu):
+    assert _part(_key(mu)) == mu
+    assert _key(mu[::-1]) == _key(mu)
+
+
+def test_monomial_keys_of_small_partitions_are_distinct():
+    small = [mu for n in range(13) for mu in partitions_of(n)]
+    assert [_part(_key(mu)) for mu in small] == small
+    assert len({_key(mu) for mu in small}) == len(small)
+
+
+def test_epoly_keys_hold_any_part_and_multiplicity():
+    def e1(m):
+        return EPoly({(1,) * m: 1})
+    assert e1(300) * e1(300) == e1(600)
+    assert dict((e1(300) * e1(300)).terms) == {(1,) * 600: 1}
+    assert dict((EPoly({(97,): 1}) * EPoly({(1,): 1})).terms) == {(97, 1): 1}
+    assert EPoly({(97,): 1}) != e1(97) != EPoly({(2,) * 48 + (1,): 1})
+
+
+@SETTINGS
+@given(WIDE_EPOLY)
+def test_copied_and_pickled_epoly_keep_terms(p):
+    for back in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert back == p
+        assert dict(back.terms) == dict(p.terms)
+    with pytest.raises(TypeError):
+        p.terms[(1,)] = 1
+    with pytest.raises(AttributeError):
+        p.terms = {}
 
 
 # ---------------------------------------------------------------------------

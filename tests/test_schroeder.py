@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ncgeode.coeffring import EPOLY_RING, EPoly, epoly_evaluate
+from ncgeode.coeffring import EPOLY_RING, EPoly, _part, epoly_evaluate
 from ncgeode.combinat import enumerate_lukasiewicz
 from ncgeode.lagrange import free_cumulant_routes, solve_g
 from ncgeode.ncsf import annihilate
@@ -252,11 +252,23 @@ def test_g_e_trees_route_equals_the_per_tree_sum():
 def test_tree_classes_count_every_tree():
     little = [1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049]
     for n, count in enumerate(little):
-        assert sum(k for _, _, k in _tree_table(n)) == count, n
+        assert sum(k for _, _, _, k in _tree_table(n)) == count, n
     # the prime trees of size n are counted by the large Schroeder number r_(n-1)
     large = fx.A006318_LARGE_SCHROEDER + [8558, 41586]
     for n, count in enumerate(large, 1):
-        assert sum(k for _, _, k in _grown_trees(n, prime=True)) == count, n
+        assert sum(k for _, _, _, k in _grown_trees(n, prime=True)) == count, n
+
+
+def test_tree_classes_keep_every_internal_node_on_one_chain():
+    # each internal node lies on one chain: the closed ones, decoded, and the
+    # open root chain add up to the letters; classes of one word, open chain
+    # and closed key are merged, so they coarsen far below 3^(n - 1)
+    for n in range(10):
+        table = _tree_table(n)
+        for letters, chain, closed, _ in table:
+            assert sum(_part(closed)) + chain == len(letters), (n, letters)
+        assert len({cls[:3] for cls in table}) == len(table)
+    assert [len(_tree_table(n)) for n in range(1, 10)] == [1, 3, 9, 26, 73, 200, 537, 1418, 3692]
 
 
 def test_trees_route_builds_no_codes():
