@@ -31,7 +31,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import compress
 from operator import add
 from types import MappingProxyType
 
@@ -248,10 +248,15 @@ _PRIMES = [1, 2]
 
 def _prime(k: int) -> int:
     """p_k, the k-th prime (p_1 = 2), the factor of e_k in a monomial's
-    key; p_0 = 1, the factor of an empty chain."""
+    key; p_0 = 1, the factor of an empty chain.  The primes come from a
+    sieve of Eratosthenes whose bound doubles until it reaches p_k."""
     while len(_PRIMES) <= k:
-        _PRIMES.append(next(p for p in count(_PRIMES[-1] + 1)
-                            if all(p % q for q in _PRIMES[1:])))
+        bound = 2 * _PRIMES[-1] + 1
+        sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+        for p in range(2, math.isqrt(bound) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+        _PRIMES[1:] = compress(range(bound), sieve)
     return _PRIMES[k]
 
 

@@ -144,20 +144,23 @@ def iter_tree_codes(n: int, arity, need: int = 1) -> Iterator[tuple[int, ...]]:
 
     The largest completion of a prefix gives its next letter all of the
     remaining sum and closes the subtrees still to read with leaves.  The
-    next code pops letters, getting back the remaining sum and that count,
-    to the last letter that can drop by one (one above 1, or a 1 whose leaf
-    leaves a subtree to read), drops it and completes again.
+    next code drops those leaves at once, then pops letters, getting back
+    the remaining sum and that count, to the last letter that can drop by
+    one (one above 1, or a 1 whose leaf leaves a subtree to read), drops it
+    and completes again.
     """
     if n < 0 or need < 1:
         raise ValueError("size must be nonnegative, and a forest needs a tree")
+    arity = [arity(x) for x in range(n + 1)]
     code, left = [], n
     while True:
         if left:
             code.append(left)
-            need += arity(left) - 1
+            need += arity[left] - 1
         code.extend([0] * need)
         yield tuple(code)
-        left = need = 0
+        del code[len(code) - need:]
+        left = 0
         while True:
             if not code:
                 return
@@ -166,12 +169,12 @@ def iter_tree_codes(n: int, arity, need: int = 1) -> Iterator[tuple[int, ...]]:
                 need += 1
                 continue
             left += x
-            need += 1 - arity(x)
+            need += 1 - arity[x]
             if x > 1 or need > 1:
                 break
         code.append(x - 1)
         left -= x - 1
-        need += arity(x - 1) - 1
+        need += arity[x - 1] - 1
 
 
 def _plane_arity(letter: int) -> int:

@@ -35,18 +35,21 @@ final leaf.  The trees route builds no code: ``_grown_trees`` grows trees
 bottom-up from the classes of ``_tree_table``, each a word, its open root
 chain's length, the key (``coeffring._key``) of its closed chains and the
 count of its trees: 1, 3, 9, 26, 73, 200, 537, 1,418, 3,692 classes of
-sizes 1 to 9.  Root label r over t_0, ..., t_r closes the root chains of
-t_0, ..., t_(r-1) by int products and grows t_r's by one, so no chain
-tuple is sorted.  A prime tree weighs e_mu for its closed chains, one
-``EPoly`` per word through ``_partition_counts``.  ``verify`` and the tests
-weigh enumerated codes by ``right_branch_partition``, sharing only the key.
+sizes 1 to 9.  A forest (``_forest``) is one tree, its root chain closed
+by an int product, then a forest of one tree fewer; its classes merge at
+each step to 1, 1, 3, 8, 21, 54 of sizes 0 to 5, whatever the number of
+trees.  A tree is root r over a forest of r trees, then a last subtree
+whose open chain grows by one, so no chain tuple is sorted.  A prime
+tree, whose last subtree is the leaf, weighs e_mu for its closed chains,
+one ``EPoly`` per word through ``_partition_counts``.  ``verify`` and the
+tests weigh enumerated codes by ``right_branch_partition``, sharing only
+the key.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import product
 
 from .coeffring import EPOLY_RING, EPoly, Ring, _prime, elementary_of_multiple
 from .ncsf import (NcsfSeries, _row_conv_into, check_order, graded_power,
@@ -80,16 +83,6 @@ def enumerate_prime_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(iter_prime_schroeder(n))
 
 
-def _weak_compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _tree_table(n: int) -> tuple:
     """The trees of size n as (letters, open, closed, count) classes: all
@@ -103,27 +96,39 @@ def _tree_table(n: int) -> tuple:
     return tuple((*cls, count) for cls, count in classes.items())
 
 
+@lru_cache(maxsize=None)
+def _forest(r: int, s: int) -> tuple:
+    """The forests of r trees of total size s, every root chain closed, as
+    three columns over their classes: letters, closed key and count.  One
+    tree is a class of ``_tree_table`` whose open chain closes by p_(open)
+    (p_0 = 1); r > 1 trees are one tree, then a forest of r - 1.  Equal
+    classes merge at each step, and columns keep the memo lean."""
+    if r == 0:
+        return (((),), (1,), (1,)) if s == 0 else ()
+    classes = Counter()
+    for first in range(s + 1) if r > 1 else (s,):
+        trees = (zip(*_forest(1, first)) if r > 1 else
+                 [(w, c * _prime(chain), k) for w, chain, c, k in _tree_table(s)])
+        rest = _forest(r - 1, s - first)
+        for letters, closed, count in trees:
+            for more, more_closed, more_count in zip(*rest):
+                classes[letters + more, closed * more_closed] += count * more_count
+    return (*zip(*classes), tuple(classes.values()))
+
+
 def _grown_trees(n: int, prime: bool):
-    """Yield (letters, open, closed, count) for the trees of size n >= 1
-    with root label r over r + 1 subtrees, each a class of ``_tree_table``;
-    a prime tree's last subtree is the leaf.  The letters are r and the
-    subtrees', the count the product of theirs.  The root chain is the last
-    subtree's grown by one (a leaf's has length 0).  The first r subtrees'
-    root chains close, multiplying each closed key by p_(open) (p_0 = 1),
-    and they are joined once for all choices of the last."""
+    """Yield (letters, open, closed, count) for the trees of size n >= 1:
+    root label r over a forest of ``_forest(r, s)``, then a last subtree of
+    ``_tree_table(n - r - s)``, the leaf for a prime tree.  The letters are
+    r and the subtrees', the count the product of theirs, and the root
+    chain is the last subtree's grown by one (a leaf's has length 0)."""
     for root in range(1, n + 1):
-        for split in _weak_compositions(n - root, root if prime else root + 1):
-            *firsts, last = [_tree_table(s) for s in split + ((0,) if prime else ())]
-            firsts = [[(w, c * _prime(chain), k) for w, chain, c, k in t] for t in firsts]
-            for kids in product(*firsts):
-                letters, closed, count = (root,), 1, 1
-                for kid_letters, kid_closed, kid_count in kids:
-                    letters += kid_letters
-                    closed *= kid_closed
-                    count *= kid_count
+        for s in range(n - root if prime else 0, n - root + 1):
+            last = _tree_table(n - root - s)
+            for letters, closed, count in zip(*_forest(root, s)):
                 for kid_letters, kid_open, kid_closed, kid_count in last:
-                    yield (letters + kid_letters, kid_open + 1, closed * kid_closed,
-                           count * kid_count)
+                    yield ((root, *letters, *kid_letters), kid_open + 1,
+                           closed * kid_closed, count * kid_count)
 
 
 def root_children(code: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from ncgeode.coeffring import (EPoly, PolyT, binomial_polynomial,
+from ncgeode.coeffring import (EPoly, PolyT, _prime, binomial_polynomial,
                                elementary_of_multiple, epoly_evaluate,
                                partitions_of, INT_RING, POLYT_RING, EPOLY_RING)
 
@@ -155,6 +155,15 @@ def test_epoly_evaluate_is_multiplicative():
                 epoly_evaluate(a, rule) * epoly_evaluate(b, rule)
         assert epoly_evaluate(a * b, "q") == \
             epoly_evaluate(a, "q") * epoly_evaluate(b, "q")
+
+
+def test_prime_sieve():
+    trial = []
+    for p in range(2, 1224):
+        if all(p % q for q in trial):
+            trial.append(p)
+    assert [_prime(k) for k in range(1, 201)] == trial[:200]
+    assert (_prime(0), _prime(1000), _prime(6000)) == (1, 7919, 59359)
 
 
 def test_partitions_of():

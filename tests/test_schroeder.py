@@ -5,13 +5,13 @@ from pathlib import Path
 import pytest
 
 from ncgeode.coeffring import EPOLY_RING, EPoly, _part, epoly_evaluate
-from ncgeode.combinat import enumerate_lukasiewicz
+from ncgeode.combinat import enumerate_lukasiewicz, iter_tree_codes
 from ncgeode.lagrange import free_cumulant_routes, solve_g
 from ncgeode.ncsf import annihilate
-from ncgeode.schroeder import (SystemState, _grown_trees, _tree_table, delta_e_coefficient,
-                               elementary, enumerate_prime_schroeder, enumerate_schroeder,
-                               g_e, gamma_e, iter_prime_schroeder, right_branch_partition,
-                               root_children, solve_xy_system)
+from ncgeode.schroeder import (SystemState, _arity, _forest, _grown_trees, _tree_table,
+                               delta_e_coefficient, elementary, enumerate_prime_schroeder,
+                               enumerate_schroeder, g_e, gamma_e, iter_prime_schroeder,
+                               right_branch_partition, root_children, solve_xy_system)
 from ncgeode.verify import system_tables_hold
 from ncgeode import fixtures as fx
 from oracles import (LiftedState, chain_monomials, g_e_by_prime_trees, is_lukasiewicz,
@@ -271,8 +271,20 @@ def test_tree_classes_keep_every_internal_node_on_one_chain():
     assert [len(_tree_table(n)) for n in range(1, 10)] == [1, 3, 9, 26, 73, 200, 537, 1418, 3692]
 
 
+def test_forest_classes_count_every_forest():
+    # the forest table against the odometer's codes of forests of r trees
+    for r in range(1, 5):
+        for s in range(8):
+            count = sum(1 for _ in iter_tree_codes(s, _arity, r))
+            assert sum(_forest(r, s)[2]) == count, (r, s)
+    # a forest's classes merge to a count that does not depend on r
+    assert [[len(_forest(r, s)[0]) for s in range(6)] for r in range(1, 5)] == [
+        [1, 1, 3, 8, 21, 54]] * 4
+
+
 def test_trees_route_builds_no_codes():
     _tree_table.cache_clear()
+    _forest.cache_clear()
     g_e(9, "trees")
     info = _tree_table.cache_info()
     # nine tables are cached, and they are the class tables of sizes 0 to 8
