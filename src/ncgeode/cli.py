@@ -263,6 +263,7 @@ def cmd_specialize(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    _refuse_order(args.degree, f"--degree {args.degree}")
     report = run_suite(args.suite, args.degree)
     for line in report.lines():
         print(line, file=out)

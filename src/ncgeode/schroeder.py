@@ -31,19 +31,15 @@ enumeration below.
 
 The enumeration reads the odometer ``combinat.iter_tree_codes`` with the
 Schroeder arity; a prime tree is root r, a forest of r trees, then the
-final leaf.  The trees route builds no code: ``_grown_trees`` grows trees
-bottom-up from the classes of ``_tree_table``, each a word, its open root
-chain's length, the key (``coeffring._key``) of its closed chains and the
-count of its trees: 1, 3, 9, 26, 73, 200, 537, 1,418, 3,692 classes of
-sizes 1 to 9.  A forest (``_forest``) is one tree, its root chain closed
-by an int product, then a forest of one tree fewer; its classes merge at
-each step to 1, 1, 3, 8, 21, 54 of sizes 0 to 5, whatever the number of
-trees.  A tree is root r over a forest of r trees, then a last subtree
-whose open chain grows by one, so no chain tuple is sorted.  A prime
-tree, whose last subtree is the leaf, weighs e_mu for its closed chains,
-one ``EPoly`` per word through ``_partition_counts``.  ``verify`` and the
-tests weigh enumerated codes by ``right_branch_partition``, sharing only
-the key.
+final leaf.  The trees route builds no code: a prime tree of size n is
+root r over ``_forest(r, n - r)``, forests whose root chains are closed,
+in classes of one word and the key (``coeffring._key``) of its closed
+chains, 1, 1, 3, 8, 21, 54 of sizes 0 to 5 whatever r is.  A forest is one
+tree, then a forest of one tree fewer; a tree is root r over a forest of r
+trees, then a last subtree of ``_tree_table`` (classes that keep the open
+chain's length) whose open chain grows by one, so no chain tuple is
+sorted.  The memos live for one call of ``g_e``.  ``verify`` and the tests
+weigh enumerated codes by ``right_branch_partition``, sharing the key.
 """
 
 from __future__ import annotations
@@ -83,49 +79,51 @@ def enumerate_prime_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(iter_prime_schroeder(n))
 
 
-@lru_cache(maxsize=None)
-def _tree_table(n: int) -> tuple:
-    """The trees of size n as (letters, open, closed, count) classes: all
-    trees of one word, their nonzero letters, the length of the open root
-    chain and the Goedel key of the closed chains (``coeffring._key``)."""
+def _tree_table(n: int, memo: dict) -> tuple:
+    """The trees of size n as (letters, open, closed, count) classes: their
+    nonzero letters, the open root chain's length and the closed chains' key
+    (``coeffring._key``).  ``memo``, the caller's, is shared with ``_forest``."""
+    if n not in memo:
+        classes = Counter()
+        for letters, chain, closed, count in _grown_trees(n, memo):
+            classes[letters, chain, closed] += count
+        memo[n] = tuple((*cls, count) for cls, count in classes.items())
+    return memo[n]
+
+
+def _forest(r: int, s: int, memo: dict) -> tuple:
+    """The forests of r >= 1 trees of total size s, every root chain closed,
+    as three columns over their classes: letters, closed key and count.  One
+    tree is one of ``_grown_trees`` whose open chain closes by p_(open); r > 1
+    trees are one tree, then a forest of r - 1.  Equal classes merge at each
+    step, and columns keep the memo lean."""
+    if (r, s) not in memo:
+        classes = Counter()
+        if r == 1:
+            for letters, chain, closed, count in _grown_trees(s, memo):
+                classes[letters, closed * _prime(chain)] += count
+        else:
+            for first in range(s + 1):
+                rest = _forest(r - 1, s - first, memo)
+                for letters, closed, count in zip(*_forest(1, first, memo)):
+                    for more, more_closed, more_count in zip(*rest):
+                        classes[letters + more, closed * more_closed] += count * more_count
+        memo[r, s] = (*zip(*classes), tuple(classes.values()))
+    return memo[r, s]
+
+
+def _grown_trees(n: int, memo: dict):
+    """Yield (letters, open, closed, count) for the trees of size n: the
+    leaf for n = 0, else root label r over a forest of ``_forest(r, s)``,
+    then a last subtree of ``_tree_table(n - r - s)``.  The letters are r
+    and the subtrees', the count the product of theirs, and the root chain
+    is the last subtree's grown by one (a leaf's has length 0)."""
     if n == 0:
-        return (((), 0, 1, 1),)
-    classes = Counter()
-    for letters, chain, closed, count in _grown_trees(n, prime=False):
-        classes[letters, chain, closed] += count
-    return tuple((*cls, count) for cls, count in classes.items())
-
-
-@lru_cache(maxsize=None)
-def _forest(r: int, s: int) -> tuple:
-    """The forests of r trees of total size s, every root chain closed, as
-    three columns over their classes: letters, closed key and count.  One
-    tree is a class of ``_tree_table`` whose open chain closes by p_(open)
-    (p_0 = 1); r > 1 trees are one tree, then a forest of r - 1.  Equal
-    classes merge at each step, and columns keep the memo lean."""
-    if r == 0:
-        return (((),), (1,), (1,)) if s == 0 else ()
-    classes = Counter()
-    for first in range(s + 1) if r > 1 else (s,):
-        trees = (zip(*_forest(1, first)) if r > 1 else
-                 [(w, c * _prime(chain), k) for w, chain, c, k in _tree_table(s)])
-        rest = _forest(r - 1, s - first)
-        for letters, closed, count in trees:
-            for more, more_closed, more_count in zip(*rest):
-                classes[letters + more, closed * more_closed] += count * more_count
-    return (*zip(*classes), tuple(classes.values()))
-
-
-def _grown_trees(n: int, prime: bool):
-    """Yield (letters, open, closed, count) for the trees of size n >= 1:
-    root label r over a forest of ``_forest(r, s)``, then a last subtree of
-    ``_tree_table(n - r - s)``, the leaf for a prime tree.  The letters are
-    r and the subtrees', the count the product of theirs, and the root
-    chain is the last subtree's grown by one (a leaf's has length 0)."""
+        yield (), 0, 1, 1
     for root in range(1, n + 1):
-        for s in range(n - root if prime else 0, n - root + 1):
-            last = _tree_table(n - root - s)
-            for letters, closed, count in zip(*_forest(root, s)):
+        for s in range(n - root + 1):
+            last = _tree_table(n - root - s, memo)
+            for letters, closed, count in zip(*_forest(root, s, memo)):
                 for kid_letters, kid_open, kid_closed, kid_count in last:
                     yield ((root, *letters, *kid_letters), kid_open + 1,
                            closed * kid_closed, count * kid_count)
@@ -232,7 +230,7 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
     The delta route is ``delta_e_coefficient`` for every composition at
     once: it appends every last part to the prefix sums of
     ``gamma_e(order - 1)``, as ``lagrange.g_t`` does over t.  The trees
-    route counts prime trees by class (``_tree_table``), building no code.
+    route counts prime trees by class (``_forest``), with memos of its own.
     """
     check_order(order)
     if route == "delta":
@@ -241,11 +239,13 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
     if route == "system":
         return unit_series(EPOLY_RING, order) + solve_xy_system(order, EPOLY_RING, elementary).x
     if route == "trees":
+        memo: dict = {}
         comps = [{(): EPoly.one()}]
         for n in range(1, order + 1):
             # a prime tree weighs its closed chains: all but its root's
             comps.append(_partition_counts(
-                (word, closed, k) for word, _, closed, k in _grown_trees(n, prime=True)))
+                ((root, *letters), closed, k) for root in range(1, n + 1)
+                for letters, closed, k in zip(*_forest(root, n - root, memo))))
         return NcsfSeries(EPOLY_RING, comps)
     raise ValueError(f"unknown route {route!r}")
 

@@ -239,6 +239,8 @@ def test_expand_refuses_huge_degree(capsys, ring):
     (["specialize", "--map", "ribbon-u", "--series", "gamma", "--order", "18"], 20),
     (["specialize", "--map", "zq", "--series", "ge", "--order", "19"], 20),
     (["expand", "--series", "g", "--degree", str(10**9)], 10**9 + 1),
+    (["verify", "--suite", "paper", "--degree", "19"], 20),
+    (["verify", "--degree", str(10**9)], 10**9 + 1),
 ])
 def test_series_commands_refuse_huge_orders(capsys, argv, power):
     # the largest order solved: k n on the phi route, n + 1 for a geode

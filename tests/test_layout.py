@@ -1,11 +1,14 @@
-"""The package keeps the names its benchmark wraps, and no dead helper.
+"""The package keeps the names its benchmark wraps, its listed memos, and
+no dead helper.
 
 ``perfbench/tracer.py`` wraps package callables by name (``TARGETS``) and
 reads ``cache_info`` of some of them (``CACHED``), so a rename or a dropped
-cache silently changes the traced benchmark.  A public function or class
-that ``ncgeode.__all__`` does not export, no other code of the package
-calls, and neither the tracer nor a benchmark script names, is dead code.
-These tests parse the tracer and the scripts; they import neither.
+cache silently changes the traced benchmark.  A memo that lives for the
+whole process is listed in ``MEMOS`` with its reason, so a new one is a
+visible decision.  A public function or class that ``ncgeode.__all__`` does
+not export, no other code of the package calls, and neither the tracer nor
+a benchmark script names, is dead code.  These tests parse the tracer and
+the scripts; they import neither.
 """
 
 from __future__ import annotations
@@ -55,6 +58,43 @@ CACHED = ast.literal_eval(_tracer_assignment("CACHED"))
 @pytest.mark.parametrize("name", CACHED)
 def test_cached_tracer_target_keeps_its_cache(name):
     assert callable(getattr(_resolve(*CACHED[name]), "cache_info", None))
+
+
+# Every function of the package under a process-wide memo decorator, and why
+# its memo lives as long as the process.
+MEMOS = {
+    "cli.build_parser": "parsing leaves the parser unchanged",
+    "coeffring.binomial_polynomial": "a coefficient, no series; the t-series read it often",
+    "coeffring._part": "a partition decoded from its monomial key, no series",
+    "coeffring.elementary_of_multiple": "the tracer reads its cache_info (CACHED)",
+    "combinat._compositions": "the compositions of a degree, no series",
+    "lagrange.solve_g": "the tracer reads its cache_info (CACHED)",
+    "lagrange.delta_coefficient": "the tracer reads its cache_info (CACHED)",
+    "schroeder.delta_e_coefficient": "the tracer reads its cache_info (CACHED)",
+    "lagrange.g_t": "the one series cache, ncsf.longest",
+    "lagrange.gamma_t": "the one series cache, ncsf.longest",
+    "lagrange.theta_t": "the one series cache, ncsf.longest",
+    "schroeder.gamma_e": "the one series cache, ncsf.longest",
+}
+
+
+def _is_memo(decorator: ast.expr) -> bool:
+    """Whether a decorator is ``lru_cache``, ``cache`` or ``longest``: bare,
+    called, or read off a module."""
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache", "longest")
+
+
+def test_every_process_wide_memo_is_listed():
+    found = {f"{path.stem}.{node.name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef)
+             and any(map(_is_memo, node.decorator_list))}
+    assert found == set(MEMOS)
+    assert {name for name, why in MEMOS.items() if "(CACHED)" in why} == {
+        f"{module}.{attr}" for module, attr in CACHED.values()}
 
 
 def _names_read(node: ast.AST) -> set[str]:

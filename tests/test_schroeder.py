@@ -8,12 +8,12 @@ from ncgeode.coeffring import EPOLY_RING, EPoly, _part, epoly_evaluate
 from ncgeode.combinat import enumerate_lukasiewicz, iter_tree_codes
 from ncgeode.lagrange import free_cumulant_routes, solve_g
 from ncgeode.ncsf import annihilate
-from ncgeode.schroeder import (SystemState, _arity, _forest, _grown_trees, _tree_table,
+from ncgeode.schroeder import (SystemState, _arity, _forest, _tree_table,
                                delta_e_coefficient, elementary, enumerate_prime_schroeder,
                                enumerate_schroeder, g_e, gamma_e, iter_prime_schroeder,
                                right_branch_partition, root_children, solve_xy_system)
 from ncgeode.verify import system_tables_hold
-from ncgeode import fixtures as fx
+from ncgeode import combinat, fixtures as fx, schroeder
 from oracles import (LiftedState, chain_monomials, g_e_by_prime_trees, is_lukasiewicz,
                      is_schroeder_code, lifted_xy_system, lukasiewicz_root_children,
                      prime_tree_weight, project_placeholder, projected, tree_weight)
@@ -251,56 +251,86 @@ def test_g_e_trees_route_equals_the_per_tree_sum():
 
 def test_tree_classes_count_every_tree():
     little = [1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049]
+    memo = {}
     for n, count in enumerate(little):
-        assert sum(k for _, _, _, k in _tree_table(n)) == count, n
-    # the prime trees of size n are counted by the large Schroeder number r_(n-1)
+        assert sum(k for _, _, _, k in _tree_table(n, memo)) == count, n
+    # a prime tree of size n is root r over a forest of r trees, then the
+    # leaf; they are counted by the large Schroeder number r_(n-1)
     large = fx.A006318_LARGE_SCHROEDER + [8558, 41586]
     for n, count in enumerate(large, 1):
-        assert sum(k for _, _, _, k in _grown_trees(n, prime=True)) == count, n
+        assert sum(sum(_forest(r, n - r, memo)[2]) for r in range(1, n + 1)) == count, n
 
 
 def test_tree_classes_keep_every_internal_node_on_one_chain():
     # each internal node lies on one chain: the closed ones, decoded, and the
     # open root chain add up to the letters; classes of one word, open chain
     # and closed key are merged, so they coarsen far below 3^(n - 1)
+    memo = {}
     for n in range(10):
-        table = _tree_table(n)
+        table = _tree_table(n, memo)
         for letters, chain, closed, _ in table:
             assert sum(_part(closed)) + chain == len(letters), (n, letters)
         assert len({cls[:3] for cls in table}) == len(table)
-    assert [len(_tree_table(n)) for n in range(1, 10)] == [1, 3, 9, 26, 73, 200, 537, 1418, 3692]
+    assert [len(_tree_table(n, memo)) for n in range(1, 10)] == [
+        1, 3, 9, 26, 73, 200, 537, 1418, 3692]
 
 
 def test_forest_classes_count_every_forest():
     # the forest table against the odometer's codes of forests of r trees
+    memo = {}
     for r in range(1, 5):
         for s in range(8):
             count = sum(1 for _ in iter_tree_codes(s, _arity, r))
-            assert sum(_forest(r, s)[2]) == count, (r, s)
+            assert sum(_forest(r, s, memo)[2]) == count, (r, s)
     # a forest's classes merge to a count that does not depend on r
-    assert [[len(_forest(r, s)[0]) for s in range(6)] for r in range(1, 5)] == [
+    assert [[len(_forest(r, s, memo)[0]) for s in range(6)] for r in range(1, 5)] == [
         [1, 1, 3, 8, 21, 54]] * 4
 
 
-def test_trees_route_builds_no_codes():
-    _tree_table.cache_clear()
-    _forest.cache_clear()
-    g_e(9, "trees")
-    info = _tree_table.cache_info()
-    # nine tables are cached, and they are the class tables of sizes 0 to 8
-    assert info.currsize == 9
-    for n in range(9):
-        _tree_table(n)
-    assert _tree_table.cache_info().misses == info.misses
+def _refuse(what):
+    def refused(*args):
+        raise AssertionError(f"{what} was built")
+    return refused
 
 
-def test_enumerations_build_no_tree_classes():
-    # the codes come off the odometer, not off the class table of the trees route
-    _tree_table.cache_clear()
-    for n in range(1, 9):
-        enumerate_schroeder(n)
-        enumerate_prime_schroeder(n)
-    assert _tree_table.cache_info().currsize == 0
+def test_trees_route_builds_no_codes(monkeypatch):
+    expected = g_e(9, "system")
+    monkeypatch.setattr(schroeder, "iter_tree_codes", _refuse("a tree code"))
+    monkeypatch.setattr(combinat, "iter_tree_codes", _refuse("a tree code"))
+    assert g_e(9, "trees") == expected
+
+
+def test_enumerations_build_no_tree_classes(monkeypatch):
+    # the codes come off the odometer, not off the classes of the trees route
+    for name in ("_tree_table", "_forest", "_grown_trees"):
+        monkeypatch.setattr(schroeder, name, _refuse("a tree class"))
+    for n, little, large in zip(range(1, 7), LITTLE_SCHROEDER, fx.A006318_LARGE_SCHROEDER):
+        assert len(enumerate_schroeder(n)) == little
+        assert len(enumerate_prime_schroeder(n)) == large
+
+
+def test_trees_route_builds_no_table_above_order_minus_two(monkeypatch):
+    # prime trees read the forests, whose one-tree classes close grown trees:
+    # the largest open-chain table is that of a last subtree, of size n - 2
+    table, sizes = schroeder._tree_table, []
+    monkeypatch.setattr(schroeder, "_tree_table",
+                        lambda n, memo: sizes.append(n) or table(n, memo))
+    for order in range(2, 10):
+        sizes.clear()
+        g_e(order, "trees")
+        assert max(sizes) == order - 2, order
+
+
+def test_trees_route_keeps_nothing_between_calls(monkeypatch):
+    # every table and one-tree forest grows its trees once per call: a memo
+    # kept from the first call would leave the second fewer to grow
+    grown, built = schroeder._grown_trees, []
+    monkeypatch.setattr(schroeder, "_grown_trees",
+                        lambda n, memo: built.append(n) or grown(n, memo))
+    first = g_e(8, "trees")
+    calls, built[:] = list(built), []
+    assert g_e(8, "trees") == first
+    assert built == calls and max(calls) == 7
 
 
 def test_projection_refuses_collided_words():
