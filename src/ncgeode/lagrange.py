@@ -211,7 +211,8 @@ def specialize_t(u: NcsfSeries, value) -> NcsfSeries:
 def k_lagrange_direct(k: int, order: int) -> NcsfSeries:
     """Solve w = 1 + sum_m S_m w^{k m} for any integer k: the system of
     ``schroeder.solve_xy_system`` with c_m = C(k, m), the t-series factor
-    C(t, m) at t = k, has y = (1 + x)^k, so w = 1 + x."""
+    C(t, m) at t = k, has y = (1 + x)^k, so w = 1 + x.  y is summed by
+    Horner's rule and stops below ``order``, so no power of x is taken."""
     x = solve_xy_system(order, INT_RING,
                         lambda m: math.prod(range(k, k - m, -1)) // math.factorial(m)).x
     return unit_series(INT_RING, order) + x

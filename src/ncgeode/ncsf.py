@@ -357,8 +357,9 @@ def graded_power(rows, m: int, d: int, memo: dict, one, zero):
     Reads only the rows of degree <= d, so ``rows`` may still be growing.
     ``memo`` keeps the (m, d) rows already computed; the caller decides how
     long it lives.  The first power is ``rows`` itself, not a copy.  ``one``
-    and ``zero`` are the units of the coefficient ring.  ``lagrange_step``,
-    the x/y system's y and ``lagrange.gessel_gamma`` use it.
+    and ``zero`` are the units of the coefficient ring.  ``lagrange_step``
+    (so ``solve_g`` and the x/y system's x), ``compose`` and
+    ``lagrange.gessel_gamma`` use it.
     """
     if m == 0:
         return [one] if d == 0 else [zero] * (1 << (d - 1))

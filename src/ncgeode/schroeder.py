@@ -48,8 +48,8 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .coeffring import EPOLY_RING, EPoly, Ring, _prime, elementary_of_multiple
-from .ncsf import (NcsfSeries, _row_conv_into, check_order, graded_power,
-                   lagrange_step, longest, unit_series, with_last_part)
+from .ncsf import (NcsfSeries, _row_conv_into, check_order, lagrange_step, longest,
+                   unit_series, with_last_part)
 from .combinat import (_root_children, iter_tree_codes, tree_code_coefficient,
                        tree_code_prefix_sums)
 
@@ -173,32 +173,33 @@ def elementary(m: int) -> EPoly:
 
 def solve_xy_system(order: int, ring: Ring, c) -> SystemState:
     """Solve x = sum S_m y^m, y = 1 + sum c_m x^m degree by degree over
-    ``ring``, with c_m = c(m) for m >= 1.
+    ``ring``, with c_m = c(m) for m >= 1: x through ``order`` and y through
+    ``order - 1`` (y = 1 at order 0), all that x reads.
 
-    x_n = sum_m S_m (y^m)_{n-m} (``lagrange_step``) needs y below degree n,
-    and y_n = sum_m c_m (x^m)_n needs x through degree n, so the two
-    interleave; both powers come off ``graded_power``.  With c_m = e_m,
-    1 + x is g^[e]; with c_m = C(k, m) over the integers, y = (1 + x)^k,
-    so 1 + x is g^(k) for every integer k, and no power exceeds the degree.
+    x_n = sum_m S_m (y^m)_{n-m} (``lagrange_step``) needs y below degree n.
+    y is Horner's T_0, where T_k = sum_{m>=k} c_m x^(m-k) = c_k + x T_(k+1)
+    with c_0 = 1, so degree n builds T_k only at degree n - k, and no tail
+    past the last nonzero c_m.  With c_m = e_m, 1 + x is g^[e]; with
+    c_m = C(k, m) over the integers, y = (1 + x)^k, so 1 + x is g^(k) for
+    every integer k, and no power of x is taken.
     """
     check_order(order)
     one, zero = ring.one, ring.zero
-    coeffs = [c(m) for m in range(1, order + 1)]
+    coeffs = [one] + [c(m) for m in range(1, order)]
+    # C(k, m) vanishes for m > k >= 0, and so do the tails T_k past it;
+    # T_1 stays, so that y grows at k = 0
+    top = max(1, *(m for m, cm in enumerate(coeffs) if cm))
+    tails = [[[cm]] for cm in coeffs[:top + 1]]
     x: list[list] = [[zero]]
-    y: list[list] = [[one]]
-    # a power's row of degree d reads only rows through d, which are final
-    # by then, so the memos serve every later degree too
+    y = tails[0]
     y_memo: dict = {}
-    x_memo: dict = {}
-    for n in range(1, order + 1):
-        x.append(lagrange_step(y, n, y_memo, one, zero))
-        yn = [zero] * len(x[n])
-        for m, cm in enumerate(coeffs[:n], 1):
-            # C(k, m) vanishes for m > k >= 0, and that power is never read
-            if cm:
-                _row_conv_into(yn, [cm], 0, graded_power(x, m, n, x_memo, one, zero),
-                               n, one)
-        y.append(yn)
+    for n in range(order):
+        for k in range(min(top, n) - 1, -1, -1):
+            row = [zero] * len(x[n - k])
+            for d, tail in enumerate(tails[k + 1]):
+                _row_conv_into(row, x[n - k - d], n - k - d, tail, d, one)
+            tails[k].append(row)
+        x.append(lagrange_step(y, n + 1, y_memo, one, zero))
     return SystemState(order, NcsfSeries._of(ring, x), NcsfSeries._of(ring, y))
 
 

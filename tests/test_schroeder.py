@@ -1,13 +1,15 @@
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from ncgeode.coeffring import EPOLY_RING, EPoly, _part, epoly_evaluate
+from ncgeode.coeffring import (EPOLY_RING, INT_RING, POLYT_RING, EPoly, _part,
+                               binomial_polynomial, epoly_evaluate)
 from ncgeode.combinat import enumerate_lukasiewicz, iter_tree_codes
 from ncgeode.lagrange import free_cumulant_routes, solve_g
-from ncgeode.ncsf import annihilate
+from ncgeode.ncsf import annihilate, unit_series
 from ncgeode.schroeder import (SystemState, _arity, _forest, _tree_table,
                                delta_e_coefficient, elementary, enumerate_prime_schroeder,
                                enumerate_schroeder, g_e, gamma_e, iter_prime_schroeder,
@@ -16,7 +18,8 @@ from ncgeode.verify import system_tables_hold
 from ncgeode import combinat, fixtures as fx, schroeder
 from oracles import (LiftedState, chain_monomials, g_e_by_prime_trees, is_lukasiewicz,
                      is_schroeder_code, lifted_xy_system, lukasiewicz_root_children,
-                     prime_tree_weight, project_placeholder, projected, tree_weight)
+                     prime_tree_weight, project_placeholder, projected, series_power,
+                     tree_weight)
 
 LITTLE_SCHROEDER = [1, 3, 11, 45, 197, 903]
 
@@ -190,13 +193,36 @@ def test_projection_of_x_equals_projection_of_g():
 def test_system_is_the_projection_of_the_lifted_system():
     # setting the placeholder to 1 is an algebra morphism, so it carries the
     # lifted solution over tree codes onto the solution over compositions
+    # x is solved through the order and y one degree short, all that x reads
     lifted = lifted_xy_system(7)
-    state = solve_xy_system(7, EPOLY_RING, elementary)
-    assert state.order == state.x.order == state.y.order == 7
+    state = solve_xy_system(8, EPOLY_RING, elementary)
+    assert (state.order, state.x.order, state.y.order) == (8, 8, 7)
+    assert solve_xy_system(0, EPOLY_RING, elementary).y.order == 0
     assert state.y.component(0) == {(): EPoly.one()} and state.x.component(0) == {}
     for n in range(8):
         assert state.x.component(n) == projected(lifted.x[n]), n
         assert state.y.component(n) == projected(lifted.y[n]), n
+
+
+def _binomial(k: int):
+    return lambda m: math.prod(range(k, k - m, -1)) // math.factorial(m)
+
+
+@pytest.mark.parametrize("ring, c, orders", [
+    (EPOLY_RING, elementary, range(8)),
+    *((INT_RING, _binomial(k), range(9)) for k in (-2, -1, 0, 1, 2, 3)),
+    (POLYT_RING, lambda m: binomial_polynomial(1, m), [6]),
+])
+def test_system_y_is_the_sum_of_the_powers_of_x(ring, c, orders):
+    # y = 1 + sum_m c_m x^m, read off the returned x by chained products,
+    # through one degree below the order
+    for order in orders:
+        state = solve_xy_system(order, ring, c)
+        x = state.x.truncate(max(order - 1, 0))
+        y = unit_series(ring, x.order)
+        for m in range(1, order):
+            y = y + series_power(x, m).scale(c(m))
+        assert state.y == y, order
 
 
 def test_system_y_equals_tree_enumeration():
