@@ -14,7 +14,7 @@ import sys
 from functools import lru_cache
 from itertools import islice
 
-from .combinat import (_plane_arity, catalan, count_parking_quasi_ribbons,
+from .combinat import (_plane_arity, catalan, count_parking_quasi_ribbons, is_composition,
                        iter_parking_quasi_ribbons, iter_tree_codes, large_schroeder)
 from .gfseries import specialize_ncsf
 from .lagrange import (eta_t, g_t, gamma_t, geode, gessel_gamma, h_t,
@@ -44,7 +44,7 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad composition {text!r}")
-    if not parts or any(p < 1 for p in parts):
+    if not parts or not is_composition(parts):
         raise argparse.ArgumentTypeError(f"bad composition {text!r}")
     return parts
 

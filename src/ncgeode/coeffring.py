@@ -18,9 +18,10 @@ Four rings appear as series coefficients:
     p_{l1} p_{l2} ... (p_k the k-th prime) and viewed by partitions.
 
 All values are immutable after construction and all operations are pure:
-``PolyT`` and ``EPoly`` refuse attribute assignment and ``EPoly.terms`` is a
-read-only mapping, so the caches of the series code may hand out and share
-the same coefficient objects.  Copies and pickles rebuild a value through
+``PolyT`` and ``EPoly``, like ``ncsf.NcsfSeries``, derive from ``_Value``,
+which refuses attribute assignment, and ``EPoly.terms`` is a read-only
+mapping, so the caches of the series code may hand out and share the same
+coefficient objects.  Copies and pickles rebuild a value through
 its constructor (``__reduce__``).
 """
 
@@ -36,7 +37,24 @@ from operator import add
 from types import MappingProxyType
 
 
-class PolyT:
+class _Value:
+    """Base of the immutable values: setting or deleting an attribute raises
+    ``AttributeError``, and ``a - b`` is ``a + (-b)``.  Constructors fill
+    their slots with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+class PolyT(_Value):
     """Polynomial in t over Q: integer numerators over one common denominator.
 
     ``num`` holds the integer numerators by ascending power, with no
@@ -95,12 +113,6 @@ class PolyT:
             num.append(d)
         return cls._of(num, den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PolyT is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PolyT is immutable; cannot delete {name!r}")
-
     def __reduce__(self):
         return PolyT._of, (list(self.num), self.den)
 
@@ -152,9 +164,6 @@ class PolyT:
 
     def __neg__(self) -> "PolyT":
         return PolyT._of([-c for c in self.num], self.den)
-
-    def __sub__(self, other) -> "PolyT":
-        return self + (-other if isinstance(other, PolyT) else PolyT((-Fraction(other),)))
 
     def __rsub__(self, other) -> "PolyT":
         return (-self) + other
@@ -209,7 +218,6 @@ POLYT_ZERO = PolyT()
 POLYT_ONE = PolyT((1,))
 
 
-@lru_cache(maxsize=None)
 def binomial_polynomial(m: int, a: int) -> PolyT:
     """The binomial coefficient C(m*t, a) as a polynomial in t.
 
@@ -279,7 +287,7 @@ def _part(key: int) -> tuple[int, ...]:
     return tuple(reversed(parts))
 
 
-class EPoly:
+class EPoly(_Value):
     """Integer combination of monomials in the commuting generators e_k.
 
     A monomial e_{l1}...e_{lr} is stored under its Goedel number ``_key``,
@@ -311,12 +319,6 @@ class EPoly:
         out = object.__new__(cls)
         object.__setattr__(out, "_d", d)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"EPoly is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"EPoly is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return EPoly._of, (self._d.copy(),)
@@ -364,11 +366,6 @@ class EPoly:
 
     def __neg__(self) -> "EPoly":
         return EPoly._of({k: -c for k, c in self._d.items()})
-
-    def __sub__(self, other) -> "EPoly":
-        if isinstance(other, int):
-            other = EPoly({(): other})
-        return self + (-other)
 
     def __rsub__(self, other) -> "EPoly":
         return (-self) + other

@@ -243,8 +243,14 @@ def tree_code_prefix_sums(n: int, factor, one, zero) -> list[list]:
     return rows
 
 
+def is_composition(word) -> bool:
+    """Whether every part of ``word`` is an int of at least 1; a float or a
+    bool is no part, though 2.0 == 2 and True == 1."""
+    return all(type(p) is int and p >= 1 for p in word)
+
+
 def check_composition(comp: tuple[int, ...]) -> None:
-    if any(i < 1 for i in comp):
+    if not is_composition(comp):
         raise ValueError(f"not a composition: {comp}")
 
 
@@ -359,7 +365,7 @@ def shift_words(code: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def _segment_starts(shape: tuple[int, ...]) -> set[int]:
     """The word positions (from 0) at which a segment of ``shape`` begins."""
-    if not shape or any(s < 1 for s in shape):
+    if not shape or not is_composition(shape):
         raise ValueError("shape must be a nonempty composition")
     starts, pos = set(), 0
     for size in shape:

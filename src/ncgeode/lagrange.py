@@ -184,7 +184,7 @@ def delta_coefficient(comp: tuple[int, ...]) -> PolyT:
     p^3 / 6 products of integer values at t = 2^B as in ``gamma_t``, with
     n = |I|, for p parts, where the whole ``gamma_t`` walk would visit
     2^(|I| - i_last) prefixes.  Its one value, times (p - 1)!, is unpacked
-    once.  A word with a part below 1 raises ``ValueError``."""
+    once.  A part that is not an int of at least 1 raises ``ValueError``."""
     check_composition(comp)
     bits = _width(sum(comp), 2)
     return _unpack(tree_code_coefficient(comp, _factor(bits, 0), 1, 0), bits, len(comp[:-1]))

@@ -8,8 +8,9 @@ constant term is invertible degree by degree.
 A composition of n is a descent set D in {1, ..., n-1}, so a series stores
 the component of degree n >= 1 as a row of 2^(n-1) slots, one slot at degree
 0, in the layout that ``combinat.descent_mask`` defines (the order of
-``compositions(n)``), with ``ring.zero`` for an absent word.  Only this module
-reads rows; ``NcsfSeries._of`` wraps those written here, by ``lagrange.solve_g``
+``compositions(n)``), with ``ring.zero`` for an absent word.  Rows are read
+here and by ``lagrange.theta_t``, which unpacks the rows of an integer
+quotient; ``NcsfSeries._of`` wraps those written here, by ``lagrange.solve_g``
 and ``gessel_gamma``, ``schroeder.solve_xy_system`` and the tree-code walk
 ``combinat.tree_code_prefix_sums``.  ``NcsfSeries(ring, comps, basis)``
 reads dicts of words, and ``component`` and ``components`` are read-only views.
@@ -48,8 +49,9 @@ from functools import wraps
 from itertools import compress, repeat
 from operator import add, itemgetter, neg, sub
 
-from .coeffring import PolyT, POLYT_ONE, RINGS, Ring
-from .combinat import _compositions, _size, _zero_rows, descent_mask
+from .coeffring import PolyT, POLYT_ONE, RINGS, Ring, _Value
+from .combinat import (_compositions, _size, _zero_rows, check_composition, descent_mask,
+                       is_composition)
 
 BASES = ("S", "R", "L")
 
@@ -77,7 +79,7 @@ class _Component(Mapping):
         self._row, self._n = row, n
 
     def __getitem__(self, word):
-        if (isinstance(word, tuple) and all(isinstance(p, int) and p > 0 for p in word)
+        if (isinstance(word, tuple) and is_composition(word)
                 and sum(word) == self._n and (coeff := self._row[descent_mask(word)])):
             return coeff
         raise KeyError(word)
@@ -118,7 +120,7 @@ def _row_of(comp: Mapping, n: int, zero) -> tuple:
     return tuple(map(comp.get, words, repeat(zero)))
 
 
-class NcsfSeries:
+class NcsfSeries(_Value):
     """Graded truncated element of the free algebra, tagged with a basis.
 
     A series is immutable: its rows are tuples and its components read-only
@@ -141,12 +143,6 @@ class NcsfSeries:
     def _fill(self, ring: Ring, rows, basis: str):
         for name, value in ("ring", ring), ("basis", basis), ("_rows", tuple(map(tuple, rows))):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"NcsfSeries is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"NcsfSeries is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         # the ring goes by name, so a copy shares the descriptor in RINGS
@@ -173,8 +169,7 @@ class NcsfSeries:
         """The coefficient of a composition, a sequence of parts; a part that
         is not a positive int raises ``ValueError``."""
         word = tuple(word)
-        if not all(type(p) is int and p >= 1 for p in word):
-            raise ValueError(f"not a composition: {word}")
+        check_composition(word)
         return self.component(sum(word)).get(word, self.ring.zero)
 
     def truncate(self, order: int) -> "NcsfSeries":
@@ -197,9 +192,6 @@ class NcsfSeries:
 
     def __neg__(self) -> "NcsfSeries":
         return NcsfSeries._of(self.ring, map(_negated, self._rows), self.basis)
-
-    def __sub__(self, other) -> "NcsfSeries":
-        return self + (-other)
 
     def scale(self, c) -> "NcsfSeries":
         return self.map_coefficients(lambda v: v * c)

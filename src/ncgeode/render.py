@@ -7,7 +7,8 @@ coefficients prefixed, e.g. "gamma_3 = 3S_3 + 3S^{21} + 2S^{12} + S^{111}".
 
 from __future__ import annotations
 
-from .coeffring import POLYT_ONE, EPoly, PolyT, RINGS, fraction_to_str
+from .coeffring import EPOLY_RING, POLYT_ONE, EPoly, PolyT, RINGS, fraction_to_str
+from .combinat import is_composition
 from .ncsf import NcsfSeries
 
 
@@ -99,10 +100,11 @@ def coeff_prefix(coeff, ring_name: str) -> str:
             return s
         return f"({s})"
     if ring_name == "epoly":
-        if coeff == EPoly({(): 1}):
+        if coeff == EPOLY_RING.one:
             return ""
-        if len(coeff.terms) == 1:
-            return _epoly_monomial(*next(iter(coeff.terms.items())))
+        terms = coeff.terms
+        if len(terms) == 1:
+            return _epoly_monomial(*next(iter(terms.items())))
         return f"({epoly_str(coeff)})"
     raise ValueError(f"unknown ring {ring_name!r}")
 
@@ -141,7 +143,8 @@ def series_from_json(data: dict) -> NcsfSeries:
     Raises ValueError for a missing key, a component or term that is not
     an object, an unknown ring, a negative truncation, a component degree
     outside 0..truncation, a composition that is not a list of positive
-    integers summing to its degree, two terms on one word, or a coefficient
+    integers (``combinat.is_composition``: no float or bool part) summing to
+    its degree, two terms on one word, or a coefficient
     its ring cannot read: a float or a bool where an integer belongs too.
     """
     try:
@@ -163,7 +166,7 @@ def series_from_json(data: dict) -> NcsfSeries:
         if type(degree) is not int or not 0 <= degree <= order:
             raise ValueError(f"component degree {degree!r} outside 0..{order}")
         for word, coeff in terms:
-            if type(word) is not list or not all(type(p) is int and p > 0 for p in word):
+            if type(word) is not list or not is_composition(word):
                 raise ValueError(f"composition {word!r} is not a list of positive integers")
             if tuple(word) in comps[degree]:
                 raise ValueError(f"two terms on the composition {word}")

@@ -222,7 +222,7 @@ def delta_e_coefficient(comp: tuple[int, ...]) -> EPoly:
     a of plane trees with len(I) nodes, of the products e_{a_1}(i_1 A) ...
     e_{a_{p-1}}(i_{p-1} A), a loop along I alone, as
     ``lagrange.delta_coefficient`` is, without building ``gamma_e``."""
-    return tree_code_coefficient(comp, elementary_of_multiple, EPoly.one(), EPoly())
+    return tree_code_coefficient(comp, elementary_of_multiple, EPOLY_RING.one, EPOLY_RING.zero)
 
 
 def g_e(order: int, route: str = "delta") -> NcsfSeries:
@@ -241,7 +241,7 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
         return unit_series(EPOLY_RING, order) + solve_xy_system(order, EPOLY_RING, elementary).x
     if route == "trees":
         memo: dict = {}
-        comps = [{(): EPoly.one()}]
+        comps = [{(): EPOLY_RING.one}]
         for n in range(1, order + 1):
             # a prime tree weighs its closed chains: all but its root's
             comps.append(_partition_counts(

@@ -192,5 +192,8 @@ def test_copy_and_pickle_round_trip(value, how):
     back = ROUND_TRIPS[how](value)
     assert type(back) is type(value)
     assert back == value
-    with pytest.raises(AttributeError):
-        setattr(back, type(back).__slots__[0], None)
+    name, slot = type(back).__name__, type(back).__slots__[0]
+    with pytest.raises(AttributeError, match=f"^{name} is immutable; cannot set {slot!r}$"):
+        setattr(back, slot, None)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable; cannot delete {slot!r}$"):
+        delattr(back, slot)

@@ -160,9 +160,14 @@ def test_tree_code_prefix_sums_match_each_composition(ring):
             assert rows[n - comp[-1]][descent_mask(comp[:-1])] == single, comp
 
 
-@pytest.mark.parametrize("single", [delta_coefficient, delta_e_coefficient])
-@pytest.mark.parametrize("word", [(2, 0), (0,), (2, -1, 3), (1, 0, 1)])
+@pytest.mark.parametrize("single", [
+    delta_coefficient.__wrapped__, delta_e_coefficient.__wrapped__,
+    pytest.param(lambda word: tree_code_coefficient(word, lambda a, i: 1, 1, 0),
+                 id="tree_code_coefficient")])
+@pytest.mark.parametrize("word", [(2, 0), (0,), (2, -1, 3), (1, 0, 1),
+                                  (1.0, 1), (True, 1), (2.0,)])
 def test_single_coefficients_refuse_words_that_are_not_compositions(single, word):
+    # unmemoized: a memo answers an equal word, (1.0, 1) == (1, 1), before the check
     with pytest.raises(ValueError, match="not a composition"):
         single(word)
 
@@ -418,8 +423,9 @@ def test_pqr_count_matches_enumeration():
     ones = (1,) * 1100
     assert parking_quasi_ribbons(ones) == [tuple((i,) for i in range(1, 1101))]
     assert count_parking_quasi_ribbons(ones) == 1
-    with pytest.raises(ValueError):
-        count_parking_quasi_ribbons((2, 0))
+    for shape in [(2, 0), (), (True, 2), (2.0,), (1.0, 1)]:
+        with pytest.raises(ValueError, match="^shape must be a nonempty composition$"):
+            count_parking_quasi_ribbons(shape)
 
 
 def test_lukasiewicz_root_children():

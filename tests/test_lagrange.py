@@ -153,13 +153,12 @@ def test_packed_delta_coefficient_is_the_polyt_path():
 def test_packed_walks_multiply_no_polynomials(monkeypatch):
     # the walks and theta's integer quotient run with PolyT products refused,
     # theta^(t) by PolyT division taken before; binomial_polynomial
-    # multiplies PolyT, so an emptied cache refuses it too
+    # multiplies PolyT, so it is refused
     def refuse(*args):
         raise AssertionError("a PolyT product in the packed walk")
     expected = _theta_by_division(9)
     monkeypatch.setattr(PolyT, "__mul__", refuse)
     monkeypatch.setattr(PolyT, "__rmul__", refuse)
-    binomial_polynomial.cache_clear()
     assert gamma_t.__wrapped__(9).order == 9
     assert theta_t.__wrapped__(9) == expected
     assert delta_coefficient.__wrapped__((2, 1, 1)) == fx.DELTA_211

@@ -64,7 +64,6 @@ def test_cached_tracer_target_keeps_its_cache(name):
 # its memo lives as long as the process.
 MEMOS = {
     "cli.build_parser": "parsing leaves the parser unchanged",
-    "coeffring.binomial_polynomial": "a coefficient, no series; the t-series read it often",
     "coeffring._part": "a partition decoded from its monomial key, no series",
     "coeffring.elementary_of_multiple": "the tracer reads its cache_info (CACHED)",
     "combinat._compositions": "the compositions of a degree, no series",

@@ -399,9 +399,14 @@ def test_negative_degree_and_parts_are_refused():
     g = solve_g(3)
     with pytest.raises(ValueError, match="negative degree"):
         g.component(-1)
-    for word in [(-1,), (2, 0), (4, -1), (2.0, 1), [1, True]]:
+    for word in [(-1,), (2, 0), (4, -1), (2.0, 1), [1, True], (1.0, 1), (True, 1), (2.0,)]:
         with pytest.raises(ValueError, match="not a composition"):
             g.coefficient(word)
+    # a view holds compositions only, though (True, 1) == (1.0, 1) == (1, 1)
+    for word in [(1.0, 1), (True, 1), (2.0,)]:
+        with pytest.raises(KeyError):
+            g.component(2)[word]
+        assert word not in g.component(2)
     assert g.coefficient(()) == 1
     assert g.coefficient((2, 1)) == g.coefficient([2, 1]) == 2
 
@@ -418,6 +423,10 @@ def test_series_copy_and_pickle_round_trip(make, how):
     assert back.ring is u.ring and back.basis == u.basis
     with pytest.raises(TypeError):
         back.components[1][(1,)] = 7
+    with pytest.raises(AttributeError, match="^NcsfSeries is immutable; cannot set 'ring'$"):
+        back.ring = None
+    with pytest.raises(AttributeError, match="^NcsfSeries is immutable; cannot delete 'ring'$"):
+        del back.ring
 
 
 def test_component_view_contract():

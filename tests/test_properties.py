@@ -165,6 +165,7 @@ def outcome(fn, *args):
        st.integers(1, 3))
 def test_row_kernels_match_word_by_word_oracles(uv, k):
     u, v = uv
+    assert u - v == u + (-v) and (u - v) + v == u
     assert series_mul(u, v) == mul_by_words(u, v)
     unit = with_low_terms(u, {(): 1})
     assert series_inverse(unit) == inverse_by_words(unit)
@@ -296,6 +297,7 @@ def test_epoly_ring_axioms(p, q, r):
     assert p * one == one * p == p
     assert p * zero == zero
     assert p - p == zero
+    assert p - q == p + (-q) and p - 3 == p + (-3)
 
 
 @SETTINGS
@@ -445,6 +447,8 @@ def test_polyt_matches_fraction_reference(ca, cb, c, x, k):
         (c + p, ref_add(a, (c,))),
         (-p, ref_neg(a)),
         (p - q, ref_add(a, ref_neg(b))),
+        (p - k, ref_add(a, (-k,))),
+        (p - c, ref_add(a, (-c,))),
         (k - p, ref_add(ref_neg(a), (k,))),
         (p * q, ref_mul(a, b)),
         (p * k, ref_mul(a, (k,))),
@@ -457,6 +461,8 @@ def test_polyt_matches_fraction_reference(ca, cb, c, x, k):
         assert got.coeffs == want
         assert got == PolyT(want)
         assert hash(got) == hash(PolyT(want))
+    for other in (q, k, c):
+        assert p - other == p + (-other)
     assert p.evaluate(x) == ref_evaluate(a, x)
     assert p.evaluate(k) == ref_evaluate(a, k)
     assert type(p.evaluate(k)) is Fraction
