@@ -39,24 +39,27 @@ class Refused(Exception):
     """A refused request: ``main`` prints the message to stderr and exits 2."""
 
 
+def _digits(text: str) -> bool:
+    """Whether ``text`` is plain decimal digits: ``int`` would also take
+    underscores, a sign and spaces, or digits of other scripts."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_shape(text: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad composition {text!r}")
-    if not parts or not is_composition(parts):
-        raise argparse.ArgumentTypeError(f"bad composition {text!r}")
-    return parts
+    parts = text.split(",")
+    if all(map(_digits, parts)):
+        shape = tuple(map(int, parts))
+        if is_composition(shape):
+            return shape
+    raise argparse.ArgumentTypeError(f"bad composition {text!r}")
 
 
 def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+    if _digits(text):
+        return int(text)
+    if text[:1] == "-" and _digits(text[1:]):
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {int(text)}")
+    raise argparse.ArgumentTypeError(f"invalid int value {text!r}")
 
 
 # built once per process: parsing leaves the parser unchanged

@@ -36,6 +36,8 @@ from itertools import compress
 from operator import add
 from types import MappingProxyType
 
+from .combinat import is_composition
+
 
 class _Value:
     """Base of the immutable values: setting or deleting an attribute raises
@@ -287,6 +289,20 @@ def _part(key: int) -> tuple[int, ...]:
     return tuple(reversed(parts))
 
 
+def _mul_into(accs, row, b: dict) -> None:
+    """For each dict acc of ``accs``, the caller's, and the monomial dict a
+    (``_key`` to coefficient) beside it in ``row``: acc[ka kb] += ca cb over
+    the monomials of a and of b.  The one double loop over monomials; a
+    cancelled sum stays as a zero, which ``EPoly._of`` drops."""
+    b = b.items()
+    for acc, a in zip(accs, row):
+        get = acc.get
+        for kb, cb in b:
+            for ka, ca in a.items():
+                k = ka * kb
+                acc[k] = get(k, 0) + ca * cb
+
+
 class EPoly(_Value):
     """Integer combination of monomials in the commuting generators e_k.
 
@@ -294,28 +310,34 @@ class EPoly(_Value):
     injective by unique factorization, so a product of monomials is one of
     ints.  ``terms`` is a read-only view keyed by the partitions
     (l1 >= ... >= lr), decoded on access; the empty partition is the unit.
-    Zero coefficients are never stored and attributes cannot be set, so
-    results may be shared: adding zero returns the other operand itself.
+    ``EPoly(terms)`` takes (parts, coefficient) pairs: the parts of a
+    composition (``combinat.is_composition``) in any order, and an ``int``
+    coefficient.  Zero coefficients are never stored and attributes cannot
+    be set, so results may be shared: adding zero returns the other operand
+    itself.  Every product goes through ``_mul_into``: ``a * b`` into an
+    empty dict, ``mul_add`` (an entry of the e-walk, a sum of products) and
+    ``mul_add_row`` (a block of the row kernel) into one copy per slot.
     """
 
     __slots__ = ("_d",)
 
-    def __init__(self, terms=None):
+    def __new__(cls, terms=None):
         d: dict[int, int] = {}
         for part, c in terms.items() if isinstance(terms, Mapping) else terms or ():
-            if any(p < 1 for p in part):
+            if not is_composition(part):
                 raise ValueError(f"partition parts must be positive: {part}")
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} is not an int")
             key = _key(part)
-            new = d.get(key, 0) + int(c)
-            if new:
-                d[key] = new
-            else:
-                d.pop(key, None)
-        object.__setattr__(self, "_d", d)
+            d[key] = d.get(key, 0) + c
+        return cls._of(d)
 
     @classmethod
     def _of(cls, d: dict) -> "EPoly":
-        """Wrap a dict of monomial keys (``_key``) and nonzero coefficients."""
+        """Wrap a dict of monomial keys (``_key``) and coefficients, which
+        the value owns from now on; zero coefficients are dropped here."""
+        if not all(d.values()):
+            d = {k: c for k, c in d.items() if c}
         out = object.__new__(cls)
         object.__setattr__(out, "_d", d)
         return out
@@ -339,7 +361,7 @@ class EPoly(_Value):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = EPoly({(): other})
+            other = EPoly._of({1: int(other)})
         if not isinstance(other, EPoly):
             return NotImplemented
         return self._d == other._d
@@ -348,18 +370,15 @@ class EPoly(_Value):
         if not isinstance(other, EPoly):
             if not isinstance(other, int):
                 return NotImplemented
-            other = EPoly({(): other})
+            other = EPoly._of({1: int(other)})
         if not self._d:
             return other
         if not other._d:
             return self
         d = self._d.copy()
+        get = d.get
         for k, c in other._d.items():
-            new = d.get(k, 0) + c
-            if new:
-                d[k] = new
-            else:
-                del d[k]
+            d[k] = get(k, 0) + c
         return EPoly._of(d)
 
     __radd__ = __add__
@@ -374,21 +393,30 @@ class EPoly(_Value):
         if not isinstance(other, EPoly):
             if not isinstance(other, int):
                 return NotImplemented
-            if not other:
-                return EPoly()
-            return EPoly._of({k: c * other for k, c in self._d.items()})
+            other = EPoly._of({1: int(other)})
         d: dict[int, int] = {}
-        for ka, ca in self._d.items():
-            for kb, cb in other._d.items():
-                key = ka * kb
-                new = d.get(key, 0) + ca * cb
-                if new:
-                    d[key] = new
-                else:
-                    del d[key]
+        _mul_into((d,), (self._d,), other._d)
         return EPoly._of(d)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def mul_add(start: "EPoly", pairs) -> "EPoly":
+        """start + the sum of a b over the (a, b) of ``pairs``, in one dict
+        that the result owns: the terms of ``start`` are copied once and no
+        product is built."""
+        acc = start._d.copy()
+        for a, b in pairs:
+            _mul_into((acc,), (a._d,), b._d)
+        return EPoly._of(acc)
+
+    @staticmethod
+    def mul_add_row(row: list, cs: list, s: "EPoly") -> list:
+        """The row of t + c s over the slots t of ``row`` and c of ``cs``,
+        each slot summed in one copy of the terms of t, no product built."""
+        accs = [t._d.copy() for t in row]
+        _mul_into(accs, [c._d for c in cs], s._d)
+        return list(map(EPoly._of, accs))
 
     def __repr__(self) -> str:
         return f"EPoly({dict(self.sorted_terms())})"

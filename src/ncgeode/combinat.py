@@ -200,14 +200,23 @@ def plane_tree_codes_with_nodes(p: int) -> list[tuple[int, ...]]:
 def _letter_step(vec: list, j: int, cap: int, f: list, zero) -> list:
     """The DP vector after a letter of factor row ``f`` on the vector
     ``vec`` of a prefix of length j, capped below the letter sum ``cap``:
-    entry s of ``vec`` reaches entry s + a through the factor f[a]."""
-    new = [zero] * cap
+    entry s of ``vec`` reaches entry s + a through the factor f[a].  Over
+    a ring whose zero has ``mul_add`` (``coeffring.EPoly``), each new
+    entry t is one ``mul_add``: vec[t] (letter 0) plus vec[s] f[t - s]."""
     # vec[s] with s >= j is all that a prefix of length j keeps
-    for s in range(j, min(len(vec), cap)):
+    top = min(len(vec), cap)
+    # asked of the value, as coeffring imports this module for its check
+    if hasattr(zero, "mul_add"):
+        return [zero] * (j + 1) + [
+            zero.mul_add(vec[t] if t < top else zero,
+                         zip(vec[j:min(top, t)], f[t - j:t - min(top, t):-1]))
+            for t in range(j + 1, cap)]
+    new = [zero] * cap
+    for s in range(j, top):
         v = vec[s]
         if s > j:
             new[s] = new[s] + v          # letter 0, whose factor is one
-        for a in range(max(j + 1 - s, 1), cap - s):
+        for a in range(1, cap - s):
             new[s + a] = new[s + a] + v * f[a]
     return new
 

@@ -49,7 +49,7 @@ from functools import wraps
 from itertools import compress, repeat
 from operator import add, itemgetter, neg, sub
 
-from .coeffring import PolyT, POLYT_ONE, RINGS, Ring, _Value
+from .coeffring import EPoly, PolyT, POLYT_ONE, RINGS, Ring, _Value
 from .combinat import (_compositions, _size, _zero_rows, check_composition, descent_mask,
                        is_composition)
 
@@ -323,11 +323,15 @@ def _row_conv_into(target: list, a, da: int, b, db: int, one) -> None:
     block of 2^(db-1) slots from (i << db) | 2^(db-1), and all of ``a``
     before the word i of ``b`` every 2^db-th slot from 2^(db-1) | i; the
     loop runs over the shorter row.  A zero slot of ``a`` is never
-    multiplied, and a degree-0 factor equal to ``one`` adds the other row."""
+    multiplied, and a degree-0 factor equal to ``one`` adds the other row.
+    Over ``EPoly`` a block or stride is one ``EPoly.mul_add_row``: each slot
+    t + a b is summed in one copy of t's terms, and no product is built."""
+    fused = isinstance(one, EPoly)
     if not (da and db):
         scalar, row = (a[0], b) if not da else (b[0], a)
         if scalar:
             target[:] = (map(add, target, row) if scalar == one else
+                         EPoly.mul_add_row(target, row, scalar) if fused else
                          [t + c * scalar if c else t for t, c in zip(target, row)])
         return
     size = 1 << (db - 1)
@@ -335,12 +339,14 @@ def _row_conv_into(target: list, a, da: int, b, db: int, one) -> None:
         for i, ca in enumerate(a):
             if ca:
                 lo = (i << db) | size
-                target[lo:lo + size] = [t + ca * c for t, c in zip(target[lo:lo + size], b)]
+                target[lo:lo + size] = (EPoly.mul_add_row(target[lo:lo + size], b, ca) if fused
+                                        else [t + ca * c for t, c in zip(target[lo:lo + size], b)])
     else:
         for i, cb in enumerate(b):
             if cb:
                 cells = slice(size | i, None, 1 << db)
-                target[cells] = [t + c * cb if c else t for t, c in zip(target[cells], a)]
+                target[cells] = (EPoly.mul_add_row(target[cells], a, cb) if fused else
+                                 [t + c * cb if c else t for t, c in zip(target[cells], a)])
 
 
 def graded_power(rows, m: int, d: int, memo: dict, one, zero):

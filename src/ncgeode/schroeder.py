@@ -33,21 +33,23 @@ The enumeration reads the odometer ``combinat.iter_tree_codes`` with the
 Schroeder arity; a prime tree is root r, a forest of r trees, then the
 final leaf.  The trees route builds no code: a prime tree of size n is
 root r over ``_forest(r, n - r)``, forests whose root chains are closed,
-in classes of one word and the key (``coeffring._key``) of its closed
-chains, 1, 1, 3, 8, 21, 54 of sizes 0 to 5 whatever r is.  A forest is one
-tree, then a forest of one tree fewer; a tree is root r over a forest of r
-trees, then a last subtree of ``_tree_table`` (classes that keep the open
-chain's length) whose open chain grows by one, so no chain tuple is
-sorted.  The memos live for one call of ``g_e``.  ``verify`` and the tests
-weigh enumerated codes by ``right_branch_partition``, sharing the key.
+kept by word (all 2^(s - 1) words of size s >= 1, whatever r is), each
+word a dict of the keys (``coeffring._key``) of its closed chains to their
+counts, so its ``EPoly`` is that dict wrapped.  A forest is one tree, then
+a forest of one tree fewer, the two dicts joined by ``coeffring._mul_into``;
+a tree is root r over a forest of r trees, then a last subtree of
+``_tree_table`` (kept by word and the open chain's length) whose open
+chain grows by one, so no chain tuple is sorted.  The memos live for one
+call of ``g_e``.  ``verify`` and the tests weigh enumerated codes by
+``right_branch_partition``, sharing the key.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 
-from .coeffring import EPOLY_RING, EPoly, Ring, _prime, elementary_of_multiple
+from .coeffring import EPOLY_RING, EPoly, Ring, _mul_into, _prime, elementary_of_multiple
 from .ncsf import (NcsfSeries, _row_conv_into, check_order, lagrange_step, longest,
                    unit_series, with_last_part)
 from .combinat import (_root_children, iter_tree_codes, tree_code_coefficient,
@@ -79,54 +81,49 @@ def enumerate_prime_schroeder(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(iter_prime_schroeder(n))
 
 
-def _tree_table(n: int, memo: dict) -> tuple:
-    """The trees of size n as (letters, open, closed, count) classes: their
-    nonzero letters, the open root chain's length and the closed chains' key
-    (``coeffring._key``).  ``memo``, the caller's, is shared with ``_forest``."""
+def _tree_table(n: int, memo: dict) -> dict:
+    """The trees of size n (``_grown_trees``), kept in ``memo``, the
+    caller's, which ``_forest`` shares."""
     if n not in memo:
-        classes = Counter()
-        for letters, chain, closed, count in _grown_trees(n, memo):
-            classes[letters, chain, closed] += count
-        memo[n] = tuple((*cls, count) for cls, count in classes.items())
+        memo[n] = _grown_trees(n, memo)
     return memo[n]
 
 
-def _forest(r: int, s: int, memo: dict) -> tuple:
+def _forest(r: int, s: int, memo: dict) -> dict:
     """The forests of r >= 1 trees of total size s, every root chain closed,
-    as three columns over their classes: letters, closed key and count.  One
-    tree is one of ``_grown_trees`` whose open chain closes by p_(open); r > 1
-    trees are one tree, then a forest of r - 1.  Equal classes merge at each
-    step, and columns keep the memo lean."""
+    by word: {letters: {closed key: count}}.  One tree is one of
+    ``_grown_trees`` whose open chain closes by p_(open); r > 1 trees are
+    one tree, then a forest of r - 1, their keys joined by ``_mul_into``."""
     if (r, s) not in memo:
-        classes = Counter()
+        forests: dict = {}
         if r == 1:
-            for letters, chain, closed, count in _grown_trees(s, memo):
-                classes[letters, closed * _prime(chain)] += count
+            for (letters, chain), keys in _grown_trees(s, memo).items():
+                _mul_into((forests.setdefault(letters, {}),), (keys,), {_prime(chain): 1})
         else:
             for first in range(s + 1):
                 rest = _forest(r - 1, s - first, memo)
-                for letters, closed, count in zip(*_forest(1, first, memo)):
-                    for more, more_closed, more_count in zip(*rest):
-                        classes[letters + more, closed * more_closed] += count * more_count
-        memo[r, s] = (*zip(*classes), tuple(classes.values()))
+                for letters, keys in _forest(1, first, memo).items():
+                    _mul_into([forests.setdefault(letters + more, {}) for more in rest],
+                              rest.values(), keys)
+        memo[r, s] = forests
     return memo[r, s]
 
 
-def _grown_trees(n: int, memo: dict):
-    """Yield (letters, open, closed, count) for the trees of size n: the
-    leaf for n = 0, else root label r over a forest of ``_forest(r, s)``,
-    then a last subtree of ``_tree_table(n - r - s)``.  The letters are r
-    and the subtrees', the count the product of theirs, and the root chain
-    is the last subtree's grown by one (a leaf's has length 0)."""
-    if n == 0:
-        yield (), 0, 1, 1
+def _grown_trees(n: int, memo: dict) -> dict:
+    """The trees of size n by word and open root chain: {(letters, open):
+    {closed key: count}}, the leaf for n = 0, else root label r over a
+    forest of ``_forest(r, s)``, then a last subtree of
+    ``_tree_table(n - r - s)``.  The letters are r and the subtrees', the
+    keys the products of theirs, and the root chain is the last subtree's
+    grown by one (a leaf's has length 0)."""
+    trees: dict = {((), 0): {1: 1}} if n == 0 else {}
     for root in range(1, n + 1):
         for s in range(n - root + 1):
             last = _tree_table(n - root - s, memo)
-            for letters, closed, count in zip(*_forest(root, s, memo)):
-                for kid_letters, kid_open, kid_closed, kid_count in last:
-                    yield ((root, *letters, *kid_letters), kid_open + 1,
-                           closed * kid_closed, count * kid_count)
+            for letters, keys in _forest(root, s, memo).items():
+                _mul_into([trees.setdefault(((root, *letters, *kid), chain + 1), {})
+                           for kid, chain in last], last.values(), keys)
+    return trees
 
 
 def root_children(code: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -241,12 +238,11 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
         return unit_series(EPOLY_RING, order) + solve_xy_system(order, EPOLY_RING, elementary).x
     if route == "trees":
         memo: dict = {}
-        comps = [{(): EPOLY_RING.one}]
-        for n in range(1, order + 1):
-            # a prime tree weighs its closed chains: all but its root's
-            comps.append(_partition_counts(
-                ((root, *letters), closed, k) for root in range(1, n + 1)
-                for letters, closed, k in zip(*_forest(root, n - root, memo))))
+        # a prime tree weighs its closed chains: all but its root's
+        comps = [{(): EPOLY_RING.one}] + [
+            {(root, *letters): EPoly._of(keys) for root in range(1, n + 1)
+             for letters, keys in _forest(root, n - root, memo).items()}
+            for n in range(1, order + 1)]
         return NcsfSeries(EPOLY_RING, comps)
     raise ValueError(f"unknown route {route!r}")
 

@@ -99,6 +99,18 @@ def inverse_by_words(u: NcsfSeries) -> NcsfSeries:
     return NcsfSeries(u.ring, inv)
 
 
+def compose_by_words(a: NcsfSeries, b: NcsfSeries) -> NcsfSeries:
+    """sum_n a_n b^n word by word, b^n grown one ``mul_by_words`` at a time."""
+    order, zero = min(a.order, b.order), b.ring.zero
+    out = [dict() for _ in range(order + 1)]
+    power = NcsfSeries(b.ring, [{(): b.ring.one}] + [{} for _ in range(order)])
+    for n in range(order + 1):
+        for j in range(order + 1 - n):
+            conv_into(out[n + j], a.component(n), power.component(j), zero)
+        power = mul_by_words(power, b)
+    return NcsfSeries(b.ring, out)
+
+
 def right_divide_by_words(v: NcsfSeries, u: NcsfSeries) -> NcsfSeries:
     """theta with theta * u = v, for u = S_1 + (terms of degree >= 2),
     word by word: each residual word loses its final part 1, and a residual

@@ -439,6 +439,31 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "must be nonnegative" in capsys.readouterr().err, argv
+    # only plain decimal digits: int() would take underscores, signs, spaces
+    # and digits of other scripts
+    for argv, message in (
+            (["trees", "--kind", "pqr", "--shape", "1_0, +2"], "bad composition"),
+            (["trees", "--kind", "pqr", "--shape", "1,+2"], "bad composition"),
+            (["trees", "--kind", "pqr", "--shape", " 3"], "bad composition"),
+            (["trees", "--kind", "pqr", "--shape", "1,\u0662"], "bad composition"),
+            (["trees", "--kind", "pqr", "--shape", "1,,2"], "bad composition"),
+            (["expand", "--series", "g", "--degree", "1_0"], "invalid int value"),
+            (["expand", "--series", "g", "--degree", "+3"], "invalid int value"),
+            (["eseries", "--series", "g", "--degree", " 3"], "invalid int value"),
+            (["eseries", "--series", "g", "--degree", "3 "], "invalid int value"),
+            (["klagrange", "--k", "2", "--degree", "\u0663"], "invalid int value"),
+            (["verify", "--degree", "0x3"], "invalid int value"),
+            (["trees", "--kind", "schroeder", "--n", "1_0"], "invalid int value"),
+            (["specialize", "--map", "catalan", "--series", "g", "--order", "+4"],
+             "invalid int value")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert captured.out == "" and message in captured.err, argv
+    # --k stays a signed int
+    code, out = run_cli(capsys, "klagrange", "--k", "-2", "--degree", "2")
+    assert code == 0 and out
     code = main(["trees", "--kind", "prime-schroeder", "--n", "0"])
     assert "at least 1" in capsys.readouterr().err
     assert code == 2

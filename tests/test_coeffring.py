@@ -89,6 +89,31 @@ def test_epoly_normalization():
         EPoly({(0,): 1})
 
 
+@pytest.mark.parametrize("terms, error", [
+    ({(1,): 2.7}, TypeError),            # would be rounded to 2 e_1
+    ({(1,): 2.0}, TypeError),
+    ({(1,): "3"}, TypeError),            # would be parsed
+    ({(1,): True}, TypeError),
+    ({(1,): Fraction(3)}, TypeError),
+    ({(True,): 1}, ValueError),          # would read as e_1
+    ({(1.0,): 1}, ValueError),           # would fail inside _prime
+    ({(2, -1): 1}, ValueError),
+    ([((1,), None)], TypeError),
+])
+def test_epoly_refuses_what_it_would_round_or_misread(terms, error):
+    with pytest.raises(error):
+        EPoly(terms)
+
+
+def test_epoly_int_operands_keep_their_meaning():
+    e1 = EPoly({(1,): 1})
+    assert EPoly({(): 1, (1,): 0}) == EPoly.one() == 1
+    assert e1 + 2 == 2 + e1 == EPoly({(1,): 1, (): 2})
+    assert e1 * 3 == 3 * e1 == EPoly({(1,): 3}) and e1 * 0 == 0 == EPoly()
+    assert e1 + True == EPoly({(1,): 1, (): 1}) and EPoly.one() == True  # noqa: E712
+    assert e1 - e1 == 0 and not (e1 - e1).terms
+
+
 def _brute_elementary(k, j):
     # direct sum over weak compositions of k into j parts
     def weak(total, parts):

@@ -12,20 +12,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgeode.coeffring import (INT_RING, POLYT_ONE, POLYT_RING, EPoly, PolyT, _key, _part,
-                               binomial_polynomial, elementary_of_multiple,
+from ncgeode.coeffring import (EPOLY_RING, INT_RING, POLYT_ONE, POLYT_RING, EPoly, PolyT,
+                               _key, _part, binomial_polynomial, elementary_of_multiple,
                                fraction_to_str, partitions_of)
 from ncgeode.combinat import coarsenings, compositions, descent_mask
 from ncgeode.gfseries import PowerSeries
 from ncgeode.lagrange import delta_coefficient, gamma_t
 from ncgeode.render import polyt_str
-from ncgeode.ncsf import (NcsfSeries, annihilate, convert_basis, graded_power,
+from ncgeode.ncsf import (NcsfSeries, annihilate, compose, convert_basis, graded_power,
                           lagrange_transform, negate_alphabet, phi_k,
                           right_divide, series_inverse, series_mul, sigma1,
-                          unit_series)
-from ncgeode.schroeder import delta_e_coefficient, gamma_e
-from oracles import (decrement_last_part, drop_last_part, inverse_by_words,
-                     map_words, mul_by_words, right_divide_by_words,
+                          unit_series, with_last_part)
+from ncgeode.schroeder import delta_e_coefficient, g_e, gamma_e
+from oracles import (compose_by_words, decrement_last_part, drop_last_part,
+                     inverse_by_words, map_words, mul_by_words, right_divide_by_words,
                      series_power, tree_code_sum)
 
 COEFF = st.integers(-3, 3)
@@ -305,6 +305,50 @@ def test_epoly_ring_axioms(p, q, r):
 def test_epoly_product_matches_double_loop(p, q):
     assert p * q == product_by_double_loop(p, q)
     assert dict((p * q).terms) == product_by_merging(p, q)
+
+
+@st.composite
+def sparse_epoly_series(draw, order):
+    """A random subset of the words of each degree with ``EPoly``
+    coefficients, some of them zero."""
+    return NcsfSeries(EPOLY_RING, [
+        {w: draw(EPOLY) for w in draw(st.lists(st.sampled_from(compositions(n)), unique=True))}
+        for n in range(order + 1)])
+
+
+@SETTINGS
+@given(st.integers(0, 4).flatmap(lambda order: st.tuples(sparse_epoly_series(order),
+                                                         sparse_epoly_series(order))))
+def test_epoly_row_kernels_match_word_by_word_oracles(uv):
+    # the fused t + a b of the row kernel against products one word at a time
+    u, v = uv
+    assert series_mul(u, v) == mul_by_words(u, v)
+    unit = NcsfSeries(EPOLY_RING, [{(): EPoly.one()}, *u.components[1:]])
+    assert series_inverse(unit) == inverse_by_words(unit)
+    for b in (v, NcsfSeries(EPOLY_RING, [{}, *v.components[1:]])):
+        assert compose(u, b) == compose_by_words(u, b)
+
+
+def test_epoly_kernels_leave_cached_values_unchanged():
+    # every kernel sums into dicts of its own: no cached value, shared row
+    # slot or ring constant is changed in place
+    def snapshot(series):
+        return [{w: dict(c.terms) for w, c in comp.items()} for comp in series.components]
+
+    elementary = {(k, j): dict(elementary_of_multiple(k, j).terms)
+                  for k in range(7) for j in range(7)}
+    gamma_e.cache_clear()
+    gamma = gamma_e(6)
+    before = snapshot(gamma)
+    for route in ("delta", "system", "trees"):
+        g_e(7, route)
+    delta_e_coefficient((2, 1, 3, 1))
+    g = with_last_part(gamma)
+    series_mul(gamma, g), series_inverse(g), compose(gamma, g - unit_series(EPOLY_RING, 7))
+    assert snapshot(gamma) == before == snapshot(gamma_e(6))
+    assert elementary == {(k, j): dict(elementary_of_multiple(k, j).terms)
+                          for k in range(7) for j in range(7)}
+    assert not EPOLY_RING.zero.terms and dict(EPOLY_RING.one.terms) == {(): 1}
 
 
 @SETTINGS

@@ -279,25 +279,28 @@ def test_tree_classes_count_every_tree():
     little = [1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049]
     memo = {}
     for n, count in enumerate(little):
-        assert sum(k for _, _, _, k in _tree_table(n, memo)) == count, n
+        assert sum(sum(keys.values()) for keys in _tree_table(n, memo).values()) == count, n
     # a prime tree of size n is root r over a forest of r trees, then the
     # leaf; they are counted by the large Schroeder number r_(n-1)
     large = fx.A006318_LARGE_SCHROEDER + [8558, 41586]
     for n, count in enumerate(large, 1):
-        assert sum(sum(_forest(r, n - r, memo)[2]) for r in range(1, n + 1)) == count, n
+        assert sum(sum(keys.values()) for r in range(1, n + 1)
+                   for keys in _forest(r, n - r, memo).values()) == count, n
 
 
 def test_tree_classes_keep_every_internal_node_on_one_chain():
     # each internal node lies on one chain: the closed ones, decoded, and the
-    # open root chain add up to the letters; classes of one word, open chain
-    # and closed key are merged, so they coarsen far below 3^(n - 1)
+    # open root chain add up to the letters; the table holds one entry per
+    # word and open chain, (n + 1) 2^(n - 2) of them, and their classes of
+    # one closed key are merged, so they coarsen far below 3^(n - 1)
     memo = {}
     for n in range(10):
-        table = _tree_table(n, memo)
-        for letters, chain, closed, _ in table:
-            assert sum(_part(closed)) + chain == len(letters), (n, letters)
-        assert len({cls[:3] for cls in table}) == len(table)
+        for (letters, chain), keys in _tree_table(n, memo).items():
+            for closed in keys:
+                assert sum(_part(closed)) + chain == len(letters), (n, letters)
     assert [len(_tree_table(n, memo)) for n in range(1, 10)] == [
+        1, 3, 8, 20, 48, 112, 256, 576, 1280]
+    assert [sum(map(len, _tree_table(n, memo).values())) for n in range(1, 10)] == [
         1, 3, 9, 26, 73, 200, 537, 1418, 3692]
 
 
@@ -307,10 +310,14 @@ def test_forest_classes_count_every_forest():
     for r in range(1, 5):
         for s in range(8):
             count = sum(1 for _ in iter_tree_codes(s, _arity, r))
-            assert sum(_forest(r, s, memo)[2]) == count, (r, s)
-    # a forest's classes merge to a count that does not depend on r
-    assert [[len(_forest(r, s, memo)[0]) for s in range(6)] for r in range(1, 5)] == [
-        [1, 1, 3, 8, 21, 54]] * 4
+            assert sum(sum(keys.values()) for keys in _forest(r, s, memo).values()) == count, \
+                (r, s)
+    # a forest of size s holds every word of the 2^(s - 1) compositions of
+    # s, and its classes merge to a count that does not depend on r
+    assert [[len(_forest(r, s, memo)) for s in range(6)] for r in range(1, 5)] == [
+        [1, 1, 2, 4, 8, 16]] * 4
+    assert [[sum(map(len, _forest(r, s, memo).values())) for s in range(6)]
+            for r in range(1, 5)] == [[1, 1, 3, 8, 21, 54]] * 4
 
 
 def _refuse(what):
