@@ -10,11 +10,12 @@ also obtained by annihilating g with any S_k^{-1}.
 
 Replacing the exponent m by k*m gives the k-Lagrange series; its coefficients
 are polynomials in k, which turns k into a formal indeterminate t.
-``solve_g`` grows g by the step ``ncsf.lagrange_step``, keeping its rows
-(``ncsf``'s descent-mask layout), which every returned series shares, and
-the memo of its powers for the life of the process: a lower order is a
-slice and a higher one costs only its new degrees, the policy by which
-``ncsf.longest`` serves ``g_t``, ``gamma_t`` and ``theta_t``.
+``solve_g`` grows g by its first letter, g^m = g^(m-1) + sum_i S_i g^(i+m-1),
+with no product of rows, keeping its rows (``ncsf``'s descent-mask layout),
+which every returned series shares, and the rows of its powers, for the
+life of the process: a lower order is a slice and a higher one costs only
+its new degrees, the policy by which ``ncsf.longest`` serves ``g_t``,
+``gamma_t`` and ``theta_t``.
 ``k_lagrange_direct`` is the system of ``schroeder.solve_xy_system`` under
 e_m -> C(k, m): there y = (1 + x)^k, so g^(k) = 1 + x for every integer
 k.  For a composition I of length p, the coefficient of S^I in the
@@ -51,11 +52,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import add
 
 from .coeffring import INT_RING, POLYT_RING, POLYT_ZERO, PolyT
 from .combinat import check_composition, tree_code_coefficient, tree_code_prefix_sums
 from .ncsf import (NcsfSeries, NotDivisibleError, annihilate, check_order,
-                   compose, graded_power, lagrange_step, lagrange_transform,
+                   compose, graded_power, lagrange_transform,
                    left_letters, longest, negate_alphabet, phi_k, raise_first_part,
                    right_divide, right_quotient, series_inverse, series_mul, sigma1,
                    unit_series, with_last_part)
@@ -79,10 +81,28 @@ def solve_g(order: int) -> NcsfSeries:
     keeps a series.  Every returned series shares the grown rows, which are
     tuples, so no caller can change the grown state.  ``cache_clear``
     empties only the per-order cache, not the grown state.
+
+    No row is convolved: g^m = g^(m-1) + sum_i S_i g^(i+m-1), so for
+    d >= 1 the row (g^m)_d is (g^(m-1))_d plus the rows (g^(i+m-1))_(d-i)
+    laid end to end by first letter (``ncsf.left_letters``), and g's row n
+    is the rows (g^i)_(n-i) laid end to end.  A power with m + d = n reads
+    only powers with m + d = n - 1, and degree n adds about 2^n slots.  The
+    powers are kept as the ``graded_power`` memo keeps them, (m, d) -> row,
+    for m >= 2 and d >= 1.
     """
     check_order(order)
+
+    def power(m: int, d: int):
+        # (g^m)_d for m >= 1, off the grown rows and memo
+        return _g_rows[d] if m == 1 else _g_powers[m, d] if d else (1,)
+
     while len(_g_rows) <= order:
-        _g_rows.append(tuple(lagrange_step(_g_rows, len(_g_rows), _g_powers, 1, 0)))
+        n = len(_g_rows)
+        for m in range(2, n):
+            d = n - m
+            _g_powers[m, d] = list(map(add, power(m - 1, d),
+                                       left_letters(d, lambda i: power(i + m - 1, d - i))))
+        _g_rows.append(tuple(left_letters(n, lambda i: power(i, n - i))))
     return NcsfSeries._of(INT_RING, _g_rows[: order + 1])
 
 
@@ -107,7 +127,8 @@ def gessel_gamma(order: int) -> NcsfSeries:
     + g^{m-1}))^{-1}; the inverted series has degree-n component
     -sum_m sum_{j<m} S_m (g^j)_{n-m}, read off ``graded_power``.  Growing
     g through ``order`` leaves every power (g^j)_d with j + d <= order - 1
-    in the memo of the grown g, so the powers are read from there."""
+    and d >= 1 in the memo of the grown g, so those powers are read from
+    there; ``graded_power`` adds the one-slot rows (g^j)_0 to it."""
     solve_g(order)
 
     def block(n: int, m: int) -> list:

@@ -34,11 +34,14 @@ Every product, and each step of ``_right_solve``, the triangular solve of
 ``right_quotient`` (whose quotient of 1 is the inverse) and ``right_divide``,
 is the block update ``_row_conv_into``.  ``graded_power`` reads the degree-d
 row of u^m off the rows of u through degree d, so a fixed-point solver
-(``lagrange_step``) can call it while u grows; ``compose`` reads its powers
-there too.  ``series_power_binomial`` chains ``series_mul``, as a memo would
-gain it little.  Annihilation, right division by S_1, ``phi_k`` and the
-first-part map ``raise_first_part`` send each output word back to at most one
-input word, so they read slots off the rows; annihilation reaches the R and L
+(``lagrange_step``, for the x of the x/y system) can call it while u grows;
+``compose`` reads its powers there too.  ``lagrange.solve_g`` convolves
+no row: it grows the powers of g by their first letter, in the layout of
+the ``graded_power`` memo, which ``lagrange.gessel_gamma`` then reads.
+``series_power_binomial`` chains ``series_mul``, as a memo would gain it
+little.  Annihilation, right division by S_1, ``phi_k`` and the first-part
+map ``raise_first_part`` send each output word back to at most one input
+word, so they read slots off the rows; annihilation reaches the R and L
 bases through ``convert_basis``, one operator in every basis.
 """
 
@@ -356,8 +359,8 @@ def graded_power(rows, m: int, d: int, memo: dict, one, zero):
     ``memo`` keeps the (m, d) rows already computed; the caller decides how
     long it lives.  The first power is ``rows`` itself, not a copy.  ``one``
     and ``zero`` are the units of the coefficient ring.  ``lagrange_step``
-    (so ``solve_g`` and the x/y system's x), ``compose`` and
-    ``lagrange.gessel_gamma`` use it.
+    (so the x/y system's x), ``compose`` and ``lagrange.gessel_gamma`` use
+    it; the last reads the memo that ``lagrange.solve_g`` fills without it.
     """
     if m == 0:
         return [one] if d == 0 else [zero] * (1 << (d - 1))

@@ -40,8 +40,9 @@ a forest of one tree fewer, the two dicts joined by ``coeffring._mul_into``;
 a tree is root r over a forest of r trees, then a last subtree of
 ``_tree_table`` (kept by word and the open chain's length) whose open
 chain grows by one, so no chain tuple is sorted.  The memos live for one
-call of ``g_e``.  ``verify`` and the tests weigh enumerated codes by
-``right_branch_partition``, sharing the key.
+call of ``g_e``, which grows the trees of each size once.  ``verify`` and
+the tests weigh enumerated codes by ``right_branch_partition``, sharing
+the key.
 """
 
 from __future__ import annotations
@@ -91,13 +92,16 @@ def _tree_table(n: int, memo: dict) -> dict:
 
 def _forest(r: int, s: int, memo: dict) -> dict:
     """The forests of r >= 1 trees of total size s, every root chain closed,
-    by word: {letters: {closed key: count}}.  One tree is one of
-    ``_grown_trees`` whose open chain closes by p_(open); r > 1 trees are
-    one tree, then a forest of r - 1, their keys joined by ``_mul_into``."""
+    by word: {letters: {closed key: count}}.  One tree is one of the trees
+    of size s, whose open chain closes by p_(open): the table in ``memo``
+    when it is there, else grown by ``_grown_trees`` and not kept; r > 1
+    trees are one tree, then a forest of r - 1, their keys joined by
+    ``_mul_into``."""
     if (r, s) not in memo:
         forests: dict = {}
         if r == 1:
-            for (letters, chain), keys in _grown_trees(s, memo).items():
+            trees = memo[s] if s in memo else _grown_trees(s, memo)
+            for (letters, chain), keys in trees.items():
                 _mul_into((forests.setdefault(letters, {}),), (keys,), {_prime(chain): 1})
         else:
             for first in range(s + 1):
@@ -238,6 +242,10 @@ def g_e(order: int, route: str = "delta") -> NcsfSeries:
         return unit_series(EPOLY_RING, order) + solve_xy_system(order, EPOLY_RING, elementary).x
     if route == "trees":
         memo: dict = {}
+        # every table a last subtree reads, each grown once, before the
+        # one-tree forests read them
+        for s in range(order - 1):
+            _tree_table(s, memo)
         # a prime tree weighs its closed chains: all but its root's
         comps = [{(): EPOLY_RING.one}] + [
             {(root, *letters): EPoly._of(keys) for root in range(1, n + 1)

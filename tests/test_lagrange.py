@@ -15,7 +15,7 @@ from ncgeode.lagrange import (delta_coefficient, divisibility_check,
                               k_lagrange_by_phi, k_lagrange_direct,
                               prime_series, solve_g, specialize_t,
                               theta_k_by_transform, theta_t)
-from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate,
+from ncgeode.ncsf import (NcsfSeries, NotDivisibleError, annihilate, graded_power,
                           right_divide, series_inverse, series_mul, sigma1,
                           unit_series)
 from ncgeode.schroeder import g_e, gamma_e, solve_xy_system
@@ -215,29 +215,56 @@ def test_cached_series_are_read_only():
     assert geode(3).coefficient(()) == 1
 
 
-def test_grown_g_is_the_same_in_any_request_order(monkeypatch):
-    # start from an ungrown g, whatever earlier tests asked for: its rows
-    # and the memo of its powers
+@pytest.fixture
+def ungrown_g(monkeypatch):
+    # an ungrown g, whatever earlier tests asked for: its rows and the memo
+    # of its powers, and no order cached from them once the test is done
     monkeypatch.setattr(lagrange, "_g_rows", [(1,)])
     monkeypatch.setattr(lagrange, "_g_powers", {})
     solve_g.cache_clear()
+    yield
+    solve_g.cache_clear()
+
+
+def test_grown_g_is_the_same_in_any_request_order(ungrown_g):
     trees = g_from_trees(8)
     orders = (9, 4, 14, 6, 12)
-    try:
-        for n in orders:
-            g = solve_g(n)
-            assert g == k_lagrange_direct(1, n)
-            assert g.truncate(min(n, 8)) == trees.truncate(min(n, 8))
-            with pytest.raises(TypeError):
-                g.components[n][(n,)] = 7
-            # g grew to the highest order asked for, and was never rebuilt
-            grown = max(orders[: orders.index(n) + 1]) + 1
-            assert len(lagrange._g_rows) == grown
-        solve_g.cache_clear()
-        for n in orders:
-            assert solve_g(n) == k_lagrange_direct(1, n)
-    finally:
-        solve_g.cache_clear()
+    for n in orders:
+        g = solve_g(n)
+        assert g == k_lagrange_direct(1, n)
+        assert g.truncate(min(n, 8)) == trees.truncate(min(n, 8))
+        with pytest.raises(TypeError):
+            g.components[n][(n,)] = 7
+        # g grew to the highest order asked for, and was never rebuilt
+        grown = max(orders[: orders.index(n) + 1]) + 1
+        assert len(lagrange._g_rows) == grown
+    solve_g.cache_clear()
+    for n in orders:
+        assert solve_g(n) == k_lagrange_direct(1, n)
+
+
+def test_grown_powers_are_their_convolutions(ungrown_g):
+    # growing g by its first letter keeps (g^m)_d for m >= 2, d >= 1 and
+    # m + d <= order, each equal to the row that graded_power convolves
+    # from the rows of g alone, with a memo of its own
+    solve_g(12)
+    assert set(lagrange._g_powers) == {(m, d) for m in range(2, 13) for d in range(1, 13 - m)}
+    for (m, d), row in lagrange._g_powers.items():
+        assert row == graded_power(lagrange._g_rows, m, d, {}, 1, 0), (m, d)
+
+
+def test_gessel_gamma_reads_every_positive_degree_off_the_grown_powers(ungrown_g):
+    # only the one-slot rows (g^j)_0 are new to the memo
+    solve_g(10)
+    grown = set(lagrange._g_powers)
+    gamma = gessel_gamma(10)
+    assert set(lagrange._g_powers) - grown == {(j, 0) for j in range(2, 10)}
+    assert gamma == geode(10)
+
+
+def test_solve_g_equals_the_direct_route_at_18():
+    # the first-letter growth against the x/y system, which convolves
+    assert solve_g(18) == k_lagrange_direct(1, 18)
 
 
 def test_solve_g_shares_the_grown_components():

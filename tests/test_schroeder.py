@@ -366,6 +366,16 @@ def test_trees_route_keeps_nothing_between_calls(monkeypatch):
     assert built == calls and max(calls) == 7
 
 
+def test_trees_route_grows_each_size_once(monkeypatch):
+    # the tables of sizes through n - 2 are read by the one-tree forests
+    # too, and only size n - 1 is grown without being kept
+    grown, built = schroeder._grown_trees, []
+    monkeypatch.setattr(schroeder, "_grown_trees",
+                        lambda n, memo: built.append(n) or grown(n, memo))
+    assert g_e(12, "trees") == g_e(12, "delta")
+    assert sorted(built) == list(range(12))
+
+
 def test_projection_refuses_collided_words():
     # two codes meeting on one word would concatenate their chain tuples
     graded = [dict(comp) for comp in lifted_xy_system(3).g]
